@@ -734,12 +734,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # before ValueError: np.linalg.LinAlgError subclasses it
+    except (CapacityError, ConvergenceError, NumericalError,
+            np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CapacityError, ConvergenceError, NumericalError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

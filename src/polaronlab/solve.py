@@ -1,13 +1,14 @@
 """Lowest eigenpairs of sparse symmetric operators, plus dense oracles.
 
-The iterative route is a thick-restart Lanczos recurrence with explicit
-two-pass reorthogonalization against the active basis and an explicitly
-projected (not assumed tridiagonal) Rayleigh-Ritz matrix.  Convergence is
-certified by recomputing true residual norms ||A y - theta y|| before
-returning; estimates alone never declare success.  Runs are deterministic:
-the start vector comes from a seeded generator.
+The iterative route is single-vector LOBPCG (Knyazev 2001) preconditioned by
+the inverse shifted diagonal, for a fiber at P = 0 exactly h0^{-1} with
+h0 = (P - P_f)^2 + N + 1.  The paper's uniform bound makes h0 spectrally
+equivalent to H + 1 for every cutoff, so the iteration count does not grow
+with Lambda.  Convergence is certified by recomputing true residual norms
+||A y - theta y|| before returning; estimates alone never declare success.
+Runs are deterministic: the start vector comes from a seeded generator.
 
-A single Krylov run carries at most one direction per eigenspace, so it is
+A single-vector run carries at most one direction per eigenspace, so it is
 structurally blind to multiplicity.  Multiple eigenpairs are therefore
 extracted one at a time, each run deflated against the vectors already
 certified; a fresh random start inside the orthogonal complement recovers the
@@ -30,13 +31,16 @@ from .errors import CapacityError, ConvergenceError
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-9
 DEFAULT_DENSE_CAP = 2000
-DEFAULT_WINDOW = 120
 DEFAULT_MAX_STEPS = 20000
+REFRESH_STEPS = 20
 
 
 @dataclass
 class SpectralResult:
-    """One converged eigenpair with its certified residual."""
+    """One converged eigenpair with its certified residual.
+
+    `iterations` counts the matvecs spent on this pair.
+    """
 
     energy: float
     vector: np.ndarray
@@ -56,16 +60,35 @@ class PositivityReport:
     gap: float
 
 
+def _orthogonalize(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """v minus its components along the orthonormal rows, in two passes."""
+    for _ in range(2):
+        for q in rows:
+            v = v - (q @ v) * q
+    return v
+
+
 def _fresh_direction(rng, rows: np.ndarray, n: int) -> np.ndarray:
     """Random unit vector orthogonalized twice against the given rows."""
     for _ in range(5):
-        v = rng.standard_normal(n)
-        for _ in range(2):
-            v = v - rows.T @ (rows @ v)
+        v = _orthogonalize(rng.standard_normal(n), rows)
         nv = float(np.linalg.norm(v))
         if nv > 1e-8:
             return v / nv
     raise ConvergenceError("could not generate a direction outside the current subspace")
+
+
+def _lowest_ritz(work: np.ndarray, rows: int):
+    """Lowest Ritz coefficients of the pencil (S A S^T, S S^T), S = work[:rows].
+
+    The images A S sit in work[3 : 3 + rows].  None when S S^T is singular.
+    """
+    gram = work[:rows] @ work.T
+    stiff = gram[:, 3 : 3 + rows]
+    try:
+        return scipy.linalg.eigh(0.5 * (stiff + stiff.T), gram[:, :rows])[1][:, 0]
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _deflated_lowest(
@@ -74,102 +97,83 @@ def _deflated_lowest(
     cert_tol: float,
     seed: int,
     max_steps: int,
-    window: int,
     locked: np.ndarray,
 ) -> SpectralResult:
     """Lowest eigenpair of a symmetric operator on the complement of `locked`.
 
-    `locked` rows are previously certified eigenvectors; the start vector and
-    every recurrence vector are reorthogonalized against them, steering the
-    run to the smallest eigenvalue whose eigenspace span(locked) has not
-    already exhausted.  Certification recomputes the residual on the full
-    operator and accepts at `cert_tol`; residual estimates must reach the
-    tighter `est_tol` before certification is attempted.
+    Each step moves x to the Rayleigh-Ritz minimizer over span[x, T r, p]
+    (r the residual, p the previous step, T = 1/(d - min d + 1) for the
+    diagonal d).  A x and A p follow the recurrences of x and p, so a step
+    costs one matvec; an explicit product replaces A x every REFRESH_STEPS
+    steps and before certification.  `locked` rows are certified
+    eigenvectors that the start vector and every search direction are
+    orthogonalized against.  Certification recomputes the residual on the
+    full operator and accepts at `cert_tol`, once the deflated residual has
+    reached the tighter `est_tol`.
     """
     n = op.dimension
-    n_eff = n - locked.shape[0]
-    window = int(min(n_eff, max(window, 21)))
-    keep = min(11, max(1, window - 2))
     rng = np.random.default_rng(seed)
+    d = op.diagonal()
+    precond = 1.0 / (d - d.min() + 1.0)
 
-    basis = np.zeros((window + 1, n))
-    proj = np.zeros((window + 1, window + 1))
-    v0 = rng.standard_normal(n)
-    if locked.size:
-        for _ in range(2):
-            v0 = v0 - locked.T @ (locked @ v0)
-    basis[0] = v0 / np.linalg.norm(v0)
-    j = 0
+    # rows 0-2: iterate x, search direction w, previous step p; rows 3-5:
+    # their images, so work[i::3] pairs a vector with its image
+    work = np.zeros((6, n))
+    x, w, _, ax, aw, _ = work
+    x[:] = _orthogonalize(rng.standard_normal(n), locked)
+    rows = 2  # 3 once a previous step exists
     steps = 0
-    scale = 1.0
+    stale = REFRESH_STEPS  # recurrence steps since the last explicit A x
     best_est = math.inf
 
-    def certified(theta, coef):
-        y = basis[: j + 1].T @ coef[:, 0]
-        y = y / float(np.linalg.norm(y))
-        r = op.matvec(y) - theta[0] * y
-        res = float(np.linalg.norm(r))
-        if res <= cert_tol:
-            return SpectralResult(float(theta[0]), y, res, steps, True)
-        return None
-
-    while steps < max_steps:
-        w = op.matvec(basis[j])
-        steps += 1
-        if locked.size:
-            w = w - locked.T @ (locked @ w)
-        h = basis[: j + 1] @ w
-        w = w - basis[: j + 1].T @ h
-        h2 = basis[: j + 1] @ w
-        w = w - basis[: j + 1].T @ h2
-        if locked.size:
-            w = w - locked.T @ (locked @ w)
-        h = h + h2
-        proj[: j + 1, j] = h
-        proj[j, : j + 1] = h
-        beta = float(np.linalg.norm(w))
-        theta, coef = np.linalg.eigh(proj[: j + 1, : j + 1])
-        scale = max(scale, float(np.abs(theta).max()), beta)
-        breakdown = 1e-13 * scale
-
-        est = float(beta * abs(coef[j, 0]))
+    while True:
+        if stale >= REFRESH_STEPS:
+            if steps >= max_steps:
+                break
+            x /= np.linalg.norm(x)
+            ax[:] = op.matvec(x)
+            steps += 1
+            stale = 0
+        theta = float(x @ ax)
+        r = _orthogonalize(ax - theta * x, locked)
+        est = float(np.linalg.norm(r))
         best_est = min(best_est, est)
         if est <= est_tol:
-            result = certified(theta, coef)
-            if result is not None:
-                return result
-            if beta <= breakdown and j + 1 >= n_eff:
-                raise ConvergenceError(
-                    f"residual floor above tol = {cert_tol} on the full space "
-                    f"(estimate {est:.3e})"
-                )
+            if stale:  # certify on an explicit product only
+                stale = REFRESH_STEPS
+                continue
+            res = float(np.linalg.norm(ax - theta * x))
+            if res <= cert_tol:
+                return SpectralResult(theta, x.copy(), res, steps, True)
+        if steps >= max_steps:
+            break
 
-        if j + 1 >= window:
-            # thick restart: keep the lowest Ritz vectors, continue with w
-            kept = basis[: j + 1].T @ coef[:, :keep]
-            q, _ = np.linalg.qr(kept)
-            basis[:keep] = q.T
-            proj[:, :] = 0.0
-            proj[:keep, :keep] = np.diag(theta[:keep])
-            j = keep
-            if beta > breakdown:
-                basis[j] = w / beta
-            else:
-                basis[j] = _fresh_direction(rng, np.vstack([basis[:j], locked]), n)
-        elif beta <= breakdown:
-            if j + 1 >= n_eff:
-                # complement spanned and not certified above: the floor is real
-                result = certified(theta, coef)
-                if result is not None:
-                    return result
-                raise ConvergenceError(
-                    f"residual floor above tol = {cert_tol} after spanning the space"
-                )
-            j += 1
-            basis[j] = _fresh_direction(rng, np.vstack([basis[:j], locked]), n)
-        else:
-            j += 1
-            basis[j] = w / beta
+        t = precond * r
+        t = _orthogonalize(t - (x @ t) * x, locked)
+        nt = float(np.linalg.norm(t))
+        fresh = nt <= 1e-12 * est  # breakdown: T r lies in span[x, locked]
+        while True:
+            w[:] = _fresh_direction(rng, np.vstack([x, locked]), n) if fresh else t / nt
+            aw[:] = op.matvec(w)
+            steps += 1
+            coef = _lowest_ritz(work, rows)
+            if coef is None:  # singular Gram matrix: drop p, then replace w
+                rows = 2
+                coef = _lowest_ritz(work, rows)
+            if coef is not None:
+                break
+            if fresh:
+                raise ConvergenceError("Rayleigh-Ritz Gram matrix is singular")
+            fresh = True
+
+        step = coef[1:] @ work.reshape(2, 3, n)[:, 1:rows]  # rows: new p, A p
+        work[0::3] *= coef[0]
+        work[0::3] += step
+        pn = float(np.linalg.norm(step[0]))
+        if pn > 0.0:
+            work[2::3] = step / pn
+            rows = 3
+        stale += 1
 
     raise ConvergenceError(
         f"no certified eigenpair after {max_steps} matvecs "
@@ -183,7 +187,6 @@ def lowest_eigenpairs(
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
     max_steps: int = DEFAULT_MAX_STEPS,
-    window: int = DEFAULT_WINDOW,
 ) -> List[SpectralResult]:
     """k smallest eigenpairs of a symmetric operator, counted with multiplicity.
 
@@ -207,7 +210,7 @@ def lowest_eigenpairs(
     locked = np.zeros((0, n))
     results: List[SpectralResult] = []
     for i in range(k):
-        res = _deflated_lowest(op, est_tol, tol, seed + i, max_steps, window, locked)
+        res = _deflated_lowest(op, est_tol, tol, seed + i, max_steps, locked)
         results.append(res)
         locked = np.vstack([locked, res.vector[None, :]])
     results.sort(key=lambda r: r.energy)
@@ -219,12 +222,9 @@ def ground_state(
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
     max_steps: int = DEFAULT_MAX_STEPS,
-    window: int = DEFAULT_WINDOW,
 ) -> SpectralResult:
     """Certified lowest eigenpair; thin wrapper over lowest_eigenpairs."""
-    return lowest_eigenpairs(
-        op, k=1, tol=tol, seed=seed, max_steps=max_steps, window=window
-    )[0]
+    return lowest_eigenpairs(op, k=1, tol=tol, seed=seed, max_steps=max_steps)[0]
 
 
 def dense_spectrum(op, k: int = 6, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:

@@ -154,11 +154,7 @@ def degeneracy_analysis(
     k = min(2, model.basis.dimension)
 
     def work(block):
-        try:
-            pairs = lowest_eigenpairs(block, k=k, tol=tol, seed=seed)
-        except ConvergenceError:
-            raise
-        return [r.energy for r in pairs]
+        return [r.energy for r in lowest_eigenpairs(block, k=k, tol=tol, seed=seed)]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -214,7 +214,7 @@ def test_c10_solver_oracle_equivalence():
         count += 1
     ok = worst <= 1e-8
     line = _verdict(10, "iterative vs dense eigenvalues",
-                    ok, f"max |E_lanczos - E_dense| = {worst:.3e} "
+                    ok, f"max |E_iter - E_dense| = {worst:.3e} "
                         f"over {count} operators")
     assert ok, line
 

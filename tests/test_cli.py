@@ -6,8 +6,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import polaronlab.dispersion
 from polaronlab import periodized_yukawa
 from polaronlab.cli import main, read_config_file
 from polaronlab.errors import ConfigError
@@ -60,6 +62,20 @@ def test_bad_arguments_exit_3(tmp_path, capsys):
     assert main(["dispersion", "--nmax", "1.5", "--out", out]) == 3
     assert main(["checks", "--seed", "x", "--out", out]) == 3
     assert main(["checks", "--threads", "0", "--out", out]) == 3
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("not positive definite"),
+                                   MemoryError()])
+def test_numerical_breakdown_exits_2(tmp_path, capsys, monkeypatch, error):
+    # LinAlgError subclasses ValueError, and an uncaught MemoryError exits 1
+    def broken_solver(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(polaronlab.dispersion, "ground_state", broken_solver)
+    code = main(["dispersion", "--alpha", "0", "--delta", "0.5", "--lambda", "1",
+                 "--nmax", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert type(error).__name__ in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_3(tmp_path, capsys):

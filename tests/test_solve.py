@@ -67,10 +67,10 @@ def test_degenerate_lowest_level():
     assert energies == pytest.approx([1.0, 1.0, 2.0], abs=1e-9)
 
 
-def test_restart_path_matches_closed_form():
+def test_laplacian_matches_closed_form():
     n = 300
     op = _tridiag_op(n)
-    pairs = lowest_eigenpairs(op, k=4, window=30)
+    pairs = lowest_eigenpairs(op, k=4)
     for j, res in enumerate(pairs, start=1):
         exact = 2.0 - 2.0 * math.cos(math.pi * j / (n + 1))
         assert res.energy == pytest.approx(exact, abs=1e-9)
@@ -79,6 +79,22 @@ def test_restart_path_matches_closed_form():
     np.testing.assert_allclose(
         [p.energy for p in pairs], dense_spectrum(op, k=4), atol=1e-9
     )
+
+
+def test_iterations_uniform_in_cutoff():
+    # the diagonal preconditioner is spectrally equivalent to H + 1 uniformly
+    # in Lambda, so the matvec count must not grow with the cutoff
+    counts = {}
+    for lam, dim in ((4.0, 2109), (8.0, 17077)):
+        grid = build_grid(0.5, lam)
+        basis = enumerate_basis(len(grid), 1, grid.units, grid.spacing)
+        assert basis.dimension == dim
+        cfg = FiberConfig(alpha=0.1, p=np.zeros(3), grid=grid, n_max=1)
+        res = ground_state(assemble_fiber(cfg, basis))
+        assert res.residual <= 1e-9
+        counts[lam] = res.iterations
+    assert counts[8.0] <= 25
+    assert counts[8.0] <= 2 * counts[4.0]
 
 
 def test_suite_operators_match_dense():

@@ -141,9 +141,10 @@ def test_restricted_sector_is_exactly_degenerate():
 def test_degeneracy_analysis_threads_deterministic():
     model = assemble_torus(_quick_config(cutoff=1.5, n_max=1))
     a = degeneracy_analysis(model, threads=1)
-    b = degeneracy_analysis(model, threads=2)
-    assert a.fiber_energies == b.fiber_energies
-    assert a.ground_energy == b.ground_energy
+    for threads in (2, 4):
+        b = degeneracy_analysis(model, threads=threads)
+        assert a.fiber_energies == b.fiber_energies
+        assert a.ground_energy == b.ground_energy
 
 
 def test_degeneracy_tol_validation():
