@@ -26,6 +26,7 @@ from .modes import (
 )
 from .operators import (
     FiberConfig,
+    FiberFamily,
     SparseOperator,
     annihilation_csr,
     assemble_KT,
@@ -79,9 +80,9 @@ __all__ = [
     "block_dimension", "enumerate_basis", "make_state",
     "CutoffSchedule", "ModeGrid", "build_grid", "form_factor",
     "riemann_selfenergy_sum", "tail_integral",
-    "FiberConfig", "SparseOperator", "annihilation_csr", "assemble_KT",
-    "assemble_fiber", "assemble_free", "kinetic_diagonal", "neumann_constant",
-    "neumann_norms", "sign_flip", "weighted_annihilation_norm",
+    "FiberConfig", "FiberFamily", "SparseOperator", "annihilation_csr",
+    "assemble_KT", "assemble_fiber", "assemble_free", "kinetic_diagonal",
+    "neumann_constant", "neumann_norms", "sign_flip", "weighted_annihilation_norm",
     "PositivityReport", "SpectralResult", "dense_spectrum", "ground_state",
     "lowest_eigenpairs", "resolvent_positivity_audit",
     "DispersionCurve", "DispersionSample", "ExtrapolationReport", "HvzReport",

@@ -7,7 +7,6 @@ ground energy in the inverse cutoff.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -16,8 +15,8 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError
 from .fock import enumerate_basis
 from .modes import CutoffSchedule, build_grid
-from .operators import FiberConfig, assemble_fiber
-from .solve import DEFAULT_SEED, DEFAULT_TOL, ground_state
+from .operators import FiberConfig, FiberFamily, assemble_fiber
+from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, ground_state
 
 DEFAULT_MASS_STEP = 0.1
 DEFAULT_EDGE_TOL = 0.1
@@ -92,21 +91,16 @@ class ExtrapolationReport:
     solver_iterations: Tuple[int, ...]
 
 
-def _prewarm(basis) -> None:
-    # cache block data before threads share the basis read-only
-    for n in range(basis.n_max + 1):
-        basis.pf_units(n)
-        if n < basis.n_max:
-            basis.raise_map(n)
+def _ground(op, p, tol, seed):
+    try:
+        return ground_state(op, tol=tol, seed=seed)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"solver failed at P = {tuple(map(float, p))}: {exc}") from exc
 
 
 def _solve_point(alpha, p, grid, basis, tol, seed):
     cfg = FiberConfig(alpha=alpha, p=np.asarray(p, dtype=np.float64), grid=grid, n_max=basis.n_max)
-    op = assemble_fiber(cfg, basis)
-    try:
-        return ground_state(op, tol=tol, seed=seed)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"solver failed at P = {tuple(cfg.p)}: {exc}") from exc
+    return _ground(assemble_fiber(cfg, basis), cfg.p, tol, seed)
 
 
 def dispersion_curve(
@@ -129,16 +123,8 @@ def dispersion_curve(
         raise ValueError("p_samples must not be empty")
     grid = build_grid(delta, cutoff)
     basis = enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
-    _prewarm(basis)
-
-    def work(p):
-        return _solve_point(alpha, p, grid, basis, tol, seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, ps))
-    else:
-        results = [work(p) for p in ps]
+    family = FiberFamily(alpha, grid, basis)
+    results = _parallel_map(lambda p: _ground(family.fiber(p), p, tol, seed), ps, threads)
 
     norms = [float(np.linalg.norm(p)) for p in ps]
     order = sorted(range(len(ps)), key=lambda i: (norms[i], i))
@@ -280,11 +266,7 @@ def cutoff_extrapolate(
         basis = enumerate_basis(len(grid), schedule.n_max, grid.units, grid.spacing)
         return _solve_point(alpha, p, grid, basis, tol, seed)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, lams))
-    else:
-        results = [work(lam) for lam in lams]
+    results = _parallel_map(work, lams, threads)
 
     energies = [r.energy for r in results]
     for i in range(len(lams) - 1):

@@ -5,6 +5,9 @@ its diagonal is the kinetic term (P - P_f)^2 + N and its off-diagonal part
 couples adjacent number blocks through the mode couplings g_i.  Everything is
 assembled block-at-a-time from integer occupation tables, so matrix elements
 are exact where the inputs are exact (alpha = 0 stays strictly diagonal).
+The coupling part does not depend on P, so a FiberFamily builds it, its
+sparsity pattern and the per-state P_f and N once per grid and basis, and
+each fiber only fills in its diagonal.
 
 Dense routines (assemble_KT, neumann_norms) are diagnostics and refuse to run
 above a dimension cap instead of silently thrashing memory.
@@ -64,6 +67,13 @@ class SparseOperator:
         self.cols = cols
         self.vals = vals
         self._csr = None
+
+    @classmethod
+    def _canonical(cls, dimension: int, rows, cols, vals, csr) -> "SparseOperator":
+        """Wrap entries already in canonical order together with their symmetrized CSR."""
+        op = cls.__new__(cls)
+        op.dimension, op.rows, op.cols, op.vals, op._csr = dimension, rows, cols, vals, csr
+        return op
 
     @property
     def nnz(self) -> int:
@@ -134,14 +144,24 @@ def _check_basis(cfg: FiberConfig, basis: BasisIndex) -> None:
             raise ValueError("basis momentum table does not match the grid")
 
 
+def _state_momenta(basis: BasisIndex) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-state phonon momentum P_f as a (3, dim) array, and number N, as floats."""
+    units = np.concatenate([basis.pf_units(n) for n in range(basis.n_max + 1)])
+    return basis.spacing * units.T.astype(np.float64), basis.total_numbers().astype(np.float64)
+
+
+def _kinetic(p: np.ndarray, pf: np.ndarray, nums: np.ndarray) -> np.ndarray:
+    d = (p[0] - pf[0]) ** 2
+    d += (p[1] - pf[1]) ** 2
+    d += (p[2] - pf[2]) ** 2
+    d += nums
+    return d
+
+
 def kinetic_diagonal(cfg: FiberConfig, basis: BasisIndex) -> np.ndarray:
     """(P - P_f)^2 + N per state.  P_f comes from exact integer mode sums."""
     _check_basis(cfg, basis)
-    parts = []
-    for n in range(basis.n_max + 1):
-        pf = basis.spacing * basis.pf_units(n).astype(np.float64)
-        parts.append(((cfg.p[None, :] - pf) ** 2).sum(axis=1) + float(n))
-    return np.concatenate(parts)
+    return _kinetic(cfg.p, *_state_momenta(basis))
 
 
 def _raise_entries(cfg: FiberConfig, basis: BasisIndex, include_alpha: bool = True):
@@ -166,15 +186,73 @@ def _raise_entries(cfg: FiberConfig, basis: BasisIndex, include_alpha: bool = Tr
     return np.concatenate(rr), np.concatenate(cc), np.concatenate(vv)
 
 
-def assemble_fiber(cfg: FiberConfig, basis: BasisIndex) -> SparseOperator:
-    """Fiber operator (P - P_f)^2 + N + sqrt(alpha) * (a(v) + a*(v)) as a SparseOperator."""
-    diag = kinetic_diagonal(cfg, basis)
-    idx = np.arange(basis.dimension, dtype=np.int64)
+def _pattern(cfg: FiberConfig, basis: BasisIndex) -> SparseOperator:
+    """Upper triangle of the fiber with 1.0 in every diagonal slot.
+
+    The nonzero placeholder makes SparseOperator keep every diagonal slot
+    while it drops zero couplings; the raw triplets are freed on return, so
+    they are not held while the CSR is built.
+    """
+    n = basis.dimension
+    idx = np.arange(n, dtype=np.int64)
     rr, cc, vv = _raise_entries(cfg, basis)
-    rows = np.concatenate([idx, rr])
-    cols = np.concatenate([idx, cc])
-    vals = np.concatenate([diag, vv])
-    return SparseOperator(basis.dimension, rows, cols, vals)
+    return SparseOperator(n, np.concatenate([idx, rr]), np.concatenate([idx, cc]),
+                          np.concatenate([np.ones(n), vv]))
+
+
+class FiberFamily:
+    """Fiber operators H(P) = D(P) + sqrt(alpha) V over one grid and basis.
+
+    The coupling V does not depend on P, so its triplets, the canonical
+    upper-triangle pattern, the symmetrized CSR structure and the per-state
+    P_f and N are built once.  fiber(p) fills in only the kinetic diagonal
+    D(P) = (P - P_f)^2 + N; the result is entry for entry what a fresh
+    assembly gives, including the exact-zero vacuum diagonal dropped at
+    P = 0.  Fibers share the (read-only) index arrays and own their values,
+    and building the family fills the basis caches, so fibers can be made
+    and solved from several threads.
+    """
+
+    def __init__(self, alpha: float, grid: ModeGrid, basis: BasisIndex):
+        cfg = FiberConfig(alpha=alpha, p=np.zeros(3), grid=grid, n_max=basis.n_max)
+        _check_basis(cfg, basis)
+        n = self.dimension = basis.dimension
+        pattern = _pattern(cfg, basis)
+        csr = pattern._symmetrized()
+        # after the CSR, whose build is the peak of a family of one
+        self._pf, self._nums = _state_momenta(basis)
+        self._rows, self._cols, self._vals = pattern.rows, pattern.cols, pattern.vals
+        self._indptr, self._indices, self._data = csr.indptr, csr.indices, csr.data
+        self._diag = np.flatnonzero(self._rows == self._cols)
+        self._csr_diag = np.flatnonzero(
+            self._indices == np.repeat(np.arange(n), np.diff(self._indptr)))
+        for a in (self._rows, self._cols, self._indices, self._indptr):
+            a.flags.writeable = False
+
+    def fiber(self, p) -> SparseOperator:
+        """The fiber operator at momentum p, its symmetrized CSR already built."""
+        d = _kinetic(np.asarray(p, dtype=np.float64).reshape(3), self._pf, self._nums)
+        n = self.dimension
+        rows, cols, indices, indptr = self._rows, self._cols, self._indices, self._indptr
+        vals = self._vals.copy()
+        vals[self._diag] = d
+        data = self._data.copy()
+        data[self._csr_diag] = d
+        if d[0] == 0.0:
+            # the vacuum at P = 0: the only state with N = 0 leads both the
+            # upper triangle and the CSR, and its exact zero is dropped as
+            # SparseOperator drops zeros (every other diagonal entry is >= 1)
+            rows, cols, vals, indices, data = rows[1:], cols[1:], vals[1:], indices[1:], data[1:]
+            indptr = indptr - 1
+            indptr[0] = 0
+        csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+        return SparseOperator._canonical(n, rows, cols, vals, csr)
+
+
+def assemble_fiber(cfg: FiberConfig, basis: BasisIndex) -> SparseOperator:
+    """Fiber operator (P - P_f)^2 + N + sqrt(alpha) * (a(v) + a*(v)): a family of one."""
+    _check_basis(cfg, basis)  # also checks cfg.n_max, which the family takes from the basis
+    return FiberFamily(cfg.alpha, cfg.grid, basis).fiber(cfg.p)
 
 
 def assemble_free(cfg: FiberConfig, basis: BasisIndex) -> SparseOperator:

@@ -20,8 +20,9 @@ resolvent positivity audit.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -225,6 +226,19 @@ def ground_state(
 ) -> SpectralResult:
     """Certified lowest eigenpair; thin wrapper over lowest_eigenpairs."""
     return lowest_eigenpairs(op, k=1, tol=tol, seed=seed, max_steps=max_steps)[0]
+
+
+def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
+    """[fn(x) for x in items], spread over a pool of `threads` threads.
+
+    Serial when threads <= 1 or there is at most one item.  Results keep the
+    input order and the first exception raised by fn propagates.
+    """
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def dense_spectrum(op, k: int = 6, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:

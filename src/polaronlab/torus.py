@@ -1,17 +1,20 @@
 """Finite-volume model: a block per dual-lattice momentum, plus Yukawa kernels.
 
 The torus operator is block diagonal over total momenta P in (2 pi / ell) Z^3
-up to a fiber cutoff; every block reuses one shared phonon grid and basis.
-The degeneracy analysis feeds the either-or argument: a translation-invariant
-ground state forces the global minimum to sit at P = 0 and be simple, so a
-non-simple minimum (or one away from 0) certifies symmetry breaking.
+up to a fiber cutoff; every block is a fiber of one FiberFamily (one phonon
+grid, one basis, one P-independent coupling), so blocks differ only on the
+diagonal.  The degeneracy analysis feeds the either-or argument: a
+translation-invariant ground state forces the global minimum to sit at P = 0
+and be simple, so a non-simple minimum (or one away from 0) certifies
+symmetry breaking.  Only the fibers that reach the global minimum can change
+that verdict, so the analysis solves the ground level of every block first
+and a second level only on the blocks inside the minimum window.
 
 periodized_yukawa sums the massive kernel over lattice images; its shell
 convergence is the quantitative input for the fixed-point comparison.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -20,8 +23,8 @@ import numpy as np
 from .errors import CapacityError, ConvergenceError
 from .fock import enumerate_basis
 from .modes import build_grid
-from .operators import FiberConfig, SparseOperator, assemble_fiber
-from .solve import DEFAULT_SEED, DEFAULT_TOL, lowest_eigenpairs
+from .operators import FiberFamily, SparseOperator
+from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, lowest_eigenpairs
 
 DEFAULT_FIBER_CUTOFF = 3.0
 DEFAULT_DEGENERACY_TOL = 1e-7
@@ -118,7 +121,7 @@ class TorusReport:
 
 
 def assemble_torus(cfg: TorusConfig, capacity: int = DEFAULT_TORUS_CAPACITY) -> TorusModel:
-    """Build every momentum block over a shared grid and basis."""
+    """Build every momentum block as a fiber of one shared FiberFamily."""
     grid = build_grid(cfg.delta, cfg.cutoff)
     basis = enumerate_basis(len(grid), cfg.n_max, grid.units, grid.spacing)
     fibers = lattice_fibers(cfg)
@@ -128,10 +131,8 @@ def assemble_torus(cfg: TorusConfig, capacity: int = DEFAULT_TORUS_CAPACITY) -> 
             f"{len(fibers)} fibers x dimension {basis.dimension} = {total} "
             f"exceeds capacity {capacity}"
         )
-    blocks = tuple(
-        assemble_fiber(FiberConfig(alpha=cfg.alpha, p=p, grid=grid, n_max=cfg.n_max), basis)
-        for p in fibers
-    )
+    family = FiberFamily(cfg.alpha, grid, basis)
+    blocks = tuple(family.fiber(p) for p in fibers)
     return TorusModel(config=cfg, fibers=fibers, grid=grid, basis=basis, blocks=blocks)
 
 
@@ -144,23 +145,31 @@ def degeneracy_analysis(
 ) -> TorusReport:
     """Global minimum over blocks and how many eigenvalues sit within tol of it.
 
-    Per block the two lowest eigenvalues are solved (one if the block is one
-    dimensional), so the multiplicity counts at most two levels per fiber,
-    enough to distinguish a simple global minimum from a degenerate one.
+    Ground first: phase 1 solves the lowest eigenvalue of every block, and
+    phase 2 the two lowest (one if the block is one dimensional) only on the
+    blocks whose phase-1 energy lies within degeneracy_tol + tol of the
+    smallest; these replace the phase-1 energy.  A block's levels come back
+    sorted, so a skipped block has both levels above the window and the
+    report equals a sweep with two levels on every block (the extra tol
+    covers the spread between two solves of one level).  The multiplicity
+    counts at most two levels per fiber, enough to distinguish a simple
+    global minimum from a degenerate one.  Skipped blocks report their
+    phase-1 energy.
     """
     tol_deg = model.config.degeneracy_tol if degeneracy_tol is None else float(degeneracy_tol)
     if tol_deg <= 0:
         raise ValueError("degeneracy_tol must be positive")
-    k = min(2, model.basis.dimension)
+    blocks = model.blocks
 
-    def work(block):
+    def levels(block, k):
         return [r.energy for r in lowest_eigenpairs(block, k=k, tol=tol, seed=seed)]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_fiber = list(pool.map(work, model.blocks))
-    else:
-        per_fiber = [work(b) for b in model.blocks]
+    per_fiber = _parallel_map(lambda b: levels(b, 1), blocks, threads)
+    if model.basis.dimension > 1:
+        window = min(es[0] for es in per_fiber) + tol_deg + tol
+        near = [i for i, es in enumerate(per_fiber) if es[0] <= window]
+        for i, es in zip(near, _parallel_map(lambda i: levels(blocks[i], 2), near, threads)):
+            per_fiber[i] = es
 
     ground = min(min(es) for es in per_fiber)
     argmin = []

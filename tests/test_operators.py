@@ -8,6 +8,7 @@ import pytest
 from polaronlab import (
     CapacityError,
     FiberConfig,
+    FiberFamily,
     SparseOperator,
     annihilation_csr,
     assemble_KT,
@@ -65,14 +66,60 @@ def test_fiber_matches_naive_dense(name, cfg, basis):
     np.testing.assert_allclose(dense, naive, rtol=0.0, atol=5e-14)
 
 
+FAMILY_MOMENTA = ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.37, -0.2, 0.11))
+
+
 def test_fiber_matches_naive_dense_nonzero_momentum():
+    # P = 0, an axis P and a generic P, drawn from one shared family and
+    # assembled alone
     grid = build_grid(1.0, 2.0)
     basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
-    for p in ((0.0, 0.0, 1.0), (0.37, -0.2, 0.11)):
+    family = FiberFamily(1.0, grid, basis)
+    for p in FAMILY_MOMENTA:
         cfg = FiberConfig(alpha=1.0, p=np.asarray(p), grid=grid, n_max=2)
-        dense = assemble_fiber(cfg, basis).to_dense()
         naive, _ = naive_fiber_dense(1.0, p, grid.modes, grid.couplings, 2)
-        np.testing.assert_allclose(dense, naive, rtol=0.0, atol=5e-14)
+        for op in (family.fiber(p), assemble_fiber(cfg, basis)):
+            np.testing.assert_allclose(op.to_dense(), naive, rtol=0.0, atol=5e-14)
+
+
+@pytest.mark.parametrize("alpha", (0.0, 1.0))
+def test_family_fiber_equals_generic_assembly(alpha):
+    # entry for entry what SparseOperator builds from the raw triplets,
+    # including its lazily symmetrized CSR and the dropped vacuum zero at P = 0
+    grid = build_grid(1.0, 1.5)
+    basis = enumerate_basis(len(grid), 3, grid.units, grid.spacing)
+    family = FiberFamily(alpha, grid, basis)
+    idx = np.arange(basis.dimension)
+    for p in FAMILY_MOMENTA:
+        cfg = FiberConfig(alpha=alpha, p=np.asarray(p), grid=grid, n_max=3)
+        a = annihilation_csr(cfg, basis).tocoo()
+        ref = SparseOperator(basis.dimension, np.concatenate([idx, a.row]),
+                             np.concatenate([idx, a.col]),
+                             np.concatenate([kinetic_diagonal(cfg, basis), a.data]))
+        op = family.fiber(p)
+        assert op.nnz == ref.nnz
+        for name in ("rows", "cols", "vals"):
+            np.testing.assert_array_equal(getattr(op, name), getattr(ref, name))
+        got, want = op._symmetrized(), ref._symmetrized()
+        for name in ("data", "indices", "indptr"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype
+            np.testing.assert_array_equal(x, y)
+
+
+def test_family_fibers_do_not_alias():
+    grid = build_grid(1.0, 1.5)
+    basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
+    family = FiberFamily(1.0, grid, basis)
+    first = family.fiber((0.0, 0.0, 1.0))
+    vals, data = first.vals.copy(), first._symmetrized().data.copy()
+    x = np.random.default_rng(3).standard_normal(basis.dimension)
+    y = first.matvec(x)
+    for p in FAMILY_MOMENTA:
+        family.fiber(p)
+    np.testing.assert_array_equal(first.vals, vals)
+    np.testing.assert_array_equal(first._symmetrized().data, data)
+    np.testing.assert_array_equal(first.matvec(x), y)
 
 
 @pytest.mark.parametrize("name,cfg,basis", kt_suite(), ids=lambda v: v if isinstance(v, str) else "")

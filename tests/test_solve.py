@@ -1,6 +1,7 @@
 """Iterative eigensolver against dense oracles; resolvent positivity audits."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from polaronlab import (
     resolvent_positivity_audit,
     sign_flip,
 )
+from polaronlab.solve import _parallel_map
 from suite_configs import all_operators, kt_suite
 
 
@@ -213,3 +215,21 @@ def test_audit_fiber_needs_the_sign_flip():
     raw = resolvent_positivity_audit(op, lam=lam)
     assert not raw.strictly_positive
     assert raw.ground_vector_min < 0.0
+
+
+def test_parallel_map_order_serial_fallback_and_errors():
+    items = list(range(9))
+    for threads in (1, 2, 4):
+        assert _parallel_map(lambda x: x * x, items, threads) == [x * x for x in items]
+    # one thread or one item runs on the calling thread, without a pool
+    caller = threading.get_ident()
+    assert _parallel_map(lambda x: threading.get_ident(), items, 1) == [caller] * 9
+    assert _parallel_map(lambda x: threading.get_ident(), [0], 4) == [caller]
+
+    def fail_on_five(x):
+        if x == 5:
+            raise ConvergenceError("item 5")
+        return x
+
+    with pytest.raises(ConvergenceError, match="item 5"):
+        _parallel_map(fail_on_five, items, 2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import polaronlab.torus
 from polaronlab import (
     CapacityError,
     ConvergenceError,
@@ -15,6 +16,7 @@ from polaronlab import (
     contradiction_check,
     degeneracy_analysis,
     lattice_fibers,
+    lowest_eigenpairs,
     periodized_yukawa,
     yukawa_converged,
 )
@@ -139,12 +141,75 @@ def test_restricted_sector_is_exactly_degenerate():
 
 
 def test_degeneracy_analysis_threads_deterministic():
-    model = assemble_torus(_quick_config(cutoff=1.5, n_max=1))
-    a = degeneracy_analysis(model, threads=1)
-    for threads in (2, 4):
-        b = degeneracy_analysis(model, threads=threads)
-        assert a.fiber_energies == b.fiber_energies
-        assert a.ground_energy == b.ground_energy
+    # the restricted +-q pair sends both fibers through the second-level pool
+    for cfg in (_quick_config(cutoff=1.5, n_max=1),
+                _quick_config(cutoff=1.5, n_max=1,
+                              fibers=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)))):
+        model = assemble_torus(cfg)
+        a = degeneracy_analysis(model, threads=1)
+        for threads in (2, 4):
+            b = degeneracy_analysis(model, threads=threads)
+            assert a.fiber_energies == b.fiber_energies
+            assert a.ground_energy == b.ground_energy
+            assert a.multiplicity == b.multiplicity
+
+
+def _requested_levels(monkeypatch, model):
+    """Run degeneracy_analysis and return its report and the k asked per fiber."""
+    calls = []
+
+    def recording(op, k=1, **kw):
+        calls.append((next(i for i, b in enumerate(model.blocks) if b is op), k))
+        return lowest_eigenpairs(op, k=k, **kw)
+
+    monkeypatch.setattr(polaronlab.torus, "lowest_eigenpairs", recording)
+    report = degeneracy_analysis(model)
+    monkeypatch.undo()
+    asked = {}
+    for i, k in calls:
+        asked.setdefault(tuple(map(float, model.fibers[i])), []).append(k)
+    return report, asked
+
+
+def _exhaustive_report(model):
+    """Two levels on every fiber, counted the way degeneracy_analysis counts."""
+    tol_deg = model.config.degeneracy_tol
+    per_fiber = [[r.energy for r in lowest_eigenpairs(b, k=2)] for b in model.blocks]
+    ground = min(es[0] for es in per_fiber)
+    fibers = [tuple(map(float, p)) for p in model.fibers]
+    return TorusReport(
+        ground_energy=ground,
+        argmin=tuple(p for p, es in zip(fibers, per_fiber) if es[0] <= ground + tol_deg),
+        multiplicity=sum(e <= ground + tol_deg for es in per_fiber for e in es),
+        fiber_energies=tuple((p, es[0]) for p, es in zip(fibers, per_fiber)),
+        degeneracy_tol=tol_deg,
+    )
+
+
+def _assert_same_report(rep, ref):
+    assert rep.ground_energy == ref.ground_energy
+    assert rep.argmin == ref.argmin
+    assert rep.multiplicity == ref.multiplicity
+    assert [p for p, _ in rep.fiber_energies] == [p for p, _ in ref.fiber_energies]
+    for (_, e), (_, e_ref) in zip(rep.fiber_energies, ref.fiber_energies):
+        assert abs(e - e_ref) <= 1e-12
+
+
+def test_second_level_only_inside_minimum_window(monkeypatch):
+    model = assemble_torus(_quick_config())
+    rep, asked = _requested_levels(monkeypatch, model)
+    assert len(asked) == 7
+    for p, ks in asked.items():
+        assert ks == ([1, 2] if p == (0.0, 0.0, 0.0) else [1])
+    _assert_same_report(rep, _exhaustive_report(model))
+
+
+def test_second_level_on_both_restricted_fibers(monkeypatch):
+    model = assemble_torus(_quick_config(fibers=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))))
+    rep, asked = _requested_levels(monkeypatch, model)
+    assert asked == {(0.0, 0.0, -1.0): [1, 2], (0.0, 0.0, 1.0): [1, 2]}
+    assert rep.multiplicity == 2
+    _assert_same_report(rep, _exhaustive_report(model))
 
 
 def test_degeneracy_tol_validation():
