@@ -9,24 +9,28 @@ The coupling part does not depend on P, so a FiberFamily builds it, its
 sparsity pattern and the per-state P_f and N once per grid and basis, and
 each fiber only fills in its diagonal.
 
-Dense routines (assemble_KT, neumann_norms) are diagnostics and refuse to run
-above a dimension cap instead of silently thrashing memory.
+The norm certificates (weighted_annihilation_norm, neumann_norms,
+neumann_constant) are operator norms ||B|| of sparse weighted products of the
+annihilation part.  Each is sqrt(-theta) for theta the lowest eigenvalue of
+-B^T B, found by solve.lowest_eigenpairs, the same certified solver that
+serves the fibers.  The dense assemble_KT and the Neumann diagnostics refuse
+to run above a dimension cap instead of silently thrashing memory.
 """
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from types import SimpleNamespace
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.sparse
 
-from .errors import CapacityError, ConvergenceError
 from .fock import BasisIndex
 from .modes import ModeGrid
-
-DEFAULT_DENSE_CAP = 2000
-DEFAULT_SEED = 42
-DEFAULT_POWER_RTOL = 1e-8
-DEFAULT_POWER_MAXITER = 50000
+from .solve import (
+    DEFAULT_DENSE_CAP, DEFAULT_SEED, DEFAULT_TOL, _check_dense_cap, lowest_eigenpairs,
+)
 
 
 class SparseOperator:
@@ -286,10 +290,7 @@ def assemble_KT(
     free diagonal and A the bare annihilation part; T = -alpha (A d^{-1}) A^T.
     K is symmetric positive definite; T is symmetric negative semidefinite.
     """
-    if basis.dimension > dense_cap:
-        raise CapacityError(
-            f"dimension {basis.dimension} exceeds the dense cap {dense_cap}"
-        )
+    _check_dense_cap(basis.dimension, dense_cap)
     d = kinetic_diagonal(cfg, basis) + 1.0
     a = annihilation_csr(cfg, basis, include_alpha=False).toarray()
     ad = a / d[None, :]
@@ -312,35 +313,33 @@ def sign_flip(op: SparseOperator, basis: BasisIndex) -> SparseOperator:
     return SparseOperator(op.dimension, op.rows.copy(), op.cols.copy(), vals)
 
 
-def _power_iteration(
-    apply_sym,
-    dim: int,
-    seed: int = DEFAULT_SEED,
-    rtol: float = DEFAULT_POWER_RTOL,
-    max_iter: int = DEFAULT_POWER_MAXITER,
-) -> float:
-    """Largest eigenvalue of a PSD operator given as a matvec closure."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(dim)
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
-        raise ConvergenceError("degenerate start vector")
-    x /= nx
-    lam_prev = None
-    for _ in range(max_iter):
-        y = apply_sym(x)
-        lam = float(x @ y)
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            # operator annihilates the iterate: nilpotent directions only
-            return 0.0
-        x = y / ny
-        if lam_prev is not None and abs(lam - lam_prev) <= rtol * max(abs(lam), 1e-300):
-            return max(lam, 0.0)
-        lam_prev = lam
-    raise ConvergenceError(
-        f"power iteration did not settle in {max_iter} steps (last value {lam_prev!r})"
-    )
+def _operator_norm(gram: Callable[[np.ndarray], np.ndarray], n: int, seed: int) -> float:
+    """||B|| from its PSD Gram matvec x -> B^T B x.
+
+    ||B|| = sqrt(-theta) for theta the lowest eigenvalue of -B^T B, which the
+    eigensolver sees with a zero diagonal, so its preconditioner is the
+    identity.  The residual tolerance is taken relative to ||B^T B x0|| for a
+    random unit x0, a lower bound on ||B||^2, so norms far below the solver's
+    absolute tolerance keep their relative accuracy.  A Gram that annihilates
+    x0 is zero (with probability one), and its norm is +0.0.
+    """
+    x0 = np.random.default_rng(seed).standard_normal(n)
+    scale = float(np.linalg.norm(gram(x0 / np.linalg.norm(x0))))
+    if scale == 0.0:
+        return 0.0
+    op = SimpleNamespace(dimension=n, matvec=lambda x: -gram(x), diagonal=lambda: np.zeros(n))
+    theta = lowest_eigenpairs(op, tol=DEFAULT_TOL * scale, seed=seed)[0].energy
+    return math.sqrt(max(0.0, -theta))
+
+
+def _weighted_norm(cfg: FiberConfig, basis: BasisIndex, h0_power: float,
+                   number_power: float, seed: int) -> float:
+    """|| sqrt(alpha) A diag(w) || at cfg.p for w = h0^h0_power (N + 1)^number_power."""
+    a = annihilation_csr(cfg, basis)
+    at = a.T.tocsr()
+    w = (kinetic_diagonal(cfg, basis) + 1.0) ** h0_power
+    w *= (basis.total_numbers() + 1.0) ** number_power
+    return _operator_norm(lambda x: w * (at @ (a @ (w * x))), basis.dimension, seed)
 
 
 def neumann_norms(
@@ -349,65 +348,39 @@ def neumann_norms(
     j_max: int,
     dense_cap: int = DEFAULT_DENSE_CAP,
     seed: int = DEFAULT_SEED,
-    rtol: float = DEFAULT_POWER_RTOL,
-    max_iter: int = DEFAULT_POWER_MAXITER,
 ) -> np.ndarray:
     """Operator norms s_j = || (sqrt(alpha) A h0^{-1})^j || for j = 1..j_max.
 
-    h0 is the free diagonal at cfg.p.  Norms are squared-operator power
-    iterations to relative tolerance `rtol`; the truncation makes the chain
+    h0 is the free diagonal at cfg.p.  The truncation makes the chain
     nilpotent, so s_j vanishes identically once j exceeds N_max.
     """
     if j_max < 1:
         raise ValueError("j_max must be at least 1")
-    if basis.dimension > dense_cap:
-        raise CapacityError(
-            f"dimension {basis.dimension} exceeds the dense cap {dense_cap}"
-        )
+    _check_dense_cap(basis.dimension, dense_cap)
     a = annihilation_csr(cfg, basis)
     at = a.T.tocsr()
     d = kinetic_diagonal(cfg, basis) + 1.0
-    out = np.zeros(j_max)
-    for j in range(1, j_max + 1):
-        def apply_sym(x, j=j):
-            y = x
-            for _ in range(j):
-                y = a @ (y / d)
-            for _ in range(j):
-                y = (at @ y) / d
-            return y
 
-        out[j - 1] = float(np.sqrt(_power_iteration(
-            apply_sym, basis.dimension, seed=seed, rtol=rtol, max_iter=max_iter
-        )))
-    return out
+    def gram(x, j):
+        for _ in range(j):
+            x = a @ (x / d)
+        for _ in range(j):
+            x = (at @ x) / d
+        return x
+
+    return np.array([_operator_norm(functools.partial(gram, j=j), basis.dimension, seed)
+                     for j in range(1, j_max + 1)])
 
 
 def weighted_annihilation_norm(
-    cfg: FiberConfig,
-    basis: BasisIndex,
-    seed: int = DEFAULT_SEED,
-    rtol: float = DEFAULT_POWER_RTOL,
-    max_iter: int = DEFAULT_POWER_MAXITER,
+    cfg: FiberConfig, basis: BasisIndex, seed: int = DEFAULT_SEED
 ) -> float:
     """|| sqrt(alpha) A h0^{-1/2} (N + 1)^{-1/4} || at cfg.p, fully sparse.
 
     This is the uniform-in-cutoff bound certificate: the weight combines the
     inverse square root of the free diagonal with the number damping.
     """
-    a = annihilation_csr(cfg, basis)
-    at = a.T.tocsr()
-    d = kinetic_diagonal(cfg, basis) + 1.0
-    nums = basis.total_numbers().astype(np.float64)
-    w = d ** -0.5 * (nums + 1.0) ** -0.25
-
-    def apply_sym(x):
-        y = a @ (w * x)
-        return w * (at @ y)
-
-    return float(np.sqrt(_power_iteration(
-        apply_sym, basis.dimension, seed=seed, rtol=rtol, max_iter=max_iter
-    )))
+    return _weighted_norm(cfg, basis, -0.5, -0.25, seed)
 
 
 def neumann_constant(
@@ -415,28 +388,11 @@ def neumann_constant(
     basis: BasisIndex,
     dense_cap: int = DEFAULT_DENSE_CAP,
     seed: int = DEFAULT_SEED,
-    rtol: float = DEFAULT_POWER_RTOL,
-    max_iter: int = DEFAULT_POWER_MAXITER,
 ) -> float:
     """Constant C = || sqrt(alpha) A h0^{-1} (N + 1)^{1/4} || controlling s_j decay.
 
     Blockwise, || sqrt(alpha) A h0^{-1} restricted to block n || <= C (n+1)^{-1/4},
     which chains to s_j <= C^j / (j!)^{1/4} on the truncated space.
     """
-    if basis.dimension > dense_cap:
-        raise CapacityError(
-            f"dimension {basis.dimension} exceeds the dense cap {dense_cap}"
-        )
-    a = annihilation_csr(cfg, basis)
-    at = a.T.tocsr()
-    d = kinetic_diagonal(cfg, basis) + 1.0
-    nums = basis.total_numbers().astype(np.float64)
-    w = (nums + 1.0) ** 0.25 / d
-
-    def apply_sym(x):
-        y = a @ (w * x)
-        return w * (at @ y)
-
-    return float(np.sqrt(_power_iteration(
-        apply_sym, basis.dimension, seed=seed, rtol=rtol, max_iter=max_iter
-    )))
+    _check_dense_cap(basis.dimension, dense_cap)
+    return _weighted_norm(cfg, basis, -1.0, 0.25, seed)

@@ -14,9 +14,15 @@ extracted one at a time, each run deflated against the vectors already
 certified; a fresh random start inside the orthogonal complement recovers the
 remaining copies of a degenerate level.
 
+The same solver serves the norm certificates in operators: an operator norm
+||B|| is sqrt(-theta) for theta the lowest eigenvalue of -B^T B, passed in
+as a matvec with a zero diagonal (so the preconditioner is the identity).
+Any object with `dimension`, `matvec` and `diagonal` can be solved.
+
 The dense route (LAPACK eigh on the materialized matrix) exists so iterative
 results can always be cross-checked on small instances, and it powers the
-resolvent positivity audit.
+resolvent positivity audit.  Dense routines refuse to run above a dimension
+cap (_check_dense_cap) instead of silently thrashing memory.
 """
 
 import math
@@ -228,6 +234,12 @@ def ground_state(
     return lowest_eigenpairs(op, k=1, tol=tol, seed=seed, max_steps=max_steps)[0]
 
 
+def _check_dense_cap(n: int, dense_cap: int) -> None:
+    """CapacityError unless an n x n dense matrix fits under the cap."""
+    if n > dense_cap:
+        raise CapacityError(f"dimension {n} exceeds the dense cap {dense_cap}")
+
+
 def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
     """[fn(x) for x in items], spread over a pool of `threads` threads.
 
@@ -244,8 +256,7 @@ def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
 def dense_spectrum(op, k: int = 6, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """k smallest eigenvalues by dense LAPACK; the oracle for the iterative route."""
     n = op.dimension
-    if n > dense_cap:
-        raise CapacityError(f"dimension {n} exceeds the dense cap {dense_cap}")
+    _check_dense_cap(n, dense_cap)
     k = min(int(k), n)
     if k < 1:
         raise ValueError("k must be positive")
@@ -266,8 +277,7 @@ def resolvent_positivity_audit(
     violation, reported as ValueError.
     """
     n = op.dimension
-    if n > dense_cap:
-        raise CapacityError(f"dimension {n} exceeds the dense cap {dense_cap}")
+    _check_dense_cap(n, dense_cap)
     dense = op.to_dense()
     shifted = dense + float(lam) * np.eye(n)
     try:

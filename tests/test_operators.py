@@ -1,5 +1,6 @@
 """Sparse fiber assembly, the K/T factorization, and norm diagnostics."""
 
+import functools
 import math
 
 import numpy as np
@@ -26,19 +27,40 @@ from polaronlab import (
 from naive_ref import naive_fiber_dense
 from suite_configs import all_operators, kt_suite, single_mode_grid
 
-# Norm chain s_j, decay constant C, and weighted annihilation norm for the
-# (delta=1, Lambda=1.5, N_max=3, alpha=1) fiber at P = 0; frozen from seeded
-# power iteration (deterministic; rerun drift would signal a regression).
-NEUMANN_S = (0.11100056315781538, 0.01153172658562892, 0.0011238746545371185, 0.0)
-NEUMANN_C = 0.13838715222994402
-WEIGHTED_NORM = 0.1702999864560381
-
-
-def _neumann_instance():
+def _neumann_instance(alpha=1.0):
     grid = build_grid(1.0, 1.5)
     basis = enumerate_basis(len(grid), 3, grid.units, grid.spacing)
-    cfg = FiberConfig(alpha=1.0, p=np.zeros(3), grid=grid, n_max=3)
+    cfg = FiberConfig(alpha=alpha, p=np.zeros(3), grid=grid, n_max=3)
     return cfg, basis
+
+
+def _all_norms(cfg, basis, seed):
+    """s_1..s_{N_max+1}, C and the weighted norm."""
+    return {"s": neumann_norms(cfg, basis, cfg.n_max + 1, seed=seed),
+            "c": neumann_constant(cfg, basis, seed=seed),
+            "weighted": weighted_annihilation_norm(cfg, basis, seed=seed)}
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_norms(delta, lam, n_max):
+    """The same norms at alpha = 1 as dense two-norms of the naive fiber at P = 0.
+
+    Its strict upper triangle is A and its diagonal is h0 - 1.
+    """
+    grid = build_grid(delta, lam)
+    mat, states = naive_fiber_dense(1.0, np.zeros(3), grid.modes, grid.couplings, n_max)
+    a = np.triu(mat, 1)
+    d = np.diag(mat) + 1.0
+    nums = np.array([len(state) for state in states], dtype=np.float64)
+    step = a / d[None, :]
+    power = np.eye(len(d))
+    s = []
+    for _ in range(n_max):
+        power = power @ step
+        s.append(np.linalg.norm(power, 2))
+    return {"s": np.array(s),
+            "c": np.linalg.norm(a * ((nums + 1.0) ** 0.25 / d)[None, :], 2),
+            "weighted": np.linalg.norm(a * (d ** -0.5 * (nums + 1.0) ** -0.25)[None, :], 2)}
 
 
 def test_single_mode_closed_forms():
@@ -228,15 +250,16 @@ def test_annihilation_couples_adjacent_blocks_only():
     np.testing.assert_array_equal(nums[a.col], nums[a.row] + 1)
 
 
-def test_neumann_norms_frozen():
+def test_neumann_norms_match_dense():
     cfg, basis = _neumann_instance()
     s = neumann_norms(cfg, basis, 4)
-    np.testing.assert_allclose(s[:3], NEUMANN_S[:3], rtol=1e-9)
+    np.testing.assert_allclose(s[:3], _dense_norms(1.0, 1.5, 3)["s"], rtol=1e-12)
     assert s[3] == 0.0  # chain longer than N_max is identically zero
 
 
 def test_neumann_norms_submultiplicative():
-    s = NEUMANN_S
+    cfg, basis = _neumann_instance()
+    s = neumann_norms(cfg, basis, 3)
     assert s[1] <= s[0] ** 2 * (1.0 + 1e-9)
     assert s[2] <= s[0] * s[1] * (1.0 + 1e-9)
 
@@ -244,17 +267,53 @@ def test_neumann_norms_submultiplicative():
 def test_neumann_decay_constant():
     cfg, basis = _neumann_instance()
     c = neumann_constant(cfg, basis)
-    assert c == pytest.approx(NEUMANN_C, rel=1e-9)
-    for j, sj in enumerate(NEUMANN_S, start=1):
+    assert c == pytest.approx(_dense_norms(1.0, 1.5, 3)["c"], rel=1e-12)
+    for j, sj in enumerate(neumann_norms(cfg, basis, 4), start=1):
         assert sj <= c**j / math.gamma(j + 1) ** 0.25 * (1.0 + 1e-10)
 
 
-def test_weighted_annihilation_norm_frozen():
+def test_weighted_annihilation_norm_matches_dense():
     cfg, basis = _neumann_instance()
     w = weighted_annihilation_norm(cfg, basis)
-    assert w == pytest.approx(WEIGHTED_NORM, rel=1e-9)
+    assert w == pytest.approx(_dense_norms(1.0, 1.5, 3)["weighted"], rel=1e-12)
     # certificate: the weighted norm is dominated by the discrete self-energy
     assert w <= math.sqrt(riemann_selfenergy_sum(cfg.grid))
+
+
+def test_norms_agree_across_seeds():
+    cfg, basis = _neumann_instance()
+    first = _all_norms(cfg, basis, seed=0)
+    for seed in range(1, 5):
+        again = _all_norms(cfg, basis, seed=seed)
+        for name in first:
+            np.testing.assert_allclose(again[name], first[name], rtol=1e-10, err_msg=name)
+
+
+def test_zero_norms_are_positive_zero():
+    # checks.json writes these values, so they must be 0.0 and never -0.0
+    cfg, basis = _neumann_instance()
+    values = list(neumann_norms(cfg, basis, 5)[3:])
+    free = _all_norms(*_neumann_instance(alpha=0.0), seed=0)
+    values += [*free["s"], free["c"], free["weighted"]]
+    for value in values:
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@pytest.mark.parametrize("alpha,delta,lam,n_max", [(1e-8, 1.0, 1.5, 3), (1.0, 1.0, 1.0, 6)])
+def test_small_norms_keep_relative_accuracy(alpha, delta, lam, n_max):
+    # the squared norms fall to 1e-30 (s_3 at alpha = 1e-8) and 1e-13 (s_6),
+    # far below the eigensolver's default absolute residual tolerance of 1e-9
+    grid = build_grid(delta, lam)
+    basis = enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
+    cfg = FiberConfig(alpha=alpha, p=np.zeros(3), grid=grid, n_max=n_max)
+    got = _all_norms(cfg, basis, seed=0)
+    want = _dense_norms(delta, lam, n_max)  # at alpha = 1; s_j scales as alpha^(j/2)
+    root = math.sqrt(alpha)
+    np.testing.assert_allclose(got["s"][:n_max], want["s"] * root ** np.arange(1, n_max + 1),
+                               rtol=1e-12)
+    assert got["s"][n_max] == 0.0
+    for name in ("c", "weighted"):
+        assert got[name] == pytest.approx(root * want[name], rel=1e-12), name
 
 
 def test_weighted_norm_scales_with_alpha():
