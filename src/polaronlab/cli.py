@@ -410,21 +410,26 @@ def cmd_kernel(values: dict, outdir: str, args) -> int:
 # -- the checks command ------------------------------------------------------
 
 def _kt_suite_instances():
-    """Small instances for the factorization identity, incl. the 2x2 closed form."""
-    yield "single-mode-2x2", 1.0, ModeGrid.manual(1.0, 1.0, [[0, 0, 1]], [1.0]), 1
+    """Small instances for the factorization identity, incl. the 2x2 closed form.
+
+    Yields (name, alpha, grid, basis); the alphas of one (delta, Lambda,
+    N_max) share a grid and basis.
+    """
+    grid = ModeGrid.manual(1.0, 1.0, [[0, 0, 1]], [1.0])
+    yield "single-mode-2x2", 1.0, grid, enumerate_basis(1, 1, grid.units, grid.spacing)
     for delta, lam, n_max in ((1.0, 1.0, 1), (1.0, 1.0, 2), (1.0, 1.5, 1)):
+        grid = build_grid(delta, lam)
+        basis = enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
         for alpha in (0.0, 0.5, 1.0):
-            yield (f"grid-d{delta}-L{lam}-n{n_max}-a{alpha}", alpha,
-                   build_grid(delta, lam), n_max)
+            yield f"grid-d{delta}-L{lam}-n{n_max}-a{alpha}", alpha, grid, basis
 
 
 def _check_kt_identity(cfg: RunConfig, seed: int) -> dict:
     worst = 0.0
     min_eig = math.inf
     count = 0
-    for name, alpha, grid, n_max in _kt_suite_instances():
-        basis = enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
-        fcfg = FiberConfig(alpha=alpha, p=np.zeros(3), grid=grid, n_max=n_max)
+    for name, alpha, grid, basis in _kt_suite_instances():
+        fcfg = FiberConfig(alpha=alpha, p=np.zeros(3), grid=grid, n_max=basis.n_max)
         op = assemble_fiber(fcfg, basis)
         k_mat, t_mat = assemble_KT(fcfg, basis)
         h_plus = op.to_dense() + np.eye(basis.dimension)

@@ -86,8 +86,14 @@ def _cell_couplings(units: np.ndarray, delta: float) -> np.ndarray:
     """Per-mode couplings g_i > 0 from exact cell masses of |v|^2."""
     if len(units) == 0:
         return np.zeros(0, dtype=np.float64)
+    # one orbit per sorted |unit|; its base-B code orders like the row itself
+    # (entries are non-negative and below B), so reps come out lexicographic
     key = np.sort(np.abs(units), axis=1)
-    reps, inverse = np.unique(key, axis=0, return_inverse=True)
+    base = int(key.max()) + 1
+    codes, inverse = np.unique(
+        (key[:, 0] * base + key[:, 1]) * base + key[:, 2], return_inverse=True
+    )
+    reps = np.stack([codes // base**2, codes // base % base, codes % base], axis=1)
     shells = reps.max(axis=1)
     cell = np.zeros(len(reps), dtype=np.float64)
     orders = np.array([_quadrature_order(int(s)) for s in shells])
@@ -180,10 +186,9 @@ def build_grid(
     gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij")
     units = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
     n2 = (units * units).sum(axis=1)
-    units = units[(n2 > 0) & (n2 <= r2max)]
+    units = units[(n2 > 0) & (n2 <= r2max)]  # the ij ravel is lexicographic
     if len(units) > capacity:
         raise CapacityError(f"mode count {len(units)} exceeds capacity {capacity}")
-    units = units[np.lexsort((units[:, 2], units[:, 1], units[:, 0]))]
     couplings = _cell_couplings(units, delta)
     modes = delta * units.astype(np.float64)
     return ModeGrid(float(delta), float(lam), units, modes, couplings)

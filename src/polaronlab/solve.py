@@ -14,6 +14,13 @@ extracted one at a time, each run deflated against the vectors already
 certified; a fresh random start inside the orthogonal complement recovers the
 remaining copies of a degenerate level.
 
+A step allocates no n-length temporaries: the residual, the preconditioned
+direction and the products go through preallocated scratch vectors, and the
+2x2 or 3x3 Rayleigh-Ritz pencil goes straight to LAPACK dsygvd, the routine
+scipy.linalg.eigh(a, b) runs by default.  The floating-point operations and
+their order are those of the plain expressions, so the iterates are the same
+bits; at small sizes the saving is per-call overhead, not matvecs.
+
 The same solver serves the norm certificates in operators: an operator norm
 ||B|| is sqrt(-theta) for theta the lowest eigenvalue of -B^T B, passed in
 as a matvec with a zero diagonal (so the preconditioner is the identity).
@@ -67,35 +74,44 @@ class PositivityReport:
     gap: float
 
 
-def _orthogonalize(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """v minus its components along the orthonormal rows, in two passes."""
+def _orthogonalize(v: np.ndarray, rows: np.ndarray, tmp: np.ndarray) -> None:
+    """In place: v minus its components along the orthonormal rows, two passes."""
     for _ in range(2):
         for q in rows:
-            v = v - (q @ v) * q
-    return v
+            np.multiply(q, q @ v, out=tmp)
+            np.subtract(v, tmp, out=v)
 
 
-def _fresh_direction(rng, rows: np.ndarray, n: int) -> np.ndarray:
+def _fresh_direction(rng, rows: np.ndarray, n: int, tmp: np.ndarray) -> np.ndarray:
     """Random unit vector orthogonalized twice against the given rows."""
     for _ in range(5):
-        v = _orthogonalize(rng.standard_normal(n), rows)
-        nv = float(np.linalg.norm(v))
+        v = rng.standard_normal(n)
+        _orthogonalize(v, rows, tmp)
+        nv = math.sqrt(v @ v)
         if nv > 1e-8:
             return v / nv
     raise ConvergenceError("could not generate a direction outside the current subspace")
 
 
+# LAPACK's generalized symmetric-definite solver, the one scipy.linalg.eigh(a, b)
+# runs by default; calling it directly skips eigh's per-call validation.
+_SYGVD = scipy.linalg.get_lapack_funcs("sygvd", dtype=np.float64)
+
+
 def _lowest_ritz(work: np.ndarray, rows: int):
     """Lowest Ritz coefficients of the pencil (S A S^T, S S^T), S = work[:rows].
 
-    The images A S sit in work[3 : 3 + rows].  None when S S^T is singular.
+    The images A S sit in work[3 : 3 + rows].  None when S S^T is singular
+    (LAPACK reports a failure); ValueError on a non-finite Gram matrix.
     """
     gram = work[:rows] @ work.T
     stiff = gram[:, 3 : 3 + rows]
-    try:
-        return scipy.linalg.eigh(0.5 * (stiff + stiff.T), gram[:, :rows])[1][:, 0]
-    except np.linalg.LinAlgError:
-        return None
+    stiff = 0.5 * (stiff + stiff.T)
+    mass = gram[:, :rows]
+    if not (np.isfinite(stiff).all() and np.isfinite(mass).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, vecs, info = _SYGVD(stiff, mass, itype=1, jobz="V", uplo="L")
+    return None if info else vecs[:, 0]
 
 
 def _deflated_lowest(
@@ -127,7 +143,9 @@ def _deflated_lowest(
     # their images, so work[i::3] pairs a vector with its image
     work = np.zeros((6, n))
     x, w, _, ax, aw, _ = work
-    x[:] = _orthogonalize(rng.standard_normal(n), locked)
+    r, t, tmp = np.empty((3, n))  # per-step scratch: residual, T r, products
+    x[:] = rng.standard_normal(n)
+    _orthogonalize(x, locked, tmp)
     rows = 2  # 3 once a previous step exists
     steps = 0
     stale = REFRESH_STEPS  # recurrence steps since the last explicit A x
@@ -137,30 +155,39 @@ def _deflated_lowest(
         if stale >= REFRESH_STEPS:
             if steps >= max_steps:
                 break
-            x /= np.linalg.norm(x)
+            x /= math.sqrt(x @ x)
             ax[:] = op.matvec(x)
             steps += 1
             stale = 0
         theta = float(x @ ax)
-        r = _orthogonalize(ax - theta * x, locked)
-        est = float(np.linalg.norm(r))
+        np.multiply(x, theta, out=tmp)
+        np.subtract(ax, tmp, out=r)
+        _orthogonalize(r, locked, tmp)
+        est = math.sqrt(r @ r)
         best_est = min(best_est, est)
         if est <= est_tol:
             if stale:  # certify on an explicit product only
                 stale = REFRESH_STEPS
                 continue
-            res = float(np.linalg.norm(ax - theta * x))
+            np.multiply(x, theta, out=tmp)
+            np.subtract(ax, tmp, out=tmp)
+            res = math.sqrt(tmp @ tmp)
             if res <= cert_tol:
                 return SpectralResult(theta, x.copy(), res, steps, True)
         if steps >= max_steps:
             break
 
-        t = precond * r
-        t = _orthogonalize(t - (x @ t) * x, locked)
-        nt = float(np.linalg.norm(t))
+        np.multiply(precond, r, out=t)
+        np.multiply(x, x @ t, out=tmp)
+        np.subtract(t, tmp, out=t)
+        _orthogonalize(t, locked, tmp)
+        nt = math.sqrt(t @ t)
         fresh = nt <= 1e-12 * est  # breakdown: T r lies in span[x, locked]
         while True:
-            w[:] = _fresh_direction(rng, np.vstack([x, locked]), n) if fresh else t / nt
+            if fresh:
+                w[:] = _fresh_direction(rng, np.vstack([x, locked]), n, tmp)
+            else:
+                np.divide(t, nt, out=w)
             aw[:] = op.matvec(w)
             steps += 1
             coef = _lowest_ritz(work, rows)
@@ -176,9 +203,9 @@ def _deflated_lowest(
         step = coef[1:] @ work.reshape(2, 3, n)[:, 1:rows]  # rows: new p, A p
         work[0::3] *= coef[0]
         work[0::3] += step
-        pn = float(np.linalg.norm(step[0]))
+        pn = math.sqrt(step[0] @ step[0])
         if pn > 0.0:
-            work[2::3] = step / pn
+            np.divide(step, pn, out=work[2::3])
             rows = 3
         stale += 1
 

@@ -88,10 +88,8 @@ def lattice_fibers(cfg: TorusConfig) -> np.ndarray:
     axis = np.arange(-r, r + 1, dtype=np.int64)
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     units = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    keep = (units * units).sum(axis=1) <= r2max
-    units = units[keep]
-    order = np.lexsort((units[:, 2], units[:, 1], units[:, 0]))
-    return spacing * units[order].astype(np.float64)
+    keep = (units * units).sum(axis=1) <= r2max  # the ij ravel is lexicographic
+    return spacing * units[keep].astype(np.float64)
 
 
 @dataclass

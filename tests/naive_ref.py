@@ -108,3 +108,28 @@ def naive_couplings(delta, lam):
             val += origin / 6.0
         gs.append(math.sqrt(val / (16.0 * math.pi**2)))
     return units, gs
+
+
+def naive_cell_couplings(units, delta):
+    """modes._cell_couplings with the orbit dedupe as np.unique over rows.
+
+    The package dedupes on one integer code per sorted |unit|; this keeps the
+    row-wise route it must reproduce bit for bit, sharing the quadrature.
+    """
+    from polaronlab.modes import _cell_integrals, _origin_cell_unit, _quadrature_order
+
+    if len(units) == 0:
+        return np.zeros(0, dtype=np.float64)
+    key = np.sort(np.abs(units), axis=1)
+    reps, inverse = np.unique(key, axis=0, return_inverse=True)
+    orders = np.array([_quadrature_order(int(s)) for s in reps.max(axis=1)])
+    cell = np.zeros(len(reps), dtype=np.float64)
+    for order in np.unique(orders):
+        sel = orders == order
+        cell[sel] = _cell_integrals(reps[sel] * delta, delta, int(order))
+    g2 = cell[inverse] / (16.0 * math.pi**2)
+    nearest = (units * units).sum(axis=1) == 1
+    g2 = g2 + np.where(
+        nearest, delta * _origin_cell_unit() / (16.0 * math.pi**2) / 6.0, 0.0
+    )
+    return np.sqrt(g2)

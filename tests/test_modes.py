@@ -14,7 +14,8 @@ from polaronlab import (
     riemann_selfenergy_sum,
     tail_integral,
 )
-from naive_ref import naive_couplings
+from polaronlab.modes import _cell_couplings
+from naive_ref import naive_cell_couplings, naive_couplings
 
 # Coupling of the six nearest modes on the (delta=1, Lambda=1) grid, frozen
 # from brute-force quadrature of the cell mass plus the origin-cell share.
@@ -81,9 +82,25 @@ def test_empty_grid_is_legal():
 
 
 def test_lexicographic_mode_order():
-    grid = build_grid(1.0, 1.5)
-    units = [tuple(u) for u in grid.units]
-    assert units == sorted(units)
+    for delta, lam in ((1.0, 1.0), (1.0, 1.5), (0.75, 3.0), (0.4, 8.0)):
+        units = [tuple(u) for u in build_grid(delta, lam).units]
+        assert all(a < b for a, b in zip(units, units[1:]))
+
+
+@pytest.mark.parametrize(
+    "delta,units",
+    [(1.0, build_grid(1.0, 1.5).units),
+     (0.75, build_grid(0.75, 3.0).units),
+     (0.4, build_grid(0.4, 8.0).units),
+     # asymmetric, unsorted, orbits split across signs and permutations
+     (0.5, np.array([[0, 0, 1], [2, -1, 0], [0, 1, 2], [-3, 1, 1], [1, 1, 1],
+                     [0, 0, -2], [1, -2, 0], [5, 0, 0]], dtype=np.int64)),
+     (1.0, np.zeros((0, 3), dtype=np.int64))],
+)
+def test_cell_couplings_match_row_unique_reference(delta, units):
+    np.testing.assert_array_equal(
+        _cell_couplings(units, delta), naive_cell_couplings(units, delta)
+    )
 
 
 def test_full_octahedral_orbit_has_equal_couplings():

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from polaronlab import (
     CapacityError,
@@ -20,7 +21,7 @@ from polaronlab import (
     resolvent_positivity_audit,
     sign_flip,
 )
-from polaronlab.solve import _parallel_map
+from polaronlab.solve import _lowest_ritz, _parallel_map
 from suite_configs import all_operators, kt_suite
 
 
@@ -55,6 +56,28 @@ def test_two_by_two_pair():
         r = op.matvec(res.vector) - res.energy * res.vector
         assert np.linalg.norm(r) == pytest.approx(res.residual, abs=1e-13)
         assert res.residual <= 1e-9
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_lowest_ritz_matches_eigh(rows, seed):
+    # the direct LAPACK call must give eigh's default (gvd) coefficients bit
+    # for bit; a scipy that changed eigh's default routine would fail here
+    work = np.random.default_rng(seed).standard_normal((6, 50))
+    gram = work[:rows] @ work.T
+    stiff = gram[:, 3 : 3 + rows]
+    ref = scipy.linalg.eigh(0.5 * (stiff + stiff.T), gram[:, :rows])[1][:, 0]
+    np.testing.assert_array_equal(_lowest_ritz(work, rows), ref)
+
+
+def test_lowest_ritz_singular_and_nonfinite_gram():
+    work = np.random.default_rng(0).standard_normal((6, 50))
+    work[1] = 0.0  # a zero search direction makes S S^T singular
+    assert _lowest_ritz(work, 2) is None
+    work = np.random.default_rng(0).standard_normal((6, 50))
+    work[4, 7] = np.nan
+    with pytest.raises(ValueError):
+        _lowest_ritz(work, 2)
 
 
 def test_identity_breaks_down_cleanly():

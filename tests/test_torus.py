@@ -55,6 +55,12 @@ def test_lattice_fibers_boundary_is_integer_exact():
     assert lattice_fibers(_quick_config(fiber_cutoff=1.41)).shape == (7, 3)
 
 
+@pytest.mark.parametrize("fiber_cutoff", [1.0, math.sqrt(2.0)])
+def test_lattice_fibers_strictly_lexicographic(fiber_cutoff):
+    fibers = [tuple(f) for f in lattice_fibers(_quick_config(fiber_cutoff=fiber_cutoff))]
+    assert all(a < b for a, b in zip(fibers, fibers[1:]))
+
+
 def test_lattice_fibers_singleton():
     # dual spacing 2 pi exceeds the cutoff: only the zero fiber remains
     fibers = lattice_fibers(TorusConfig(ell=1.0, alpha=0.0, delta=1.0, cutoff=1.0, n_max=1, fiber_cutoff=3.0))
