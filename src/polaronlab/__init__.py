@@ -31,7 +31,6 @@ from .operators import (
     annihilation_csr,
     assemble_KT,
     assemble_fiber,
-    assemble_free,
     kinetic_diagonal,
     neumann_constant,
     neumann_norms,
@@ -81,7 +80,7 @@ __all__ = [
     "CutoffSchedule", "ModeGrid", "build_grid", "form_factor",
     "riemann_selfenergy_sum", "tail_integral",
     "FiberConfig", "FiberFamily", "SparseOperator", "annihilation_csr",
-    "assemble_KT", "assemble_fiber", "assemble_free", "kinetic_diagonal",
+    "assemble_KT", "assemble_fiber", "kinetic_diagonal",
     "neumann_constant", "neumann_norms", "sign_flip", "weighted_annihilation_norm",
     "PositivityReport", "SpectralResult", "dense_spectrum", "ground_state",
     "lowest_eigenpairs", "resolvent_positivity_audit",

@@ -259,13 +259,6 @@ def assemble_fiber(cfg: FiberConfig, basis: BasisIndex) -> SparseOperator:
     return FiberFamily(cfg.alpha, cfg.grid, basis).fiber(cfg.p)
 
 
-def assemble_free(cfg: FiberConfig, basis: BasisIndex) -> SparseOperator:
-    """Diagonal comparison operator (P - P_f)^2 + N + 1; every entry is >= 1."""
-    diag = kinetic_diagonal(cfg, basis) + 1.0
-    idx = np.arange(basis.dimension, dtype=np.int64)
-    return SparseOperator(basis.dimension, idx, idx, diag)
-
-
 def annihilation_csr(
     cfg: FiberConfig, basis: BasisIndex, include_alpha: bool = True
 ) -> scipy.sparse.csr_matrix:

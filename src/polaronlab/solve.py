@@ -30,6 +30,12 @@ The dense route (LAPACK eigh on the materialized matrix) exists so iterative
 results can always be cross-checked on small instances, and it powers the
 resolvent positivity audit.  Dense routines refuse to run above a dimension
 cap (_check_dense_cap) instead of silently thrashing memory.
+
+count_below counts the eigenvalues below a level exactly, without solving
+for them, when the operator ends in a diagonal block (a fiber's top phonon
+number block): the count is the inertia of a dense Schur complement of the
+size of the leading blocks, read off an LDL^T factorization, and it is
+returned only when certified against the factorization's rounding.
 """
 
 import math
@@ -39,14 +45,16 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
-from .errors import CapacityError, ConvergenceError
+from .errors import CapacityError, ConvergenceError, NumericalError
 
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-9
 DEFAULT_DENSE_CAP = 2000
 DEFAULT_MAX_STEPS = 20000
 REFRESH_STEPS = 20
+SCHUR_MARGIN = 10.0  # c in the count's margin c m u ||S||
 
 
 @dataclass
@@ -102,14 +110,14 @@ def _lowest_ritz(work: np.ndarray, rows: int):
     """Lowest Ritz coefficients of the pencil (S A S^T, S S^T), S = work[:rows].
 
     The images A S sit in work[3 : 3 + rows].  None when S S^T is singular
-    (LAPACK reports a failure); ValueError on a non-finite Gram matrix.
+    (LAPACK reports a failure); NumericalError on a non-finite Gram matrix.
     """
     gram = work[:rows] @ work.T
     stiff = gram[:, 3 : 3 + rows]
     stiff = 0.5 * (stiff + stiff.T)
     mass = gram[:, :rows]
     if not (np.isfinite(stiff).all() and np.isfinite(mass).all()):
-        raise ValueError("array must not contain infs or NaNs")
+        raise NumericalError("Rayleigh-Ritz Gram matrix is not finite")
     _, vecs, info = _SYGVD(stiff, mass, itype=1, jobz="V", uplo="L")
     return None if info else vecs[:, 0]
 
@@ -291,6 +299,72 @@ def dense_spectrum(op, k: int = 6, dense_cap: int = DEFAULT_DENSE_CAP) -> np.nda
         op.to_dense(), eigvals_only=True, subset_by_index=[0, k - 1]
     )
     return np.asarray(vals, dtype=np.float64)
+
+
+def _negative_inertia(s: np.ndarray) -> int:
+    """Number of negative eigenvalues of symmetric s, read off its LDL^T.
+
+    By Sylvester's law s has the inertia of the block-diagonal D, whose
+    pivots are 1x1 or 2x2 (Bunch-Kaufman); a 2x2 pivot sits where D has a
+    nonzero subdiagonal entry.
+    """
+    d = scipy.linalg.ldl(s, lower=True, check_finite=False)[1]
+    diag, off = np.diag(d), np.diag(d, -1)
+    pair = np.flatnonzero(off)  # 2x2 pivot on rows i, i + 1
+    single = np.ones(diag.size, dtype=bool)
+    single[pair] = single[pair + 1] = False
+    mid = 0.5 * (diag[pair] + diag[pair + 1])
+    rad = np.hypot(0.5 * (diag[pair] - diag[pair + 1]), off[pair])
+    return int((diag[single] < 0).sum() + (mid - rad < 0).sum() + (mid + rad < 0).sum())
+
+
+def count_below(op, e: float, split: int, dense_cap: int = DEFAULT_DENSE_CAP):
+    """Number of eigenvalues of a SparseOperator below e, or None to fall back.
+
+    `split` is where a diagonal trailing block D_top starts (for a fiber,
+    basis.block_offset(N_max)).  Writing op - e = [[X - e, B], [B^T, D_top - e]]
+    with e < min D_top, op - e has the inertia of D_top - e (all positive)
+    plus that of the Schur complement S(e) = X - e - B (D_top - e)^{-1} B^T
+    (Haynsworth), so the count is the number of negative pivots of an LDL^T
+    of the dense split x split matrix S(e).  S(e) decreases in e by at least
+    the identity, so counts of S(e -+ delta) + E with ||E|| <= delta bound the
+    count at e from below and above; they are taken at delta = c m u ||S||
+    (Bunch-Kaufman backward error, Higham ch. 11; ||S|| is bounded by the
+    norms of its two terms so the rounding of forming S is covered too) and
+    accepted only if they agree.  None when e >= min D_top, when split
+    exceeds dense_cap, or when the two counts differ.  ValueError if the
+    trailing block is not diagonal.
+    """
+    n = op.dimension
+    if not 0 <= split < n:
+        raise ValueError(f"split must lie in [0, {n})")
+    csr = op._symmetrized()
+    start = csr.indptr[split]
+    rows = np.repeat(np.arange(split, n), np.diff(csr.indptr[split:]))
+    cols = csr.indices[start:]
+    if ((cols >= split) & (cols != rows) & (csr.data[start:] != 0.0)).any():
+        raise ValueError(f"the trailing block from {split} on is not diagonal")
+    d_top = csr.diagonal()[split:]
+    d_min = d_top.min()
+    if e >= d_min or split > dense_cap:
+        return None
+    x = csr[:split, :split].toarray()
+    bt = csr[split:, :split]
+    b = bt.T.tocsr()
+
+    def terms(shift):
+        """X - shift and B (D_top - shift)^{-1} B^T, whose difference is S(shift)."""
+        coupling = b @ bt.multiply(1.0 / (d_top - shift)[:, None])
+        return x - shift * np.eye(split), coupling.toarray()
+
+    s_norm = sum(np.linalg.norm(t, 1) for t in terms(e))
+    if not math.isfinite(s_norm):
+        raise NumericalError("Schur complement is not finite")
+    delta = SCHUR_MARGIN * split * np.finfo(np.float64).eps * s_norm
+    if e + delta >= d_min:
+        return None
+    lo, hi = (_negative_inertia(np.subtract(*terms(shift))) for shift in (e - delta, e + delta))
+    return lo if lo == hi else None
 
 
 def resolvent_positivity_audit(

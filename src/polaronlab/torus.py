@@ -8,7 +8,10 @@ translation-invariant ground state forces the global minimum to sit at P = 0
 and be simple, so a non-simple minimum (or one away from 0) certifies
 symmetry breaking.  Only the fibers that reach the global minimum can change
 that verdict, so the analysis solves the ground level of every block first
-and a second level only on the blocks inside the minimum window.
+and then, on the blocks inside the minimum window only, counts the
+eigenvalues in the window exactly by the inertia of a Schur complement on
+the top phonon block; a block whose count is not certified gets its two
+lowest levels solved instead.
 
 periodized_yukawa sums the massive kernel over lattice images; its shell
 convergence is the quantitative input for the fixed-point comparison.
@@ -24,7 +27,7 @@ from .errors import CapacityError, ConvergenceError
 from .fock import enumerate_basis
 from .modes import build_grid
 from .operators import FiberFamily, SparseOperator
-from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, lowest_eigenpairs
+from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, count_below, lowest_eigenpairs
 
 DEFAULT_FIBER_CUTOFF = 3.0
 DEFAULT_DEGENERACY_TOL = 1e-7
@@ -143,16 +146,18 @@ def degeneracy_analysis(
 ) -> TorusReport:
     """Global minimum over blocks and how many eigenvalues sit within tol of it.
 
-    Ground first: phase 1 solves the lowest eigenvalue of every block, and
-    phase 2 the two lowest (one if the block is one dimensional) only on the
-    blocks whose phase-1 energy lies within degeneracy_tol + tol of the
-    smallest; these replace the phase-1 energy.  A block's levels come back
-    sorted, so a skipped block has both levels above the window and the
-    report equals a sweep with two levels on every block (the extra tol
-    covers the spread between two solves of one level).  The multiplicity
-    counts at most two levels per fiber, enough to distinguish a simple
-    global minimum from a degenerate one.  Skipped blocks report their
-    phase-1 energy.
+    Ground first: phase 1 solves the lowest eigenvalue of every block.  Phase
+    2 visits only the blocks whose phase-1 energy lies within degeneracy_tol
+    + tol of the smallest, `ground` (the extra tol covers the spread between
+    two solves of one level), and counts their eigenvalues below ground +
+    degeneracy_tol exactly, by the inertia of a Schur complement on the top
+    phonon block (solve.count_below); these blocks keep their phase-1 energy.
+    A block whose count cannot be certified (the Schur complement above the
+    dense cap, or the level within rounding of the window edge) falls back to
+    a two-level solve, which replaces its phase-1 energy and contributes the
+    levels within degeneracy_tol of the minimum.  Skipped blocks have no
+    level in the window.  The multiplicity is the total count, so a simple
+    global minimum reads 1 and a degenerate one at least 2.
     """
     tol_deg = model.config.degeneracy_tol if degeneracy_tol is None else float(degeneracy_tol)
     if tol_deg <= 0:
@@ -163,22 +168,27 @@ def degeneracy_analysis(
         return [r.energy for r in lowest_eigenpairs(block, k=k, tol=tol, seed=seed)]
 
     per_fiber = _parallel_map(lambda b: levels(b, 1), blocks, threads)
+    counts = [None] * len(blocks)
     if model.basis.dimension > 1:
-        window = min(es[0] for es in per_fiber) + tol_deg + tol
-        near = [i for i, es in enumerate(per_fiber) if es[0] <= window]
-        for i, es in zip(near, _parallel_map(lambda i: levels(blocks[i], 2), near, threads)):
+        ground = min(es[0] for es in per_fiber)
+        near = [i for i, es in enumerate(per_fiber) if es[0] <= ground + tol_deg + tol]
+        split = model.basis.block_offset(model.basis.n_max)
+        for i in near:
+            counts[i] = count_below(blocks[i], ground + tol_deg, split)
+        fallback = [i for i in near if counts[i] is None]
+        for i, es in zip(fallback, _parallel_map(lambda i: levels(blocks[i], 2), fallback, threads)):
             per_fiber[i] = es
 
     ground = min(min(es) for es in per_fiber)
     argmin = []
     multiplicity = 0
     fiber_energies = []
-    for p, es in zip(model.fibers, per_fiber):
+    for p, es, count in zip(model.fibers, per_fiber, counts):
         pt = tuple(map(float, p))
         fiber_energies.append((pt, float(es[0])))
         if es[0] <= ground + tol_deg:
             argmin.append(pt)
-        multiplicity += sum(1 for e in es if e <= ground + tol_deg)
+        multiplicity += sum(1 for e in es if e <= ground + tol_deg) if count is None else count
     return TorusReport(
         ground_energy=float(ground),
         argmin=tuple(argmin),

@@ -133,3 +133,16 @@ def naive_cell_couplings(units, delta):
         nearest, delta * _origin_cell_unit() / (16.0 * math.pi**2) / 6.0, 0.0
     )
     return np.sqrt(g2)
+
+
+def assemble_free(cfg, basis):
+    """Diagonal comparison operator (P - P_f)^2 + N + 1; every entry is >= 1.
+
+    Built from the package's kinetic diagonal: it serves as an extra,
+    strictly diagonal instance for the solver oracles, not as a reference.
+    """
+    from polaronlab import SparseOperator, kinetic_diagonal
+
+    diag = kinetic_diagonal(cfg, basis) + 1.0
+    idx = np.arange(basis.dimension, dtype=np.int64)
+    return SparseOperator(basis.dimension, idx, idx, diag)

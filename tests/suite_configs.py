@@ -14,11 +14,11 @@ from polaronlab import (
     FiberConfig,
     ModeGrid,
     assemble_fiber,
-    assemble_free,
     build_grid,
     enumerate_basis,
     sign_flip,
 )
+from naive_ref import assemble_free
 
 
 def single_mode_grid() -> ModeGrid:

@@ -202,6 +202,9 @@ def test_c09_torus_mechanism():
 
 
 def test_c10_solver_oracle_equivalence():
+    # dense oracles stop at 2000 states; the first oracle above that cap is
+    # test_torus::test_count_certifies_desk_ground_and_doublet, where the
+    # Schur-complement count brackets the LOBPCG levels of a 33,153-state fiber
     worst = 0.0
     count = 0
     for name, op in all_operators():

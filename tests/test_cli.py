@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import polaronlab.dispersion
+import polaronlab.operators
 from polaronlab import periodized_yukawa
 from polaronlab.cli import main, read_config_file
 from polaronlab.errors import ConfigError
@@ -76,6 +77,22 @@ def test_numerical_breakdown_exits_2(tmp_path, capsys, monkeypatch, error):
                  "--nmax", "1", "--out", str(tmp_path)])
     assert code == 2
     assert type(error).__name__ in capsys.readouterr().err
+
+
+def test_nan_reaching_the_solver_exits_2(tmp_path, capsys, monkeypatch):
+    # a NaN on a fiber diagonal turns the Rayleigh-Ritz Gram matrix non-finite
+    kinetic = polaronlab.operators._kinetic
+
+    def poisoned(*args):
+        d = kinetic(*args)
+        d[-1] = np.nan
+        return d
+
+    monkeypatch.setattr(polaronlab.operators, "_kinetic", poisoned)
+    code = main(["dispersion", "--alpha", "1", "--delta", "1", "--lambda", "1",
+                 "--nmax", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "NumericalError" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_3(tmp_path, capsys):

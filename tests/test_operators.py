@@ -14,7 +14,6 @@ from polaronlab import (
     annihilation_csr,
     assemble_KT,
     assemble_fiber,
-    assemble_free,
     build_grid,
     enumerate_basis,
     kinetic_diagonal,
@@ -24,7 +23,7 @@ from polaronlab import (
     sign_flip,
     weighted_annihilation_norm,
 )
-from naive_ref import naive_fiber_dense
+from naive_ref import assemble_free, naive_fiber_dense
 from suite_configs import all_operators, kt_suite, single_mode_grid
 
 def _neumann_instance(alpha=1.0):

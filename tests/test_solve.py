@@ -21,7 +21,8 @@ from polaronlab import (
     resolvent_positivity_audit,
     sign_flip,
 )
-from polaronlab.solve import _lowest_ritz, _parallel_map
+from polaronlab.errors import NumericalError
+from polaronlab.solve import _lowest_ritz, _parallel_map, count_below
 from suite_configs import all_operators, kt_suite
 
 
@@ -76,7 +77,7 @@ def test_lowest_ritz_singular_and_nonfinite_gram():
     assert _lowest_ritz(work, 2) is None
     work = np.random.default_rng(0).standard_normal((6, 50))
     work[4, 7] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):  # a numerical failure (exit 2), not a config error
         _lowest_ritz(work, 2)
 
 
@@ -256,3 +257,62 @@ def test_parallel_map_order_serial_fallback_and_errors():
 
     with pytest.raises(ConvergenceError, match="item 5"):
         _parallel_map(fail_on_five, items, 2)
+
+
+def _count_cases():
+    # (name, fiber, split): N_max 1 and 2, P = 0 and e_z, alpha 0 and 1
+    for delta, lam, n_max in ((1.0, 2.0, 1), (0.75, 3.0, 1), (1.0, 2.0, 2), (1.0, 1.5, 2)):
+        grid = build_grid(delta, lam)
+        basis = enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
+        assert basis.dimension <= 2000
+        for alpha in (0.0, 1.0):
+            for p in ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)):
+                cfg = FiberConfig(alpha=alpha, p=np.array(p), grid=grid, n_max=n_max)
+                yield (f"d{delta}-L{lam}-n{n_max}-a{alpha}-P{p}",
+                       assemble_fiber(cfg, basis), basis.block_offset(n_max))
+
+
+def test_count_below_matches_dense_spectrum():
+    counted = 0
+    for name, op, split in _count_cases():
+        evals = np.linalg.eigvalsh(op.to_dense())
+        top_min = op.diagonal()[split:].min()
+        # the six lowest distinct levels: clusters split at gaps above 1e-8
+        levels = evals[np.concatenate([[0], np.flatnonzero(np.diff(evals) > 1e-8) + 1])][:6]
+        probes = np.concatenate([levels - 1e-9, levels + 1e-9,
+                                 0.5 * (levels[:-1] + levels[1:])])
+        for e in probes:
+            got = count_below(op, float(e), split)
+            want = int((evals < e).sum())
+            if e >= top_min:
+                assert got is None, (name, e)
+            elif e >= top_min - 1e-6:  # the margin may reach the pole of S at min D_top
+                assert got in (None, want), (name, e)
+            else:
+                assert got == want, (name, e)
+                counted += 1
+    assert counted >= 90
+
+
+def test_count_below_fallbacks_and_validation():
+    grid = build_grid(1.0, 2.0)
+    basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
+    op = assemble_fiber(FiberConfig(alpha=1.0, p=np.zeros(3), grid=grid, n_max=2), basis)
+    split = basis.block_offset(2)
+    top_min = op.diagonal()[split:].min()
+    e0 = float(np.linalg.eigvalsh(op.to_dense())[0])
+    assert count_below(op, e0 + 1e-8, split) == 1
+    assert count_below(op, top_min, split) is None  # e at or above min D_top
+    assert count_below(op, e0 + 1e-8, split, dense_cap=split - 1) is None
+    assert count_below(op, e0, split) is None  # counts at e -+ delta disagree
+    with pytest.raises(ValueError, match="not diagonal"):
+        count_below(op, e0, basis.block_offset(1))  # blocks 1 and 2 are coupled
+    with pytest.raises(ValueError):
+        count_below(op, e0, op.dimension + 1)
+    with pytest.raises(ValueError):
+        count_below(op, e0, op.dimension)  # no trailing block
+    vals = op.vals.copy()
+    vals[np.flatnonzero(op.rows == op.cols)[1]] = np.nan  # a one-phonon diagonal entry
+    with pytest.raises(NumericalError):
+        count_below(SparseOperator(op.dimension, op.rows, op.cols, vals), e0, split)
+    assert count_below(_diag_op([3.0, 1.0, 2.0]), 0.5, 0) == 0  # empty Schur complement

@@ -20,6 +20,7 @@ from polaronlab import (
     periodized_yukawa,
     yukawa_converged,
 )
+from polaronlab.solve import count_below
 
 TWO_PI = 2.0 * math.pi
 
@@ -160,8 +161,11 @@ def test_degeneracy_analysis_threads_deterministic():
             assert a.multiplicity == b.multiplicity
 
 
-def _requested_levels(monkeypatch, model):
-    """Run degeneracy_analysis and return its report and the k asked per fiber."""
+def _requested_levels(monkeypatch, model, count=None):
+    """Run degeneracy_analysis and return its report and the k asked per fiber.
+
+    `count`, when given, replaces the Schur-complement count.
+    """
     calls = []
 
     def recording(op, k=1, **kw):
@@ -169,6 +173,8 @@ def _requested_levels(monkeypatch, model):
         return lowest_eigenpairs(op, k=k, **kw)
 
     monkeypatch.setattr(polaronlab.torus, "lowest_eigenpairs", recording)
+    if count is not None:
+        monkeypatch.setattr(polaronlab.torus, "count_below", count)
     report = degeneracy_analysis(model)
     monkeypatch.undo()
     asked = {}
@@ -193,7 +199,8 @@ def _exhaustive_report(model):
 
 
 def _assert_same_report(rep, ref):
-    assert rep.ground_energy == ref.ground_energy
+    # a counted fiber keeps its one-level energy, a few 1e-15 from two levels
+    assert abs(rep.ground_energy - ref.ground_energy) <= 1e-12
     assert rep.argmin == ref.argmin
     assert rep.multiplicity == ref.multiplicity
     assert [p for p, _ in rep.fiber_energies] == [p for p, _ in ref.fiber_energies]
@@ -202,20 +209,52 @@ def _assert_same_report(rep, ref):
 
 
 def test_second_level_only_inside_minimum_window(monkeypatch):
+    # the window fiber P = 0 is counted, not solved a second time
     model = assemble_torus(_quick_config())
     rep, asked = _requested_levels(monkeypatch, model)
-    assert len(asked) == 7
-    for p, ks in asked.items():
-        assert ks == ([1, 2] if p == (0.0, 0.0, 0.0) else [1])
+    assert asked == {p: [1] for p in map(tuple, model.fibers.tolist())}
     _assert_same_report(rep, _exhaustive_report(model))
 
 
 def test_second_level_on_both_restricted_fibers(monkeypatch):
     model = assemble_torus(_quick_config(fibers=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))))
     rep, asked = _requested_levels(monkeypatch, model)
-    assert asked == {(0.0, 0.0, -1.0): [1, 2], (0.0, 0.0, 1.0): [1, 2]}
+    assert asked == {(0.0, 0.0, -1.0): [1], (0.0, 0.0, 1.0): [1]}
     assert rep.multiplicity == 2
     _assert_same_report(rep, _exhaustive_report(model))
+
+
+@pytest.mark.parametrize("fibers, expected_window", [
+    (None, [(0.0, 0.0, 0.0)]),
+    (((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)), [(0.0, 0.0, -1.0), (0.0, 0.0, 1.0)]),
+])
+def test_uncertified_count_falls_back_to_second_level(monkeypatch, fibers, expected_window):
+    model = assemble_torus(_quick_config(fibers=fibers))
+    window = []
+
+    def uncertified(op, e, split):
+        window.append(next(tuple(map(float, p)) for p, b in zip(model.fibers, model.blocks)
+                           if b is op))
+        return None
+
+    rep, asked = _requested_levels(monkeypatch, model, count=uncertified)
+    assert sorted(window) == expected_window
+    for p, ks in asked.items():
+        assert ks == ([1, 2] if p in window else [1])
+    _assert_same_report(rep, _exhaustive_report(model))
+
+
+def test_count_certifies_desk_ground_and_doublet():
+    # beyond the dense cap: the desk-torus P = 0 fiber has 33,153 states, far
+    # above the 2000 of the dense oracles, and a Schur complement of 257
+    model = assemble_torus(_quick_config(delta=0.75, cutoff=3.0, fibers=((0.0, 0.0, 0.0),)))
+    block, split = model.blocks[0], model.basis.block_offset(2)
+    assert block.dimension == 33153 and split == 257
+    e0, lam2 = (r.energy for r in lowest_eigenpairs(block, k=2))
+    assert [count_below(block, e, split) for e in (e0 - 1e-8, e0 + 1e-8)] == [0, 1]
+    # the count above the second level includes the ground state: 1 -> 3
+    # makes lambda_2 an octahedral doublet
+    assert [count_below(block, e, split) for e in (lam2 - 1e-8, lam2 + 1e-8)] == [1, 3]
 
 
 def test_degeneracy_tol_validation():
