@@ -9,12 +9,9 @@ blocks and Yukawa kernels (torus), and a deterministic CLI (cli).
 from .errors import CapacityError, ConfigError, ConvergenceError, NumericalError
 from .fock import (
     BasisIndex,
-    OccupationState,
-    apply_ladder,
     basis_dimension,
     block_dimension,
     enumerate_basis,
-    make_state,
 )
 from .modes import (
     CutoffSchedule,
@@ -75,8 +72,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError", "ConfigError", "ConvergenceError", "NumericalError",
-    "BasisIndex", "OccupationState", "apply_ladder", "basis_dimension",
-    "block_dimension", "enumerate_basis", "make_state",
+    "BasisIndex", "basis_dimension", "block_dimension", "enumerate_basis",
     "CutoffSchedule", "ModeGrid", "build_grid", "form_factor",
     "riemann_selfenergy_sum", "tail_integral",
     "FiberConfig", "FiberFamily", "SparseOperator", "annihilation_csr",

@@ -16,9 +16,6 @@ multiplication, so momentum additivity holds exactly at the integer level.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,10 +23,6 @@ import numpy as np
 from .errors import CapacityError
 
 DEFAULT_BASIS_CAPACITY = 5_000_000
-
-RAISE = "raise"
-LOWER = "lower"
-
 
 def block_dimension(m_modes: int, n: int) -> int:
     """Number of occupation states with exactly n phonons over m_modes modes."""
@@ -101,115 +94,12 @@ def rank_rows(tuples: np.ndarray, m_modes: int) -> np.ndarray:
     return count - 1 - lex
 
 
-def _rank_tuple(modes: tuple, m_modes: int) -> int:
-    """Scalar exact rank of one ascending mode tuple (Python integers)."""
-    n = len(modes)
-    lex = 0
-    prev = 0
-    for j, a in enumerate(modes):
-        left = n - 1 - j
-        lex += math.comb(m_modes - prev + left, left + 1)
-        lex -= math.comb(m_modes - a + left, left + 1)
-        prev = a
-    return block_dimension(m_modes, n) - 1 - lex
-
-
-@dataclass(frozen=True)
-class OccupationState:
-    """One occupation state: per-mode counts, total number, phonon momentum.
-
-    `occupations` holds no zero counts (canonical sparse form).  The momentum
-    is delta times an exact integer lattice vector; with no mode table the
-    state carries zero momentum.
-    """
-
-    occupations: dict
-    total_number: int
-    phonon_momentum: np.ndarray
-    m_modes: int = field(repr=False)
-    n_max: int = field(repr=False)
-    momentum_units: tuple = field(repr=False)
-    _mode_units: Optional[np.ndarray] = field(default=None, repr=False)
-    _spacing: float = field(default=1.0, repr=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OccupationState):
-            return NotImplemented
-        return (
-            self.occupations == other.occupations
-            and self.momentum_units == other.momentum_units
-        )
-
-    def __hash__(self) -> int:
-        return hash((tuple(sorted(self.occupations.items())), self.momentum_units))
-
-    def mode_tuple(self) -> tuple:
-        """Ascending tuple of occupied modes with multiplicity."""
-        out = []
-        for mode in sorted(self.occupations):
-            out.extend([mode] * self.occupations[mode])
-        return tuple(out)
-
-
-def make_state(
-    occupations: Mapping[int, int],
-    m_modes: int,
-    n_max: int,
-    mode_units: Optional[np.ndarray] = None,
-    spacing: float = 1.0,
-) -> OccupationState:
-    """Build a canonical state from an occupation map."""
-    occ = {int(m): int(c) for m, c in occupations.items() if c != 0}
-    for mode, count in occ.items():
-        if not 0 <= mode < m_modes:
-            raise ValueError(f"mode {mode} outside range(0, {m_modes})")
-        if count < 0:
-            raise ValueError(f"negative occupation at mode {mode}")
-    total = sum(occ.values())
-    if total > n_max:
-        raise ValueError(f"total number {total} exceeds N_max = {n_max}")
-    units = np.zeros(3, dtype=np.int64)
-    if mode_units is not None:
-        for mode, count in occ.items():
-            units += count * np.asarray(mode_units[mode], dtype=np.int64)
-    momentum = float(spacing) * units.astype(np.float64)
-    return OccupationState(
-        occupations=occ,
-        total_number=total,
-        phonon_momentum=momentum,
-        m_modes=m_modes,
-        n_max=n_max,
-        momentum_units=tuple(int(u) for u in units),
-        _mode_units=mode_units,
-        _spacing=float(spacing),
-    )
-
-
-class _LazyStates(Sequence):
-    """List-like view materializing OccupationState objects on demand."""
-
-    def __init__(self, basis: "BasisIndex"):
-        self._basis = basis
-
-    def __len__(self) -> int:
-        return self._basis.dimension
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return self._basis.state(i)
-
-
 class BasisIndex:
-    """Complete truncated basis: ordered states, exact reverse lookup, dimension.
+    """Complete truncated basis: per-block mode tuples, block offsets, dimension.
 
     Immutable after construction; safe for concurrent reads.  Per-block mode
-    tuples are stored as integer arrays in state order, so bulk assembly never
-    materializes state objects.
+    tuples are stored as integer arrays in state order; rank_rows maps tuples
+    back to their ordinals.
     """
 
     def __init__(
@@ -245,7 +135,6 @@ class BasisIndex:
         self._offsets = offs
         self._pf_cache: dict = {}
         self._raise_cache: dict = {}
-        self.states = _LazyStates(self)
 
     # -- block access used by assembly ------------------------------------
 
@@ -307,34 +196,6 @@ class BasisIndex:
         self._raise_cache[n] = out
         return out
 
-    # -- state materialization and exact lookup ---------------------------
-
-    def state(self, i: int) -> OccupationState:
-        n = int(np.searchsorted(self._offsets, i, side="right")) - 1
-        row = self._blocks[n][i - self._offsets[n]]
-        occ = Counter(int(m) for m in row)
-        return make_state(occ, self.m_modes, self.n_max, self.mode_units, self.spacing)
-
-    def index_of(self, state) -> int:
-        """Ordinal of a canonical state; exact integer arithmetic throughout."""
-        if isinstance(state, OccupationState):
-            occ = state.occupations
-        elif isinstance(state, Mapping):
-            occ = {int(m): int(c) for m, c in state.items() if c != 0}
-        else:
-            raise TypeError("state must be an OccupationState or an occupation map")
-        modes = []
-        for mode in sorted(occ):
-            if not 0 <= mode < self.m_modes:
-                raise ValueError(f"mode {mode} outside range(0, {self.m_modes})")
-            if occ[mode] < 0:
-                raise ValueError(f"negative occupation at mode {mode}")
-            modes.extend([mode] * occ[mode])
-        n = len(modes)
-        if n > self.n_max:
-            raise ValueError(f"total number {n} exceeds N_max = {self.n_max}")
-        return self.block_offset(n) + _rank_tuple(tuple(modes), self.m_modes)
-
 
 def enumerate_basis(
     m_modes: int,
@@ -351,34 +212,3 @@ def enumerate_basis(
     states; without it all states carry zero momentum.
     """
     return BasisIndex(m_modes, n_max, mode_units, spacing, capacity)
-
-
-def apply_ladder(state: OccupationState, mode: int, direction: str):
-    """Single-mode ladder action: (new_state, amplitude) or None.
-
-    raise: (n_i -> n_i + 1, sqrt(n_i + 1)); absent when total_number = N_max.
-    lower: (n_i -> n_i - 1, sqrt(n_i)); absent when n_i = 0.
-    """
-    if not 0 <= mode < state.m_modes:
-        raise ValueError(f"mode {mode} outside range(0, {state.m_modes})")
-    if direction not in (RAISE, LOWER):
-        raise ValueError(f"direction must be {RAISE!r} or {LOWER!r}")
-    n_i = state.occupations.get(mode, 0)
-    occ = dict(state.occupations)
-    if direction == RAISE:
-        if state.total_number >= state.n_max:
-            return None
-        occ[mode] = n_i + 1
-        amplitude = math.sqrt(n_i + 1)
-    else:
-        if n_i == 0:
-            return None
-        if n_i == 1:
-            del occ[mode]
-        else:
-            occ[mode] = n_i - 1
-        amplitude = math.sqrt(n_i)
-    new = make_state(
-        occ, state.m_modes, state.n_max, state._mode_units, state._spacing
-    )
-    return new, amplitude

@@ -5,9 +5,12 @@ its diagonal is the kinetic term (P - P_f)^2 + N and its off-diagonal part
 couples adjacent number blocks through the mode couplings g_i.  Everything is
 assembled block-at-a-time from integer occupation tables, so matrix elements
 are exact where the inputs are exact (alpha = 0 stays strictly diagonal).
-The coupling part does not depend on P, so a FiberFamily builds it, its
-sparsity pattern and the per-state P_f and N once per grid and basis, and
-each fiber only fills in its diagonal.
+An operator is stored once, as a symmetric CSR matrix (SparseOperator.csr)
+that serves matvec, diagonal, to_dense, sign_flip and solve.count_below.
+The coupling part does not depend on P, so a FiberFamily builds its CSR
+structure, with a slot for every diagonal entry, and the per-state P_f and N
+once per grid and basis; each fiber copies the values and fills in its
+diagonal.
 
 The norm certificates (weighted_annihilation_norm, neumann_norms,
 neumann_constant) are operator norms ||B|| of sparse weighted products of the
@@ -21,7 +24,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 import scipy.sparse
@@ -34,12 +37,13 @@ from .solve import (
 
 
 class SparseOperator:
-    """Symmetric sparse matrix stored as its upper triangle (row <= col).
+    """Symmetric sparse matrix held as one symmetric CSR matrix, `csr`.
 
-    Entries are kept in canonical (row, col) lexicographic order with exact
-    zeros dropped and duplicates rejected, so two assemblies of the same
-    operator compare equal entry-by-entry.  matvec symmetrizes lazily through
-    a cached CSR form.
+    The constructor takes the upper triangle (row <= col) as triplets, drops
+    exact zeros, rejects duplicates and builds `csr` in canonical form, so two
+    assemblies of the same operator compare equal entry by entry.  rows,
+    cols, vals and nnz read the upper triangle back, in (row, col) order and
+    as read-only arrays.
     """
 
     def __init__(self, dimension: int, rows, cols, vals):
@@ -66,51 +70,55 @@ class SparseOperator:
             if same.any():
                 k = int(np.flatnonzero(same)[0])
                 raise ValueError(f"duplicate entry at (row, col) = ({rows[k]}, {cols[k]})")
+        off = rows != cols
         self.dimension = dimension
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-        self._csr = None
+        self.csr = scipy.sparse.csr_matrix(
+            (np.concatenate([vals, vals[off]]),
+             (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))),
+            shape=(dimension, dimension),
+        )
 
     @classmethod
-    def _canonical(cls, dimension: int, rows, cols, vals, csr) -> "SparseOperator":
-        """Wrap entries already in canonical order together with their symmetrized CSR."""
+    def _from_csr(cls, csr: scipy.sparse.csr_matrix) -> "SparseOperator":
+        """Wrap a symmetric CSR matrix already in canonical form, without copying."""
         op = cls.__new__(cls)
-        op.dimension, op.rows, op.cols, op.vals, op._csr = dimension, rows, cols, vals, csr
+        op.dimension, op.csr = csr.shape[0], csr
         return op
+
+    def _upper(self, name: str) -> np.ndarray:
+        """One read-only array (row, col or data) of the upper triangle."""
+        a = getattr(scipy.sparse.triu(self.csr, format="coo"), name)
+        a.flags.writeable = False
+        return a
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._upper("row")
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self._upper("col")
+
+    @property
+    def vals(self) -> np.ndarray:
+        return self._upper("data")
 
     @property
     def nnz(self) -> int:
-        """Stored entries (upper triangle only)."""
+        """Stored entries of the upper triangle."""
         return int(self.vals.size)
-
-    def _symmetrized(self) -> scipy.sparse.csr_matrix:
-        if self._csr is None:
-            off = self.rows != self.cols
-            r = np.concatenate([self.rows, self.cols[off]])
-            c = np.concatenate([self.cols, self.rows[off]])
-            v = np.concatenate([self.vals, self.vals[off]])
-            self._csr = scipy.sparse.csr_matrix(
-                (v, (r, c)), shape=(self.dimension, self.dimension)
-            )
-        return self._csr
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dimension,):
             raise ValueError(f"vector of length {self.dimension} expected")
-        return self._symmetrized() @ x
+        return self.csr @ x
 
     def diagonal(self) -> np.ndarray:
-        d = np.zeros(self.dimension)
-        on = self.rows == self.cols
-        d[self.rows[on]] = self.vals[on]
-        return d
+        return self.csr.diagonal()
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.dimension, self.dimension))
-        a[self.rows, self.cols] = self.vals
-        return a + a.T - np.diag(np.diag(a))
+        return self.csr.toarray()
 
 
 @dataclass(frozen=True)
@@ -168,89 +176,50 @@ def kinetic_diagonal(cfg: FiberConfig, basis: BasisIndex) -> np.ndarray:
     return _kinetic(cfg.p, *_state_momenta(basis))
 
 
-def _raise_entries(cfg: FiberConfig, basis: BasisIndex, include_alpha: bool = True):
-    """Global (row, col, val) triplets of the creation part, row block < col block.
-
-    val = [sqrt(alpha)] * g_i * sqrt(n_i + 1) between |s; n> and |s + e_i; n+1>.
-    """
-    g = cfg.grid.couplings
-    scale = float(np.sqrt(cfg.alpha)) if include_alpha else 1.0
-    rr, cc, vv = [], [], []
-    if scale != 0.0 and len(cfg.grid):
-        for n in range(basis.n_max):
-            src, mode, counts, tgt = basis.raise_map(n)
-            if src.size == 0:
-                continue
-            rr.append(basis.block_offset(n) + src)
-            cc.append(basis.block_offset(n + 1) + tgt)
-            vv.append(scale * g[mode] * np.sqrt(counts + 1.0))
-    if not rr:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z, np.zeros(0)
-    return np.concatenate(rr), np.concatenate(cc), np.concatenate(vv)
-
-
-def _pattern(cfg: FiberConfig, basis: BasisIndex) -> SparseOperator:
-    """Upper triangle of the fiber with 1.0 in every diagonal slot.
-
-    The nonzero placeholder makes SparseOperator keep every diagonal slot
-    while it drops zero couplings; the raw triplets are freed on return, so
-    they are not held while the CSR is built.
-    """
-    n = basis.dimension
-    idx = np.arange(n, dtype=np.int64)
-    rr, cc, vv = _raise_entries(cfg, basis)
-    return SparseOperator(n, np.concatenate([idx, rr]), np.concatenate([idx, cc]),
-                          np.concatenate([np.ones(n), vv]))
-
-
 class FiberFamily:
     """Fiber operators H(P) = D(P) + sqrt(alpha) V over one grid and basis.
 
-    The coupling V does not depend on P, so its triplets, the canonical
-    upper-triangle pattern, the symmetrized CSR structure and the per-state
-    P_f and N are built once.  fiber(p) fills in only the kinetic diagonal
-    D(P) = (P - P_f)^2 + N; the result is entry for entry what a fresh
-    assembly gives, including the exact-zero vacuum diagonal dropped at
-    P = 0.  Fibers share the (read-only) index arrays and own their values,
+    The coupling V = A + A^T (A the annihilation part) does not depend on P,
+    so the CSR of sqrt(alpha) V + 1, whose unit diagonal reserves a slot per
+    state, the position of each slot and the per-state P_f and N are built
+    once.  fiber(p) copies the values and fills the slots with the kinetic
+    diagonal D(P) = (P - P_f)^2 + N; the result is entry for entry what the
+    triplet constructor gives, including the exact-zero vacuum diagonal
+    dropped at P = 0.  Fibers share the (read-only) index arrays and own their values,
     and building the family fills the basis caches, so fibers can be made
     and solved from several threads.
     """
 
     def __init__(self, alpha: float, grid: ModeGrid, basis: BasisIndex):
         cfg = FiberConfig(alpha=alpha, p=np.zeros(3), grid=grid, n_max=basis.n_max)
-        _check_basis(cfg, basis)
         n = self.dimension = basis.dimension
-        pattern = _pattern(cfg, basis)
-        csr = pattern._symmetrized()
-        # after the CSR, whose build is the peak of a family of one
+        a = annihilation_csr(cfg, basis)
+        csr = a + a.T + scipy.sparse.identity(n, format="csr")
+        # P_f and N after the CSR, whose build is the peak of a family of one
+        del a
         self._pf, self._nums = _state_momenta(basis)
-        self._rows, self._cols, self._vals = pattern.rows, pattern.cols, pattern.vals
         self._indptr, self._indices, self._data = csr.indptr, csr.indices, csr.data
-        self._diag = np.flatnonzero(self._rows == self._cols)
-        self._csr_diag = np.flatnonzero(
+        self._diag = np.flatnonzero(
             self._indices == np.repeat(np.arange(n), np.diff(self._indptr)))
-        for a in (self._rows, self._cols, self._indices, self._indptr):
-            a.flags.writeable = False
+        self._indices.flags.writeable = False
+        self._indptr.flags.writeable = False
 
     def fiber(self, p) -> SparseOperator:
-        """The fiber operator at momentum p, its symmetrized CSR already built."""
+        """The fiber operator at momentum p."""
         d = _kinetic(np.asarray(p, dtype=np.float64).reshape(3), self._pf, self._nums)
         n = self.dimension
-        rows, cols, indices, indptr = self._rows, self._cols, self._indices, self._indptr
-        vals = self._vals.copy()
-        vals[self._diag] = d
+        indices, indptr = self._indices, self._indptr
         data = self._data.copy()
-        data[self._csr_diag] = d
+        data[self._diag] = d
         if d[0] == 0.0:
-            # the vacuum at P = 0: the only state with N = 0 leads both the
-            # upper triangle and the CSR, and its exact zero is dropped as
-            # SparseOperator drops zeros (every other diagonal entry is >= 1)
-            rows, cols, vals, indices, data = rows[1:], cols[1:], vals[1:], indices[1:], data[1:]
+            # the vacuum at P = 0: the only state with N = 0 leads the CSR,
+            # and its exact zero is dropped as the triplet constructor drops
+            # zeros (every other diagonal entry is >= 1)
+            indices, data = indices[1:], data[1:]
             indptr = indptr - 1
             indptr[0] = 0
-        csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-        return SparseOperator._canonical(n, rows, cols, vals, csr)
+        return SparseOperator._from_csr(
+            scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
 
 
 def assemble_fiber(cfg: FiberConfig, basis: BasisIndex) -> SparseOperator:
@@ -268,9 +237,19 @@ def annihilation_csr(
     with one extra phonon in mode i, i.e. the matrix maps block n+1 down to n.
     """
     _check_basis(cfg, basis)
-    rr, cc, vv = _raise_entries(cfg, basis, include_alpha=include_alpha)
+    g = cfg.grid.couplings
+    scale = float(np.sqrt(cfg.alpha)) if include_alpha else 1.0
+    empty = np.zeros(0, dtype=np.int64)
+    rr, cc, vv = [empty], [empty], [np.zeros(0)]
+    if scale != 0.0 and len(cfg.grid):
+        for n in range(basis.n_max):
+            src, mode, counts, tgt = basis.raise_map(n)
+            rr.append(basis.block_offset(n) + src)
+            cc.append(basis.block_offset(n + 1) + tgt)
+            vv.append(scale * g[mode] * np.sqrt(counts + 1.0))
     return scipy.sparse.csr_matrix(
-        (vv, (rr, cc)), shape=(basis.dimension, basis.dimension)
+        (np.concatenate(vv), (np.concatenate(rr), np.concatenate(cc))),
+        shape=(basis.dimension, basis.dimension),
     )
 
 
@@ -297,13 +276,18 @@ def assemble_KT(
 
 
 def sign_flip(op: SparseOperator, basis: BasisIndex) -> SparseOperator:
-    """Conjugate by (-1)^N: entries between blocks of opposite parity flip sign."""
+    """Conjugate by (-1)^N: entries between blocks of opposite parity flip sign.
+
+    The result shares op's index arrays and owns its values.
+    """
     if op.dimension != basis.dimension:
         raise ValueError("operator and basis dimensions differ")
+    csr = op.csr
     nums = basis.total_numbers()
-    odd = (nums[op.rows] + nums[op.cols]) % 2 == 1
-    vals = np.where(odd, -op.vals, op.vals)
-    return SparseOperator(op.dimension, op.rows.copy(), op.cols.copy(), vals)
+    odd = (np.repeat(nums, np.diff(csr.indptr)) + nums[csr.indices]) % 2 == 1
+    data = np.where(odd, -csr.data, csr.data)
+    return SparseOperator._from_csr(
+        scipy.sparse.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape))
 
 
 def _operator_norm(gram: Callable[[np.ndarray], np.ndarray], n: int, seed: int) -> float:

@@ -35,7 +35,8 @@ count_below counts the eigenvalues below a level exactly, without solving
 for them, when the operator ends in a diagonal block (a fiber's top phonon
 number block): the count is the inertia of a dense Schur complement of the
 size of the leading blocks, read off an LDL^T factorization, and it is
-returned only when certified against the factorization's rounding.
+returned only when certified against the factorization's rounding.  Its
+blocks are sliced straight from the operator's symmetric CSR, op.csr.
 """
 
 import math
@@ -333,12 +334,12 @@ def count_below(op, e: float, split: int, dense_cap: int = DEFAULT_DENSE_CAP):
     norms of its two terms so the rounding of forming S is covered too) and
     accepted only if they agree.  None when e >= min D_top, when split
     exceeds dense_cap, or when the two counts differ.  ValueError if the
-    trailing block is not diagonal.
+    trailing block is not diagonal.  X, B and D_top are sliced from op.csr.
     """
     n = op.dimension
     if not 0 <= split < n:
         raise ValueError(f"split must lie in [0, {n})")
-    csr = op._symmetrized()
+    csr = op.csr
     start = csr.indptr[split]
     rows = np.repeat(np.arange(split, n), np.diff(csr.indptr[split:]))
     cols = csr.indices[start:]
@@ -375,11 +376,14 @@ def resolvent_positivity_audit(
     The caller passes the operator in the basis where positivity is expected
     (for fiber operators: after the sign flip).  lam must shift the spectrum
     strictly above zero; a non-positive-definite shift is a precondition
-    violation, reported as ValueError.
+    violation, reported as ValueError; a non-finite operator raises
+    NumericalError.
     """
     n = op.dimension
     _check_dense_cap(n, dense_cap)
     dense = op.to_dense()
+    if not np.isfinite(dense).all():
+        raise NumericalError("operator is not finite")
     shifted = dense + float(lam) * np.eye(n)
     try:
         chol = scipy.linalg.cho_factor(shifted, check_finite=False)

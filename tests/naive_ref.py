@@ -32,6 +32,32 @@ def naive_states(m_modes, n_max):
     return out
 
 
+def naive_ladder(m_modes, n_max, mode):
+    """Dense (lower, raise) matrices of one mode, built state by state from dicts.
+
+    raise maps |.., n_i, ..> to sqrt(n_i + 1) |.., n_i + 1, ..> and is absent on
+    states holding N_max phonons; lower maps it to sqrt(n_i) |.., n_i - 1, ..>
+    and is absent when n_i = 0.  Columns are source states, in package order.
+    """
+    occs = [dict(Counter(s)) for s in naive_states(m_modes, n_max)]
+    index = {tuple(sorted(occ.items())): i for i, occ in enumerate(occs)}
+    dim = len(occs)
+    lower, raise_ = np.zeros((dim, dim)), np.zeros((dim, dim))
+    for i, occ in enumerate(occs):
+        n_i = occ.get(mode, 0)
+        if sum(occ.values()) < n_max:
+            up = dict(occ)
+            up[mode] = n_i + 1
+            raise_[index[tuple(sorted(up.items()))], i] = math.sqrt(n_i + 1)
+        if n_i:
+            down = dict(occ)
+            down[mode] = n_i - 1
+            if down[mode] == 0:
+                del down[mode]
+            lower[index[tuple(sorted(down.items()))], i] = math.sqrt(n_i)
+    return lower, raise_
+
+
 def naive_fiber_dense(alpha, p, k_vectors, couplings, n_max):
     """Dense fiber matrix built entry-by-entry from ladder rules."""
     m_modes = len(k_vectors)
@@ -146,3 +172,27 @@ def assemble_free(cfg, basis):
     diag = kinetic_diagonal(cfg, basis) + 1.0
     idx = np.arange(basis.dimension, dtype=np.int64)
     return SparseOperator(basis.dimension, idx, idx, diag)
+
+
+def upper_to_dense(op):
+    """Dense matrix from the upper-triangle triplets: a + a^T - diag(a)."""
+    a = np.zeros((op.dimension, op.dimension))
+    a[op.rows, op.cols] = op.vals
+    return a + a.T - np.diag(np.diag(a))
+
+
+def upper_diagonal(op):
+    """Diagonal scattered from the upper-triangle triplets on row == col."""
+    d = np.zeros(op.dimension)
+    on = op.rows == op.cols
+    d[op.rows[on]] = op.vals[on]
+    return d
+
+
+def upper_sign_flip(op, basis):
+    """(-1)^N conjugation as a parity flip over the upper-triangle triplets."""
+    from polaronlab import SparseOperator
+
+    nums = basis.total_numbers()
+    odd = (nums[op.rows] + nums[op.cols]) % 2 == 1
+    return SparseOperator(op.dimension, op.rows, op.cols, np.where(odd, -op.vals, op.vals))

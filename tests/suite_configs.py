@@ -3,7 +3,8 @@
 Two tiers: KT_SUITE holds dimension <= 500 instances for the factorization
 identity; ALL_OPERATORS holds every suite operator of dimension <= 2000 (the
 assembled fibers, their sign flips, and the free diagonals) for the
-iterative-vs-dense oracle cross-check.
+iterative-vs-dense oracle cross-check, each with its basis in
+all_operators_with_basis.
 """
 
 from functools import lru_cache
@@ -48,14 +49,14 @@ def kt_suite():
 
 
 @lru_cache(maxsize=None)
-def all_operators():
-    """(name, SparseOperator) for every suite operator of dimension <= 2000."""
+def all_operators_with_basis():
+    """(name, SparseOperator, BasisIndex) for every suite operator of dimension <= 2000."""
     out = []
     for name, cfg, basis in kt_suite():
         op = assemble_fiber(cfg, basis)
-        out.append((f"fiber:{name}", op))
-        out.append((f"flip:{name}", sign_flip(op, basis)))
-        out.append((f"free:{name}", assemble_free(cfg, basis)))
+        out.append((f"fiber:{name}", op, basis))
+        out.append((f"flip:{name}", sign_flip(op, basis), basis))
+        out.append((f"free:{name}", assemble_free(cfg, basis), basis))
     # larger instances, momenta off the origin, a finer spacing
     extras = (
         ("d1-L2-n2-a1-P001", 1.0, 1.0, 2.0, 2, (0.0, 0.0, 1.0)),
@@ -70,6 +71,11 @@ def all_operators():
         assert basis.dimension <= 2000
         cfg = FiberConfig(alpha=alpha, p=np.asarray(p), grid=grid, n_max=n_max)
         op = assemble_fiber(cfg, basis)
-        out.append((f"fiber:{name}", op))
-        out.append((f"flip:{name}", sign_flip(op, basis)))
+        out.append((f"fiber:{name}", op, basis))
+        out.append((f"flip:{name}", sign_flip(op, basis), basis))
     return tuple(out)
+
+
+def all_operators():
+    """(name, SparseOperator) for every suite operator of dimension <= 2000."""
+    return tuple((name, op) for name, op, _ in all_operators_with_basis())

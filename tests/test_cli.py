@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import polaronlab.cli
 import polaronlab.dispersion
 import polaronlab.operators
 from polaronlab import periodized_yukawa
@@ -92,6 +93,20 @@ def test_nan_reaching_the_solver_exits_2(tmp_path, capsys, monkeypatch):
     code = main(["dispersion", "--alpha", "1", "--delta", "1", "--lambda", "1",
                  "--nmax", "1", "--out", str(tmp_path)])
     assert code == 2
+    assert "NumericalError" in capsys.readouterr().err
+
+
+def test_nan_reaching_the_positivity_audit_exits_2(tmp_path, capsys, monkeypatch):
+    # the fiber's dense spectrum is taken before the flip, so only the audit sees the NaN
+    flip = polaronlab.cli.sign_flip
+
+    def poisoned(op, basis):
+        out = flip(op, basis)
+        out.csr.data[-1] = np.nan
+        return out
+
+    monkeypatch.setattr(polaronlab.cli, "sign_flip", poisoned)
+    assert main(["checks", "--out", str(tmp_path)]) == 2
     assert "NumericalError" in capsys.readouterr().err
 
 

@@ -1,4 +1,4 @@
-"""Occupation-basis enumeration, indexing, and ladder actions."""
+"""Occupation-basis enumeration, ranking, raise maps and phonon momenta."""
 
 import numpy as np
 import pytest
@@ -8,17 +8,33 @@ from hypothesis import strategies as st
 from polaronlab import (
     BasisIndex,
     CapacityError,
-    apply_ladder,
     basis_dimension,
     enumerate_basis,
-    make_state,
 )
-from naive_ref import naive_states
+from polaronlab.fock import rank_rows
+from naive_ref import naive_ladder, naive_states
 
 UNIT_MODES = np.array(
     [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [0, 0, 1], [0, 1, 0], [1, 0, 0]],
     dtype=np.int64,
 )
+
+
+def _mode_tuples(basis: BasisIndex):
+    """Every state's ascending mode tuple, in basis order."""
+    return [tuple(int(m) for m in row)
+            for n in range(basis.n_max + 1) for row in basis.block(n)]
+
+
+def _ladder_matrices(basis: BasisIndex, mode: int):
+    """Dense (lower, raise) matrices of one mode from the basis raise maps."""
+    raise_ = np.zeros((basis.dimension, basis.dimension))
+    for n in range(basis.n_max):
+        src, modes, counts, tgt = basis.raise_map(n)
+        sel = modes == mode
+        raise_[basis.block_offset(n + 1) + tgt[sel],
+               basis.block_offset(n) + src[sel]] = np.sqrt(counts[sel] + 1.0)
+    return raise_.T.copy(), raise_
 
 
 def test_dimension_examples():
@@ -30,57 +46,37 @@ def test_dimension_examples():
 
 def test_vacuum_is_index_zero():
     basis = enumerate_basis(3, 2)
-    assert basis.states[0].total_number == 0
-    assert basis.states[0].occupations == {}
+    assert basis.block_offset(0) == 0
+    assert basis.block(0).shape == (1, 0)
+    assert basis.total_numbers()[0] == 0
 
 
 def test_state_order_matches_naive_enumeration():
     for m_modes, n_max in ((2, 2), (3, 2), (4, 3), (1, 4)):
         basis = enumerate_basis(m_modes, n_max)
-        expected = naive_states(m_modes, n_max)
-        got = [basis.states[i].mode_tuple() for i in range(basis.dimension)]
-        assert got == expected
+        assert _mode_tuples(basis) == naive_states(m_modes, n_max)
 
 
 def test_block_structure_sorted_by_total_number():
     basis = enumerate_basis(4, 3)
-    nums = [basis.states[i].total_number for i in range(basis.dimension)]
+    nums = basis.total_numbers().tolist()
     assert nums == sorted(nums)
+    assert nums == [len(s) for s in naive_states(4, 3)]
 
 
 def test_index_roundtrip_exhaustive():
     basis = enumerate_basis(4, 3)
-    for i in range(basis.dimension):
-        assert basis.index_of(basis.states[i]) == i
+    for n in range(basis.n_max + 1):
+        np.testing.assert_array_equal(rank_rows(basis.block(n), basis.m_modes),
+                                      np.arange(basis.block_count(n)))
 
 
-def test_index_of_accepts_occupation_mapping():
-    basis = enumerate_basis(3, 2)
-    i = basis.index_of({0: 1, 2: 1})
-    st_i = basis.states[i]
-    assert st_i.occupations == {0: 1, 2: 1}
-
-
-def test_make_state_invariants():
-    s = make_state({0: 2, 3: 1}, m_modes=6, n_max=4, mode_units=UNIT_MODES, spacing=0.5)
-    assert s.total_number == 3
-    # momentum is the exact occupation-weighted sum of mode momenta
-    expect = 0.5 * (2 * UNIT_MODES[0] + UNIT_MODES[3]).astype(float)
-    assert np.array_equal(s.phonon_momentum, expect)
-
-
-def test_make_state_drops_zero_counts():
-    s = make_state({1: 0, 2: 1}, m_modes=3, n_max=2)
-    assert s.occupations == {2: 1}
-
-
-def test_make_state_validation():
-    with pytest.raises(ValueError):
-        make_state({5: 1}, m_modes=3, n_max=2)
-    with pytest.raises(ValueError):
-        make_state({0: -1}, m_modes=3, n_max=2)
-    with pytest.raises(ValueError):
-        make_state({0: 3}, m_modes=3, n_max=2)
+def test_pf_units_are_exact_mode_sums():
+    basis = enumerate_basis(6, 3, mode_units=UNIT_MODES, spacing=0.5)
+    for n in range(basis.n_max + 1):
+        expect = [sum((UNIT_MODES[m] for m in row), np.zeros(3, dtype=np.int64))
+                  for row in basis.block(n)]
+        np.testing.assert_array_equal(basis.pf_units(n), np.reshape(expect, (-1, 3)))
 
 
 def test_capacity_guard():
@@ -90,74 +86,63 @@ def test_capacity_guard():
 
 def test_lower_on_vacuum_absent():
     basis = enumerate_basis(3, 2)
-    vac = basis.states[0]
     for mode in range(3):
-        assert apply_ladder(vac, mode, "lower") is None
+        lower, _ = _ladder_matrices(basis, mode)
+        assert not lower[:, 0].any()
 
 
 def test_raise_on_vacuum_amplitude_one():
     basis = enumerate_basis(3, 2)
-    vac = basis.states[0]
-    new, amp = apply_ladder(vac, 1, "raise")
-    assert amp == 1.0
-    assert new.occupations == {1: 1}
-    assert new.total_number == 1
+    src, mode, counts, tgt = basis.raise_map(0)
+    sel = mode == 1
+    assert src[sel].tolist() == [0]
+    assert np.sqrt(counts[sel] + 1.0).tolist() == [1.0]
+    assert basis.block(1)[tgt[sel]].tolist() == [[1]]
 
 
 def test_raise_blocked_at_truncation():
     basis = enumerate_basis(2, 2)
-    top = make_state({0: 2}, m_modes=2, n_max=2)
-    assert apply_ladder(top, 0, "raise") is None
-    assert apply_ladder(top, 1, "raise") is None
+    top = basis.total_numbers() == basis.n_max
+    for mode in range(2):
+        _, raise_ = _ladder_matrices(basis, mode)
+        assert not raise_[:, top].any()
 
 
 def test_raise_lower_amplitude_product():
     # a a* |n=2> = 3 |n=2>: amplitudes sqrt(3) * sqrt(3)
-    s = make_state({0: 2}, m_modes=1, n_max=3)
-    up, amp_up = apply_ladder(s, 0, "raise")
-    back, amp_down = apply_ladder(up, 0, "lower")
-    assert amp_up * amp_down == pytest.approx(3.0, abs=1e-15)
-    assert back == s
+    basis = enumerate_basis(1, 3)
+    lower, raise_ = _ladder_matrices(basis, 0)
+    i = basis.block_offset(2)
+    col = (lower @ raise_)[:, i]
+    assert col[i] == pytest.approx(3.0, abs=1e-15)
+    col[i] = 0.0
+    assert not col.any()
 
 
 def test_ladder_rejects_bad_arguments():
     basis = enumerate_basis(2, 1)
-    vac = basis.states[0]
-    with pytest.raises(ValueError):
-        apply_ladder(vac, 5, "raise")
-    with pytest.raises(ValueError):
-        apply_ladder(vac, 0, "sideways")
-
-
-def _ladder_matrices(basis: BasisIndex, mode: int):
-    """Dense lower/raise matrices built one state at a time via apply_ladder."""
-    dim = basis.dimension
-    lower = np.zeros((dim, dim))
-    raise_ = np.zeros((dim, dim))
-    for i in range(dim):
-        s = basis.states[i]
-        down = apply_ladder(s, mode, "lower")
-        if down is not None:
-            lower[basis.index_of(down[0]), i] = down[1]
-        up = apply_ladder(s, mode, "raise")
-        if up is not None:
-            raise_[basis.index_of(up[0]), i] = up[1]
-    return lower, raise_
+    for n in (-1, basis.n_max, 5):
+        with pytest.raises(ValueError):
+            basis.raise_map(n)
 
 
 def test_ccr_below_truncation_layer():
     basis = enumerate_basis(3, 3)
+    nums = basis.total_numbers()
     for mode in range(3):
         lower, raise_ = _ladder_matrices(basis, mode)
+        want_lower, want_raise = naive_ladder(3, 3, mode)
+        np.testing.assert_array_equal(lower, want_lower)
+        np.testing.assert_array_equal(raise_, want_raise)
         comm = lower @ raise_ - raise_ @ lower
         for i in range(basis.dimension):
-            if basis.states[i].total_number < basis.n_max:
+            if nums[i] < basis.n_max:
                 assert comm[i, i] == pytest.approx(1.0, abs=1e-12)
                 row = comm[i].copy()
                 row[i] = 0.0
                 assert np.max(np.abs(row)) < 1e-12
     # commutation necessarily fails on the top layer (raise is truncated away)
-    top = [i for i in range(basis.dimension) if basis.states[i].total_number == basis.n_max]
+    top = np.flatnonzero(nums == basis.n_max)
     lower, raise_ = _ladder_matrices(basis, 0)
     comm = lower @ raise_ - raise_ @ lower
     assert any(abs(comm[i, i] - 1.0) > 0.5 for i in top)
@@ -165,19 +150,11 @@ def test_ccr_below_truncation_layer():
 
 def test_momentum_additive_under_raise():
     basis = enumerate_basis(6, 2, mode_units=UNIT_MODES, spacing=0.4)
-    s = basis.states[3]
-    for mode in range(6):
-        up = apply_ladder(s, mode, "raise")
-        if up is None:
-            continue
-        new, _ = up
+    for n in range(basis.n_max):
+        src, mode, _, tgt = basis.raise_map(n)
         # integer bookkeeping makes additivity exact, not approximate
-        assert np.array_equal(
-            np.asarray(new.momentum_units),
-            np.asarray(s.momentum_units) + UNIT_MODES[mode],
-        )
-        assert np.array_equal(new.phonon_momentum,
-                              0.4 * np.asarray(new.momentum_units, dtype=float))
+        np.testing.assert_array_equal(basis.pf_units(n + 1)[tgt],
+                                      basis.pf_units(n)[src] + UNIT_MODES[mode])
 
 
 @settings(max_examples=200, deadline=None)
@@ -185,10 +162,12 @@ def test_momentum_additive_under_raise():
 def test_index_roundtrip_random_states(occ):
     if sum(occ.values()) > 3:
         occ = {}
+    modes = tuple(sorted(m for m, c in occ.items() for _ in range(c)))
+    n = len(modes)
     basis = enumerate_basis(5, 3)
-    s = make_state(occ, m_modes=5, n_max=3)
-    i = basis.index_of(s)
-    assert basis.states[i] == s
+    i = int(rank_rows(np.array([modes], dtype=np.int64).reshape(1, n), 5)[0])
+    assert tuple(int(m) for m in basis.block(n)[i]) == modes
+    assert naive_states(5, 3).index(modes) == basis.block_offset(n) + i
 
 
 @settings(max_examples=50, deadline=None)

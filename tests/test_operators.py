@@ -23,8 +23,10 @@ from polaronlab import (
     sign_flip,
     weighted_annihilation_norm,
 )
-from naive_ref import assemble_free, naive_fiber_dense
-from suite_configs import all_operators, kt_suite, single_mode_grid
+from naive_ref import (
+    assemble_free, naive_fiber_dense, upper_diagonal, upper_sign_flip, upper_to_dense,
+)
+from suite_configs import all_operators, all_operators_with_basis, kt_suite, single_mode_grid
 
 def _neumann_instance(alpha=1.0):
     grid = build_grid(1.0, 1.5)
@@ -105,8 +107,8 @@ def test_fiber_matches_naive_dense_nonzero_momentum():
 
 @pytest.mark.parametrize("alpha", (0.0, 1.0))
 def test_family_fiber_equals_generic_assembly(alpha):
-    # entry for entry what SparseOperator builds from the raw triplets,
-    # including its lazily symmetrized CSR and the dropped vacuum zero at P = 0
+    # entry for entry what the triplet constructor builds from the raw
+    # triplets, including its symmetric CSR and the dropped vacuum zero at P = 0
     grid = build_grid(1.0, 1.5)
     basis = enumerate_basis(len(grid), 3, grid.units, grid.spacing)
     family = FiberFamily(alpha, grid, basis)
@@ -121,7 +123,7 @@ def test_family_fiber_equals_generic_assembly(alpha):
         assert op.nnz == ref.nnz
         for name in ("rows", "cols", "vals"):
             np.testing.assert_array_equal(getattr(op, name), getattr(ref, name))
-        got, want = op._symmetrized(), ref._symmetrized()
+        got, want = op.csr, ref.csr
         for name in ("data", "indices", "indptr"):
             x, y = getattr(got, name), getattr(want, name)
             assert x.dtype == y.dtype
@@ -133,13 +135,13 @@ def test_family_fibers_do_not_alias():
     basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
     family = FiberFamily(1.0, grid, basis)
     first = family.fiber((0.0, 0.0, 1.0))
-    vals, data = first.vals.copy(), first._symmetrized().data.copy()
+    vals, data = first.vals.copy(), first.csr.data.copy()
     x = np.random.default_rng(3).standard_normal(basis.dimension)
     y = first.matvec(x)
     for p in FAMILY_MOMENTA:
         family.fiber(p)
     np.testing.assert_array_equal(first.vals, vals)
-    np.testing.assert_array_equal(first._symmetrized().data, data)
+    np.testing.assert_array_equal(first.csr.data, data)
     np.testing.assert_array_equal(first.matvec(x), y)
 
 
@@ -206,6 +208,8 @@ def test_sparse_operator_storage_rules():
         SparseOperator(2, [0], [2], [1.0])  # out of range
     op = SparseOperator(3, [0, 1, 0], [0, 1, 2], [1.0, 0.0, 2.0])
     assert op.nnz == 2  # exact zero dropped
+    for upper in (op.rows, op.cols, op.vals):
+        assert not upper.flags.writeable
     np.testing.assert_array_equal(op.diagonal(), [1.0, 0.0, 0.0])
     x = np.array([1.0, 2.0, 3.0])
     np.testing.assert_allclose(op.matvec(x), op.to_dense() @ x, atol=1e-15)
@@ -221,6 +225,52 @@ def test_matvec_agrees_with_dense(name, op):
     x = rng.standard_normal(op.dimension)
     scale = max(1.0, np.abs(op.vals).max()) * op.dimension
     np.testing.assert_allclose(op.matvec(x), op.to_dense() @ x, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize(
+    "name,op,basis", all_operators_with_basis(), ids=lambda v: v if isinstance(v, str) else ""
+)
+def test_accessors_equal_triplet_formulas(name, op, basis):
+    # the CSR-served accessors give, bit for bit, the upper-triangle formulas
+    assert op.to_dense().tobytes() == upper_to_dense(op).tobytes()
+    assert op.diagonal().tobytes() == upper_diagonal(op).tobytes()
+    got, want = sign_flip(op, basis).csr, upper_sign_flip(op, basis).csr
+    for attr in ("data", "indices", "indptr"):
+        x, y = getattr(got, attr), getattr(want, attr)
+        assert x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+
+
+def test_benchmark_tracer_contract():
+    # the benchmark tracer wraps matvec on the class and prices one product
+    # from nnz and the diagonal count of rows/cols, the upper triangle
+    assert "matvec" in vars(SparseOperator)
+    for name, op in all_operators():
+        rows, cols = op.rows, op.cols
+        assert op.nnz == rows.size == cols.size == op.vals.size
+        assert (rows <= cols).all()
+        assert 2 * op.nnz - int((rows == cols).sum()) == op.csr.nnz
+        np.testing.assert_array_equal(op.to_dense()[rows, cols], op.vals)
+
+
+def test_desk_fibers_share_one_canonical_int32_structure():
+    # the desk torus basis: 256 modes, N_max = 2, 33,153 states
+    grid = build_grid(0.75, 3.0)
+    basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
+    family = FiberFamily(1.0, grid, basis)
+    zero, axis, generic = (family.fiber(p) for p in FAMILY_MOMENTA)
+    for op in (zero, axis, generic):
+        csr = op.csr
+        assert csr.indices.dtype == csr.indptr.dtype == np.int32
+        assert csr.has_canonical_format
+        assert (csr != csr.T).nnz == 0
+        assert not csr.indices.flags.writeable
+    assert zero.csr.nnz == axis.csr.nnz - 1  # the dropped vacuum zero
+    assert not axis.csr.indptr.flags.writeable
+    assert np.shares_memory(axis.csr.indptr, generic.csr.indptr)
+    for a, b in ((zero, axis), (axis, generic)):
+        assert np.shares_memory(a.csr.indices, b.csr.indices)
+        assert not np.shares_memory(a.csr.data, b.csr.data)
 
 
 def test_sign_flip_involution_and_spectrum():

@@ -219,6 +219,12 @@ def test_audit_shift_must_clear_spectrum():
         resolvent_positivity_audit(op, lam=0.0, dense_cap=1)
 
 
+def test_audit_rejects_a_non_finite_operator():
+    op = SparseOperator(3, [0, 1, 2], [0, 1, 2], [1.0, np.nan, 2.0])
+    with pytest.raises(NumericalError):
+        resolvent_positivity_audit(op, lam=1.0)
+
+
 def test_audit_single_state_gap_is_infinite():
     rep = resolvent_positivity_audit(_diag_op([2.0]), lam=0.0)
     assert rep.gap == math.inf
