@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -59,9 +60,17 @@ def _origin_cell_unit() -> float:
     return 3.0 * float(np.sum(w * (2.0 / s) * np.arctan(1.0 / s)))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once, read-only."""
+    x, w = leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _cell_integrals(centers: np.ndarray, delta: float, order: int) -> np.ndarray:
     """Gauss-Legendre product-rule integrals of 1/|k|^2 over delta-cubes."""
-    x, w = leggauss(order)
+    x, w = _gauss_legendre(order)
     x = x * (delta / 2.0)
     w = w * (delta / 2.0)
     gx, gy, gz = np.meshgrid(x, x, x, indexing="ij")
@@ -192,6 +201,35 @@ def build_grid(
     couplings = _cell_couplings(units, delta)
     modes = delta * units.astype(np.float64)
     return ModeGrid(float(delta), float(lam), units, modes, couplings)
+
+
+def _axis_map(units: np.ndarray, perm, signs) -> Optional[np.ndarray]:
+    """Mode map of the signed axis permutation x -> signs * x[perm].
+
+    Returns idx with units[idx[i]] == signs * units[i, perm] for every mode
+    i, found by exact integer lookup, or None when an image is not a mode or
+    the units repeat (then the map would not be one to one).
+    """
+    if len(units) == 0:
+        return np.zeros(0, dtype=np.int64)
+    image = np.asarray(signs, dtype=np.int64) * units[:, list(perm)]
+    # the image keeps every |entry|, so one code range serves both
+    r = int(np.abs(units).max())
+    base = 2 * r + 1
+
+    def code(u):
+        return ((u[:, 0] + r) * base + (u[:, 1] + r)) * base + (u[:, 2] + r)
+
+    keys = code(units)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    if (np.diff(ranked) == 0).any():
+        return None
+    wanted = code(image)
+    pos = np.minimum(np.searchsorted(ranked, wanted), len(ranked) - 1)
+    if not np.array_equal(ranked[pos], wanted):
+        return None
+    return order[pos]
 
 
 def riemann_selfenergy_sum(grid: ModeGrid) -> float:

@@ -290,15 +290,19 @@ def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
 
 
 def dense_spectrum(op, k: int = 6, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """k smallest eigenvalues by dense LAPACK; the oracle for the iterative route."""
+    """k smallest eigenvalues by dense LAPACK; the oracle for the iterative route.
+
+    A non-finite operator raises NumericalError.
+    """
     n = op.dimension
     _check_dense_cap(n, dense_cap)
     k = min(int(k), n)
     if k < 1:
         raise ValueError("k must be positive")
-    vals = scipy.linalg.eigh(
-        op.to_dense(), eigvals_only=True, subset_by_index=[0, k - 1]
-    )
+    dense = op.to_dense()
+    if not np.isfinite(dense).all():
+        raise NumericalError("operator is not finite; no dense spectrum")
+    vals = scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=[0, k - 1])
     return np.asarray(vals, dtype=np.float64)
 
 

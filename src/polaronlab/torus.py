@@ -13,19 +13,27 @@ eigenvalues in the window exactly by the inertia of a Schur complement on
 the top phonon block; a block whose count is not certified gets its two
 lowest levels solved instead.
 
+The lattice scan is closed under the octahedral group O_h (the 48 signed
+axis permutations R), and so are the grids build_grid makes, couplings
+included.  Then H(RP) = U_R H(P) U_R^T with U_R a permutation of the basis
+states, and the blocks of one O_h orbit of momenta are copies of each other:
+the ground-level sweep solves one block per orbit and copies its energy to
+the others, each copy certified by an exact check on the grid (_orbit_sources).
+
 periodized_yukawa sums the massive kernel over lattice images; its shell
 convergence is the quantitative input for the fixed-point comparison.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError
 from .fock import enumerate_basis
-from .modes import build_grid
+from .modes import _axis_map, build_grid
 from .operators import FiberFamily, SparseOperator
 from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, count_below, lowest_eigenpairs
 
@@ -137,6 +145,48 @@ def assemble_torus(cfg: TorusConfig, capacity: int = DEFAULT_TORUS_CAPACITY) -> 
     return TorusModel(config=cfg, fibers=fibers, grid=grid, basis=basis, blocks=blocks)
 
 
+# the group O_h as (perm, signs): R x = signs * x[perm]
+_SIGNED_PERMUTATIONS = tuple(
+    (perm, signs)
+    for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1, -1), repeat=3)
+)
+
+
+def _orbit_sources(model: TorusModel) -> List[Tuple[int, Optional[np.ndarray]]]:
+    """Per block, the block whose ground level it takes, and the mode map.
+
+    Blocks of the lattice scan group into O_h orbits by their sorted |P|; the
+    first block of an orbit (in model.fibers order) is its representative and
+    is solved, entry (i, None).  Another member P' = R P takes the
+    representative's levels, entry (rep, modes), once the exact check holds:
+    modes[i] is the grid mode at R k_i, for every mode, and the couplings
+    satisfy g[modes] == g bitwise.  Over the basis of every multiset up to
+    N_max this makes U_R V U_R^T = V exactly (V the coupling part), and the
+    kinetic diagonals D(RP)[sigma s] and D(P)[s] are the same three squares
+    summed in another order, so ||H(RP) - U_R H(P) U_R^T|| <= gamma_3 max D,
+    a few ulps.  A member that fails the check is solved itself.  Explicit
+    fiber lists are never reduced: the restricted sector's +-q mismatch is an
+    audit of P -> -P and must stay two independent solves.
+    """
+    fibers = model.fibers
+    sources = [(i, None) for i in range(len(fibers))]
+    if model.config.fibers is not None:
+        return sources
+    reps = {}
+    for i, p in enumerate(fibers):
+        rep = reps.setdefault(tuple(np.sort(np.abs(p))), i)
+        if rep == i:
+            continue
+        perm, signs = next((perm, signs) for perm, signs in _SIGNED_PERMUTATIONS
+                           if np.array_equal(np.multiply(signs, fibers[rep][list(perm)]), p))
+        modes = _axis_map(model.grid.units, perm, signs)
+        if modes is not None and np.array_equal(model.grid.couplings[modes],
+                                                model.grid.couplings):
+            sources[i] = (rep, modes)
+    return sources
+
+
 def degeneracy_analysis(
     model: TorusModel,
     degeneracy_tol: Optional[float] = None,
@@ -146,12 +196,16 @@ def degeneracy_analysis(
 ) -> TorusReport:
     """Global minimum over blocks and how many eigenvalues sit within tol of it.
 
-    Ground first: phase 1 solves the lowest eigenvalue of every block.  Phase
-    2 visits only the blocks whose phase-1 energy lies within degeneracy_tol
-    + tol of the smallest, `ground` (the extra tol covers the spread between
-    two solves of one level), and counts their eigenvalues below ground +
-    degeneracy_tol exactly, by the inertia of a Schur complement on the top
-    phonon block (solve.count_below); these blocks keep their phase-1 energy.
+    Ground first: phase 1 solves the lowest eigenvalue of one block per O_h
+    orbit of the lattice scan and copies it to the orbit's other blocks, each
+    copy certified by the exact grid check of _orbit_sources (a block that
+    fails it, and every block of an explicit fiber list, is solved itself).
+    Phase 2 visits only the blocks, copied or not, whose phase-1 energy lies
+    within degeneracy_tol + tol of the smallest, `ground` (the extra tol
+    covers the spread between two solves of one level), and counts their
+    eigenvalues below ground + degeneracy_tol exactly, by the inertia of a
+    Schur complement on the top phonon block (solve.count_below); these
+    blocks keep their phase-1 energy.
     A block whose count cannot be certified (the Schur complement above the
     dense cap, or the level within rounding of the window edge) falls back to
     a two-level solve, which replaces its phase-1 energy and contributes the
@@ -167,7 +221,11 @@ def degeneracy_analysis(
     def levels(block, k):
         return [r.energy for r in lowest_eigenpairs(block, k=k, tol=tol, seed=seed)]
 
-    per_fiber = _parallel_map(lambda b: levels(b, 1), blocks, threads)
+    sources = [rep for rep, _ in _orbit_sources(model)]
+    solved = sorted(set(sources))
+    ground_levels = dict(zip(
+        solved, _parallel_map(lambda i: levels(blocks[i], 1), solved, threads)))
+    per_fiber = [ground_levels[rep] for rep in sources]
     counts = [None] * len(blocks)
     if model.basis.dimension > 1:
         ground = min(es[0] for es in per_fiber)

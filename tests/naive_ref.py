@@ -196,3 +196,26 @@ def upper_sign_flip(op, basis):
     nums = basis.total_numbers()
     odd = (nums[op.rows] + nums[op.cols]) % 2 == 1
     return SparseOperator(op.dimension, op.rows, op.cols, np.where(odd, -op.vals, op.vals))
+
+
+def state_map(basis, modes):
+    """Basis permutation sigma_R of a mode map: state s -> the state on modes[s].
+
+    Each block's mode tuples are mapped, sorted back into ascending multisets
+    and ranked with the package's rank_rows; sigma[s] is the image of state s.
+    """
+    from polaronlab.fock import rank_rows
+
+    modes = np.asarray(modes, dtype=np.int64)
+    return np.concatenate([
+        basis.block_offset(n) + rank_rows(np.sort(modes[basis.block(n)], axis=1), basis.m_modes)
+        for n in range(basis.n_max + 1)
+    ])
+
+
+def conjugate_csr(csr, sigma):
+    """U H U^T in canonical CSR, for U the basis permutation s -> sigma[s]."""
+    inv = np.argsort(sigma)
+    out = csr[inv][:, inv].tocsr()
+    out.sort_indices()
+    return out

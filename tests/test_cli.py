@@ -110,6 +110,25 @@ def test_nan_reaching_the_positivity_audit_exits_2(tmp_path, capsys, monkeypatch
     assert "NumericalError" in capsys.readouterr().err
 
 
+def test_nan_reaching_the_dense_spectrum_exits_2(tmp_path, capsys, monkeypatch):
+    # the audited fiber is poisoned before its dense spectrum, which must stop
+    # the run before the positivity audit is reached
+    assemble = polaronlab.cli.assemble_fiber
+
+    def poisoned(fcfg, basis):
+        out = assemble(fcfg, basis)
+        out.csr.data[-1] = np.nan
+        return out
+
+    def unreachable(*args, **kw):
+        raise AssertionError("the positivity audit ran on a non-finite fiber")
+
+    monkeypatch.setattr(polaronlab.cli, "assemble_fiber", poisoned)
+    monkeypatch.setattr(polaronlab.cli, "resolvent_positivity_audit", unreachable)
+    assert main(["checks", "--out", str(tmp_path)]) == 2
+    assert "NumericalError: operator is not finite; no dense spectrum" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_3(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("no_such_parameter = 1\n")

@@ -1,5 +1,6 @@
 """Mode grids, cell-integrated couplings, tail integral, self-energy sums."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from polaronlab import (
     riemann_selfenergy_sum,
     tail_integral,
 )
-from polaronlab.modes import _cell_couplings
+from polaronlab.modes import _axis_map, _cell_couplings
 from naive_ref import naive_cell_couplings, naive_couplings
 
 # Coupling of the six nearest modes on the (delta=1, Lambda=1) grid, frozen
@@ -221,3 +222,20 @@ def test_cutoff_schedule_validation():
         CutoffSchedule(lambdas=(4, 6), delta=0.5, n_max=-1)
     with pytest.raises(ValueError):
         CutoffSchedule(lambdas=(-1, 6), delta=0.5, n_max=2)
+
+
+def test_axis_map_is_the_signed_permutation_on_every_mode():
+    grid = build_grid(1.0, 2.0)
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            idx = _axis_map(grid.units, perm, signs)
+            assert np.array_equal(np.sort(idx), np.arange(len(grid)))
+            assert np.array_equal(grid.units[idx], np.multiply(signs, grid.units[:, list(perm)]))
+            assert np.array_equal(grid.couplings[idx], grid.couplings)
+
+
+def test_axis_map_refuses_missing_images_and_repeated_modes():
+    swap_xz = ((2, 1, 0), (1, 1, 1))
+    assert _axis_map(np.array([[0, 0, 1], [0, 1, 0]]), *swap_xz) is None
+    assert _axis_map(np.array([[0, 0, 1], [0, 0, 1], [1, 0, 0]]), *swap_xz) is None
+    assert _axis_map(np.zeros((0, 3), dtype=np.int64), *swap_xz).size == 0

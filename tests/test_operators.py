@@ -15,6 +15,7 @@ from polaronlab import (
     assemble_KT,
     assemble_fiber,
     build_grid,
+    dense_spectrum,
     enumerate_basis,
     kinetic_diagonal,
     neumann_constant,
@@ -411,3 +412,25 @@ def test_fiber_config_validation():
         FiberConfig(alpha=1.0, p=np.zeros(3), grid=grid, n_max=-1)
     cfg = FiberConfig(alpha=1.0, p=[0.1, 0.2, 0.3], grid=grid, n_max=1)
     assert cfg.p.shape == (3,)
+
+
+def _zero_fiber_ground(delta, lam, n_max, alpha=1.0):
+    grid = build_grid(delta, lam)
+    basis = enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
+    cfg = FiberConfig(alpha=alpha, p=np.zeros(3), grid=grid, n_max=n_max)
+    return float(dense_spectrum(assemble_fiber(cfg, basis), k=1)[0])
+
+
+def test_zero_fiber_ground_is_non_increasing_in_the_cutoff():
+    # at fixed delta a larger Lambda adds modes and keeps the couplings of the
+    # old ones, so the spaces nest and the variational minimum cannot rise
+    energies = [_zero_fiber_ground(1.0, lam, 2) for lam in (1.0, 1.5, 2.0)]
+    assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
+    assert energies[-1] < energies[0]
+
+
+def test_zero_fiber_ground_is_non_increasing_in_the_truncation():
+    energies = [_zero_fiber_ground(1.0, 1.0, n_max) for n_max in range(6)]
+    assert energies[0] == 0.0  # the vacuum alone
+    assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
+    assert energies[-1] < energies[1]

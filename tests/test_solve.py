@@ -191,6 +191,13 @@ def test_dense_spectrum_oracle():
         dense_spectrum(op, k=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dense_spectrum_rejects_non_finite_operator(bad):
+    # a numerical failure (exit 2), not eigh's config-style ValueError (exit 3)
+    with pytest.raises(NumericalError, match="not finite"):
+        dense_spectrum(_diag_op([3.0, bad, 2.0]), k=1)
+
+
 def test_audit_inverse_positive_case():
     # [[2,-1],[-1,2]]: an M-matrix, inverse (1/3)[[2,1],[1,2]] is positive
     op = SparseOperator(2, [0, 0, 1], [0, 1, 1], [2.0, -1.0, 2.0])

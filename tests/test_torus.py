@@ -10,17 +10,23 @@ import polaronlab.torus
 from polaronlab import (
     CapacityError,
     ConvergenceError,
+    FiberFamily,
+    ModeGrid,
     TorusConfig,
+    TorusModel,
     TorusReport,
     assemble_torus,
     contradiction_check,
     degeneracy_analysis,
+    enumerate_basis,
     lattice_fibers,
     lowest_eigenpairs,
     periodized_yukawa,
     yukawa_converged,
 )
 from polaronlab.solve import count_below
+from polaronlab.torus import _orbit_sources
+from naive_ref import conjugate_csr, state_map
 
 TWO_PI = 2.0 * math.pi
 
@@ -209,11 +215,86 @@ def _assert_same_report(rep, ref):
 
 
 def test_second_level_only_inside_minimum_window(monkeypatch):
-    # the window fiber P = 0 is counted, not solved a second time
+    # one ground solve per O_h orbit, the first fiber of each in lattice
+    # order; the window fiber P = 0 is counted, not solved a second time
     model = assemble_torus(_quick_config())
+    rep, asked = _requested_levels(monkeypatch, model)
+    assert asked == {(-1.0, 0.0, 0.0): [1], (0.0, 0.0, 0.0): [1]}
+    _assert_same_report(rep, _exhaustive_report(model))
+
+
+def _hand_built_model(couplings):
+    """Quick torus over a hand-built grid of the six nearest modes (one mode orbit)."""
+    cfg = _quick_config(cutoff=1.0)
+    units = [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    grid = ModeGrid.manual(1.0, 1.0, units, couplings)
+    basis = enumerate_basis(len(grid), cfg.n_max, grid.units, grid.spacing)
+    family = FiberFamily(cfg.alpha, grid, basis)
+    fibers = lattice_fibers(cfg)
+    return TorusModel(config=cfg, fibers=fibers, grid=grid, basis=basis,
+                      blocks=tuple(family.fiber(p) for p in fibers))
+
+
+def test_equal_couplings_on_a_hand_built_grid_reduce_to_orbits(monkeypatch):
+    rep, asked = _requested_levels(monkeypatch, _hand_built_model([0.15] * 6))
+    assert asked == {(-1.0, 0.0, 0.0): [1], (0.0, 0.0, 0.0): [1]}
+
+
+def test_broken_coupling_symmetry_solves_every_fiber(monkeypatch):
+    # couplings one ulp apart: no signed axis permutation but the identity
+    # keeps them bitwise, so no energy may be copied
+    g = [0.15]
+    for _ in range(5):
+        g.append(float(np.nextafter(g[-1], 1.0)))
+    model = _hand_built_model(g)
+    assert [rep for rep, _ in _orbit_sources(model)] == list(range(7))
     rep, asked = _requested_levels(monkeypatch, model)
     assert asked == {p: [1] for p in map(tuple, model.fibers.tolist())}
     _assert_same_report(rep, _exhaustive_report(model))
+
+
+@pytest.fixture(scope="module")
+def desk_torus():
+    # 33 fibers x 33,153 states in five O_h orbits
+    return assemble_torus(_quick_config(delta=0.75, cutoff=3.0, fiber_cutoff=2.0))
+
+
+def test_orbit_maps_conjugate_the_desk_fibers_exactly(desk_torus):
+    # U_R H(P) U_R^T == H(RP) bit for bit, for every map the sweep uses on
+    # the (0,0,1) and (1,1,0) orbits; ell = 2 pi and delta = 3/4 make every
+    # kinetic square and its sum exact, so the diagonals agree too
+    model = desk_torus
+    assert model.basis.dimension == 33153
+    checked = set()
+    for i, (rep, modes) in enumerate(_orbit_sources(model)):
+        orbit = tuple(np.sort(np.abs(model.fibers[i])))
+        if modes is None or orbit not in ((0.0, 0.0, 1.0), (0.0, 1.0, 1.0)):
+            continue
+        sigma = state_map(model.basis, modes)
+        assert np.array_equal(np.sort(sigma), np.arange(model.basis.dimension))
+        got, want = conjugate_csr(model.blocks[rep].csr, sigma), model.blocks[i].csr
+        assert want.has_sorted_indices
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        checked.add(i)
+    assert len(checked) == 5 + 11
+
+
+def test_copied_desk_energies_match_independent_solves(monkeypatch, desk_torus):
+    model = desk_torus
+    sources = [rep for rep, _ in _orbit_sources(model)]
+    rep, asked = _requested_levels(monkeypatch, model)
+    assert len(asked) == 5 and all(ks == [1] for ks in asked.values())
+    assert rep.argmin == ((0.0, 0.0, 0.0),) and rep.multiplicity == 1
+    energies = [e for _, e in rep.fiber_energies]
+    # the last member of each orbit, solved on its own
+    last = {r: i for i, r in enumerate(sources)}
+    for r, i in last.items():
+        assert energies[i] == energies[r]
+        if i != r:
+            e = lowest_eigenpairs(model.blocks[i])[0].energy
+            assert abs(e - energies[i]) <= 1e-12
 
 
 def test_second_level_on_both_restricted_fibers(monkeypatch):
