@@ -4,7 +4,8 @@ Commands: dispersion, checks, extrapolate, torus, kernel.  Configuration is a
 flat `key = value` text file plus command-line overrides; outputs are CSV
 (header row, LF, UTF-8, 17 significant digits) and JSON (one object per file,
 sorted keys).  Runs are deterministic: same config + seed means byte-identical
-bytes on disk.
+bytes on disk, for any OPENBLAS_NUM_THREADS, since main runs its BLAS and LAPACK
+work on one thread (solve._one_blas_thread).
 
 Exit codes: 0 all gated checks pass, 1 a gated check failed, 2 numerical
 failure (solver, capacity, monotonicity), 3 configuration error.
@@ -32,7 +33,7 @@ from .operators import (
     sign_flip,
     weighted_annihilation_norm,
 )
-from .solve import dense_spectrum, resolvent_positivity_audit
+from .solve import _one_blas_thread, dense_spectrum, resolvent_positivity_audit
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -434,9 +435,12 @@ def _check_kt_identity(cfg: RunConfig, seed: int) -> dict:
         k_mat, t_mat = assemble_KT(fcfg, basis)
         h_plus = op.to_dense() + np.eye(basis.dimension)
         dev = float(np.max(np.abs(k_mat + t_mat - h_plus)))
+        eig = float(np.linalg.eigvalsh(k_mat)[0])
+        # max(0.0, nan) is 0.0, so a NaN must be caught before the fold
+        if not (math.isfinite(dev) and math.isfinite(eig)):
+            raise NumericalError(f"K + T identity on {name} is not finite")
         worst = max(worst, dev)
-        eigs = np.linalg.eigvalsh(k_mat)
-        min_eig = min(min_eig, float(eigs[0]))
+        min_eig = min(min_eig, eig)
         count += 1
     passed = worst <= 1e-10 and min_eig > 0.0
     return {
@@ -729,6 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_one_blas_thread()
 def main(argv=None) -> int:
     parser = build_parser()
     try:

@@ -37,14 +37,30 @@ number block): the count is the inertia of a dense Schur complement of the
 size of the leading blocks, read off an LDL^T factorization, and it is
 returned only when certified against the factorization's rounding.  Its
 blocks are sliced straight from the operator's symmetric CSR, op.csr.
+
+Threading model: the only parallelism is the pool of _parallel_map (the
+`threads` setting).  BLAS and LAPACK run on one thread inside the public
+numerical entry points (lowest_eigenpairs, dense_spectrum, count_below,
+resolvent_positivity_audit) and inside cli.main: _one_blas_thread sets the
+bundled OpenBLAS copies of numpy and scipy to one thread and the last scope
+to exit restores the count it found.  A threaded BLAS splits sums across
+threads, so its thread count would change low-order bits; under the scope
+the outputs do not depend on OPENBLAS_NUM_THREADS.  With another BLAS the
+scope does nothing.
 """
 
+import ctypes
+import glob
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
 import numpy as np
+import scipy
 import scipy.linalg
 import scipy.sparse
 
@@ -81,6 +97,68 @@ class PositivityReport:
     strictly_positive: bool
     ground_vector_min: float
     gap: float
+
+
+# (package, library glob beside it, get-threads symbol, set-threads symbol) of
+# the OpenBLAS copies that the numpy and scipy wheels bundle
+_OPENBLAS = (
+    (np, "numpy.libs/libscipy_openblas64_*.so",
+     "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    (scipy, "scipy.libs/libscipy_openblas*.so",
+     "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+_blas_lock = threading.Lock()
+_blas_depth = 0  # open _one_blas_thread scopes, over all threads
+_blas_found: list = []  # (set call, thread count read) at the outermost entry
+_blas_handles = None  # resolved on first use
+
+
+def _openblas_handles() -> list:
+    """(get, set) thread-count calls of the loaded OpenBLAS copies; [] if none.
+
+    Only libraries already in the process are opened (RTLD_NOLOAD).
+    """
+    handles = []
+    for pkg, pattern, get_name, set_name in _OPENBLAS:
+        site = os.path.dirname(os.path.dirname(pkg.__file__))
+        for path in sorted(glob.glob(os.path.join(site, pattern))):
+            try:
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+            except (OSError, AttributeError):
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            put.restype, put.argtypes = None, [ctypes.c_int]
+            handles.append((get, put))
+    return handles
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with every OpenBLAS copy on one thread.
+
+    Scopes nest and may be entered from several threads at once: a counter
+    under a lock makes the outermost entry read the thread counts and set
+    them to 1, and the last exit, on whichever thread, restore them.  Also
+    usable as a decorator.  A no-op when no OpenBLAS copy is found.
+    """
+    global _blas_depth, _blas_found, _blas_handles
+    with _blas_lock:
+        if _blas_depth == 0:
+            if _blas_handles is None:
+                _blas_handles = _openblas_handles()
+            _blas_found = [(put, get()) for get, put in _blas_handles]
+            for put, _ in _blas_found:
+                put(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for put, count in _blas_found:
+                    put(count)
 
 
 def _orthogonalize(v: np.ndarray, rows: np.ndarray, tmp: np.ndarray) -> None:
@@ -224,6 +302,7 @@ def _deflated_lowest(
     )
 
 
+@_one_blas_thread()
 def lowest_eigenpairs(
     op,
     k: int = 1,
@@ -289,6 +368,7 @@ def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+@_one_blas_thread()
 def dense_spectrum(op, k: int = 6, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """k smallest eigenvalues by dense LAPACK; the oracle for the iterative route.
 
@@ -323,6 +403,7 @@ def _negative_inertia(s: np.ndarray) -> int:
     return int((diag[single] < 0).sum() + (mid - rad < 0).sum() + (mid + rad < 0).sum())
 
 
+@_one_blas_thread()
 def count_below(op, e: float, split: int, dense_cap: int = DEFAULT_DENSE_CAP):
     """Number of eigenvalues of a SparseOperator below e, or None to fall back.
 
@@ -372,6 +453,7 @@ def count_below(op, e: float, split: int, dense_cap: int = DEFAULT_DENSE_CAP):
     return lo if lo == hi else None
 
 
+@_one_blas_thread()
 def resolvent_positivity_audit(
     op, lam: float, dense_cap: int = DEFAULT_DENSE_CAP
 ) -> PositivityReport:

@@ -3,8 +3,10 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,10 @@ import polaronlab.dispersion
 import polaronlab.operators
 from polaronlab import periodized_yukawa
 from polaronlab.cli import main, read_config_file
-from polaronlab.errors import ConfigError
+from polaronlab.errors import ConfigError, NumericalError
+from polaronlab.solve import _openblas_handles
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 CHECK_ORDER = [
     "kt_identity", "norm_bound", "neumann_decay", "positivity",
@@ -110,9 +115,8 @@ def test_nan_reaching_the_positivity_audit_exits_2(tmp_path, capsys, monkeypatch
     assert "NumericalError" in capsys.readouterr().err
 
 
-def test_nan_reaching_the_dense_spectrum_exits_2(tmp_path, capsys, monkeypatch):
-    # the audited fiber is poisoned before its dense spectrum, which must stop
-    # the run before the positivity audit is reached
+def _poison_assembled_fibers(monkeypatch):
+    """Make cli.assemble_fiber return fibers whose last CSR value is NaN."""
     assemble = polaronlab.cli.assemble_fiber
 
     def poisoned(fcfg, basis):
@@ -120,10 +124,28 @@ def test_nan_reaching_the_dense_spectrum_exits_2(tmp_path, capsys, monkeypatch):
         out.csr.data[-1] = np.nan
         return out
 
+    monkeypatch.setattr(polaronlab.cli, "assemble_fiber", poisoned)
+
+
+def test_nan_reaching_the_kt_identity_exits_2(tmp_path, capsys, monkeypatch):
+    # max(0.0, nan) is 0.0: a fold that skips the NaN would report a pass
+    _poison_assembled_fibers(monkeypatch)
+    with pytest.raises(NumericalError, match="K \\+ T identity on single-mode-2x2"):
+        polaronlab.cli._check_kt_identity(None, 42)
+    assert main(["checks", "--out", str(tmp_path)]) == 2
+    assert "NumericalError: K + T identity" in capsys.readouterr().err
+    assert not (tmp_path / "checks.json").exists()
+
+
+def test_nan_reaching_the_dense_spectrum_exits_2(tmp_path, capsys, monkeypatch):
+    # the audited fiber is poisoned before its dense spectrum, which must stop
+    # the run before the positivity audit is reached; the K + T instances are
+    # dropped, since that check would catch the NaN first
     def unreachable(*args, **kw):
         raise AssertionError("the positivity audit ran on a non-finite fiber")
 
-    monkeypatch.setattr(polaronlab.cli, "assemble_fiber", poisoned)
+    _poison_assembled_fibers(monkeypatch)
+    monkeypatch.setattr(polaronlab.cli, "_kt_suite_instances", lambda: iter(()))
     monkeypatch.setattr(polaronlab.cli, "resolvent_positivity_audit", unreachable)
     assert main(["checks", "--out", str(tmp_path)]) == 2
     assert "NumericalError: operator is not finite; no dense spectrum" in capsys.readouterr().err
@@ -297,6 +319,26 @@ def test_checks_byte_determinism(tmp_path):
     assert main(["checks", "--out", str(a)]) == 0
     assert main(["checks", "--out", str(b)]) == 0
     assert _read(a / "checks.json") == _read(b / "checks.json")
+
+
+@pytest.mark.skipif(not _openblas_handles(),
+                    reason="no bundled OpenBLAS thread-count calls resolve")
+def test_checks_bytes_independent_of_blas_threads(tmp_path):
+    # a threaded BLAS splits its sums by thread count; the CLI runs on one thread
+    outputs = []
+    for i, threads in enumerate((None, "1", "2")):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"run{i}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "polaronlab", "checks", "--config",
+             str(CONFIGS / "quick.cfg"), "--seed", "7", "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(_read(out / "checks.json"))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_module_entry_point(tmp_path):

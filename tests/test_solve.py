@@ -1,12 +1,14 @@
 """Iterative eigensolver against dense oracles; resolvent positivity audits."""
 
 import math
+import sys
 import threading
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import polaronlab.solve as solve
 from polaronlab import (
     CapacityError,
     ConvergenceError,
@@ -22,7 +24,13 @@ from polaronlab import (
     sign_flip,
 )
 from polaronlab.errors import NumericalError
-from polaronlab.solve import _lowest_ritz, _parallel_map, count_below
+from polaronlab.solve import (
+    _lowest_ritz,
+    _one_blas_thread,
+    _openblas_handles,
+    _parallel_map,
+    count_below,
+)
 from suite_configs import all_operators, kt_suite
 
 
@@ -270,6 +278,97 @@ def test_parallel_map_order_serial_fallback_and_errors():
 
     with pytest.raises(ConvergenceError, match="item 5"):
         _parallel_map(fail_on_five, items, 2)
+
+
+class _FakeBlas:
+    """A thread-count pair that logs every set call."""
+
+    def __init__(self, count):
+        self.count, self.sets = count, []
+
+    def get(self):
+        return self.count
+
+    def put(self, count):
+        self.sets.append(count)
+        self.count = count
+
+
+@pytest.mark.skipif(not _openblas_handles(),
+                    reason="no bundled OpenBLAS thread-count calls resolve")
+def test_one_blas_thread_sets_and_restores_openblas():
+    handles = _openblas_handles()
+    found = [get() for get, _ in handles]
+    try:
+        for _, put in handles:
+            put(2)
+        with _one_blas_thread():
+            assert [get() for get, _ in handles] == [1] * len(handles)
+        assert [get() for get, _ in handles] == [2] * len(handles)
+    finally:
+        for (_, put), count in zip(handles, found):
+            put(count)
+
+
+def test_one_blas_thread_restores_once_when_nested_or_concurrent(monkeypatch):
+    fakes = [_FakeBlas(3), _FakeBlas(2)]
+    monkeypatch.setattr(solve, "_blas_handles", [(f.get, f.put) for f in fakes])
+    with _one_blas_thread():
+        with _one_blas_thread():
+            assert [f.count for f in fakes] == [1, 1]
+        assert [f.count for f in fakes] == [1, 1]
+    assert [f.sets for f in fakes] == [[1, 3], [1, 2]]
+
+    # both pool threads are inside the scope at once; the last exit restores
+    inside = threading.Barrier(2)
+
+    def enter(_):
+        with _one_blas_thread():
+            inside.wait(timeout=10)
+            return [f.count for f in fakes]
+
+    assert _parallel_map(enter, [0, 1], 2) == [[1, 1], [1, 1]]
+    assert [f.sets for f in fakes] == [[1, 3, 1, 3], [1, 2, 1, 2]]
+    assert solve._blas_depth == 0
+
+
+def test_one_blas_thread_under_thread_switching_stress(monkeypatch):
+    # a lost update of the depth would restore while a scope is open (a body
+    # reads 3) or never restore (the count stays 1)
+    fake = _FakeBlas(3)
+    monkeypatch.setattr(solve, "_blas_handles", [(fake.get, fake.put)])
+    seen = set()
+    start = threading.Barrier(8)
+
+    def churn():
+        start.wait(timeout=60)
+        for _ in range(20000):
+            with _one_blas_thread():
+                seen.add(fake.get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=churn) for _ in range(start.parties)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert seen == {1}
+    assert fake.count == 3 and solve._blas_depth == 0
+    assert fake.sets[::2] == [1] * (len(fake.sets) // 2)
+    assert fake.sets[1::2] == [3] * (len(fake.sets) // 2)
+
+
+def test_solve_runs_without_openblas_handles(monkeypatch):
+    op = _tridiag_op(40)
+    energy = ground_state(op).energy
+    monkeypatch.setattr(solve, "_blas_handles", [])
+    assert ground_state(op).energy == energy
+    assert dense_spectrum(op, k=1)[0] == pytest.approx(energy, abs=1e-9)
 
 
 def _count_cases():
