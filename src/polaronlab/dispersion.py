@@ -252,6 +252,8 @@ def cutoff_extrapolate(
 ) -> ExtrapolationReport:
     """Ground energy along a cutoff schedule plus the inverse-cutoff fit.
 
+    One grid is built, at the largest cutoff; each smaller cutoff takes its
+    modes with ModeGrid.within, bitwise the grid build_grid would give.
     Energies must be non-increasing in the cutoff (the variational spaces are
     nested); any increase beyond 1e-10 aborts with NumericalError rather than
     feeding a corrupted sequence to the fit.
@@ -260,9 +262,10 @@ def cutoff_extrapolate(
     if len(lams) < 3:
         raise ValueError("cutoff schedule must contain at least three cutoffs")
     p = np.asarray(p, dtype=np.float64).reshape(3)
+    largest = build_grid(schedule.delta, lams[-1])
 
     def work(lam):
-        grid = build_grid(schedule.delta, lam)
+        grid = largest.within(lam)
         basis = enumerate_basis(len(grid), schedule.n_max, grid.units, grid.spacing)
         return _solve_point(alpha, p, grid, basis, tol, seed)
 

@@ -168,9 +168,10 @@ class BasisIndex:
         """Raise transitions from block n to block n+1, fully vectorized.
 
         Returns (src_local, mode, counts, tgt_local) int64 arrays with one
-        entry per (state, mode) pair; `counts` is the occupancy of the raised
-        mode in the source state, so the matrix element carries
-        sqrt(counts + 1).  Cached: every operator over the basis shares it.
+        entry per (state, mode) pair, source states in order (src_local is
+        sorted); `counts` is the occupancy of the raised mode in the source
+        state, so the matrix element carries sqrt(counts + 1).  Cached: every
+        operator over the basis shares it.
         """
         if not 0 <= n < self.n_max:
             raise ValueError(f"no raise block above n = {n} (N_max = {self.n_max})")

@@ -162,6 +162,19 @@ class ModeGrid:
     def k_squared(self) -> np.ndarray:
         return (self.modes * self.modes).sum(axis=1)
 
+    def within(self, lam: float) -> "ModeGrid":
+        """The modes with |k| <= lam, selected by build_grid's integer ball test.
+
+        Couplings are computed per octahedral orbit, independently of the
+        cutoff, and selection keeps the lexicographic order, so for a grid
+        from build_grid the result is bitwise build_grid(spacing, lam).
+        """
+        if not 0 < lam <= self.cutoff:
+            raise ValueError(f"cutoff {lam} must lie in (0, {self.cutoff}]")
+        keep = (self.units * self.units).sum(axis=1) <= _ball_r2(self.spacing, lam)
+        return ModeGrid(self.spacing, float(lam), self.units[keep], self.modes[keep],
+                        self.couplings[keep])
+
     @classmethod
     def manual(cls, spacing: float, cutoff: float, units, couplings) -> "ModeGrid":
         """Hand-built grid with explicitly supplied couplings."""
@@ -169,6 +182,11 @@ class ModeGrid:
         couplings = np.asarray(couplings, dtype=np.float64).reshape(-1)
         modes = float(spacing) * units.astype(np.float64)
         return cls(float(spacing), float(cutoff), units, modes, couplings)
+
+
+def _ball_r2(delta: float, lam: float) -> int:
+    """floor((Lambda/delta)^2): unit n lies in the ball iff n^2 <= this integer."""
+    return int((lam / delta) ** 2 + 1e-9)
 
 
 def build_grid(
@@ -185,7 +203,7 @@ def build_grid(
         raise ValueError("spacing delta must be positive")
     if lam <= 0:
         raise ValueError("cutoff Lambda must be positive")
-    r2max = int((lam / delta) ** 2 + 1e-9)
+    r2max = _ball_r2(delta, lam)
     r = math.isqrt(r2max)
     if (2 * r + 1) ** 3 > max(8 * capacity, 1000):
         raise CapacityError(

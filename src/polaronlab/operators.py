@@ -13,14 +13,17 @@ once per grid and basis; each fiber copies the values and fills in its
 diagonal.
 
 The norm certificates (weighted_annihilation_norm, neumann_norms,
-neumann_constant) are operator norms ||B|| of sparse weighted products of the
-annihilation part.  Each is sqrt(-theta) for theta the lowest eigenvalue of
--B^T B, found by solve.lowest_eigenpairs, the same certified solver that
-serves the fibers.  The dense assemble_KT and the Neumann diagnostics refuse
-to run above a dimension cap instead of silently thrashing memory.
+neumann_constant) are operator norms of B = sqrt(alpha) A diag(w), the
+annihilation part under a diagonal weight, and of its powers.  B lowers N by
+one, so B B^T is block diagonal in N and ||B||^2 = max_n ||B_n B_n^T||, solved
+per number block: B_n, the |block n| x |block n+1| piece of B, comes straight
+from basis.raise_map(n), and the row-side Gram of each block (and of each
+block product B_n ... B_{n+j-1} for B^j) goes to solve.lowest_eigenpairs, the
+same certified solver that serves the fibers.  No dim x dim matrix is formed.
+The dense assemble_KT and the Neumann diagnostics refuse to run above a
+dimension cap instead of silently thrashing memory.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -237,20 +240,25 @@ def annihilation_csr(
     with one extra phonon in mode i, i.e. the matrix maps block n+1 down to n.
     """
     _check_basis(cfg, basis)
-    g = cfg.grid.couplings
     scale = float(np.sqrt(cfg.alpha)) if include_alpha else 1.0
     empty = np.zeros(0, dtype=np.int64)
     rr, cc, vv = [empty], [empty], [np.zeros(0)]
     if scale != 0.0 and len(cfg.grid):
         for n in range(basis.n_max):
-            src, mode, counts, tgt = basis.raise_map(n)
+            src, tgt, vals = _annihilation_block(cfg.grid, basis, n, scale)
             rr.append(basis.block_offset(n) + src)
             cc.append(basis.block_offset(n + 1) + tgt)
-            vv.append(scale * g[mode] * np.sqrt(counts + 1.0))
+            vv.append(vals)
     return scipy.sparse.csr_matrix(
         (np.concatenate(vv), (np.concatenate(rr), np.concatenate(cc))),
         shape=(basis.dimension, basis.dimension),
     )
+
+
+def _annihilation_block(grid: ModeGrid, basis: BasisIndex, n: int, scale: float):
+    """(src, tgt, vals): scale * A from block n+1 down to block n, block-local indices."""
+    src, mode, counts, tgt = basis.raise_map(n)
+    return src, tgt, scale * grid.couplings[mode] * np.sqrt(counts + 1.0)
 
 
 def assemble_KT(
@@ -291,14 +299,17 @@ def sign_flip(op: SparseOperator, basis: BasisIndex) -> SparseOperator:
 
 
 def _operator_norm(gram: Callable[[np.ndarray], np.ndarray], n: int, seed: int) -> float:
-    """||B|| from its PSD Gram matvec x -> B^T B x.
+    """||F|| from the matvec x -> F F^T x of its row-side Gram, of dimension n.
 
-    ||B|| = sqrt(-theta) for theta the lowest eigenvalue of -B^T B, which the
-    eigensolver sees with a zero diagonal, so its preconditioner is the
-    identity.  The residual tolerance is taken relative to ||B^T B x0|| for a
-    random unit x0, a lower bound on ||B||^2, so norms far below the solver's
-    absolute tolerance keep their relative accuracy.  A Gram that annihilates
-    x0 is zero (with probability one), and its norm is +0.0.
+    The norm certificates pass one number block's Gram here, B_n B_n^T or
+    that of a block product, so ||B||^2 = max_n ||B_n B_n^T|| is solved per
+    number block.  ||F|| = sqrt(-theta) for theta the lowest eigenvalue of
+    -F F^T, which the eigensolver sees with a zero diagonal, so its
+    preconditioner is the identity.  The residual tolerance is taken relative
+    to ||F F^T x0|| for a random unit x0, a lower bound on ||F||^2, so norms
+    far below the solver's absolute tolerance keep their relative accuracy.
+    A Gram that annihilates x0 is zero (with probability one), and its norm
+    is +0.0.
     """
     x0 = np.random.default_rng(seed).standard_normal(n)
     scale = float(np.linalg.norm(gram(x0 / np.linalg.norm(x0))))
@@ -309,14 +320,47 @@ def _operator_norm(gram: Callable[[np.ndarray], np.ndarray], n: int, seed: int) 
     return math.sqrt(max(0.0, -theta))
 
 
-def _weighted_norm(cfg: FiberConfig, basis: BasisIndex, h0_power: float,
-                   number_power: float, seed: int) -> float:
-    """|| sqrt(alpha) A diag(w) || at cfg.p for w = h0^h0_power (N + 1)^number_power."""
-    a = annihilation_csr(cfg, basis)
-    at = a.T.tocsr()
-    w = (kinetic_diagonal(cfg, basis) + 1.0) ** h0_power
-    w *= (basis.total_numbers() + 1.0) ** number_power
-    return _operator_norm(lambda x: w * (at @ (a @ (w * x))), basis.dimension, seed)
+def _block_factors(cfg: FiberConfig, basis: BasisIndex, h0_power: float,
+                   number_power: float) -> list:
+    """[B_0, ..., B_{N_max - 1}] for B = sqrt(alpha) A diag(w) at cfg.p.
+
+    w = h0^h0_power (N + 1)^number_power.  B lowers N by one, so it is zero
+    outside its pieces B_n, the |block n| x |block n+1| CSR matrices that
+    carry annihilation_csr's entries of that block times w on block n+1.
+    """
+    _check_basis(cfg, basis)
+    scale = float(np.sqrt(cfg.alpha))
+    factors = []
+    for n in range(basis.n_max):
+        src, tgt, vals = _annihilation_block(cfg.grid, basis, n, scale)
+        pf = basis.spacing * basis.pf_units(n + 1).T.astype(np.float64)
+        w = (_kinetic(cfg.p, pf, n + 1.0) + 1.0) ** h0_power * (n + 2.0) ** number_power
+        rows = basis.block_count(n)
+        # raise-map entries run over the source states in order
+        indptr = np.searchsorted(src, np.arange(rows + 1))
+        factors.append(scipy.sparse.csr_matrix(
+            (vals * w[tgt], tgt, indptr), shape=(rows, basis.block_count(n + 1))))
+    return factors
+
+
+def _power_norm(factors: list, j: int, seed: int) -> float:
+    """||B^j|| for B with number-block pieces `factors`, +0.0 when j > N_max.
+
+    B^j maps block n + j to block n through F = B_n B_{n+1} ... B_{n+j-1},
+    and these pieces share no row or column, so ||B^j|| is the largest
+    ||F||, each from its row-side Gram F F^T on block n.
+    """
+    def chain_norm(chain):
+        def gram(x):
+            for f in chain:
+                x = f.T @ x
+            for f in reversed(chain):
+                x = f @ x
+            return x
+        return _operator_norm(gram, chain[0].shape[0], seed)
+
+    return max((chain_norm(factors[n:n + j]) for n in range(len(factors) - j + 1)),
+               default=0.0)
 
 
 def neumann_norms(
@@ -334,19 +378,8 @@ def neumann_norms(
     if j_max < 1:
         raise ValueError("j_max must be at least 1")
     _check_dense_cap(basis.dimension, dense_cap)
-    a = annihilation_csr(cfg, basis)
-    at = a.T.tocsr()
-    d = kinetic_diagonal(cfg, basis) + 1.0
-
-    def gram(x, j):
-        for _ in range(j):
-            x = a @ (x / d)
-        for _ in range(j):
-            x = (at @ x) / d
-        return x
-
-    return np.array([_operator_norm(functools.partial(gram, j=j), basis.dimension, seed)
-                     for j in range(1, j_max + 1)])
+    factors = _block_factors(cfg, basis, -1.0, 0.0)
+    return np.array([_power_norm(factors, j, seed) for j in range(1, j_max + 1)])
 
 
 def weighted_annihilation_norm(
@@ -357,7 +390,7 @@ def weighted_annihilation_norm(
     This is the uniform-in-cutoff bound certificate: the weight combines the
     inverse square root of the free diagonal with the number damping.
     """
-    return _weighted_norm(cfg, basis, -0.5, -0.25, seed)
+    return _power_norm(_block_factors(cfg, basis, -0.5, -0.25), 1, seed)
 
 
 def neumann_constant(
@@ -372,4 +405,4 @@ def neumann_constant(
     which chains to s_j <= C^j / (j!)^{1/4} on the truncated space.
     """
     _check_dense_cap(basis.dimension, dense_cap)
-    return _weighted_norm(cfg, basis, -1.0, 0.25, seed)
+    return _power_norm(_block_factors(cfg, basis, -1.0, 0.25), 1, seed)

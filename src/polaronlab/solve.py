@@ -21,10 +21,12 @@ scipy.linalg.eigh(a, b) runs by default.  The floating-point operations and
 their order are those of the plain expressions, so the iterates are the same
 bits; at small sizes the saving is per-call overhead, not matvecs.
 
-The same solver serves the norm certificates in operators: an operator norm
-||B|| is sqrt(-theta) for theta the lowest eigenvalue of -B^T B, passed in
-as a matvec with a zero diagonal (so the preconditioner is the identity).
-Any object with `dimension`, `matvec` and `diagonal` can be solved.
+The same solver serves the norm certificates in operators: B lowers the
+phonon number by one, so ||B||^2 = max_n ||B_n B_n^T||, solved per number
+block, each ||B_n|| being sqrt(-theta) for theta the lowest eigenvalue of
+-B_n B_n^T, passed in as a matvec with a zero diagonal (so the
+preconditioner is the identity).  Any object with `dimension`, `matvec` and
+`diagonal` can be solved.
 
 The dense route (LAPACK eigh on the materialized matrix) exists so iterative
 results can always be cross-checked on small instances, and it powers the

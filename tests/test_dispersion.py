@@ -11,6 +11,7 @@ from polaronlab import (
     DispersionSample,
     NumericalError,
     SpectralResult,
+    build_grid,
     cutoff_extrapolate,
     dispersion_curve,
     effective_mass,
@@ -201,6 +202,19 @@ def test_extrapolation_tracks_tail_rate():
     assert rep.fit_residual <= 0.02 * abs(rep.e_inf)
     assert all(r <= 1e-9 for r in rep.solver_residuals)
     assert len(rep.solver_iterations) == 5
+
+
+def test_extrapolation_builds_one_grid(monkeypatch):
+    built = []
+
+    def counting_build_grid(delta, lam):
+        built.append(lam)
+        return build_grid(delta, lam)
+
+    monkeypatch.setattr("polaronlab.dispersion.build_grid", counting_build_grid)
+    rep = cutoff_extrapolate(0.1, CutoffSchedule(lambdas=(1.0, 2.0, 3.0), delta=0.5, n_max=1))
+    assert built == [3.0]
+    assert len(rep.energies) == 3
 
 
 def test_extrapolation_needs_three_cutoffs():

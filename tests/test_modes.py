@@ -239,3 +239,28 @@ def test_axis_map_refuses_missing_images_and_repeated_modes():
     assert _axis_map(np.array([[0, 0, 1], [0, 1, 0]]), *swap_xz) is None
     assert _axis_map(np.array([[0, 0, 1], [0, 0, 1], [1, 0, 0]]), *swap_xz) is None
     assert _axis_map(np.zeros((0, 3), dtype=np.int64), *swap_xz).size == 0
+
+
+@pytest.mark.parametrize("delta,lambdas", [
+    (0.4, (4.0, 6.0, 8.0)),  # the quick.cfg extrapolation schedule
+    (0.4, (4.0, 8.0, 12.0, 16.0)),  # the desk.cfg one
+    (0.5, (1.0, 2.0, 3.0)),
+    (1.0, (1.0, 1.5, 2.5)),
+])
+def test_within_is_bitwise_the_smaller_grid(delta, lambdas):
+    largest = build_grid(delta, lambdas[-1])
+    for lam in lambdas:
+        got, want = largest.within(lam), build_grid(delta, lam)
+        assert (got.spacing, got.cutoff) == (want.spacing, want.cutoff)
+        for name in ("units", "modes", "couplings"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+
+
+def test_within_rejects_cutoffs_outside_the_grid():
+    grid = build_grid(1.0, 2.0)
+    assert grid.within(0.5).is_empty
+    for lam in (0.0, -1.0, 2.5):
+        with pytest.raises(ValueError):
+            grid.within(lam)

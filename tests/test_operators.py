@@ -24,6 +24,7 @@ from polaronlab import (
     sign_flip,
     weighted_annihilation_norm,
 )
+from polaronlab import operators
 from naive_ref import (
     assemble_free, naive_fiber_dense, upper_diagonal, upper_sign_flip, upper_to_dense,
 )
@@ -330,6 +331,62 @@ def test_weighted_annihilation_norm_matches_dense():
     assert w <= math.sqrt(riemann_selfenergy_sum(cfg.grid))
 
 
+def test_block_factors_are_the_weighted_annihilation_blocks():
+    grid = build_grid(1.0, 1.5)
+    basis = enumerate_basis(len(grid), 3, grid.units, grid.spacing)
+    cfg = FiberConfig(alpha=0.7, p=np.array([0.3, 0.0, 1.0]), grid=grid, n_max=3)
+    a = annihilation_csr(cfg, basis).toarray()
+    w = (kinetic_diagonal(cfg, basis) + 1.0) ** -0.5 * (basis.total_numbers() + 1.0) ** -0.25
+    factors = operators._block_factors(cfg, basis, -0.5, -0.25)
+    assert len(factors) == basis.n_max
+    for n, f in enumerate(factors):
+        rows = slice(basis.block_offset(n), basis.block_offset(n + 1))
+        cols = slice(basis.block_offset(n + 1), basis.block_offset(n + 2))
+        np.testing.assert_array_equal(f.toarray(), a[rows, cols] * w[cols])
+
+
+def test_norm_solves_stay_within_number_blocks(monkeypatch):
+    # the quick norm instance: 33,153 states in blocks of 1, 256 and 32,896
+    grid = build_grid(0.5, 2.0)
+    basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
+    cfg = FiberConfig(alpha=1.0, p=np.zeros(3), grid=grid, n_max=2)
+    sizes = []
+    solve = operators.lowest_eigenpairs
+
+    def recording(op, **kwargs):
+        sizes.append(op.dimension)
+        return solve(op, **kwargs)
+
+    monkeypatch.setattr(operators, "lowest_eigenpairs", recording)
+    weighted_annihilation_norm(cfg, basis)
+    neumann_norms(cfg, basis, 3, dense_cap=basis.dimension)
+    neumann_constant(cfg, basis, dense_cap=basis.dimension)
+    bound = max(basis.block_count(n) for n in range(basis.n_max))
+    assert bound == 256
+    assert sizes and max(sizes) == bound
+
+
+def test_norms_at_nonzero_momentum_match_dense():
+    # block diagonality of the Grams does not rest on P = 0
+    grid = build_grid(1.0, 1.5)
+    basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
+    p = np.array([0.0, 0.0, 1.0])
+    cfg = FiberConfig(alpha=1.0, p=p, grid=grid, n_max=2)
+    mat, states = naive_fiber_dense(1.0, p, grid.modes, grid.couplings, 2)
+    a = np.triu(mat, 1)
+    d = np.diag(mat) + 1.0
+    nums = np.array([len(state) for state in states], dtype=np.float64)
+    weighted = np.linalg.norm(a * (d ** -0.5 * (nums + 1.0) ** -0.25)[None, :], 2)
+    assert weighted_annihilation_norm(cfg, basis) == pytest.approx(weighted, rel=1e-12)
+    step = a / d[None, :]
+    s = neumann_norms(cfg, basis, 3)
+    np.testing.assert_allclose(s[:2], [np.linalg.norm(step, 2), np.linalg.norm(step @ step, 2)],
+                               rtol=1e-12)
+    assert s[2] == 0.0
+    c = np.linalg.norm(a * ((nums + 1.0) ** 0.25 / d)[None, :], 2)
+    assert neumann_constant(cfg, basis) == pytest.approx(c, rel=1e-12)
+
+
 def test_norms_agree_across_seeds():
     cfg, basis = _neumann_instance()
     first = _all_norms(cfg, basis, seed=0)
@@ -346,6 +403,16 @@ def test_zero_norms_are_positive_zero():
     free = _all_norms(*_neumann_instance(alpha=0.0), seed=0)
     values += [*free["s"], free["c"], free["weighted"]]
     for value in values:
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_norms_on_an_empty_grid_are_positive_zero():
+    # Lambda < delta leaves no modes: only the vacuum block has states
+    grid = build_grid(1.0, 0.5)
+    basis = enumerate_basis(0, 2, grid.units, grid.spacing)
+    cfg = FiberConfig(alpha=1.0, p=np.zeros(3), grid=grid, n_max=2)
+    norms = _all_norms(cfg, basis, seed=0)
+    for value in [*norms["s"], norms["c"], norms["weighted"]]:
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
