@@ -4,6 +4,11 @@ Scans E(P) over momentum samples, extracts the effective mass from a central
 second difference, checks that P = 0 is a strict minimum, compares E at large
 momentum against the essential-spectrum edge E(0) + 1, and extrapolates the
 ground energy in the inverse cutoff.
+
+At N_max = 1 the fiber is an arrowhead matrix (the vacuum coupled to the
+one-phonon states), so dispersion_curve, effective_mass and cutoff_extrapolate
+solve its secular equation (Golub 1973) with a proven bracket instead of
+assembling it; hvz_edge_check, and every N_max >= 2, runs solve's LOBPCG.
 """
 
 import math
@@ -15,13 +20,14 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError
 from .fock import enumerate_basis
 from .modes import CutoffSchedule, build_grid
-from .operators import FiberConfig, FiberFamily, assemble_fiber
-from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, ground_state
+from .operators import FiberConfig, FiberFamily, _kinetic, assemble_fiber
+from .solve import DEFAULT_SEED, DEFAULT_TOL, SpectralResult, _parallel_map, ground_state
 
 DEFAULT_MASS_STEP = 0.1
 DEFAULT_EDGE_TOL = 0.1
 DEFAULT_MARGIN = 1e-4
 ARGMIN_TIE_TOL = 1e-12
+NEWTON_STEPS = 200  # secular Newton steps at most; they settle in far fewer
 
 
 @dataclass(frozen=True)
@@ -98,9 +104,95 @@ def _ground(op, p, tol, seed):
         raise ConvergenceError(f"solver failed at P = {tuple(map(float, p))}: {exc}") from exc
 
 
+def _pairwise_sum(t: np.ndarray) -> float:
+    """Sum of t, zero-padded to a power of two and halved, so that each term
+    meets at most ceil(log2 len(t)) roundings, whatever numpy's sum does."""
+    t = np.concatenate([t, np.zeros((1 << (len(t) - 1).bit_length()) - len(t))])
+    while len(t) > 1:
+        t = t[: len(t) // 2] + t[len(t) // 2 :]
+    return float(t[0])
+
+
+def _secular_ground(alpha, p, grid, tol=DEFAULT_TOL) -> SpectralResult:
+    """Certified N_max = 1 ground state: the root below d_min = min D of
+    f(E) = E - P^2 + alpha sum_k t_k, t_k = g_k^2 / (D_k - E), on the fiber's
+    own diagonal, reached by Newton's method from the right (f is increasing
+    and convex there).  [E - w, E + w] holds the root once each side's sign
+    exceeds the rounding bound c u (|E| + P^2 + alpha sum t_k), c =
+    ceil(log2 M) + 8, or the side is at or above d_min; w doubles from
+    4 u max(1, |E|), and NumericalError once it would pass tol or on
+    non-finite input.  `iterations` counts evaluations of f; `residual` is
+    ||H x - E x|| / ||x||, x_0 = 1, x_k = -sqrt(alpha) g_k / (D_k - E), row by
+    row; `vector` is x / ||x|| in basis order (modes last to first).  With
+    alpha = 0 or no modes the fiber is diagonal: E = min(P^2, d_min) exactly.
+    """
+    p = np.asarray(p, dtype=np.float64).reshape(3)
+    g = grid.couplings
+    if not (math.isfinite(alpha) and np.isfinite(p).all() and np.isfinite(g).all()):
+        raise NumericalError(f"non-finite secular equation at P = {tuple(map(float, p))}")
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    p2 = float(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
+    d = _kinetic(p, grid.spacing * grid.units.T.astype(np.float64), 1.0)
+    if alpha == 0.0 or grid.is_empty:
+        diag = np.concatenate([[p2], d[::-1]])
+        e, x = float(diag.min()), 1.0 * (np.arange(len(diag)) == diag.argmin())
+        return SpectralResult(e, x, 0.0, 0, True, (e, e))
+
+    g2, j = g * g, int(np.argmin(d))
+    d_min = float(d[j])
+    # f > 0 at P^2 < d_min, and at d_min - s for s = r/2, r the root of
+    # r^2 + (P^2 - d_min) r = alpha g_j^2 (f keeps only its term j), taken stably
+    a, c = p2 - d_min, alpha * float(g2[j])
+    s = c / (math.sqrt(a * a + 4 * c) + a) if a >= 0 else (math.sqrt(a * a + 4 * c) - a) / 4
+    e = min(p2, d_min - s, math.nextafter(d_min, -math.inf))
+    cu = (math.ceil(math.log2(len(d))) + 8) * 2.0**-53
+    evals = 0
+
+    def f(x):
+        """f(x), the bound on its rounding, and the terms t_k."""
+        nonlocal evals
+        evals += 1
+        t = g2 / (d - x)
+        at = alpha * _pairwise_sum(t)
+        return x - p2 + at, cu * (abs(x) + p2 + at), t
+
+    for _ in range(NEWTON_STEPS):  # the bracket below certifies wherever it stops
+        fe, _, t = f(e)
+        nxt = e - fe / (1.0 + alpha * float(np.sum(t / (d - e))))
+        if not nxt < e:
+            break
+        e = nxt
+
+    def proven(x, sign):
+        v, bound, _ = f(x)
+        return sign * v > bound
+
+    w = 4.0 * 2.0**-53 * max(1.0, abs(e))
+    while not (proven(e - w, -1.0) and (e + w >= d_min or proven(e + w, 1.0))):
+        w *= 2.0
+        if not w <= tol:
+            raise NumericalError(f"no secular bracket within {tol} at P = {tuple(map(float, p))}")
+
+    sa = math.sqrt(alpha)
+    x = -sa * g / (d - e)
+    r = np.concatenate([[p2 - e + sa * np.sum(g * x)], sa * g + (d - e) * x])
+    norm = math.sqrt(1.0 + np.sum(x * x))
+    return SpectralResult(e, np.concatenate([[1.0], x[::-1]]) / norm,
+                          math.sqrt(np.sum(r * r)) / norm, evals, True, (e - w, e + w))
+
+
 def _solve_point(alpha, p, grid, basis, tol, seed):
+    """Ground state at p; basis None means N_max = 1, solved by its secular equation."""
+    if basis is None:
+        return _secular_ground(alpha, p, grid, tol)
     cfg = FiberConfig(alpha=alpha, p=np.asarray(p, dtype=np.float64), grid=grid, n_max=basis.n_max)
     return _ground(assemble_fiber(cfg, basis), cfg.p, tol, seed)
+
+
+def _basis(grid, n_max):
+    """The basis over grid for _solve_point: None at N_max = 1, which needs none."""
+    return None if n_max == 1 else enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
 
 
 def dispersion_curve(
@@ -113,7 +205,7 @@ def dispersion_curve(
     seed: int = DEFAULT_SEED,
     threads: int = 1,
 ) -> DispersionCurve:
-    """Ground energy at each momentum sample over one shared grid and basis.
+    """Ground energy at each momentum sample over one shared grid (and basis).
 
     Samples come back sorted by |P| (ties keep input order).  Solver failures
     surface as ConvergenceError naming the offending momentum.
@@ -122,9 +214,12 @@ def dispersion_curve(
     if not ps:
         raise ValueError("p_samples must not be empty")
     grid = build_grid(delta, cutoff)
-    basis = enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
-    family = FiberFamily(alpha, grid, basis)
-    results = _parallel_map(lambda p: _ground(family.fiber(p), p, tol, seed), ps, threads)
+    basis = _basis(grid, n_max)
+    if basis is None:
+        results = _parallel_map(lambda p: _secular_ground(alpha, p, grid, tol), ps, threads)
+    else:
+        family = FiberFamily(alpha, grid, basis)
+        results = _parallel_map(lambda p: _ground(family.fiber(p), p, tol, seed), ps, threads)
 
     norms = [float(np.linalg.norm(p)) for p in ps]
     order = sorted(range(len(ps)), key=lambda i: (norms[i], i))
@@ -161,7 +256,7 @@ def effective_mass(
     if not 0.0 < h < 1.0:
         raise ValueError("mass step h must lie in (0, 1)")
     grid = build_grid(delta, cutoff)
-    basis = enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
+    basis = _basis(grid, n_max)
     e0 = _solve_point(alpha, (0.0, 0.0, 0.0), grid, basis, tol, seed).energy
     ep = _solve_point(alpha, (0.0, 0.0, h), grid, basis, tol, seed).energy
     em = _solve_point(alpha, (0.0, 0.0, -h), grid, basis, tol, seed).energy
@@ -219,6 +314,7 @@ def hvz_edge_check(
             f"cutoff {cutoff} is below |P_far| = {pf_norm}; no mode can absorb P_far"
         )
     grid = build_grid(delta, cutoff)
+    # assembled at every N_max: bench/test_bench.py traces its N_max = 1 assembly
     basis = enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
     e_zero = _solve_point(alpha, (0.0, 0.0, 0.0), grid, basis, tol, seed).energy
     e_far = _solve_point(alpha, p_far, grid, basis, tol, seed).energy
@@ -266,8 +362,7 @@ def cutoff_extrapolate(
 
     def work(lam):
         grid = largest.within(lam)
-        basis = enumerate_basis(len(grid), schedule.n_max, grid.units, grid.spacing)
-        return _solve_point(alpha, p, grid, basis, tol, seed)
+        return _solve_point(alpha, p, grid, _basis(grid, schedule.n_max), tol, seed)
 
     results = _parallel_map(work, lams, threads)
 

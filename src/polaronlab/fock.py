@@ -167,11 +167,12 @@ class BasisIndex:
     def raise_map(self, n: int):
         """Raise transitions from block n to block n+1, fully vectorized.
 
-        Returns (src_local, mode, counts, tgt_local) int64 arrays with one
-        entry per (state, mode) pair, source states in order (src_local is
-        sorted); `counts` is the occupancy of the raised mode in the source
-        state, so the matrix element carries sqrt(counts + 1).  Cached: every
-        operator over the basis shares it.
+        Returns (counts, tgt_local) int64 arrays with one entry per (state,
+        mode) pair, in the order of np.repeat(arange(count), M) for the
+        source state and np.tile(arange(M), count) for the mode, which
+        callers derive rather than store; `counts` is the occupancy of the
+        raised mode in the source state, so the matrix element carries
+        sqrt(counts + 1).  Cached: every operator over the basis shares it.
         """
         if not 0 <= n < self.n_max:
             raise ValueError(f"no raise block above n = {n} (N_max = {self.n_max})")
@@ -181,19 +182,17 @@ class BasisIndex:
         c, m_modes = len(a), self.m_modes
         if c == 0 or m_modes == 0:
             empty = np.zeros(0, dtype=np.int64)
-            out = (empty, empty, empty, empty)
+            out = (empty, empty)
         else:
-            src = np.repeat(np.arange(c, dtype=np.int64), m_modes)
-            mode = np.tile(np.arange(m_modes, dtype=np.int64), c)
-            col = mode[:, None].astype(np.int32)
+            col = np.tile(np.arange(m_modes, dtype=np.int32), c)[:, None]
             if n:
-                counts = (a[src] == col).sum(axis=1).astype(np.int64)
-                new_rows = np.sort(np.concatenate([a[src], col], axis=1), axis=1)
+                src = np.repeat(a, m_modes, axis=0)
+                counts = (src == col).sum(axis=1).astype(np.int64)
+                new_rows = np.sort(np.concatenate([src, col], axis=1), axis=1)
             else:
                 counts = np.zeros(c * m_modes, dtype=np.int64)
                 new_rows = col
-            tgt = rank_rows(new_rows, m_modes)
-            out = (src, mode, counts, tgt)
+            out = (counts, rank_rows(new_rows, m_modes))
         self._raise_cache[n] = out
         return out
 

@@ -245,8 +245,9 @@ def annihilation_csr(
     rr, cc, vv = [empty], [empty], [np.zeros(0)]
     if scale != 0.0 and len(cfg.grid):
         for n in range(basis.n_max):
-            src, tgt, vals = _annihilation_block(cfg.grid, basis, n, scale)
-            rr.append(basis.block_offset(n) + src)
+            tgt, vals = _annihilation_block(cfg.grid, basis, n, scale)
+            start = basis.block_offset(n)
+            rr.append(np.repeat(np.arange(start, start + basis.block_count(n)), basis.m_modes))
             cc.append(basis.block_offset(n + 1) + tgt)
             vv.append(vals)
     return scipy.sparse.csr_matrix(
@@ -256,9 +257,11 @@ def annihilation_csr(
 
 
 def _annihilation_block(grid: ModeGrid, basis: BasisIndex, n: int, scale: float):
-    """(src, tgt, vals): scale * A from block n+1 down to block n, block-local indices."""
-    src, mode, counts, tgt = basis.raise_map(n)
-    return src, tgt, scale * grid.couplings[mode] * np.sqrt(counts + 1.0)
+    """(tgt, vals): scale * A from block n+1 down to block n, block-local targets,
+    M entries (one per mode) per block-n state in order, as raise_map lists them."""
+    counts, tgt = basis.raise_map(n)
+    c = basis.block_count(n)
+    return tgt, scale * np.tile(grid.couplings, c) * np.sqrt(counts + 1.0)
 
 
 def assemble_KT(
@@ -332,12 +335,11 @@ def _block_factors(cfg: FiberConfig, basis: BasisIndex, h0_power: float,
     scale = float(np.sqrt(cfg.alpha))
     factors = []
     for n in range(basis.n_max):
-        src, tgt, vals = _annihilation_block(cfg.grid, basis, n, scale)
+        tgt, vals = _annihilation_block(cfg.grid, basis, n, scale)
         pf = basis.spacing * basis.pf_units(n + 1).T.astype(np.float64)
         w = (_kinetic(cfg.p, pf, n + 1.0) + 1.0) ** h0_power * (n + 2.0) ** number_power
         rows = basis.block_count(n)
-        # raise-map entries run over the source states in order
-        indptr = np.searchsorted(src, np.arange(rows + 1))
+        indptr = basis.m_modes * np.arange(rows + 1)
         factors.append(scipy.sparse.csr_matrix(
             (vals * w[tgt], tgt, indptr), shape=(rows, basis.block_count(n + 1))))
     return factors

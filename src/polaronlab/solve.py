@@ -1,5 +1,8 @@
 """Lowest eigenpairs of sparse symmetric operators, plus dense oracles.
 
+The dispersion pipelines send fibers here only at N_max >= 2; at N_max = 1
+dispersion solves the arrowhead's secular equation (SpectralResult.bracket).
+
 The iterative route is single-vector LOBPCG (Knyazev 2001) preconditioned by
 the inverse shifted diagonal, for a fiber at P = 0 exactly h0^{-1} with
 h0 = (P - P_f)^2 + N + 1.  The paper's uniform bound makes h0 spectrally
@@ -59,7 +62,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
@@ -80,7 +83,8 @@ SCHUR_MARGIN = 10.0  # c in the count's margin c m u ||S||
 class SpectralResult:
     """One converged eigenpair with its certified residual.
 
-    `iterations` counts the matvecs spent on this pair.
+    `iterations` counts the matvecs spent on this pair.  `bracket`, where the
+    route proves one, is an interval (lower, upper) holding the eigenvalue.
     """
 
     energy: float
@@ -88,6 +92,7 @@ class SpectralResult:
     residual: float
     iterations: int
     converged: bool
+    bracket: Optional[Tuple[float, float]] = None
 
 
 @dataclass

@@ -78,9 +78,10 @@ def test_numerical_breakdown_exits_2(tmp_path, capsys, monkeypatch, error):
     def broken_solver(*args, **kwargs):
         raise error
 
+    # N_max = 2: at N_max = 1 the dispersion comes from the secular equation
     monkeypatch.setattr(polaronlab.dispersion, "ground_state", broken_solver)
     code = main(["dispersion", "--alpha", "0", "--delta", "0.5", "--lambda", "1",
-                 "--nmax", "1", "--out", str(tmp_path)])
+                 "--nmax", "2", "--out", str(tmp_path)])
     assert code == 2
     assert type(error).__name__ in capsys.readouterr().err
 
@@ -96,7 +97,7 @@ def test_nan_reaching_the_solver_exits_2(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(polaronlab.operators, "_kinetic", poisoned)
     code = main(["dispersion", "--alpha", "1", "--delta", "1", "--lambda", "1",
-                 "--nmax", "1", "--out", str(tmp_path)])
+                 "--nmax", "2", "--out", str(tmp_path)])
     assert code == 2
     assert "NumericalError" in capsys.readouterr().err
 
@@ -348,3 +349,31 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "kernel.json").exists()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.2 s at import, which every CLI run would pay
+    code = ("import sys, polaronlab, polaronlab.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_nan_coupling_reaching_the_secular_route_exits_2(tmp_path, capsys, monkeypatch):
+    # the last mode lies only in the largest cutoff's grid, so E(3) and E(4)
+    # are solved before the NaN is met
+    build = polaronlab.dispersion.build_grid
+
+    def poisoned(delta, lam):
+        grid = build(delta, lam)
+        grid.couplings[-1] = np.nan
+        return grid
+
+    monkeypatch.setattr(polaronlab.dispersion, "build_grid", poisoned)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 0.1\nlambda_values = 3,4,5\ndelta = 1\nnmax = 1\n")
+    out = tmp_path / "out"
+    assert main(["extrapolate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "NumericalError: non-finite secular equation" in capsys.readouterr().err
+    assert not (out / "extrapolation.csv").exists()

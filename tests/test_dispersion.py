@@ -1,24 +1,33 @@
 """Dispersion scans, effective mass, minimum/edge checks, cutoff extrapolation."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+import polaronlab.dispersion
 from polaronlab import (
     CutoffSchedule,
     DispersionCurve,
     DispersionSample,
+    FiberConfig,
+    ModeGrid,
     NumericalError,
     SpectralResult,
+    assemble_fiber,
     build_grid,
     cutoff_extrapolate,
+    dense_spectrum,
     dispersion_curve,
     effective_mass,
+    enumerate_basis,
     fit_inverse_cutoff,
+    ground_state,
     hvz_edge_check,
     minimum_check,
 )
+from polaronlab.dispersion import _secular_ground
 
 # alpha = 0.5, N_max = 1, delta = 0.5 ground energy extrapolated over
 # Lambda in {4,...,16}; frozen from a threaded run of this pipeline.
@@ -224,19 +233,161 @@ def test_extrapolation_needs_three_cutoffs():
         )
 
 
-def test_extrapolation_rejects_energy_increase(monkeypatch):
-    # corrupted solves must abort the fit, not feed it
-    def fake_ground_state(op, tol, seed):
-        fake_ground_state.calls += 1
-        e = {1: -0.5, 2: -0.4, 3: -0.3}[fake_ground_state.calls]
+def _rising_energies():
+    """A fake solver whose energies rise along the schedule: -0.5, -0.4, -0.3."""
+    def fake(*args, **kwargs):
+        fake.calls += 1
         return SpectralResult(
-            energy=e, vector=np.zeros(op.dimension), residual=0.0,
-            iterations=1, converged=True,
+            energy={1: -0.5, 2: -0.4, 3: -0.3}[fake.calls],
+            vector=np.zeros(1), residual=0.0, iterations=1, converged=True,
         )
 
-    fake_ground_state.calls = 0
-    monkeypatch.setattr("polaronlab.dispersion.ground_state", fake_ground_state)
+    fake.calls = 0
+    return fake
+
+
+def test_extrapolation_rejects_energy_increase(monkeypatch):
+    # corrupted solves must abort the fit, not feed it; at N_max = 1 the
+    # energies come from the secular equation
+    fake = _rising_energies()
+    monkeypatch.setattr("polaronlab.dispersion._secular_ground", fake)
     with pytest.raises(NumericalError):
         cutoff_extrapolate(
             0.0, CutoffSchedule(lambdas=(3.0, 4.0, 5.0), delta=1.0, n_max=1)
         )
+    assert fake.calls == 3
+
+
+def test_extrapolation_rejects_energy_increase_from_the_eigensolver(monkeypatch):
+    fake = _rising_energies()
+    monkeypatch.setattr("polaronlab.dispersion.ground_state", fake)
+    with pytest.raises(NumericalError):
+        cutoff_extrapolate(
+            0.0, CutoffSchedule(lambdas=(1.0, 1.5, 2.0), delta=1.0, n_max=2)
+        )
+    assert fake.calls == 3
+
+
+# -- the N_max = 1 route: the secular equation ---------------------------------
+
+SECULAR_MOMENTA = [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.0, 1.0), (0.0, 0.0, 2.5),
+                   (0.3, -0.7, 1.1)]
+U = 2.0**-53
+
+
+def _one_phonon_fiber(alpha, p, grid):
+    """The assembled N_max = 1 fiber and the mode of each one-phonon state."""
+    basis = enumerate_basis(len(grid), 1, grid.units, grid.spacing)
+    cfg = FiberConfig(alpha=alpha, p=np.asarray(p, dtype=np.float64), grid=grid, n_max=1)
+    return assemble_fiber(cfg, basis), basis.block(1)[:, 0]
+
+
+def _exact_secular(alpha, op, modes, grid, e):
+    """(f(e), |e| + P^2 + alpha sum_k t_k) in 60-digit decimals, from the fiber's diagonal."""
+    diag = op.diagonal()
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, p2 = Decimal(e), Decimal(diag[0])
+        terms = sum(Decimal(grid.couplings[k]) ** 2 / (Decimal(dk) - x)
+                    for k, dk in zip(modes, diag[1:]))
+        at = Decimal(alpha) * terms
+        return x - p2 + at, abs(x) + p2 + at
+
+
+def _assert_certified(alpha, p, grid):
+    """The secular result against the dense spectrum and its bracket against
+    decimal arithmetic.  Each end's sign is proven by
+    |f^| > c u S with c = ceil(log2 M) + 8, while the rounding of f^ is at
+    most (ceil(log2 M) + 6) u S, so the exact f clears 2 u S there."""
+    op, modes = _one_phonon_fiber(alpha, p, grid)
+    r = _secular_ground(alpha, p, grid)
+    lo, hi = r.bracket
+    assert lo <= r.energy <= hi
+    assert r.energy == pytest.approx(dense_spectrum(op, k=1)[0], abs=1e-12)
+    if alpha == 0.0 or grid.is_empty:
+        assert lo == r.energy == hi == op.diagonal().min()
+        return r
+    f_lo, scale = _exact_secular(alpha, op, modes, grid, lo)
+    assert f_lo < 0 and -f_lo > 2 * Decimal(U) * scale
+    if hi < op.diagonal()[1:].min():
+        f_hi, scale = _exact_secular(alpha, op, modes, grid, hi)
+        assert f_hi > 0 and f_hi > 2 * Decimal(U) * scale
+    return r
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("p", SECULAR_MOMENTA)
+def test_secular_root_matches_dense_spectrum_inside_its_bracket(alpha, p):
+    r = _assert_certified(alpha, p, build_grid(1.0, 2.0))
+    assert r.converged and r.residual <= 1e-13
+
+
+def test_secular_free_edge_and_empty_grid():
+    # alpha = 0 with P^2 >= min D: the edge min D itself, on a one-phonon state
+    grid = build_grid(1.0, 2.0)
+    r = _assert_certified(0.0, (0.0, 0.0, 2.5), grid)
+    assert r.energy == 1.25 and r.vector[0] == 0.0 and r.iterations == 0
+    # no modes: only the vacuum, at P^2
+    r = _assert_certified(1.0, (0.0, 0.0, 0.5), build_grid(1.0, 0.5))
+    assert r.energy == 0.25 and r.vector.tolist() == [1.0]
+
+
+def test_secular_bracket_survives_cancellation():
+    # P^2 = 100 cancels against alpha sum t_k near E = 0 while f' is about 1.1:
+    # the rounding bound on f there is of order 1e-13, far above 4 u max(1, |E|)
+    units = [[0, 0, -21], [1, 0, -21], [0, 1, -21], [-1, 0, -21], [0, -1, -21]]
+    couplings = np.sqrt(np.array([962.0, 963.0, 963.0, 963.0, 963.0]) * 20.0)
+    grid = ModeGrid.manual(1.0, 30.0, units, couplings)
+    r = _assert_certified(1.0, (0.0, 0.0, 10.0), grid)
+    assert abs(r.energy) < 0.1
+    assert r.bracket[1] - r.bracket[0] > 1e-14
+
+
+def test_secular_matches_lobpcg_on_the_quick_schedule():
+    # the quick extrapolation: delta 0.4, Lambda 4, 6, 8, up to 33,401 states
+    largest = build_grid(0.4, 8.0)
+    for lam in (4.0, 6.0, 8.0):
+        grid = largest.within(lam)
+        op, _ = _one_phonon_fiber(0.1, np.zeros(3), grid)
+        r = _secular_ground(0.1, np.zeros(3), grid)
+        assert r.energy == pytest.approx(ground_state(op).energy, abs=1e-12)
+        assert r.bracket[0] <= r.energy <= r.bracket[1]
+        recomputed = np.linalg.norm(op.matvec(r.vector) - r.energy * r.vector)
+        assert r.residual == pytest.approx(recomputed, abs=1e-14)
+        assert r.iterations > 0
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
+def test_secular_residual_matches_the_matvec(alpha):
+    grid = build_grid(1.0, 2.0)
+    for p in SECULAR_MOMENTA:
+        op, _ = _one_phonon_fiber(alpha, p, grid)
+        r = _secular_ground(alpha, p, grid)
+        assert np.linalg.norm(r.vector) == pytest.approx(1.0, abs=1e-15)
+        recomputed = np.linalg.norm(op.matvec(r.vector) - r.energy * r.vector)
+        assert r.residual == pytest.approx(recomputed, abs=1e-14)
+
+
+@pytest.mark.parametrize("poison", ["coupling", "momentum"])
+def test_secular_rejects_non_finite_input(poison):
+    grid = build_grid(1.0, 2.0)
+    p = np.zeros(3)
+    if poison == "coupling":
+        grid.couplings[3] = np.nan
+    else:
+        p[1] = np.inf
+    with pytest.raises(NumericalError, match="non-finite"):
+        _secular_ground(0.5, p, grid)
+
+
+def test_n_max_1_pipelines_assemble_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an N_max = 1 pipeline built a basis, a fiber or a solve")
+
+    for name in ("enumerate_basis", "assemble_fiber", "FiberFamily", "ground_state"):
+        monkeypatch.setattr(polaronlab.dispersion, name, forbidden)
+    curve = dispersion_curve(0.1, [(0, 0, 0), (0, 0, 0.5)], 1.0, 2.0, 1, threads=2)
+    assert curve.samples[0].energy < 0.0 < curve.samples[1].energy
+    assert effective_mass(0.1, 1.0, 2.0, 1).m_eff > 0.5
+    rep = cutoff_extrapolate(0.1, CutoffSchedule(lambdas=(1.0, 1.5, 2.0), delta=1.0, n_max=1))
+    assert rep.energies[-1] == curve.samples[0].energy

@@ -26,11 +26,19 @@ def _mode_tuples(basis: BasisIndex):
             for n in range(basis.n_max + 1) for row in basis.block(n)]
 
 
+def _raise_entries(basis: BasisIndex, n: int):
+    """(src, mode, counts, tgt) of raise_map(n), the source state and mode of
+    each entry derived from the documented repeat/tile order."""
+    counts, tgt = basis.raise_map(n)
+    m, c = basis.m_modes, basis.block_count(n)
+    return np.repeat(np.arange(c), m), np.tile(np.arange(m), c), counts, tgt
+
+
 def _ladder_matrices(basis: BasisIndex, mode: int):
     """Dense (lower, raise) matrices of one mode from the basis raise maps."""
     raise_ = np.zeros((basis.dimension, basis.dimension))
     for n in range(basis.n_max):
-        src, modes, counts, tgt = basis.raise_map(n)
+        src, modes, counts, tgt = _raise_entries(basis, n)
         sel = modes == mode
         raise_[basis.block_offset(n + 1) + tgt[sel],
                basis.block_offset(n) + src[sel]] = np.sqrt(counts[sel] + 1.0)
@@ -93,7 +101,7 @@ def test_lower_on_vacuum_absent():
 
 def test_raise_on_vacuum_amplitude_one():
     basis = enumerate_basis(3, 2)
-    src, mode, counts, tgt = basis.raise_map(0)
+    src, mode, counts, tgt = _raise_entries(basis, 0)
     sel = mode == 1
     assert src[sel].tolist() == [0]
     assert np.sqrt(counts[sel] + 1.0).tolist() == [1.0]
@@ -117,6 +125,15 @@ def test_raise_lower_amplitude_product():
     assert col[i] == pytest.approx(3.0, abs=1e-15)
     col[i] = 0.0
     assert not col.any()
+
+
+def test_raise_map_caches_only_counts_and_targets():
+    basis = enumerate_basis(6, 2, mode_units=UNIT_MODES, spacing=0.4)
+    for n in range(basis.n_max):
+        counts, tgt = basis.raise_map(n)
+        assert counts.shape == tgt.shape == (basis.block_count(n) * 6,)
+        assert basis.raise_map(n) is basis._raise_cache[n]
+    assert [len(a) for a in enumerate_basis(0, 2).raise_map(0)] == [0, 0]
 
 
 def test_ladder_rejects_bad_arguments():
@@ -151,7 +168,7 @@ def test_ccr_below_truncation_layer():
 def test_momentum_additive_under_raise():
     basis = enumerate_basis(6, 2, mode_units=UNIT_MODES, spacing=0.4)
     for n in range(basis.n_max):
-        src, mode, _, tgt = basis.raise_map(n)
+        src, mode, _, tgt = _raise_entries(basis, n)
         # integer bookkeeping makes additivity exact, not approximate
         np.testing.assert_array_equal(basis.pf_units(n + 1)[tgt],
                                       basis.pf_units(n)[src] + UNIT_MODES[mode])
