@@ -72,8 +72,23 @@ def read_config_file(path: str) -> dict:
     return out
 
 
+def _number(key, tok):
+    """float(tok), or ConfigError naming the parameter unless it is finite."""
+    try:
+        val = float(tok)
+    except (TypeError, ValueError):
+        raise ConfigError(f"parameter '{key}': cannot parse '{tok}' as a number")
+    if not math.isfinite(val):
+        raise ConfigError(f"parameter '{key}' must be finite, got {val}")
+    return val
+
+
 class RunConfig:
-    """Typed access to string config values with parameter-naming errors."""
+    """Typed access to string config values with parameter-naming errors.
+
+    Every number read from a config file or a flag must be finite; only a
+    default (extrapolate's NaN target, meaning ungated) may be NaN.
+    """
 
     def __init__(self, values: dict, allowed: set):
         unknown = sorted(set(values) - set(allowed))
@@ -83,13 +98,7 @@ class RunConfig:
 
     def get_float(self, key, default=None, positive=False, nonnegative=False):
         raw = self.values.get(key)
-        if raw is None:
-            val = float(default)
-        else:
-            try:
-                val = float(raw)
-            except (TypeError, ValueError):
-                raise ConfigError(f"parameter '{key}': cannot parse '{raw}' as a number")
+        val = float(default) if raw is None else _number(key, raw)
         if positive and not val > 0.0:
             raise ConfigError(f"parameter '{key}' must be positive, got {val}")
         if nonnegative and val < 0.0:
@@ -111,10 +120,7 @@ class RunConfig:
 
     def get_floats(self, key, default):
         raw = self.values.get(key, default)
-        try:
-            vals = tuple(float(tok) for tok in str(raw).split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(f"parameter '{key}': cannot parse '{raw}' as a number list")
+        vals = tuple(_number(key, tok) for tok in str(raw).split(",") if tok.strip())
         if not vals:
             raise ConfigError(f"parameter '{key}' must contain at least one number")
         return vals
@@ -137,10 +143,7 @@ class RunConfig:
             toks = part.split(",")
             if len(toks) != 3:
                 raise ConfigError(f"parameter '{key}': each fiber needs three components")
-            try:
-                fibers.append(tuple(float(t) for t in toks))
-            except ValueError:
-                raise ConfigError(f"parameter '{key}': cannot parse fiber '{part}'")
+            fibers.append(tuple(_number(key, t) for t in toks))
         if not fibers:
             raise ConfigError(f"parameter '{key}' must list at least one fiber")
         return tuple(fibers)
@@ -425,7 +428,7 @@ def _kt_suite_instances():
             yield f"grid-d{delta}-L{lam}-n{n_max}-a{alpha}", alpha, grid, basis
 
 
-def _check_kt_identity(cfg: RunConfig, seed: int) -> dict:
+def _check_kt_identity() -> dict:
     worst = 0.0
     min_eig = math.inf
     count = 0
@@ -502,23 +505,23 @@ def _check_neumann_decay(cfg: RunConfig, seed: int) -> dict:
     }
 
 
-def _audit_fiber(alpha, delta, lam, n_max, seed):
+def _audit_fiber(alpha, delta, lam, n_max):
     grid = build_grid(delta, lam)
     basis = enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
     fcfg = FiberConfig(alpha=alpha, p=np.zeros(3), grid=grid, n_max=n_max)
     op = assemble_fiber(fcfg, basis)
     e0 = float(dense_spectrum(op, k=1)[0])
-    flipped = sign_flip(op, basis)
+    flipped = sign_flip(op)
     report = resolvent_positivity_audit(flipped, 1.0 - e0)
     return basis, report, e0
 
 
-def _check_positivity(cfg: RunConfig, seed: int) -> dict:
+def _check_positivity(cfg: RunConfig) -> dict:
     alpha = cfg.get_float("pos_alpha", default=1.0, nonnegative=True)
     delta = cfg.get_float("pos_delta", default=1.0, positive=True)
     lam = cfg.get_float("pos_lambda", default=1.5, positive=True)
     n_max = cfg.get_int("pos_nmax", default=2, minimum=0)
-    basis, report, e0 = _audit_fiber(alpha, delta, lam, n_max, seed)
+    basis, report, e0 = _audit_fiber(alpha, delta, lam, n_max)
     faris = max(0.0, -report.ground_vector_min)
     passed = (report.strictly_positive and report.ground_vector_min > 0.0
               and report.gap > GAP_TOL and faris <= FARIS_TOL)
@@ -540,11 +543,11 @@ def _check_positivity(cfg: RunConfig, seed: int) -> dict:
     }
 
 
-def _check_positivity_alpha0(cfg: RunConfig, seed: int) -> dict:
+def _check_positivity_alpha0(cfg: RunConfig) -> dict:
     delta = cfg.get_float("pos_delta", default=1.0, positive=True)
     lam = cfg.get_float("pos_lambda", default=1.5, positive=True)
     n_max = cfg.get_int("pos_nmax", default=2, minimum=0)
-    basis, report, e0 = _audit_fiber(0.0, delta, lam, n_max, seed)
+    basis, report, e0 = _audit_fiber(0.0, delta, lam, n_max)
     return {
         "name": "positivity_alpha0",
         "gating": False,
@@ -683,11 +686,11 @@ def cmd_checks(values: dict, outdir: str, args) -> int:
                     _COMMON_KEYS | _CHECK_KEYS)
     seed, threads, tol = _common(cfg)
     entries = [
-        _check_kt_identity(cfg, seed),
+        _check_kt_identity(),
         _check_norm_bound(cfg, seed),
         _check_neumann_decay(cfg, seed),
-        _check_positivity(cfg, seed),
-        _check_positivity_alpha0(cfg, seed),
+        _check_positivity(cfg),
+        _check_positivity_alpha0(cfg),
         _check_hvz(cfg, seed, tol),
     ]
     entries.extend(_check_torus(cfg, seed, tol, threads))

@@ -137,7 +137,7 @@ def _secular_ground(alpha, p, grid, tol=DEFAULT_TOL) -> SpectralResult:
     if alpha == 0.0 or grid.is_empty:
         diag = np.concatenate([[p2], d[::-1]])
         e, x = float(diag.min()), 1.0 * (np.arange(len(diag)) == diag.argmin())
-        return SpectralResult(e, x, 0.0, 0, True, (e, e))
+        return SpectralResult(e, x, 0.0, 0, (e, e))
 
     g2, j = g * g, int(np.argmin(d))
     d_min = float(d[j])
@@ -179,20 +179,16 @@ def _secular_ground(alpha, p, grid, tol=DEFAULT_TOL) -> SpectralResult:
     r = np.concatenate([[p2 - e + sa * np.sum(g * x)], sa * g + (d - e) * x])
     norm = math.sqrt(1.0 + np.sum(x * x))
     return SpectralResult(e, np.concatenate([[1.0], x[::-1]]) / norm,
-                          math.sqrt(np.sum(r * r)) / norm, evals, True, (e - w, e + w))
+                          math.sqrt(np.sum(r * r)) / norm, evals, (e - w, e + w))
 
 
-def _solve_point(alpha, p, grid, basis, tol, seed):
-    """Ground state at p; basis None means N_max = 1, solved by its secular equation."""
-    if basis is None:
-        return _secular_ground(alpha, p, grid, tol)
-    cfg = FiberConfig(alpha=alpha, p=np.asarray(p, dtype=np.float64), grid=grid, n_max=basis.n_max)
-    return _ground(assemble_fiber(cfg, basis), cfg.p, tol, seed)
-
-
-def _basis(grid, n_max):
-    """The basis over grid for _solve_point: None at N_max = 1, which needs none."""
-    return None if n_max == 1 else enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
+def _ground_states(alpha, grid, n_max, ps, tol, seed, threads=1):
+    """Ground states at the momenta ps over one grid, mapped over `threads`:
+    the secular equation at N_max = 1, else fibers of one FiberFamily."""
+    if n_max == 1:
+        return _parallel_map(lambda p: _secular_ground(alpha, p, grid, tol), ps, threads)
+    family = FiberFamily(alpha, grid, enumerate_basis(len(grid), n_max, grid.units, grid.spacing))
+    return _parallel_map(lambda p: _ground(family.fiber(p), p, tol, seed), ps, threads)
 
 
 def dispersion_curve(
@@ -213,13 +209,7 @@ def dispersion_curve(
     ps = [np.asarray(p, dtype=np.float64).reshape(3) for p in p_samples]
     if not ps:
         raise ValueError("p_samples must not be empty")
-    grid = build_grid(delta, cutoff)
-    basis = _basis(grid, n_max)
-    if basis is None:
-        results = _parallel_map(lambda p: _secular_ground(alpha, p, grid, tol), ps, threads)
-    else:
-        family = FiberFamily(alpha, grid, basis)
-        results = _parallel_map(lambda p: _ground(family.fiber(p), p, tol, seed), ps, threads)
+    results = _ground_states(alpha, build_grid(delta, cutoff), n_max, ps, tol, seed, threads)
 
     norms = [float(np.linalg.norm(p)) for p in ps]
     order = sorted(range(len(ps)), key=lambda i: (norms[i], i))
@@ -255,11 +245,9 @@ def effective_mass(
     """
     if not 0.0 < h < 1.0:
         raise ValueError("mass step h must lie in (0, 1)")
-    grid = build_grid(delta, cutoff)
-    basis = _basis(grid, n_max)
-    e0 = _solve_point(alpha, (0.0, 0.0, 0.0), grid, basis, tol, seed).energy
-    ep = _solve_point(alpha, (0.0, 0.0, h), grid, basis, tol, seed).energy
-    em = _solve_point(alpha, (0.0, 0.0, -h), grid, basis, tol, seed).energy
+    ps = [(0.0, 0.0, z) for z in (0.0, h, -h)]
+    e0, ep, em = (r.energy for r in
+                  _ground_states(alpha, build_grid(delta, cutoff), n_max, ps, tol, seed))
     curvature = (ep + em - 2.0 * e0) / h**2
     degenerate = not curvature > 0.0
     m_eff = math.inf if degenerate else 1.0 / curvature
@@ -316,8 +304,12 @@ def hvz_edge_check(
     grid = build_grid(delta, cutoff)
     # assembled at every N_max: bench/test_bench.py traces its N_max = 1 assembly
     basis = enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
-    e_zero = _solve_point(alpha, (0.0, 0.0, 0.0), grid, basis, tol, seed).energy
-    e_far = _solve_point(alpha, p_far, grid, basis, tol, seed).energy
+
+    def energy(p):
+        cfg = FiberConfig(alpha=alpha, p=p, grid=grid, n_max=n_max)
+        return _ground(assemble_fiber(cfg, basis), p, tol, seed).energy
+
+    e_zero, e_far = energy(np.zeros(3)), energy(p_far)
     d = e_far - e_zero - 1.0
     passed = bool(-1e-12 <= d <= edge_tol)
     return HvzReport(
@@ -360,11 +352,9 @@ def cutoff_extrapolate(
     p = np.asarray(p, dtype=np.float64).reshape(3)
     largest = build_grid(schedule.delta, lams[-1])
 
-    def work(lam):
-        grid = largest.within(lam)
-        return _solve_point(alpha, p, grid, _basis(grid, schedule.n_max), tol, seed)
-
-    results = _parallel_map(work, lams, threads)
+    results = _parallel_map(
+        lambda lam: _ground_states(alpha, largest.within(lam), schedule.n_max, [p], tol, seed)[0],
+        lams, threads)
 
     energies = [r.energy for r in results]
     for i in range(len(lams) - 1):

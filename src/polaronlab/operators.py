@@ -7,6 +7,9 @@ assembled block-at-a-time from integer occupation tables, so matrix elements
 are exact where the inputs are exact (alpha = 0 stays strictly diagonal).
 An operator is stored once, as a symmetric CSR matrix (SparseOperator.csr)
 that serves matvec, diagonal, to_dense, sign_flip and solve.count_below.
+Assembly hands SparseOperator a canonical CSR (sorted indices, no duplicates,
+no stored zeros), so two assemblies of one operator compare equal entry by
+entry.
 The coupling part does not depend on P, so a FiberFamily builds its CSR
 structure, with a slot for every diagonal entry, and the per-state P_f and N
 once per grid and basis; each fiber copies the values and fills in its
@@ -20,12 +23,11 @@ per number block: B_n, the |block n| x |block n+1| piece of B, comes straight
 from basis.raise_map(n), and the row-side Gram of each block (and of each
 block product B_n ... B_{n+j-1} for B^j) goes to solve.lowest_eigenpairs, the
 same certified solver that serves the fibers.  No dim x dim matrix is formed.
-The dense assemble_KT and the Neumann diagnostics refuse to run above a
-dimension cap instead of silently thrashing memory.
+Only the dense assemble_KT checks the dimension cap, solve.DENSE_CAP.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, Tuple
 
@@ -34,59 +36,18 @@ import scipy.sparse
 
 from .fock import BasisIndex
 from .modes import ModeGrid
-from .solve import (
-    DEFAULT_DENSE_CAP, DEFAULT_SEED, DEFAULT_TOL, _check_dense_cap, lowest_eigenpairs,
-)
+from .solve import DEFAULT_SEED, DEFAULT_TOL, _check_dense_cap, lowest_eigenpairs
 
 
 class SparseOperator:
     """Symmetric sparse matrix held as one symmetric CSR matrix, `csr`.
 
-    The constructor takes the upper triangle (row <= col) as triplets, drops
-    exact zeros, rejects duplicates and builds `csr` in canonical form, so two
-    assemblies of the same operator compare equal entry by entry.  rows,
-    cols, vals and nnz read the upper triangle back, in (row, col) order and
-    as read-only arrays.
+    The constructor wraps `csr` without copying.  rows, cols, vals and nnz
+    read the upper triangle back, in (row, col) order and as read-only arrays.
     """
 
-    def __init__(self, dimension: int, rows, cols, vals):
-        dimension = int(dimension)
-        if dimension < 0:
-            raise ValueError("dimension must be non-negative")
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        vals = np.asarray(vals, dtype=np.float64).ravel()
-        if not (rows.shape == cols.shape == vals.shape):
-            raise ValueError("rows, cols, vals must have equal length")
-        if rows.size:
-            if rows.min() < 0 or cols.max() >= dimension:
-                raise ValueError("entry indices out of range")
-            if (rows > cols).any():
-                raise ValueError("entries must satisfy row <= col (upper triangle)")
-        keep = vals != 0.0
-        if not keep.all():
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size > 1:
-            same = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-            if same.any():
-                k = int(np.flatnonzero(same)[0])
-                raise ValueError(f"duplicate entry at (row, col) = ({rows[k]}, {cols[k]})")
-        off = rows != cols
-        self.dimension = dimension
-        self.csr = scipy.sparse.csr_matrix(
-            (np.concatenate([vals, vals[off]]),
-             (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))),
-            shape=(dimension, dimension),
-        )
-
-    @classmethod
-    def _from_csr(cls, csr: scipy.sparse.csr_matrix) -> "SparseOperator":
-        """Wrap a symmetric CSR matrix already in canonical form, without copying."""
-        op = cls.__new__(cls)
-        op.dimension, op.csr = csr.shape[0], csr
-        return op
+    def __init__(self, csr: scipy.sparse.csr_matrix):
+        self.dimension, self.csr = csr.shape[0], csr
 
     def _upper(self, name: str) -> np.ndarray:
         """One read-only array (row, col or data) of the upper triangle."""
@@ -186,9 +147,9 @@ class FiberFamily:
     so the CSR of sqrt(alpha) V + 1, whose unit diagonal reserves a slot per
     state, the position of each slot and the per-state P_f and N are built
     once.  fiber(p) copies the values and fills the slots with the kinetic
-    diagonal D(P) = (P - P_f)^2 + N; the result is entry for entry what the
-    triplet constructor gives, including the exact-zero vacuum diagonal
-    dropped at P = 0.  Fibers share the (read-only) index arrays and own their values,
+    diagonal D(P) = (P - P_f)^2 + N, dropping the exact-zero vacuum diagonal
+    at P = 0 so the CSR stays canonical.  Fibers share the (read-only) index
+    arrays and own their values,
     and building the family fills the basis caches, so fibers can be made
     and solved from several threads.
     """
@@ -216,13 +177,11 @@ class FiberFamily:
         data[self._diag] = d
         if d[0] == 0.0:
             # the vacuum at P = 0: the only state with N = 0 leads the CSR,
-            # and its exact zero is dropped as the triplet constructor drops
-            # zeros (every other diagonal entry is >= 1)
+            # and its exact zero is dropped (every other diagonal entry is >= 1)
             indices, data = indices[1:], data[1:]
             indptr = indptr - 1
             indptr[0] = 0
-        return SparseOperator._from_csr(
-            scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
+        return SparseOperator(scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
 
 
 def assemble_fiber(cfg: FiberConfig, basis: BasisIndex) -> SparseOperator:
@@ -231,16 +190,14 @@ def assemble_fiber(cfg: FiberConfig, basis: BasisIndex) -> SparseOperator:
     return FiberFamily(cfg.alpha, cfg.grid, basis).fiber(cfg.p)
 
 
-def annihilation_csr(
-    cfg: FiberConfig, basis: BasisIndex, include_alpha: bool = True
-) -> scipy.sparse.csr_matrix:
+def annihilation_csr(cfg: FiberConfig, basis: BasisIndex) -> scipy.sparse.csr_matrix:
     """The (non-symmetric) coupled annihilation part as a square CSR matrix.
 
-    Row s, column t carries [sqrt(alpha)] g_i sqrt(n_i(s) + 1) whenever t is s
+    Row s, column t carries sqrt(alpha) g_i sqrt(n_i(s) + 1) whenever t is s
     with one extra phonon in mode i, i.e. the matrix maps block n+1 down to n.
     """
     _check_basis(cfg, basis)
-    scale = float(np.sqrt(cfg.alpha)) if include_alpha else 1.0
+    scale = float(np.sqrt(cfg.alpha))
     empty = np.zeros(0, dtype=np.int64)
     rr, cc, vv = [empty], [empty], [np.zeros(0)]
     if scale != 0.0 and len(cfg.grid):
@@ -264,18 +221,16 @@ def _annihilation_block(grid: ModeGrid, basis: BasisIndex, n: int, scale: float)
     return tgt, scale * np.tile(grid.couplings, c) * np.sqrt(counts + 1.0)
 
 
-def assemble_KT(
-    cfg: FiberConfig, basis: BasisIndex, dense_cap: int = DEFAULT_DENSE_CAP
-) -> Tuple[np.ndarray, np.ndarray]:
+def assemble_KT(cfg: FiberConfig, basis: BasisIndex) -> Tuple[np.ndarray, np.ndarray]:
     """Dense factor pair (K, T) with K + T = fiber + 1 as an exact identity.
 
     K = (1 + sqrt(alpha) A d^{-1}) d (1 + sqrt(alpha) A d^{-1})^T with d the
     free diagonal and A the bare annihilation part; T = -alpha (A d^{-1}) A^T.
     K is symmetric positive definite; T is symmetric negative semidefinite.
     """
-    _check_dense_cap(basis.dimension, dense_cap)
+    _check_dense_cap(basis.dimension)
     d = kinetic_diagonal(cfg, basis) + 1.0
-    a = annihilation_csr(cfg, basis, include_alpha=False).toarray()
+    a = annihilation_csr(replace(cfg, alpha=1.0), basis).toarray()  # bare A
     ad = a / d[None, :]
     sqrt_alpha = float(np.sqrt(cfg.alpha))
     ell = np.eye(basis.dimension) + sqrt_alpha * ad
@@ -286,19 +241,16 @@ def assemble_KT(
     return k, t
 
 
-def sign_flip(op: SparseOperator, basis: BasisIndex) -> SparseOperator:
-    """Conjugate by (-1)^N: entries between blocks of opposite parity flip sign.
+def sign_flip(op: SparseOperator) -> SparseOperator:
+    """Conjugate a fiber by (-1)^N, which negates every off-diagonal entry.
 
-    The result shares op's index arrays and owns its values.
+    Each off-diagonal entry of a fiber joins number blocks N and N +- 1, of
+    opposite parity.  The result shares op's index arrays and owns its values.
     """
-    if op.dimension != basis.dimension:
-        raise ValueError("operator and basis dimensions differ")
     csr = op.csr
-    nums = basis.total_numbers()
-    odd = (np.repeat(nums, np.diff(csr.indptr)) + nums[csr.indices]) % 2 == 1
-    data = np.where(odd, -csr.data, csr.data)
-    return SparseOperator._from_csr(
-        scipy.sparse.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape))
+    on_diagonal = csr.indices == np.repeat(np.arange(op.dimension), np.diff(csr.indptr))
+    data = np.where(on_diagonal, csr.data, -csr.data)
+    return SparseOperator(scipy.sparse.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape))
 
 
 def _operator_norm(gram: Callable[[np.ndarray], np.ndarray], n: int, seed: int) -> float:
@@ -366,11 +318,7 @@ def _power_norm(factors: list, j: int, seed: int) -> float:
 
 
 def neumann_norms(
-    cfg: FiberConfig,
-    basis: BasisIndex,
-    j_max: int,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-    seed: int = DEFAULT_SEED,
+    cfg: FiberConfig, basis: BasisIndex, j_max: int, seed: int = DEFAULT_SEED
 ) -> np.ndarray:
     """Operator norms s_j = || (sqrt(alpha) A h0^{-1})^j || for j = 1..j_max.
 
@@ -379,7 +327,6 @@ def neumann_norms(
     """
     if j_max < 1:
         raise ValueError("j_max must be at least 1")
-    _check_dense_cap(basis.dimension, dense_cap)
     factors = _block_factors(cfg, basis, -1.0, 0.0)
     return np.array([_power_norm(factors, j, seed) for j in range(1, j_max + 1)])
 
@@ -395,16 +342,10 @@ def weighted_annihilation_norm(
     return _power_norm(_block_factors(cfg, basis, -0.5, -0.25), 1, seed)
 
 
-def neumann_constant(
-    cfg: FiberConfig,
-    basis: BasisIndex,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-    seed: int = DEFAULT_SEED,
-) -> float:
+def neumann_constant(cfg: FiberConfig, basis: BasisIndex, seed: int = DEFAULT_SEED) -> float:
     """Constant C = || sqrt(alpha) A h0^{-1} (N + 1)^{1/4} || controlling s_j decay.
 
     Blockwise, || sqrt(alpha) A h0^{-1} restricted to block n || <= C (n+1)^{-1/4},
     which chains to s_j <= C^j / (j!)^{1/4} on the truncated space.
     """
-    _check_dense_cap(basis.dimension, dense_cap)
     return _power_norm(_block_factors(cfg, basis, -1.0, 0.25), 1, seed)

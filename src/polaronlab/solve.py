@@ -33,8 +33,9 @@ preconditioner is the identity).  Any object with `dimension`, `matvec` and
 
 The dense route (LAPACK eigh on the materialized matrix) exists so iterative
 results can always be cross-checked on small instances, and it powers the
-resolvent positivity audit.  Dense routines refuse to run above a dimension
-cap (_check_dense_cap) instead of silently thrashing memory.
+resolvent positivity audit.  Dense routines refuse to run above the
+dimension cap DENSE_CAP, read at call time (_check_dense_cap), instead of
+silently thrashing memory.
 
 count_below counts the eigenvalues below a level exactly, without solving
 for them, when the operator ends in a diagonal block (a fiber's top phonon
@@ -73,7 +74,7 @@ from .errors import CapacityError, ConvergenceError, NumericalError
 
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-9
-DEFAULT_DENSE_CAP = 2000
+DENSE_CAP = 2000
 DEFAULT_MAX_STEPS = 20000
 REFRESH_STEPS = 20
 SCHUR_MARGIN = 10.0  # c in the count's margin c m u ||S||
@@ -91,7 +92,6 @@ class SpectralResult:
     vector: np.ndarray
     residual: float
     iterations: int
-    converged: bool
     bracket: Optional[Tuple[float, float]] = None
 
 
@@ -267,7 +267,7 @@ def _deflated_lowest(
             np.subtract(ax, tmp, out=tmp)
             res = math.sqrt(tmp @ tmp)
             if res <= cert_tol:
-                return SpectralResult(theta, x.copy(), res, steps, True)
+                return SpectralResult(theta, x.copy(), res, steps)
         if steps >= max_steps:
             break
 
@@ -356,10 +356,10 @@ def ground_state(
     return lowest_eigenpairs(op, k=1, tol=tol, seed=seed, max_steps=max_steps)[0]
 
 
-def _check_dense_cap(n: int, dense_cap: int) -> None:
-    """CapacityError unless an n x n dense matrix fits under the cap."""
-    if n > dense_cap:
-        raise CapacityError(f"dimension {n} exceeds the dense cap {dense_cap}")
+def _check_dense_cap(n: int) -> None:
+    """CapacityError unless an n x n dense matrix fits under DENSE_CAP."""
+    if n > DENSE_CAP:
+        raise CapacityError(f"dimension {n} exceeds the dense cap {DENSE_CAP}")
 
 
 def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
@@ -376,13 +376,13 @@ def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
 
 
 @_one_blas_thread()
-def dense_spectrum(op, k: int = 6, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def dense_spectrum(op, k: int = 6) -> np.ndarray:
     """k smallest eigenvalues by dense LAPACK; the oracle for the iterative route.
 
     A non-finite operator raises NumericalError.
     """
     n = op.dimension
-    _check_dense_cap(n, dense_cap)
+    _check_dense_cap(n)
     k = min(int(k), n)
     if k < 1:
         raise ValueError("k must be positive")
@@ -411,7 +411,7 @@ def _negative_inertia(s: np.ndarray) -> int:
 
 
 @_one_blas_thread()
-def count_below(op, e: float, split: int, dense_cap: int = DEFAULT_DENSE_CAP):
+def count_below(op, e: float, split: int):
     """Number of eigenvalues of a SparseOperator below e, or None to fall back.
 
     `split` is where a diagonal trailing block D_top starts (for a fiber,
@@ -425,7 +425,7 @@ def count_below(op, e: float, split: int, dense_cap: int = DEFAULT_DENSE_CAP):
     (Bunch-Kaufman backward error, Higham ch. 11; ||S|| is bounded by the
     norms of its two terms so the rounding of forming S is covered too) and
     accepted only if they agree.  None when e >= min D_top, when split
-    exceeds dense_cap, or when the two counts differ.  ValueError if the
+    exceeds DENSE_CAP, or when the two counts differ.  ValueError if the
     trailing block is not diagonal.  X, B and D_top are sliced from op.csr.
     """
     n = op.dimension
@@ -439,7 +439,7 @@ def count_below(op, e: float, split: int, dense_cap: int = DEFAULT_DENSE_CAP):
         raise ValueError(f"the trailing block from {split} on is not diagonal")
     d_top = csr.diagonal()[split:]
     d_min = d_top.min()
-    if e >= d_min or split > dense_cap:
+    if e >= d_min or split > DENSE_CAP:
         return None
     x = csr[:split, :split].toarray()
     bt = csr[split:, :split]
@@ -461,9 +461,7 @@ def count_below(op, e: float, split: int, dense_cap: int = DEFAULT_DENSE_CAP):
 
 
 @_one_blas_thread()
-def resolvent_positivity_audit(
-    op, lam: float, dense_cap: int = DEFAULT_DENSE_CAP
-) -> PositivityReport:
+def resolvent_positivity_audit(op, lam: float) -> PositivityReport:
     """Entrywise positivity of (op + lam)^{-1} plus ground-vector sign data.
 
     The caller passes the operator in the basis where positivity is expected
@@ -473,7 +471,7 @@ def resolvent_positivity_audit(
     NumericalError.
     """
     n = op.dimension
-    _check_dense_cap(n, dense_cap)
+    _check_dense_cap(n)
     dense = op.to_dense()
     if not np.isfinite(dense).all():
         raise NumericalError("operator is not finite")

@@ -113,10 +113,6 @@ class TorusModel:
     basis: object
     blocks: Tuple[SparseOperator, ...]
 
-    @property
-    def total_dimension(self) -> int:
-        return len(self.blocks) * self.basis.dimension
-
 
 @dataclass(frozen=True)
 class TorusReport:
@@ -189,12 +185,11 @@ def _orbit_sources(model: TorusModel) -> List[Tuple[int, Optional[np.ndarray]]]:
 
 def degeneracy_analysis(
     model: TorusModel,
-    degeneracy_tol: Optional[float] = None,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
     threads: int = 1,
 ) -> TorusReport:
-    """Global minimum over blocks and how many eigenvalues sit within tol of it.
+    """Global minimum over blocks and how many levels sit within degeneracy_tol of it.
 
     Ground first: phase 1 solves the lowest eigenvalue of one block per O_h
     orbit of the lattice scan and copies it to the orbit's other blocks, each
@@ -213,9 +208,7 @@ def degeneracy_analysis(
     level in the window.  The multiplicity is the total count, so a simple
     global minimum reads 1 and a degenerate one at least 2.
     """
-    tol_deg = model.config.degeneracy_tol if degeneracy_tol is None else float(degeneracy_tol)
-    if tol_deg <= 0:
-        raise ValueError("degeneracy_tol must be positive")
+    tol_deg = model.config.degeneracy_tol
     blocks = model.blocks
 
     def levels(block, k):

@@ -10,6 +10,7 @@ import math
 from collections import Counter
 
 import numpy as np
+import scipy.sparse
 
 
 def naive_states(m_modes, n_max):
@@ -161,17 +162,37 @@ def naive_cell_couplings(units, delta):
     return np.sqrt(g2)
 
 
+def from_triplets(dim, rows, cols, vals):
+    """SparseOperator from upper-triangle (row <= col) triplets.
+
+    Exact zeros are dropped and the strict upper triangle is mirrored, so the
+    CSR is symmetric and canonical, as the package's assemblies are.
+    """
+    from polaronlab import SparseOperator
+
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    assert (rows <= cols).all()
+    keep = vals != 0.0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    off = rows != cols
+    return SparseOperator(scipy.sparse.csr_matrix(
+        (np.concatenate([vals, vals[off]]),
+         (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))),
+        shape=(dim, dim)))
+
+
 def assemble_free(cfg, basis):
     """Diagonal comparison operator (P - P_f)^2 + N + 1; every entry is >= 1.
 
     Built from the package's kinetic diagonal: it serves as an extra,
     strictly diagonal instance for the solver oracles, not as a reference.
     """
-    from polaronlab import SparseOperator, kinetic_diagonal
+    from polaronlab import kinetic_diagonal
 
     diag = kinetic_diagonal(cfg, basis) + 1.0
     idx = np.arange(basis.dimension, dtype=np.int64)
-    return SparseOperator(basis.dimension, idx, idx, diag)
+    return from_triplets(basis.dimension, idx, idx, diag)
 
 
 def upper_to_dense(op):
@@ -191,11 +212,9 @@ def upper_diagonal(op):
 
 def upper_sign_flip(op, basis):
     """(-1)^N conjugation as a parity flip over the upper-triangle triplets."""
-    from polaronlab import SparseOperator
-
     nums = basis.total_numbers()
     odd = (nums[op.rows] + nums[op.cols]) % 2 == 1
-    return SparseOperator(op.dimension, op.rows, op.cols, np.where(odd, -op.vals, op.vals))
+    return from_triplets(op.dimension, op.rows, op.cols, np.where(odd, -op.vals, op.vals))
 
 
 def state_map(basis, modes):

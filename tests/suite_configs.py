@@ -55,7 +55,7 @@ def all_operators_with_basis():
     for name, cfg, basis in kt_suite():
         op = assemble_fiber(cfg, basis)
         out.append((f"fiber:{name}", op, basis))
-        out.append((f"flip:{name}", sign_flip(op, basis), basis))
+        out.append((f"flip:{name}", sign_flip(op), basis))
         out.append((f"free:{name}", assemble_free(cfg, basis), basis))
     # larger instances, momenta off the origin, a finer spacing
     extras = (
@@ -72,7 +72,7 @@ def all_operators_with_basis():
         cfg = FiberConfig(alpha=alpha, p=np.asarray(p), grid=grid, n_max=n_max)
         op = assemble_fiber(cfg, basis)
         out.append((f"fiber:{name}", op, basis))
-        out.append((f"flip:{name}", sign_flip(op, basis), basis))
+        out.append((f"flip:{name}", sign_flip(op), basis))
     return tuple(out)
 
 

@@ -159,7 +159,7 @@ def test_c08_ground_state_uniqueness():
     cfg = FiberConfig(alpha=1.0, p=np.zeros(3), grid=grid, n_max=2)
     op = assemble_fiber(cfg, basis)
     e0 = float(dense_spectrum(op, k=1)[0])
-    flipped = sign_flip(op, basis)
+    flipped = sign_flip(op)
     report = resolvent_positivity_audit(flipped, 1.0 - e0)
 
     vec = ground_state(flipped).vector
@@ -210,7 +210,7 @@ def test_c10_solver_oracle_equivalence():
     for name, op in all_operators():
         assert op.dimension <= 2000
         k = min(3, op.dimension)
-        dense = dense_spectrum(op, k=k, dense_cap=2000)
+        dense = dense_spectrum(op, k=k)
         results = lowest_eigenpairs(op, k=k)
         for i in range(k):
             worst = max(worst, abs(results[i].energy - float(dense[i])))

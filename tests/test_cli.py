@@ -69,6 +69,19 @@ def test_bad_arguments_exit_3(tmp_path, capsys):
     assert main(["dispersion", "--nmax", "1.5", "--out", out]) == 3
     assert main(["checks", "--seed", "x", "--out", out]) == 3
     assert main(["checks", "--threads", "0", "--out", out]) == 3
+    # non-finite numbers: an infinite tol would certify any residual
+    for command, flag, value in (("dispersion", "--tol", "inf"), ("extrapolate", "--tol", "inf"),
+                                 ("dispersion", "--alpha", "nan"),
+                                 ("dispersion", "--alpha", "inf"),
+                                 ("dispersion", "--delta", "inf")):
+        assert main([command, flag, value, "--out", out]) == 3
+        assert "must be finite" in capsys.readouterr().err
+    cfg = tmp_path / "nonfinite.cfg"
+    for line in ("lambda_values = 4,inf,8", "target = nan", "p = 0,0,-inf"):
+        cfg.write_text(line + "\n")
+        assert main(["extrapolate", "--config", str(cfg), "--out", out]) == 3
+    cfg.write_text("fibers = 0,0,nan; 0,0,nan\n")
+    assert main(["torus", "--config", str(cfg), "--out", out]) == 3
 
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError("not positive definite"),
@@ -106,8 +119,8 @@ def test_nan_reaching_the_positivity_audit_exits_2(tmp_path, capsys, monkeypatch
     # the fiber's dense spectrum is taken before the flip, so only the audit sees the NaN
     flip = polaronlab.cli.sign_flip
 
-    def poisoned(op, basis):
-        out = flip(op, basis)
+    def poisoned(op):
+        out = flip(op)
         out.csr.data[-1] = np.nan
         return out
 
@@ -132,7 +145,7 @@ def test_nan_reaching_the_kt_identity_exits_2(tmp_path, capsys, monkeypatch):
     # max(0.0, nan) is 0.0: a fold that skips the NaN would report a pass
     _poison_assembled_fibers(monkeypatch)
     with pytest.raises(NumericalError, match="K \\+ T identity on single-mode-2x2"):
-        polaronlab.cli._check_kt_identity(None, 42)
+        polaronlab.cli._check_kt_identity()
     assert main(["checks", "--out", str(tmp_path)]) == 2
     assert "NumericalError: K + T identity" in capsys.readouterr().err
     assert not (tmp_path / "checks.json").exists()

@@ -12,6 +12,7 @@ from polaronlab import (
     DispersionCurve,
     DispersionSample,
     FiberConfig,
+    FiberFamily,
     ModeGrid,
     NumericalError,
     SpectralResult,
@@ -226,6 +227,33 @@ def test_extrapolation_builds_one_grid(monkeypatch):
     assert len(rep.energies) == 3
 
 
+def _count_families(monkeypatch):
+    """Record the mode count of every FiberFamily built, by whichever route."""
+    built = []
+    init = FiberFamily.__init__
+
+    def counting(self, alpha, grid, basis):
+        built.append(len(grid))
+        init(self, alpha, grid, basis)
+
+    monkeypatch.setattr(FiberFamily, "__init__", counting)
+    return built
+
+
+def test_n_max_2_pipelines_build_one_family_per_grid(monkeypatch):
+    built = _count_families(monkeypatch)
+    mass = effective_mass(1.0, 1.0, 1.5, 2, h=0.1)
+    assert len(built) == 1
+    del built[:]
+    cutoff_extrapolate(0.5, CutoffSchedule(lambdas=(1.5, 2.0, 2.5), delta=1.0, n_max=2))
+    assert sorted(built) == [len(build_grid(1.0, lam)) for lam in (1.5, 2.0, 2.5)]
+    # the three mass points are the curve's energies at the same momenta, bit for bit
+    curve = dispersion_curve(1.0, [(0, 0, 0), (0, 0, 0.1), (0, 0, -0.1)], 1.0, 1.5, 2)
+    energies = {s.p[2]: s.energy for s in curve.samples}
+    assert (mass.e_zero, mass.e_plus, mass.e_minus) == (
+        energies[0.0], energies[0.1], energies[-0.1])
+
+
 def test_extrapolation_needs_three_cutoffs():
     with pytest.raises(ValueError):
         cutoff_extrapolate(
@@ -239,7 +267,7 @@ def _rising_energies():
         fake.calls += 1
         return SpectralResult(
             energy={1: -0.5, 2: -0.4, 3: -0.3}[fake.calls],
-            vector=np.zeros(1), residual=0.0, iterations=1, converged=True,
+            vector=np.zeros(1), residual=0.0, iterations=1,
         )
 
     fake.calls = 0
@@ -319,7 +347,7 @@ def _assert_certified(alpha, p, grid):
 @pytest.mark.parametrize("p", SECULAR_MOMENTA)
 def test_secular_root_matches_dense_spectrum_inside_its_bracket(alpha, p):
     r = _assert_certified(alpha, p, build_grid(1.0, 2.0))
-    assert r.converged and r.residual <= 1e-13
+    assert r.residual <= 1e-13
 
 
 def test_secular_free_edge_and_empty_grid():

@@ -1,0 +1,73 @@
+"""Golden bytes: fixed CLI runs must keep writing exactly the recorded files.
+
+Each run goes through cli.main in process, and every file it writes is
+compared by SHA-256 against a hash recorded before any refactor of the
+pipelines touched them.  A refactor that keeps the outputs keeps these
+hashes; a change that moves a digit on purpose re-records them and names
+the moved fields.  The hashes depend on the numpy and scipy builds (their
+BLAS and summation order), so the test skips on other versions.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from polaronlab.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+RECORDED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+SMALL_EXTRAPOLATION = "alpha = 0.5\ndelta = 1\nnmax = 2\nlambda_values = 1.5,2,2.5\nseed = 7\n"
+
+# run name -> (argv without --out, {file it writes: SHA-256})
+GOLDEN = {
+    "checks_quick": (["checks", "--config", str(CONFIGS / "quick.cfg")], {
+        "checks.json": "8e3b386eea95d154f1ff4a8b9d3044ffddacdae4c2c10f7dbf548e5bfa352fa9",
+    }),
+    "dispersion_default": (["dispersion"], {
+        "dispersion.csv": "c5f094e787372877bfee254ddf1eda450af43c24d52cd0436e778b53c999a019",
+        "verdict.json": "702dc9babc3b4940af222d0759dcceb6a6d6fd023a8d8673ed9f5cb2fccfb801",
+    }),
+    "dispersion_free": (["dispersion", "--config", str(CONFIGS / "free.cfg")], {
+        "dispersion.csv": "671300f4a93ca0a0ceb6fc0e5b252fe5dc06a84bd86ea542a7334830015e59ba",
+        "verdict.json": "fa35534e150eb7a3368a9659c48e72430f61feaa9edf5ae8c7f4008e9f2d405f",
+    }),
+    "extrapolate_default": (["extrapolate"], {
+        "extrapolation.csv": "07d3227727cab3154601d3971e40eca00ad04b775ba9030682dade4d985b51e0",
+        "extrapolation.json": "c3834c9a990537e0ff5ddaab9f964a3590ce9c1fcd2b3e03c7545415a5f5b196",
+    }),
+    "extrapolate_nmax2": (["extrapolate", "--config", "{small}"], {
+        "extrapolation.csv": "31b9806eb07be93d99d6a15f86e3937e0f00c8ef8c8fc68d6cfb48ddd004fd96",
+        "extrapolation.json": "f3bfbb3d387fb51c92e1ce3d1ff004fab4932146de28e33e83b90a222150118e",
+    }),
+    "torus_default": (["torus"], {
+        "torus.csv": "4a9567d90d7a03ffe0cafa50e0c0ddaa19527157f893402aa63bbe267af3388c",
+        "torus.json": "192d98fa3c483ff19627b16b76418f91a591a01f26da89424f1cb4a5e509202f",
+    }),
+}
+
+
+def _versions_match():
+    return (np.__version__ == RECORDED_VERSIONS["numpy"]
+            and scipy.__version__ == RECORDED_VERSIONS["scipy"])
+
+
+@pytest.mark.skipif(
+    not _versions_match(),
+    reason=f"golden hashes were recorded with numpy {RECORDED_VERSIONS['numpy']} "
+           f"and scipy {RECORDED_VERSIONS['scipy']}",
+)
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_outputs_match_recorded_bytes(name, tmp_path):
+    argv, hashes = GOLDEN[name]
+    small = tmp_path / "small.cfg"
+    small.write_text(SMALL_EXTRAPOLATION)
+    out = tmp_path / "out"
+    argv = [a.replace("{small}", str(small)) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == hashes

@@ -24,9 +24,10 @@ from polaronlab import (
     sign_flip,
     weighted_annihilation_norm,
 )
-from polaronlab import operators
+from polaronlab import operators, solve
 from naive_ref import (
-    assemble_free, naive_fiber_dense, upper_diagonal, upper_sign_flip, upper_to_dense,
+    assemble_free, from_triplets, naive_fiber_dense, upper_diagonal, upper_sign_flip,
+    upper_to_dense,
 )
 from suite_configs import all_operators, all_operators_with_basis, kt_suite, single_mode_grid
 
@@ -109,8 +110,8 @@ def test_fiber_matches_naive_dense_nonzero_momentum():
 
 @pytest.mark.parametrize("alpha", (0.0, 1.0))
 def test_family_fiber_equals_generic_assembly(alpha):
-    # entry for entry what the triplet constructor builds from the raw
-    # triplets, including its symmetric CSR and the dropped vacuum zero at P = 0
+    # entry for entry what from_triplets builds from the raw triplets,
+    # including its symmetric CSR and the dropped vacuum zero at P = 0
     grid = build_grid(1.0, 1.5)
     basis = enumerate_basis(len(grid), 3, grid.units, grid.spacing)
     family = FiberFamily(alpha, grid, basis)
@@ -118,9 +119,9 @@ def test_family_fiber_equals_generic_assembly(alpha):
     for p in FAMILY_MOMENTA:
         cfg = FiberConfig(alpha=alpha, p=np.asarray(p), grid=grid, n_max=3)
         a = annihilation_csr(cfg, basis).tocoo()
-        ref = SparseOperator(basis.dimension, np.concatenate([idx, a.row]),
-                             np.concatenate([idx, a.col]),
-                             np.concatenate([kinetic_diagonal(cfg, basis), a.data]))
+        ref = from_triplets(basis.dimension, np.concatenate([idx, a.row]),
+                            np.concatenate([idx, a.col]),
+                            np.concatenate([kinetic_diagonal(cfg, basis), a.data]))
         op = family.fiber(p)
         assert op.nnz == ref.nnz
         for name in ("rows", "cols", "vals"):
@@ -202,13 +203,7 @@ def test_assembly_is_reproducible():
 
 
 def test_sparse_operator_storage_rules():
-    with pytest.raises(ValueError):
-        SparseOperator(2, [1], [0], [1.0])  # lower triangle rejected
-    with pytest.raises(ValueError):
-        SparseOperator(2, [0, 0], [1, 1], [1.0, 2.0])  # duplicate entry
-    with pytest.raises(ValueError):
-        SparseOperator(2, [0], [2], [1.0])  # out of range
-    op = SparseOperator(3, [0, 1, 0], [0, 1, 2], [1.0, 0.0, 2.0])
+    op = from_triplets(3, [0, 1, 0], [0, 1, 2], [1.0, 0.0, 2.0])
     assert op.nnz == 2  # exact zero dropped
     for upper in (op.rows, op.cols, op.vals):
         assert not upper.flags.writeable
@@ -236,7 +231,7 @@ def test_accessors_equal_triplet_formulas(name, op, basis):
     # the CSR-served accessors give, bit for bit, the upper-triangle formulas
     assert op.to_dense().tobytes() == upper_to_dense(op).tobytes()
     assert op.diagonal().tobytes() == upper_diagonal(op).tobytes()
-    got, want = sign_flip(op, basis).csr, upper_sign_flip(op, basis).csr
+    got, want = sign_flip(op).csr, upper_sign_flip(op, basis).csr
     for attr in ("data", "indices", "indptr"):
         x, y = getattr(got, attr), getattr(want, attr)
         assert x.dtype == y.dtype
@@ -278,8 +273,8 @@ def test_desk_fibers_share_one_canonical_int32_structure():
 def test_sign_flip_involution_and_spectrum():
     for name, cfg, basis in kt_suite():
         op = assemble_fiber(cfg, basis)
-        flipped = sign_flip(op, basis)
-        back = sign_flip(flipped, basis)
+        flipped = sign_flip(op)
+        back = sign_flip(flipped)
         np.testing.assert_array_equal(back.vals, op.vals)
         np.testing.assert_array_equal(back.rows, op.rows)
         # diagonal untouched, cross-block entries negated
@@ -290,8 +285,6 @@ def test_sign_flip_involution_and_spectrum():
         a = np.linalg.eigvalsh(op.to_dense())
         b = np.linalg.eigvalsh(flipped.to_dense())
         np.testing.assert_allclose(a, b, atol=1e-10)
-    with pytest.raises(ValueError):
-        sign_flip(op, enumerate_basis(1, 1))
 
 
 def test_annihilation_couples_adjacent_blocks_only():
@@ -359,8 +352,8 @@ def test_norm_solves_stay_within_number_blocks(monkeypatch):
 
     monkeypatch.setattr(operators, "lowest_eigenpairs", recording)
     weighted_annihilation_norm(cfg, basis)
-    neumann_norms(cfg, basis, 3, dense_cap=basis.dimension)
-    neumann_constant(cfg, basis, dense_cap=basis.dimension)
+    neumann_norms(cfg, basis, 3)
+    neumann_constant(cfg, basis)
     bound = max(basis.block_count(n) for n in range(basis.n_max))
     assert bound == 256
     assert sizes and max(sizes) == bound
@@ -457,16 +450,13 @@ def test_basis_grid_mismatch_guards():
         assemble_fiber(cfg, enumerate_basis(6, 2, other.units[:6], other.spacing))
 
 
-def test_dense_caps_enforced():
+def test_dense_caps_enforced(monkeypatch):
     grid = build_grid(1.0, 1.5)
     basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
     cfg = FiberConfig(alpha=1.0, p=np.zeros(3), grid=grid, n_max=2)
+    monkeypatch.setattr(solve, "DENSE_CAP", 10)
     with pytest.raises(CapacityError):
-        assemble_KT(cfg, basis, dense_cap=10)
-    with pytest.raises(CapacityError):
-        neumann_norms(cfg, basis, 2, dense_cap=10)
-    with pytest.raises(CapacityError):
-        neumann_constant(cfg, basis, dense_cap=10)
+        assemble_KT(cfg, basis)
     with pytest.raises(ValueError):
         neumann_norms(cfg, basis, 0)
 

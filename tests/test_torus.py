@@ -338,12 +338,6 @@ def test_count_certifies_desk_ground_and_doublet():
     assert [count_below(block, e, split) for e in (lam2 - 1e-8, lam2 + 1e-8)] == [1, 3]
 
 
-def test_degeneracy_tol_validation():
-    model = assemble_torus(_quick_config(cutoff=1.5, n_max=1))
-    with pytest.raises(ValueError):
-        degeneracy_analysis(model, degeneracy_tol=0.0)
-
-
 def test_contradiction_check_flags_inconsistency():
     # a simple zero minimum must come with multiplicity one ...
     rep = TorusReport(
