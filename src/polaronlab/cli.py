@@ -44,6 +44,7 @@ NORM_BOUND_THRESHOLD = 0.3536 * 1.05
 FARIS_TOL = 1e-10
 GAP_TOL = 1e-6
 DEGENERACY_MATCH_TOL = 1e-10
+TOL_MAX = 1e-6  # a looser solver tolerance would certify a bare start vector
 
 
 # -- config handling --------------------------------------------------------
@@ -218,6 +219,8 @@ def _common(cfg: RunConfig):
     seed = cfg.get_int("seed", default=42)
     threads = cfg.get_int("threads", default=1, minimum=1)
     tol = cfg.get_float("tol", default=1e-9, positive=True)
+    if tol > TOL_MAX:
+        raise ConfigError(f"parameter 'tol' must be at most {TOL_MAX:g}, got {tol}")
     return seed, threads, tol
 
 

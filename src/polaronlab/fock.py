@@ -7,7 +7,8 @@ operator assembled over it is block structured by phonon number.  Within a
 block of fixed n this ordering equals the *reverse* of lexicographic order on
 ascending mode multisets, which is what the closed-form ranking below uses.
 
-All indexing is exact integer arithmetic; no floats enter the bookkeeping.
+All indexing is exact integer arithmetic; no floats enter the bookkeeping,
+so raise maps (min/max insertion) and momenta (column sums) are order-free.
 Phonon momenta are tracked as integer lattice vectors (mode momenta are exact
 multiples of the grid spacing) and converted to physical units by a single
 multiplication, so momentum additivity holds exactly at the integer level.
@@ -154,7 +155,10 @@ class BasisIndex:
             if self.mode_units is None or n == 0:
                 pf = np.zeros((self.block_count(n), 3), dtype=np.int64)
             else:
-                pf = self.mode_units[self._blocks[n].astype(np.int64)].sum(axis=1)
+                block = self._blocks[n]  # integer sums: exact in any order
+                pf = self.mode_units[block[:, 0]]
+                for j in range(1, n):
+                    pf += self.mode_units[block[:, j]]
             self._pf_cache[n] = pf
         return self._pf_cache[n]
 
@@ -184,15 +188,19 @@ class BasisIndex:
             empty = np.zeros(0, dtype=np.int64)
             out = (empty, empty)
         else:
-            col = np.tile(np.arange(m_modes, dtype=np.int32), c)[:, None]
-            if n:
-                src = np.repeat(a, m_modes, axis=0)
-                counts = (src == col).sum(axis=1).astype(np.int64)
-                new_rows = np.sort(np.concatenate([src, col], axis=1), axis=1)
-            else:
-                counts = np.zeros(c * m_modes, dtype=np.int64)
-                new_rows = col
-            out = (counts, rank_rows(new_rows, m_modes))
+            # insert the raised mode into each ascending row by min/max; rows[j]
+            # holds column j of the raised rows as one (state, mode) plane
+            modes = np.arange(m_modes, dtype=np.int32)
+            rows = np.empty((n + 1, c, m_modes), dtype=np.int32)
+            counts = np.zeros((c, m_modes), dtype=np.int64)
+            carry = rows[n]  # the mode until it is placed, then the row's largest
+            carry[:] = modes
+            for j in range(n):
+                src = a[:, j, None]
+                counts += src == modes
+                np.minimum(src, carry, out=rows[j])
+                np.maximum(src, carry, out=carry)
+            out = (counts.ravel(), rank_rows(rows.reshape(n + 1, -1).T, m_modes))
         self._raise_cache[n] = out
         return out
 

@@ -10,7 +10,10 @@ introduces, so grid sums converge to the continuum integrals they discretize
 at the rate the cutoff tail predicts.
 
 Cell integrals are evaluated once per octahedral orbit and mirrored, making
-the equal-coupling symmetry exact in floating point.
+the equal-coupling symmetry exact in floating point.  Kernels are elementwise:
+_norm2 keeps the bits of (v * v).sum(axis=1) and each cell sums its points by
+a row-wise .sum(axis=1); floating-point addition is not associative, so any
+other summation order moves the last bits of couplings and output bytes.
 """
 
 from __future__ import annotations
@@ -68,52 +71,60 @@ def _gauss_legendre(order: int):
     return x, w
 
 
+def _norm2(v: np.ndarray) -> np.ndarray:
+    """Row-wise squared norms of an (M, 3) array, bitwise (v * v).sum(axis=1).
+
+    NumPy reduces a length-3 axis left to right, so x*x, then + y*y, then
+    + z*z keeps every bit (integer sums are exact in any order).
+    """
+    out = v[:, 0] * v[:, 0]
+    out += v[:, 1] * v[:, 1]
+    out += v[:, 2] * v[:, 2]
+    return out
+
+
 def _cell_integrals(centers: np.ndarray, delta: float, order: int) -> np.ndarray:
-    """Gauss-Legendre product-rule integrals of 1/|k|^2 over delta-cubes."""
+    """Gauss-Legendre product-rule integrals of 1/|k|^2 over delta-cubes.
+
+    |k|^2 adds the axes left to right, as _norm2; the points must stay summed
+    by .sum(axis=1) of a C-contiguous (R, P) array (its pairwise order).
+    """
     x, w = _gauss_legendre(order)
     x = x * (delta / 2.0)
     w = w * (delta / 2.0)
-    gx, gy, gz = np.meshgrid(x, x, x, indexing="ij")
+    gx, gy, gz = (g.ravel() for g in np.meshgrid(x, x, x, indexing="ij"))
     weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    k = centers[:, None, :] + pts[None, :, :]
-    return (weights[None, :] / (k * k).sum(axis=2)).sum(axis=1)
+    k2 = np.square(centers[:, 0, None] + gx)
+    k2 += np.square(centers[:, 1, None] + gy)
+    k2 += np.square(centers[:, 2, None] + gz)
+    return np.divide(weights, k2, out=k2).sum(axis=1)
 
 
-def _quadrature_order(shell: int) -> int:
+def _quadrature_order(shells: np.ndarray) -> np.ndarray:
     # higher order near the singularity; converged to <=1e-12 relative
-    if shell <= 1:
-        return 24
-    if shell <= 2:
-        return 12
-    if shell <= 4:
-        return 8
-    return 5
+    return np.select([shells <= 1, shells <= 2, shells <= 4], [24, 12, 8], 5)
 
 
 def _cell_couplings(units: np.ndarray, delta: float) -> np.ndarray:
     """Per-mode couplings g_i > 0 from exact cell masses of |v|^2."""
     if len(units) == 0:
         return np.zeros(0, dtype=np.float64)
-    # one orbit per sorted |unit|; its base-B code orders like the row itself
-    # (entries are non-negative and below B), so reps come out lexicographic
-    key = np.sort(np.abs(units), axis=1)
-    base = int(key.max()) + 1
-    codes, inverse = np.unique(
-        (key[:, 0] * base + key[:, 1]) * base + key[:, 2], return_inverse=True
-    )
+    # one orbit per |unit| sorted by a min/max network into (lo, mid, hi); its
+    # base-B code orders like that row (entries are non-negative and below B),
+    # so reps come out lexicographic, and hi is the shell
+    a, b, c = np.abs(units).T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    lo, mid, hi = np.minimum(lo, c), np.maximum(lo, np.minimum(hi, c)), np.maximum(hi, c)
+    base = int(hi.max()) + 1
+    codes, inverse = np.unique((lo * base + mid) * base + hi, return_inverse=True)
     reps = np.stack([codes // base**2, codes // base % base, codes % base], axis=1)
-    shells = reps.max(axis=1)
     cell = np.zeros(len(reps), dtype=np.float64)
-    orders = np.array([_quadrature_order(int(s)) for s in shells])
+    orders = _quadrature_order(reps[:, 2])
     for order in np.unique(orders):
         sel = orders == order
         cell[sel] = _cell_integrals(reps[sel] * delta, delta, int(order))
     g2 = cell[inverse] / (16.0 * math.pi**2)
-    nearest = (units * units).sum(axis=1) == 1
-    g2 = g2 + np.where(
-        nearest, delta * _origin_cell_unit() / (16.0 * math.pi**2) / 6.0, 0.0
-    )
+    g2[_norm2(units) == 1] += delta * _origin_cell_unit() / (16.0 * math.pi**2) / 6.0
     return np.sqrt(g2)
 
 
@@ -143,10 +154,10 @@ class ModeGrid:
         if self.couplings.shape != (len(self.units),):
             raise ValueError("couplings must be one per mode")
         if len(self.units):
-            n2 = (self.units * self.units).sum(axis=1)
+            n2 = _norm2(self.units)
             if (n2 == 0).any():
                 raise ValueError("the origin is not a mode")
-            k2 = (self.modes * self.modes).sum(axis=1)
+            k2 = _norm2(self.modes)
             if (k2 > self.cutoff**2 * (1.0 + 1e-12)).any():
                 raise ValueError("a mode lies outside the cutoff ball")
             if (self.couplings <= 0).any():
@@ -160,7 +171,7 @@ class ModeGrid:
         return len(self.units) == 0
 
     def k_squared(self) -> np.ndarray:
-        return (self.modes * self.modes).sum(axis=1)
+        return _norm2(self.modes)
 
     def within(self, lam: float) -> "ModeGrid":
         """The modes with |k| <= lam, selected by build_grid's integer ball test.
@@ -171,7 +182,7 @@ class ModeGrid:
         """
         if not 0 < lam <= self.cutoff:
             raise ValueError(f"cutoff {lam} must lie in (0, {self.cutoff}]")
-        keep = (self.units * self.units).sum(axis=1) <= _ball_r2(self.spacing, lam)
+        keep = _norm2(self.units) <= _ball_r2(self.spacing, lam)
         return ModeGrid(self.spacing, float(lam), self.units[keep], self.modes[keep],
                         self.couplings[keep])
 
@@ -212,7 +223,7 @@ def build_grid(
     ax = np.arange(-r, r + 1, dtype=np.int64)
     gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij")
     units = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    n2 = (units * units).sum(axis=1)
+    n2 = _norm2(units)
     units = units[(n2 > 0) & (n2 <= r2max)]  # the ij ravel is lexicographic
     if len(units) > capacity:
         raise CapacityError(f"mode count {len(units)} exceeds capacity {capacity}")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import CapacityError, ConvergenceError
 from .fock import enumerate_basis
-from .modes import _axis_map, build_grid
+from .modes import _axis_map, _norm2, build_grid
 from .operators import FiberFamily, SparseOperator
 from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, count_below, lowest_eigenpairs
 
@@ -99,7 +99,7 @@ def lattice_fibers(cfg: TorusConfig) -> np.ndarray:
     axis = np.arange(-r, r + 1, dtype=np.int64)
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     units = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    keep = (units * units).sum(axis=1) <= r2max  # the ij ravel is lexicographic
+    keep = _norm2(units) <= r2max  # the ij ravel is lexicographic
     return spacing * units[keep].astype(np.float64)
 
 
@@ -281,7 +281,7 @@ def periodized_yukawa(
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     images = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
     pts = diff[None, :] - ell * images
-    r = np.sqrt((pts * pts).sum(axis=1))
+    r = np.sqrt(_norm2(pts))
     if float(r.min()) < 1e-12 * max(1.0, ell):
         raise ValueError("kernel evaluated at (an image of) the singularity x = xp")
     return float(np.sum(np.exp(-mass * r) / (4.0 * math.pi * r)))

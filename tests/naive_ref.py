@@ -137,29 +137,100 @@ def naive_couplings(delta, lam):
     return units, gs
 
 
+def naive_cell_integrals(centers, delta, order):
+    """Product-rule cell integrals of 1/|k|^2 with |k|^2 as (k * k).sum(axis=2)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x = x * (delta / 2.0)
+    w = w * (delta / 2.0)
+    gx, gy, gz = np.meshgrid(x, x, x, indexing="ij")
+    weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
+    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    k = centers[:, None, :] + pts[None, :, :]
+    return (weights[None, :] / (k * k).sum(axis=2)).sum(axis=1)
+
+
+def naive_quadrature_order(shell):
+    """Gauss-Legendre order per cell shell, one branch per range."""
+    if shell <= 1:
+        return 24
+    if shell <= 2:
+        return 12
+    if shell <= 4:
+        return 8
+    return 5
+
+
+def naive_origin_cell_unit():
+    """Integral of 1/|k|^2 over the unit cube at the origin, by its 1D reduction."""
+    x, w = np.polynomial.legendre.leggauss(96)
+    s = np.sqrt(1.0 + x * x)
+    return 3.0 * float(np.sum(w * (2.0 / s) * np.arctan(1.0 / s)))
+
+
 def naive_cell_couplings(units, delta):
-    """modes._cell_couplings with the orbit dedupe as np.unique over rows.
+    """modes._cell_couplings written with plain row-wise NumPy expressions.
 
-    The package dedupes on one integer code per sorted |unit|; this keeps the
-    row-wise route it must reproduce bit for bit, sharing the quadrature.
+    Orbits come from np.sort(axis=1) and np.unique(axis=0) over rows, squared
+    norms from (v * v).sum(axis=1): the package must reproduce these bit for
+    bit, and shares none of their code.
     """
-    from polaronlab.modes import _cell_integrals, _origin_cell_unit, _quadrature_order
-
     if len(units) == 0:
         return np.zeros(0, dtype=np.float64)
     key = np.sort(np.abs(units), axis=1)
     reps, inverse = np.unique(key, axis=0, return_inverse=True)
-    orders = np.array([_quadrature_order(int(s)) for s in reps.max(axis=1)])
+    orders = np.array([naive_quadrature_order(int(s)) for s in reps.max(axis=1)])
     cell = np.zeros(len(reps), dtype=np.float64)
     for order in np.unique(orders):
         sel = orders == order
-        cell[sel] = _cell_integrals(reps[sel] * delta, delta, int(order))
+        cell[sel] = naive_cell_integrals(reps[sel] * delta, delta, int(order))
     g2 = cell[inverse] / (16.0 * math.pi**2)
     nearest = (units * units).sum(axis=1) == 1
     g2 = g2 + np.where(
-        nearest, delta * _origin_cell_unit() / (16.0 * math.pi**2) / 6.0, 0.0
+        nearest, delta * naive_origin_cell_unit() / (16.0 * math.pi**2) / 6.0, 0.0
     )
     return np.sqrt(g2)
+
+
+def naive_grid_arrays(delta, lam):
+    """(units, modes, couplings, k^2) of build_grid(delta, lam), row-wise sums."""
+    r2max = int((lam / delta) ** 2 + 1e-9)
+    r = math.isqrt(r2max)
+    ax = np.arange(-r, r + 1, dtype=np.int64)
+    gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij")
+    units = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    n2 = (units * units).sum(axis=1)
+    units = units[(n2 > 0) & (n2 <= r2max)]
+    modes = delta * units.astype(np.float64)
+    return units, modes, naive_cell_couplings(units, delta), (modes * modes).sum(axis=1)
+
+
+def naive_within_mask(grid, lam):
+    """Modes of grid with |k| <= lam, by the row-wise integer ball test."""
+    return (grid.units * grid.units).sum(axis=1) <= int((lam / grid.spacing) ** 2 + 1e-9)
+
+
+def naive_pf_units(basis, n):
+    """Integer momenta of block n as one gathered (count, n, 3) .sum(axis=1)."""
+    if basis.mode_units is None or n == 0:
+        return np.zeros((basis.block_count(n), 3), dtype=np.int64)
+    return basis.mode_units[basis.block(n).astype(np.int64)].sum(axis=1)
+
+
+def naive_raise_map(basis, n):
+    """(counts, tgt_local) of basis.raise_map(n) by repeat, compare and np.sort rows."""
+    from polaronlab.fock import rank_rows
+
+    a, m_modes = basis.block(n), basis.m_modes
+    if len(a) == 0 or m_modes == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    col = np.tile(np.arange(m_modes, dtype=np.int32), len(a))[:, None]
+    if n == 0:
+        return np.zeros(len(a) * m_modes, dtype=np.int64), rank_rows(col, m_modes)
+    src = np.repeat(a, m_modes, axis=0)
+    counts = (src == col).sum(axis=1).astype(np.int64)
+    new_rows = np.sort(np.concatenate([src, col], axis=1), axis=1)
+    return counts, rank_rows(new_rows, m_modes)
 
 
 def from_triplets(dim, rows, cols, vals):

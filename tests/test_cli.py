@@ -76,6 +76,15 @@ def test_bad_arguments_exit_3(tmp_path, capsys):
                                  ("dispersion", "--delta", "inf")):
         assert main([command, flag, value, "--out", out]) == 3
         assert "must be finite" in capsys.readouterr().err
+    # a finite tol above 1e-6 would certify the solver's start vector
+    # (checks takes tol from its config only)
+    loose = tmp_path / "loose.cfg"
+    for value in ("1e3", "1.1e-6"):
+        loose.write_text(f"tol = {value}\n")
+        for command in ("dispersion", "extrapolate", "torus", "checks"):
+            assert main([command, "--config", str(loose), "--out", out]) == 3
+            assert "'tol' must be at most 1e-06" in capsys.readouterr().err
+    assert main(["dispersion", "--tol", "1e3", "--out", out]) == 3
     cfg = tmp_path / "nonfinite.cfg"
     for line in ("lambda_values = 4,inf,8", "target = nan", "p = 0,0,-inf"):
         cfg.write_text(line + "\n")

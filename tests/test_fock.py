@@ -9,10 +9,11 @@ from polaronlab import (
     BasisIndex,
     CapacityError,
     basis_dimension,
+    build_grid,
     enumerate_basis,
 )
 from polaronlab.fock import rank_rows
-from naive_ref import naive_ladder, naive_states
+from naive_ref import naive_ladder, naive_pf_units, naive_raise_map, naive_states
 
 UNIT_MODES = np.array(
     [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [0, 0, 1], [0, 1, 0], [1, 0, 0]],
@@ -85,6 +86,19 @@ def test_pf_units_are_exact_mode_sums():
         expect = [sum((UNIT_MODES[m] for m in row), np.zeros(3, dtype=np.int64))
                   for row in basis.block(n)]
         np.testing.assert_array_equal(basis.pf_units(n), np.reshape(expect, (-1, 3)))
+
+
+@pytest.mark.parametrize("delta,lam,n_max", [(1.0, 1.5, 1), (1.0, 1.5, 2), (1.0, 1.5, 3),
+                                             (1.0, 1.5, 4), (0.75, 3.0, 2)])
+def test_raise_map_and_pf_units_match_plain_expressions(delta, lam, n_max):
+    grid = build_grid(delta, lam)
+    basis = enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
+    for n in range(n_max + 1):
+        got, want = basis.pf_units(n), naive_pf_units(basis, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for n in range(n_max):
+        for got, want in zip(basis.raise_map(n), naive_raise_map(basis, n)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_capacity_guard():

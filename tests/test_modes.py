@@ -16,7 +16,12 @@ from polaronlab import (
     tail_integral,
 )
 from polaronlab.modes import _axis_map, _cell_couplings
-from naive_ref import naive_cell_couplings, naive_couplings
+from naive_ref import (
+    naive_cell_couplings,
+    naive_couplings,
+    naive_grid_arrays,
+    naive_within_mask,
+)
 
 # Coupling of the six nearest modes on the (delta=1, Lambda=1) grid, frozen
 # from brute-force quadrature of the cell mass plus the origin-cell share.
@@ -102,6 +107,28 @@ def test_cell_couplings_match_row_unique_reference(delta, units):
     np.testing.assert_array_equal(
         _cell_couplings(units, delta), naive_cell_couplings(units, delta)
     )
+
+
+def _assert_same_bits(got, want, name):
+    assert got.dtype == want.dtype and got.shape == want.shape, name
+    assert np.array_equal(got, want), name
+
+
+# the plain row-wise expressions of naive_ref, on any numpy: no version skip
+@pytest.mark.parametrize("delta,lam", [(0.4, 8.0), (0.4, 16.0), (0.75, 3.0), (1.0, 2.5)])
+def test_grid_kernels_match_plain_expressions(delta, lam):
+    grid = build_grid(delta, lam)
+    units, modes, couplings, k2 = naive_grid_arrays(delta, lam)
+    _assert_same_bits(grid.units, units, "units")
+    _assert_same_bits(grid.modes, modes, "modes")
+    _assert_same_bits(grid.couplings, couplings, "couplings")
+    _assert_same_bits(grid.k_squared(), k2, "k_squared")
+    for cut in (0.5 * lam, 0.7 * lam, 0.9 * lam):
+        keep = naive_within_mask(grid, cut)
+        sub = grid.within(cut)
+        assert keep.any() and not keep.all()
+        _assert_same_bits(sub.units, grid.units[keep], "within units")
+        _assert_same_bits(sub.couplings, grid.couplings[keep], "within couplings")
 
 
 def test_full_octahedral_orbit_has_equal_couplings():
