@@ -12,6 +12,7 @@ failure (solver, capacity, monotonicity), 3 configuration error.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -216,7 +217,7 @@ _COMMON_KEYS = {"seed", "threads", "tol"}
 
 
 def _common(cfg: RunConfig):
-    seed = cfg.get_int("seed", default=42)
+    seed = cfg.get_int("seed", default=42, minimum=0)
     threads = cfg.get_int("threads", default=1, minimum=1)
     tol = cfg.get_float("tol", default=1e-9, positive=True)
     if tol > TOL_MAX:
@@ -344,24 +345,25 @@ def cmd_extrapolate(values: dict, outdir: str, args) -> int:
     return EXIT_PASS if passed else EXIT_CHECK_FAILURE
 
 
+def _torus_config(cfg: RunConfig, prefix: str) -> _torus.TorusConfig:
+    """The torus model of the seven keys read under `prefix` ("" or "torus_")."""
+    return _torus.TorusConfig(
+        alpha=cfg.get_float(prefix + "alpha", default=1.0, nonnegative=True),
+        delta=cfg.get_float(prefix + "delta", default=1.0, positive=True),
+        cutoff=cfg.get_float(prefix + "lambda", default=2.0, positive=True),
+        n_max=cfg.get_int(prefix + "nmax", default=2, minimum=0),
+        ell=cfg.get_float(prefix + "ell", default=2.0 * math.pi, positive=True),
+        fiber_cutoff=cfg.get_float(prefix + "fiber_cutoff", default=1.0, positive=True),
+        degeneracy_tol=cfg.get_float(prefix + "degeneracy_tol", default=1e-7, positive=True),
+    )
+
+
 def cmd_torus(values: dict, outdir: str, args) -> int:
     allowed = _COMMON_KEYS | {"alpha", "delta", "lambda", "nmax", "ell",
                               "fiber_cutoff", "degeneracy_tol", "fibers"}
     cfg = RunConfig(merge_overrides(values, args), allowed)
     seed, threads, tol = _common(cfg)
-    alpha = cfg.get_float("alpha", default=1.0, nonnegative=True)
-    delta = cfg.get_float("delta", default=1.0, positive=True)
-    lam = cfg.get_float("lambda", default=2.0, positive=True)
-    n_max = cfg.get_int("nmax", default=2, minimum=0)
-    ell = cfg.get_float("ell", default=2.0 * math.pi, positive=True)
-    fiber_cutoff = cfg.get_float("fiber_cutoff", default=1.0, positive=True)
-    deg_tol = cfg.get_float("degeneracy_tol", default=1e-7, positive=True)
-    fibers = cfg.get_fibers("fibers")
-
-    tcfg = _torus.TorusConfig(
-        ell=ell, alpha=alpha, delta=delta, cutoff=lam, n_max=n_max,
-        fiber_cutoff=fiber_cutoff, degeneracy_tol=deg_tol, fibers=fibers,
-    )
+    tcfg = dataclasses.replace(_torus_config(cfg, ""), fibers=cfg.get_fibers("fibers"))
     model = _torus.assemble_torus(tcfg)
     report = _torus.degeneracy_analysis(model, tol=tol, seed=seed, threads=threads)
     branch, consistent = _torus.contradiction_check(report)
@@ -372,8 +374,8 @@ def cmd_torus(values: dict, outdir: str, args) -> int:
     ]
     write_csv(os.path.join(outdir, "torus.csv"), ["Px", "Py", "Pz", "energy"], rows)
     write_json(os.path.join(outdir, "torus.json"), {
-        "ell": ell,
-        "alpha": alpha,
+        "ell": tcfg.ell,
+        "alpha": tcfg.alpha,
         "fiber_count": len(model.blocks),
         "fiber_dimension": model.basis.dimension,
         "ground_energy": report.ground_energy,
@@ -587,34 +589,20 @@ def _check_hvz(cfg: RunConfig, seed: int, tol: float) -> dict:
 
 
 def _check_torus(cfg: RunConfig, seed: int, tol: float, threads: int) -> list:
-    alpha = cfg.get_float("torus_alpha", default=1.0, nonnegative=True)
-    delta = cfg.get_float("torus_delta", default=1.0, positive=True)
-    lam = cfg.get_float("torus_lambda", default=2.0, positive=True)
-    n_max = cfg.get_int("torus_nmax", default=2, minimum=0)
-    ell = cfg.get_float("torus_ell", default=2.0 * math.pi, positive=True)
-    fiber_cutoff = cfg.get_float("torus_fiber_cutoff", default=1.0, positive=True)
-    deg_tol = cfg.get_float("torus_degeneracy_tol", default=1e-7, positive=True)
+    full_cfg = _torus_config(cfg, "torus_")
     q = cfg.get_vec3("torus_q", "0,0,1")
-
-    full_cfg = _torus.TorusConfig(
-        ell=ell, alpha=alpha, delta=delta, cutoff=lam, n_max=n_max,
-        fiber_cutoff=fiber_cutoff, degeneracy_tol=deg_tol,
-    )
+    minus_q = tuple(-x for x in q)
+    restr_cfg = dataclasses.replace(full_cfg, fibers=(q, minus_q))  # checked before any solve
     full = _torus.degeneracy_analysis(_torus.assemble_torus(full_cfg),
                                       tol=tol, seed=seed, threads=threads)
     zero_simple = (len(full.argmin) == 1
                    and all(x == 0.0 for x in full.argmin[0])
                    and full.multiplicity == 1)
 
-    minus_q = tuple(-x for x in q)
-    restr_cfg = _torus.TorusConfig(
-        ell=ell, alpha=alpha, delta=delta, cutoff=lam, n_max=n_max,
-        fiber_cutoff=fiber_cutoff, degeneracy_tol=deg_tol, fibers=(q, minus_q),
-    )
     restr_model = _torus.assemble_torus(restr_cfg)
     restr = _torus.degeneracy_analysis(restr_model, tol=tol, seed=seed, threads=threads)
     e_by_fiber = dict(restr.fiber_energies)
-    mismatch = abs(e_by_fiber[tuple(map(float, q))] - e_by_fiber[minus_q])
+    mismatch = abs(e_by_fiber[q] - e_by_fiber[minus_q])
     restr_ok = restr.multiplicity == 2 and mismatch <= DEGENERACY_MATCH_TOL
 
     return [

@@ -5,7 +5,11 @@ restricted to total number n <= N_max.  The basis is ordered by
 (total number, lexicographic dense occupation vector), vacuum first, so every
 operator assembled over it is block structured by phonon number.  Within a
 block of fixed n this ordering equals the *reverse* of lexicographic order on
-ascending mode multisets, which is what the closed-form ranking below uses.
+ascending mode multisets.  In that lex order the tuples extending one shorter
+tuple form a contiguous run, so a tuple is ranked by its prefixes: the run of
+prefix r_0..r_{j-1} starts at the exclusive cumulative sum of (M - last
+entry) over the length-j tuples before it, and r_j - r_{j-1} is the offset
+within the run.  Ranks never exceed the block size.
 
 All indexing is exact integer arithmetic; no floats enter the bookkeeping,
 so raise maps (min/max insertion) and momenta (column sums) are order-free.
@@ -61,46 +65,12 @@ def _ascending_tuples(m_modes: int, n: int) -> np.ndarray:
     return t
 
 
-def _comb_i64(x: np.ndarray, r: int) -> np.ndarray:
-    """Vectorized binomial C(x, r) for non-negative int64 x and small fixed r.
-
-    Incremental products keep every intermediate an exact integer; safe from
-    overflow for the sizes the basis capacity admits.
-    """
-    out = np.ones_like(x)
-    for i in range(r):
-        out = out * (x - i) // (i + 1)
-    return np.where(x >= r, out, 0)
-
-
-def rank_rows(tuples: np.ndarray, m_modes: int) -> np.ndarray:
-    """Within-block ordinals (state order) for ascending mode tuples.
-
-    `tuples` is an (N, n) integer array of weakly ascending rows.  Ranks are
-    computed against the reverse-lexicographic block order via hockey-stick
-    binomial sums, fully vectorized.
-    """
-    n = tuples.shape[1]
-    count = block_dimension(m_modes, n)
-    if n == 0:
-        return np.zeros(len(tuples), dtype=np.int64)
-    lex = np.zeros(len(tuples), dtype=np.int64)
-    prev = np.zeros(len(tuples), dtype=np.int64)
-    for j in range(n):
-        left = n - 1 - j
-        a = tuples[:, j].astype(np.int64)
-        lex += _comb_i64(m_modes - prev + left, left + 1)
-        lex -= _comb_i64(m_modes - a + left, left + 1)
-        prev = a
-    return count - 1 - lex
-
-
 class BasisIndex:
     """Complete truncated basis: per-block mode tuples, block offsets, dimension.
 
     Immutable after construction; safe for concurrent reads.  Per-block mode
-    tuples are stored as integer arrays in state order; rank_rows maps tuples
-    back to their ordinals.
+    tuples are stored as integer arrays in state order; raise_map ranks the
+    raised tuples by the prefix rule of the module docstring.
     """
 
     def __init__(
@@ -188,19 +158,29 @@ class BasisIndex:
             empty = np.zeros(0, dtype=np.int64)
             out = (empty, empty)
         else:
-            # insert the raised mode into each ascending row by min/max; rows[j]
-            # holds column j of the raised rows as one (state, mode) plane
+            # insert the raised mode into each ascending row by min/max and
+            # rank the raised row by the prefix rule as each column is emitted
             modes = np.arange(m_modes, dtype=np.int32)
-            rows = np.empty((n + 1, c, m_modes), dtype=np.int32)
             counts = np.zeros((c, m_modes), dtype=np.int64)
-            carry = rows[n]  # the mode until it is placed, then the row's largest
-            carry[:] = modes
-            for j in range(n):
-                src = a[:, j, None]
-                counts += src == modes
-                np.minimum(src, carry, out=rows[j])
-                np.maximum(src, carry, out=carry)
-            out = (counts.ravel(), rank_rows(rows.reshape(n + 1, -1).T, m_modes))
+            lex = np.zeros((c, m_modes), dtype=np.int64)  # lex rank of the prefix so far
+            carry = np.tile(modes, (c, 1))  # the mode until placed, then the row's largest
+            prev = 0
+            for j in range(n + 1):
+                if j < n:
+                    src = a[:, j, None]
+                    counts += src == modes
+                    col = np.minimum(src, carry)
+                    np.maximum(src, carry, out=carry)
+                else:
+                    col = carry
+                if j:  # jump to the start of the run that extends the length-j prefix
+                    runs = m_modes - self._blocks[j][::-1, -1].astype(np.int64)
+                    lex = (np.cumsum(runs) - runs)[lex]
+                lex += col
+                lex -= prev
+                prev = col
+            np.subtract(self.block_count(n + 1) - 1, lex, out=lex)
+            out = (counts.ravel(), lex.ravel())
         self._raise_cache[n] = out
         return out
 

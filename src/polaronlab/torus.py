@@ -49,7 +49,9 @@ class TorusConfig:
     By default the momentum blocks run over the full dual lattice inside
     fiber_cutoff, which always contains P = 0.  An explicit `fibers` tuple
     overrides the lattice scan (for restricted-sector studies); it must be
-    closed under P -> -P, the symmetry every analysis below relies on.
+    closed under P -> -P, the symmetry every analysis below relies on, and
+    name each momentum once, since every listed block counts toward the
+    ground-state multiplicity.
     """
 
     ell: float
@@ -77,7 +79,10 @@ class TorusConfig:
             if any(len(f) != 3 for f in fibers):
                 raise ValueError("fibers must be 3-vectors")
             have = set(fibers)
-            for f in fibers:
+            for i, f in enumerate(fibers):
+                first = fibers.index(f)  # == compares, so -0.0 repeats 0.0
+                if first < i:
+                    raise ValueError(f"fiber list repeats momentum {fibers[first]}")
                 if tuple(-x for x in f) not in have:
                     raise ValueError(f"fiber list not closed under P -> -P: missing {tuple(-x for x in f)}")
             object.__setattr__(self, "fibers", fibers)

@@ -216,21 +216,32 @@ def naive_pf_units(basis, n):
     return basis.mode_units[basis.block(n).astype(np.int64)].sum(axis=1)
 
 
-def naive_raise_map(basis, n):
-    """(counts, tgt_local) of basis.raise_map(n) by repeat, compare and np.sort rows."""
-    from polaronlab.fock import rank_rows
+def naive_block_ranks(m_modes, n_max):
+    """Per-block {mode multiset: within-block ordinal} dicts, in naive_states order."""
+    ranks = [{} for _ in range(n_max + 1)]
+    for s in naive_states(m_modes, n_max):
+        block = ranks[len(s)]
+        block[s] = len(block)
+    return ranks
 
+
+def naive_rank(ranks, rows):
+    """int64 within-block ordinals of ascending mode rows, by dict lookup."""
+    return np.array([ranks[tuple(row)] for row in rows.tolist()], dtype=np.int64)
+
+
+def naive_raise_map(basis, n):
+    """(counts, tgt_local) of basis.raise_map(n) by repeat, compare, np.sort rows
+    and a dict rank over naive_states."""
     a, m_modes = basis.block(n), basis.m_modes
     if len(a) == 0 or m_modes == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
     col = np.tile(np.arange(m_modes, dtype=np.int32), len(a))[:, None]
-    if n == 0:
-        return np.zeros(len(a) * m_modes, dtype=np.int64), rank_rows(col, m_modes)
     src = np.repeat(a, m_modes, axis=0)
     counts = (src == col).sum(axis=1).astype(np.int64)
     new_rows = np.sort(np.concatenate([src, col], axis=1), axis=1)
-    return counts, rank_rows(new_rows, m_modes)
+    return counts, naive_rank(naive_block_ranks(m_modes, basis.n_max)[n + 1], new_rows)
 
 
 def from_triplets(dim, rows, cols, vals):
@@ -292,13 +303,12 @@ def state_map(basis, modes):
     """Basis permutation sigma_R of a mode map: state s -> the state on modes[s].
 
     Each block's mode tuples are mapped, sorted back into ascending multisets
-    and ranked with the package's rank_rows; sigma[s] is the image of state s.
+    and ranked by dict lookup over naive_states; sigma[s] is the image of state s.
     """
-    from polaronlab.fock import rank_rows
-
     modes = np.asarray(modes, dtype=np.int64)
+    ranks = naive_block_ranks(basis.m_modes, basis.n_max)
     return np.concatenate([
-        basis.block_offset(n) + rank_rows(np.sort(modes[basis.block(n)], axis=1), basis.m_modes)
+        basis.block_offset(n) + naive_rank(ranks[n], np.sort(modes[basis.block(n)], axis=1))
         for n in range(basis.n_max + 1)
     ])
 

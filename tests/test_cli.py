@@ -91,6 +91,11 @@ def test_bad_arguments_exit_3(tmp_path, capsys):
         assert main(["extrapolate", "--config", str(cfg), "--out", out]) == 3
     cfg.write_text("fibers = 0,0,nan; 0,0,nan\n")
     assert main(["torus", "--config", str(cfg), "--out", out]) == 3
+    # seed must be named, also on the secular route that draws no random numbers
+    for argv in (["dispersion", "--nmax", "1"], ["dispersion", "--nmax", "2"],
+                 ["extrapolate"], ["torus"], ["checks"]):
+        assert main(argv + ["--seed", "-1", "--out", out]) == 3
+        assert "parameter 'seed' must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError("not positive definite"),
@@ -302,6 +307,18 @@ def test_torus_restricted_fibers(tmp_path):
     assert rep["multiplicity"] >= 2
     assert rep["mechanism"]["branch"] == "degenerate-minimum"
     assert rep["passed"] is True
+
+
+def test_repeated_fiber_momentum_exits_3(tmp_path, capsys):
+    # one fiber listed twice must not pass as a two-fold degenerate minimum
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fibers = 0,0,0; 0,0,0\n")
+    assert main(["torus", "--config", str(cfg), "--out", str(tmp_path / "torus")]) == 3
+    assert "repeats momentum (0.0, 0.0, 0.0)" in capsys.readouterr().err
+    quick = (CONFIGS / "quick.cfg").read_text()
+    cfg.write_text(quick.replace("torus_q = 0,0,1", "torus_q = 0,0,0"))
+    assert main(["checks", "--config", str(cfg), "--out", str(tmp_path / "checks")]) == 3
+    assert "repeats momentum (0.0, 0.0, 0.0)" in capsys.readouterr().err
 
 
 def test_kernel_command(tmp_path):

@@ -12,8 +12,14 @@ from polaronlab import (
     build_grid,
     enumerate_basis,
 )
-from polaronlab.fock import rank_rows
-from naive_ref import naive_ladder, naive_pf_units, naive_raise_map, naive_states
+from naive_ref import (
+    naive_block_ranks,
+    naive_ladder,
+    naive_pf_units,
+    naive_raise_map,
+    naive_rank,
+    naive_states,
+)
 
 UNIT_MODES = np.array(
     [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [0, 0, 1], [0, 1, 0], [1, 0, 0]],
@@ -75,8 +81,9 @@ def test_block_structure_sorted_by_total_number():
 
 def test_index_roundtrip_exhaustive():
     basis = enumerate_basis(4, 3)
+    ranks = naive_block_ranks(4, 3)
     for n in range(basis.n_max + 1):
-        np.testing.assert_array_equal(rank_rows(basis.block(n), basis.m_modes),
+        np.testing.assert_array_equal(naive_rank(ranks[n], basis.block(n)),
                                       np.arange(basis.block_count(n)))
 
 
@@ -96,6 +103,16 @@ def test_raise_map_and_pf_units_match_plain_expressions(delta, lam, n_max):
     for n in range(n_max + 1):
         got, want = basis.pf_units(n), naive_pf_units(basis, n)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    for n in range(n_max):
+        for got, want in zip(basis.raise_map(n), naive_raise_map(basis, n)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m_modes,n_max", [(2, 61), (2, 70)])
+def test_raise_map_exact_where_binomial_ranks_overflow_int64(m_modes, n_max):
+    # long blocks over two modes: binomial rank sums here need C(64, 32)-sized
+    # intermediates, past int64, while every rank is below 72
+    basis = enumerate_basis(m_modes, n_max)
     for n in range(n_max):
         for got, want in zip(basis.raise_map(n), naive_raise_map(basis, n)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -196,7 +213,7 @@ def test_index_roundtrip_random_states(occ):
     modes = tuple(sorted(m for m, c in occ.items() for _ in range(c)))
     n = len(modes)
     basis = enumerate_basis(5, 3)
-    i = int(rank_rows(np.array([modes], dtype=np.int64).reshape(1, n), 5)[0])
+    i = naive_block_ranks(5, 3)[n][modes]
     assert tuple(int(m) for m in basis.block(n)[i]) == modes
     assert naive_states(5, 3).index(modes) == basis.block_offset(n) + i
 

@@ -85,6 +85,11 @@ def test_explicit_fibers_sorted_and_validated():
         _quick_config(fibers=())
     with pytest.raises(ValueError):
         _quick_config(fibers=((0.0, 1.0),))
+    # a repeated block would count twice toward the multiplicity; -0.0 == 0.0
+    for fibers in (((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)),
+                   ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 0.0, 1.0))):
+        with pytest.raises(ValueError, match=r"repeats momentum \(0\.0, 0\.0, "):
+            _quick_config(fibers=fibers)
 
 
 def test_config_validation():
