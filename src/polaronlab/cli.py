@@ -1,18 +1,19 @@
 """Command-line entry point: parse config, run pipelines, write CSV/JSON.
 
 Commands: dispersion, checks, extrapolate, torus, kernel.  Configuration is a
-flat `key = value` text file plus command-line overrides; outputs are CSV
-(header row, LF, UTF-8, 17 significant digits) and JSON (one object per file,
-sorted keys).  Runs are deterministic: same config + seed means byte-identical
-bytes on disk, for any OPENBLAS_NUM_THREADS, since main runs its BLAS and LAPACK
-work on one thread (solve._one_blas_thread).
+flat `key = value` text file plus command-line overrides, read through one
+parameter table per command (read_params): every key is parsed and checked,
+and each config object built, before the first solve.
+Outputs are CSV (header row, LF, UTF-8, 17 significant digits) and JSON (one
+object per file, sorted keys).  Runs are deterministic: same config + seed
+means byte-identical bytes on disk, for any OPENBLAS_NUM_THREADS, since main
+runs its BLAS and LAPACK work on one thread (solve._one_blas_thread).
 
 Exit codes: 0 all gated checks pass, 1 a gated check failed, 2 numerical
 failure (solver, capacity, monotonicity), 3 configuration error.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -85,91 +86,84 @@ def _number(key, tok):
     return val
 
 
-class RunConfig:
-    """Typed access to string config values with parameter-naming errors.
-
-    Every number read from a config file or a flag must be finite; only a
-    default (extrapolate's NaN target, meaning ungated) may be NaN.
-    """
-
-    def __init__(self, values: dict, allowed: set):
-        unknown = sorted(set(values) - set(allowed))
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-        self.values = dict(values)
-
-    def get_float(self, key, default=None, positive=False, nonnegative=False):
-        raw = self.values.get(key)
-        val = float(default) if raw is None else _number(key, raw)
-        if positive and not val > 0.0:
-            raise ConfigError(f"parameter '{key}' must be positive, got {val}")
-        if nonnegative and val < 0.0:
-            raise ConfigError(f"parameter '{key}' must be non-negative, got {val}")
-        return val
-
-    def get_int(self, key, default=None, minimum=None):
-        raw = self.values.get(key)
-        if raw is None:
-            val = int(default)
-        else:
-            try:
-                val = int(str(raw), 10)
-            except (TypeError, ValueError):
-                raise ConfigError(f"parameter '{key}': cannot parse '{raw}' as an integer")
-        if minimum is not None and val < minimum:
-            raise ConfigError(f"parameter '{key}' must be >= {minimum}, got {val}")
-        return val
-
-    def get_floats(self, key, default):
-        raw = self.values.get(key, default)
-        vals = tuple(_number(key, tok) for tok in str(raw).split(",") if tok.strip())
-        if not vals:
-            raise ConfigError(f"parameter '{key}' must contain at least one number")
-        return vals
-
-    def get_vec3(self, key, default):
-        vals = self.get_floats(key, default)
-        if len(vals) != 3:
-            raise ConfigError(f"parameter '{key}' must be three comma-separated numbers")
-        return vals
-
-    def get_fibers(self, key):
-        raw = self.values.get(key)
-        if raw is None:
-            return None
-        fibers = []
-        for part in str(raw).split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            toks = part.split(",")
-            if len(toks) != 3:
-                raise ConfigError(f"parameter '{key}': each fiber needs three components")
-            fibers.append(tuple(_number(key, t) for t in toks))
-        if not fibers:
+def _parse(key, kind, raw):
+    """`raw` as a `kind`: "int", "float", "floats", "vec3" (three floats) or
+    "fibers" (';'-separated triples); every number must be finite."""
+    if kind == "int":
+        try:
+            return int(raw, 10)
+        except ValueError:
+            raise ConfigError(f"parameter '{key}': cannot parse '{raw}' as an integer")
+    if kind == "float":
+        return _number(key, raw)
+    if kind == "fibers":
+        parts = [part.split(",") for part in raw.split(";") if part.strip()]
+        if not parts:
             raise ConfigError(f"parameter '{key}' must list at least one fiber")
-        return tuple(fibers)
+        if any(len(toks) != 3 for toks in parts):
+            raise ConfigError(f"parameter '{key}': each fiber needs three components")
+        return tuple(tuple(_number(key, t) for t in toks) for toks in parts)
+    vals = tuple(_number(key, tok) for tok in raw.split(",") if tok.strip())
+    if not vals:
+        raise ConfigError(f"parameter '{key}' must contain at least one number")
+    if kind == "vec3" and len(vals) != 3:
+        raise ConfigError(f"parameter '{key}' must be three comma-separated numbers")
+    return vals
 
 
-_GENERIC_FLAGS = (("alpha", "alpha"), ("delta", "delta"), ("lam", "lambda"),
-                  ("nmax", "nmax"), ("tol", "tol"))
+# A parameter table maps key -> (kind, default, bound); bound is "positive",
+# "nonnegative", an integer minimum or None.
+_COMMON = {"seed": ("int", 42, 0), "threads": ("int", 1, 1), "tol": ("float", 1e-9, "positive")}
+
+
+def _problem(alpha, delta, lam, nmax):
+    """The table of one fiber problem: coupling, spacing, cutoff, truncation."""
+    return {"alpha": ("float", alpha, "nonnegative"), "delta": ("float", delta, "positive"),
+            "lambda": ("float", lam, "positive"), "nmax": ("int", nmax, 0)}
+
+
+def read_params(values: dict, specs: dict) -> dict:
+    """Every key of the table `specs`, read from `values` and checked.
+
+    Unknown keys are rejected; every number read from a config file or a flag
+    must be finite and within its bound, and `tol` at most TOL_MAX.  A
+    default is taken as it stands: only a default (extrapolate's NaN target,
+    meaning ungated) may be NaN.
+    """
+    unknown = sorted(set(values) - set(specs))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    out = {}
+    for key, (kind, default, bound) in specs.items():
+        if key not in values:
+            out[key] = default
+            continue
+        val = out[key] = _parse(key, kind, values[key])
+        if bound == "positive" and not val > 0.0:
+            raise ConfigError(f"parameter '{key}' must be positive, got {val}")
+        if bound == "nonnegative" and val < 0.0:
+            raise ConfigError(f"parameter '{key}' must be non-negative, got {val}")
+        if isinstance(bound, int) and val < bound:
+            raise ConfigError(f"parameter '{key}' must be >= {bound}, got {val}")
+    if out["tol"] > TOL_MAX:
+        raise ConfigError(f"parameter 'tol' must be at most {TOL_MAX:g}, got {out['tol']}")
+    return out
+
+
+_GENERIC_FLAGS = ("alpha", "delta", "lambda", "nmax", "tol")
+_FLAGS = _GENERIC_FLAGS + ("seed", "threads")  # each --key overrides the config key
 
 
 def merge_overrides(values: dict, args, accept_generic: bool = True) -> dict:
     out = dict(values)
-    for attr, key in _GENERIC_FLAGS:
-        flag_val = getattr(args, attr, None)
-        if flag_val is not None:
-            if not accept_generic:
-                raise ConfigError(
-                    f"--{key} does not apply to '{args.command}'; "
-                    "use the per-check config keys instead"
-                )
-            out[key] = flag_val
-    if args.seed is not None:
-        out["seed"] = args.seed
-    if args.threads is not None:
-        out["threads"] = args.threads
+    for key in _FLAGS:
+        flag_val = getattr(args, key)
+        if flag_val is None:
+            continue
+        if key in _GENERIC_FLAGS and not accept_generic:
+            hint = "; use the per-check config keys instead" if args.command == "checks" else ""
+            raise ConfigError(f"--{key} does not apply to '{args.command}'{hint}")
+        out[key] = flag_val
     return out
 
 
@@ -213,37 +207,22 @@ def write_csv(path: str, header, rows) -> None:
 
 # -- commands ----------------------------------------------------------------
 
-_COMMON_KEYS = {"seed", "threads", "tol"}
-
-
-def _common(cfg: RunConfig):
-    seed = cfg.get_int("seed", default=42, minimum=0)
-    threads = cfg.get_int("threads", default=1, minimum=1)
-    tol = cfg.get_float("tol", default=1e-9, positive=True)
-    if tol > TOL_MAX:
-        raise ConfigError(f"parameter 'tol' must be at most {TOL_MAX:g}, got {tol}")
-    return seed, threads, tol
+_DISPERSION = {**_COMMON, **_problem(1.0, 0.75, 3.0, 2),
+               "p_values": ("floats", (0.0, 0.5, 1.0, 1.5, 2.0), None),
+               "margin": ("float", 1e-4, "positive"), "mass_step": ("float", 0.1, "positive")}
 
 
 def cmd_dispersion(values: dict, outdir: str, args) -> int:
-    allowed = _COMMON_KEYS | {"alpha", "delta", "lambda", "nmax", "p_values",
-                              "margin", "mass_step"}
-    cfg = RunConfig(merge_overrides(values, args), allowed)
-    seed, threads, tol = _common(cfg)
-    alpha = cfg.get_float("alpha", default=1.0, nonnegative=True)
-    delta = cfg.get_float("delta", default=0.75, positive=True)
-    lam = cfg.get_float("lambda", default=3.0, positive=True)
-    n_max = cfg.get_int("nmax", default=2, minimum=0)
-    ts = cfg.get_floats("p_values", "0,0.5,1,1.5,2")
-    margin = cfg.get_float("margin", default=1e-4, positive=True)
-    h = cfg.get_float("mass_step", default=0.1, positive=True)
-
+    c = read_params(merge_overrides(values, args), _DISPERSION)
+    alpha, delta, lam, n_max = c["alpha"], c["delta"], c["lambda"], c["nmax"]
+    tol, seed = c["tol"], c["seed"]
+    # the mass first, so its step rule raises before any solve
+    mass = _disp.effective_mass(alpha, delta, lam, n_max, h=c["mass_step"], tol=tol, seed=seed)
     curve = _disp.dispersion_curve(
-        alpha, [(0.0, 0.0, t) for t in ts], delta, lam, n_max,
-        tol=tol, seed=seed, threads=threads,
+        alpha, [(0.0, 0.0, t) for t in c["p_values"]], delta, lam, n_max,
+        tol=tol, seed=seed, threads=c["threads"],
     )
-    verdict = _disp.minimum_check(curve, margin=margin)
-    mass = _disp.effective_mass(alpha, delta, lam, n_max, h=h, tol=tol, seed=seed)
+    verdict = _disp.minimum_check(curve, margin=c["margin"])
 
     parabola = []
     for s in curve.samples:
@@ -293,31 +272,29 @@ def cmd_dispersion(values: dict, outdir: str, args) -> int:
     return EXIT_PASS if verdict.passed else EXIT_CHECK_FAILURE
 
 
+# a cutoff schedule's problem: its cutoffs are a list of their own
+_SCHEDULE = {k: v for k, v in _problem(0.1, 0.4, None, 1).items() if k != "lambda"}
+# the keys echoed in extrapolation.json (a NaN target, ungated, as null)
+_EXTRAPOLATE = {**_SCHEDULE, "p": ("vec3", (0.0, 0.0, 0.0), None),
+                "target": ("float", math.nan, None), "target_rtol": ("float", 0.1, "positive")}
+
+
 def cmd_extrapolate(values: dict, outdir: str, args) -> int:
-    allowed = _COMMON_KEYS | {"alpha", "delta", "nmax", "lambda_values", "p",
-                              "target", "target_rtol"}
     merged = merge_overrides(values, args)
     if "lambda" in merged:
         raise ConfigError("parameter 'lambda' does not apply here; use 'lambda_values'")
-    cfg = RunConfig(merged, allowed)
-    seed, threads, tol = _common(cfg)
-    alpha = cfg.get_float("alpha", default=0.1, nonnegative=True)
-    delta = cfg.get_float("delta", default=0.4, positive=True)
-    n_max = cfg.get_int("nmax", default=1, minimum=0)
-    lams = cfg.get_floats("lambda_values", "4,6,8")
-    p = cfg.get_vec3("p", "0,0,0")
-    target = cfg.get_float("target", default=math.nan)
-    target_rtol = cfg.get_float("target_rtol", default=0.1, positive=True)
-
-    schedule = CutoffSchedule(lambdas=lams, delta=delta, n_max=n_max)
-    report = _disp.cutoff_extrapolate(alpha, schedule, p=p, tol=tol, seed=seed,
-                                      threads=threads)
+    c = read_params(merged, {**_COMMON, **_EXTRAPOLATE,
+                             "lambda_values": ("floats", (4.0, 6.0, 8.0), None)})
+    target = c["target"]
+    schedule = CutoffSchedule(lambdas=c["lambda_values"], delta=c["delta"], n_max=c["nmax"])
+    report = _disp.cutoff_extrapolate(c["alpha"], schedule, p=c["p"], tol=c["tol"],
+                                      seed=c["seed"], threads=c["threads"])
     gated = not math.isnan(target)
     passed = True
     deviation = None
     if gated:
         deviation = abs(report.e_inf - target)
-        passed = bool(deviation <= target_rtol * abs(target))
+        passed = bool(deviation <= c["target_rtol"] * abs(target))
 
     rows = [
         [fmt17(lam), fmt17(e), fmt17(r), str(it)]
@@ -327,17 +304,12 @@ def cmd_extrapolate(values: dict, outdir: str, args) -> int:
     write_csv(os.path.join(outdir, "extrapolation.csv"),
               ["Lambda", "energy", "residual", "iterations"], rows)
     write_json(os.path.join(outdir, "extrapolation.json"), {
-        "alpha": alpha,
-        "delta": delta,
-        "nmax": n_max,
-        "p": list(p),
+        **{key: c[key] for key in _EXTRAPOLATE},
         "lambdas": list(report.lambdas),
         "energies": list(report.energies),
         "e_inf": report.e_inf,
         "slope": report.slope,
         "fit_residual": report.fit_residual,
-        "target": None if not gated else target,
-        "target_rtol": target_rtol,
         "deviation": deviation,
         "gating": gated,
         "passed": passed,
@@ -345,27 +317,27 @@ def cmd_extrapolate(values: dict, outdir: str, args) -> int:
     return EXIT_PASS if passed else EXIT_CHECK_FAILURE
 
 
-def _torus_config(cfg: RunConfig, prefix: str) -> _torus.TorusConfig:
-    """The torus model of the seven keys read under `prefix` ("" or "torus_")."""
+_TORUS_MODEL = {**_problem(1.0, 1.0, 2.0, 2), "ell": ("float", 2.0 * math.pi, "positive"),
+                "fiber_cutoff": ("float", 1.0, "positive"),
+                "degeneracy_tol": ("float", 1e-7, "positive")}
+_TORUS = {**_COMMON, **_TORUS_MODEL, "fibers": ("fibers", None, None)}
+
+
+def _torus_config(c, fibers) -> _torus.TorusConfig:
+    """The torus model of the _TORUS_MODEL keys in `c`, over `fibers`."""
     return _torus.TorusConfig(
-        alpha=cfg.get_float(prefix + "alpha", default=1.0, nonnegative=True),
-        delta=cfg.get_float(prefix + "delta", default=1.0, positive=True),
-        cutoff=cfg.get_float(prefix + "lambda", default=2.0, positive=True),
-        n_max=cfg.get_int(prefix + "nmax", default=2, minimum=0),
-        ell=cfg.get_float(prefix + "ell", default=2.0 * math.pi, positive=True),
-        fiber_cutoff=cfg.get_float(prefix + "fiber_cutoff", default=1.0, positive=True),
-        degeneracy_tol=cfg.get_float(prefix + "degeneracy_tol", default=1e-7, positive=True),
+        ell=c["ell"], alpha=c["alpha"], delta=c["delta"], cutoff=c["lambda"],
+        n_max=c["nmax"], fiber_cutoff=c["fiber_cutoff"],
+        degeneracy_tol=c["degeneracy_tol"], fibers=fibers,
     )
 
 
 def cmd_torus(values: dict, outdir: str, args) -> int:
-    allowed = _COMMON_KEYS | {"alpha", "delta", "lambda", "nmax", "ell",
-                              "fiber_cutoff", "degeneracy_tol", "fibers"}
-    cfg = RunConfig(merge_overrides(values, args), allowed)
-    seed, threads, tol = _common(cfg)
-    tcfg = dataclasses.replace(_torus_config(cfg, ""), fibers=cfg.get_fibers("fibers"))
+    c = read_params(merge_overrides(values, args), _TORUS)
+    tcfg = _torus_config(c, c["fibers"])
     model = _torus.assemble_torus(tcfg)
-    report = _torus.degeneracy_analysis(model, tol=tol, seed=seed, threads=threads)
+    report = _torus.degeneracy_analysis(model, tol=c["tol"], seed=c["seed"],
+                                        threads=c["threads"])
     branch, consistent = _torus.contradiction_check(report)
 
     rows = [
@@ -388,25 +360,22 @@ def cmd_torus(values: dict, outdir: str, args) -> int:
     return EXIT_PASS if consistent else EXIT_CHECK_FAILURE
 
 
+# the kernel's own keys, echoed in kernel.json
+_KERNEL = {"ell": ("float", 2.0 * math.pi, "positive"), "mass": ("float", 1.0, None),
+           "x": ("vec3", (1.0, 0.0, 0.0), None), "xprime": ("vec3", (0.0, 0.0, 0.0), None),
+           "image_cut": ("int", 1, 1)}
+
+
 def cmd_kernel(values: dict, outdir: str, args) -> int:
-    allowed = _COMMON_KEYS | {"ell", "mass", "x", "xprime", "image_cut"}
-    cfg = RunConfig(merge_overrides(values, args, accept_generic=False), allowed)
-    ell = cfg.get_float("ell", default=2.0 * math.pi, positive=True)
-    mass = cfg.get_float("mass", default=1.0)
-    x = cfg.get_vec3("x", "1,0,0")
-    xp = cfg.get_vec3("xprime", "0,0,0")
-    image_cut = cfg.get_int("image_cut", default=1, minimum=1)
+    c = read_params(merge_overrides(values, args, accept_generic=False), {**_COMMON, **_KERNEL})
+    ell, mass, x, xp, image_cut = c["ell"], c["mass"], c["x"], c["xprime"], c["image_cut"]
 
     value = _torus.periodized_yukawa(x, xp, ell, mass=mass, image_cut=image_cut)
     conv_value, conv_cut = _torus.yukawa_converged(x, xp, ell, mass=mass,
                                                    start_cut=max(1, image_cut))
     passed = value > 0.0
     write_json(os.path.join(outdir, "kernel.json"), {
-        "ell": ell,
-        "mass": mass,
-        "x": list(x),
-        "xprime": list(xp),
-        "image_cut": image_cut,
+        **{key: c[key] for key in _KERNEL},
         "value": value,
         "converged_value": conv_value,
         "converged_cut": conv_cut,
@@ -461,34 +430,30 @@ def _check_kt_identity() -> dict:
     }
 
 
-def _check_norm_bound(cfg: RunConfig, seed: int) -> dict:
-    alpha = cfg.get_float("norm_alpha", default=1.0, nonnegative=True)
-    delta = cfg.get_float("norm_delta", default=0.5, positive=True)
-    lam = cfg.get_float("norm_lambda", default=2.0, positive=True)
-    n_max = cfg.get_int("norm_nmax", default=2, minimum=0)
-    grid = build_grid(delta, lam)
-    basis = enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
-    fcfg = FiberConfig(alpha=alpha, p=np.zeros(3), grid=grid, n_max=n_max)
+def _fiber_problem(c, alpha):
+    """The P = 0 fiber config at `alpha` on the grid and basis of c's problem."""
+    grid = build_grid(c["delta"], c["lambda"])
+    basis = enumerate_basis(len(grid), c["nmax"], grid.units, grid.spacing)
+    return FiberConfig(alpha=alpha, p=np.zeros(3), grid=grid, n_max=c["nmax"]), basis
+
+
+def _check_norm_bound(c, seed: int) -> dict:
+    fcfg, basis = _fiber_problem(c, c["alpha"])
     norm = weighted_annihilation_norm(fcfg, basis, seed=seed)
     return {
         "name": "norm_bound",
         "gating": True,
         "passed": bool(norm <= NORM_BOUND_THRESHOLD),
         "threshold": NORM_BOUND_THRESHOLD,
-        "measured": {"norm": norm, "delta": delta, "lambda": lam, "nmax": n_max,
-                     "dimension": basis.dimension},
+        "measured": {"norm": norm, "delta": c["delta"], "lambda": c["lambda"],
+                     "nmax": c["nmax"], "dimension": basis.dimension},
     }
 
 
-def _check_neumann_decay(cfg: RunConfig, seed: int) -> dict:
-    alpha = cfg.get_float("neumann_alpha", default=1.0, nonnegative=True)
-    delta = cfg.get_float("neumann_delta", default=1.0, positive=True)
-    lam = cfg.get_float("neumann_lambda", default=1.5, positive=True)
-    n_max = cfg.get_int("neumann_nmax", default=3, minimum=1)
-    j_max = cfg.get_int("neumann_jmax", default=n_max + 1, minimum=1)
-    grid = build_grid(delta, lam)
-    basis = enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
-    fcfg = FiberConfig(alpha=alpha, p=np.zeros(3), grid=grid, n_max=n_max)
+def _check_neumann_decay(c, seed: int) -> dict:
+    n_max = c["nmax"]
+    j_max = n_max + 1 if c["jmax"] is None else c["jmax"]
+    fcfg, basis = _fiber_problem(c, c["alpha"])
     s = neumann_norms(fcfg, basis, j_max, seed=seed)
     c_meas = neumann_constant(fcfg, basis, seed=seed)
     bounds, ok = [], True
@@ -510,10 +475,8 @@ def _check_neumann_decay(cfg: RunConfig, seed: int) -> dict:
     }
 
 
-def _audit_fiber(alpha, delta, lam, n_max):
-    grid = build_grid(delta, lam)
-    basis = enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
-    fcfg = FiberConfig(alpha=alpha, p=np.zeros(3), grid=grid, n_max=n_max)
+def _audit_fiber(c, alpha):
+    fcfg, basis = _fiber_problem(c, alpha)
     op = assemble_fiber(fcfg, basis)
     e0 = float(dense_spectrum(op, k=1)[0])
     flipped = sign_flip(op)
@@ -521,12 +484,8 @@ def _audit_fiber(alpha, delta, lam, n_max):
     return basis, report, e0
 
 
-def _check_positivity(cfg: RunConfig) -> dict:
-    alpha = cfg.get_float("pos_alpha", default=1.0, nonnegative=True)
-    delta = cfg.get_float("pos_delta", default=1.0, positive=True)
-    lam = cfg.get_float("pos_lambda", default=1.5, positive=True)
-    n_max = cfg.get_int("pos_nmax", default=2, minimum=0)
-    basis, report, e0 = _audit_fiber(alpha, delta, lam, n_max)
+def _check_positivity(c) -> dict:
+    basis, report, e0 = _audit_fiber(c, c["alpha"])
     faris = max(0.0, -report.ground_vector_min)
     passed = (report.strictly_positive and report.ground_vector_min > 0.0
               and report.gap > GAP_TOL and faris <= FARIS_TOL)
@@ -548,11 +507,8 @@ def _check_positivity(cfg: RunConfig) -> dict:
     }
 
 
-def _check_positivity_alpha0(cfg: RunConfig) -> dict:
-    delta = cfg.get_float("pos_delta", default=1.0, positive=True)
-    lam = cfg.get_float("pos_lambda", default=1.5, positive=True)
-    n_max = cfg.get_int("pos_nmax", default=2, minimum=0)
-    basis, report, e0 = _audit_fiber(0.0, delta, lam, n_max)
+def _check_positivity_alpha0(c) -> dict:
+    basis, report, e0 = _audit_fiber(c, 0.0)
     return {
         "name": "positivity_alpha0",
         "gating": False,
@@ -569,15 +525,9 @@ def _check_positivity_alpha0(cfg: RunConfig) -> dict:
     }
 
 
-def _check_hvz(cfg: RunConfig, seed: int, tol: float) -> dict:
-    alpha = cfg.get_float("hvz_alpha", default=1.0, nonnegative=True)
-    delta = cfg.get_float("hvz_delta", default=1.0, positive=True)
-    lam = cfg.get_float("hvz_lambda", default=2.5, positive=True)
-    n_max = cfg.get_int("hvz_nmax", default=2, minimum=0)
-    p_far = cfg.get_vec3("hvz_pfar", "0,0,2")
-    edge_tol = cfg.get_float("hvz_edge_tol", default=0.1, positive=True)
-    report = _disp.hvz_edge_check(alpha, delta, lam, n_max, p_far,
-                                  edge_tol=edge_tol, tol=tol, seed=seed)
+def _check_hvz(c, seed: int, tol: float) -> dict:
+    report = _disp.hvz_edge_check(c["alpha"], c["delta"], c["lambda"], c["nmax"], c["pfar"],
+                                  edge_tol=c["edge_tol"], tol=tol, seed=seed)
     return {
         "name": "hvz_edge",
         "gating": True,
@@ -588,11 +538,8 @@ def _check_hvz(cfg: RunConfig, seed: int, tol: float) -> dict:
     }
 
 
-def _check_torus(cfg: RunConfig, seed: int, tol: float, threads: int) -> list:
-    full_cfg = _torus_config(cfg, "torus_")
-    q = cfg.get_vec3("torus_q", "0,0,1")
-    minus_q = tuple(-x for x in q)
-    restr_cfg = dataclasses.replace(full_cfg, fibers=(q, minus_q))  # checked before any solve
+def _check_torus(full_cfg, restr_cfg, seed: int, tol: float, threads: int) -> list:
+    q, minus_q = restr_cfg.fibers
     full = _torus.degeneracy_analysis(_torus.assemble_torus(full_cfg),
                                       tol=tol, seed=seed, threads=threads)
     zero_simple = (len(full.argmin) == 1
@@ -633,15 +580,9 @@ def _check_torus(cfg: RunConfig, seed: int, tol: float, threads: int) -> list:
     ]
 
 
-def _check_extrapolation(cfg: RunConfig, seed: int, tol: float, threads: int) -> dict:
-    alpha = cfg.get_float("extrap_alpha", default=0.1, nonnegative=True)
-    delta = cfg.get_float("extrap_delta", default=0.4, positive=True)
-    n_max = cfg.get_int("extrap_nmax", default=1, minimum=0)
-    lams = cfg.get_floats("extrap_lambdas", "4,6,8")
-    target = cfg.get_float("extrap_target", default=-0.0125)
-    rtol = cfg.get_float("extrap_rtol", default=0.1, positive=True)
-    schedule = CutoffSchedule(lambdas=lams, delta=delta, n_max=n_max)
-    report = _disp.cutoff_extrapolate(alpha, schedule, tol=tol, seed=seed,
+def _check_extrapolation(c, schedule, seed: int, tol: float, threads: int) -> dict:
+    target, rtol = c["target"], c["rtol"]
+    report = _disp.cutoff_extrapolate(c["alpha"], schedule, tol=tol, seed=seed,
                                       threads=threads)
     deviation = abs(report.e_inf - target)
     return {
@@ -660,32 +601,43 @@ def _check_extrapolation(cfg: RunConfig, seed: int, tol: float, threads: int) ->
     }
 
 
-_CHECK_KEYS = {
-    "norm_alpha", "norm_delta", "norm_lambda", "norm_nmax",
-    "neumann_alpha", "neumann_delta", "neumann_lambda", "neumann_nmax", "neumann_jmax",
-    "pos_alpha", "pos_delta", "pos_lambda", "pos_nmax",
-    "hvz_alpha", "hvz_delta", "hvz_lambda", "hvz_nmax", "hvz_pfar", "hvz_edge_tol",
-    "torus_alpha", "torus_delta", "torus_lambda", "torus_nmax", "torus_ell",
-    "torus_fiber_cutoff", "torus_degeneracy_tol", "torus_q",
-    "extrap_alpha", "extrap_delta", "extrap_nmax", "extrap_lambdas",
-    "extrap_target", "extrap_rtol",
+# each check's table; the checks command reads its key `k` as `<check>_k`
+_CHECKS = {
+    "norm": _problem(1.0, 0.5, 2.0, 2),
+    "neumann": {**_problem(1.0, 1.0, 1.5, 3), "nmax": ("int", 3, 1),
+                "jmax": ("int", None, 1)},  # None: nmax + 1
+    "pos": _problem(1.0, 1.0, 1.5, 2),
+    "hvz": {**_problem(1.0, 1.0, 2.5, 2), "pfar": ("vec3", (0.0, 0.0, 2.0), None),
+            "edge_tol": ("float", 0.1, "positive")},
+    "torus": {**_TORUS_MODEL, "q": ("vec3", (0.0, 0.0, 1.0), None)},
+    "extrap": {**_SCHEDULE, "lambdas": ("floats", (4.0, 6.0, 8.0), None),
+               "target": ("float", -0.0125, None), "rtol": ("float", 0.1, "positive")},
 }
+_CHECKS_TABLE = {**_COMMON, **{f"{check}_{key}": spec for check, table in _CHECKS.items()
+                               for key, spec in table.items()}}
 
 
 def cmd_checks(values: dict, outdir: str, args) -> int:
-    cfg = RunConfig(merge_overrides(values, args, accept_generic=False),
-                    _COMMON_KEYS | _CHECK_KEYS)
-    seed, threads, tol = _common(cfg)
+    p = read_params(merge_overrides(values, args, accept_generic=False), _CHECKS_TABLE)
+    seed, threads, tol = p["seed"], p["threads"], p["tol"]
+    c = {check: {key: p[f"{check}_{key}"] for key in table} for check, table in _CHECKS.items()}
+    # the later checks' argument-only rules raise here, before the first solve
+    _disp.far_momentum(c["hvz"]["pfar"], c["hvz"]["lambda"])
+    q = c["torus"]["q"]
+    torus_cfgs = (_torus_config(c["torus"], None),
+                  _torus_config(c["torus"], (q, tuple(-x for x in q))))
+    ex = c["extrap"]
+    schedule = CutoffSchedule(lambdas=ex["lambdas"], delta=ex["delta"], n_max=ex["nmax"])
     entries = [
         _check_kt_identity(),
-        _check_norm_bound(cfg, seed),
-        _check_neumann_decay(cfg, seed),
-        _check_positivity(cfg),
-        _check_positivity_alpha0(cfg),
-        _check_hvz(cfg, seed, tol),
+        _check_norm_bound(c["norm"], seed),
+        _check_neumann_decay(c["neumann"], seed),
+        _check_positivity(c["pos"]),
+        _check_positivity_alpha0(c["pos"]),
+        _check_hvz(c["hvz"], seed, tol),
     ]
-    entries.extend(_check_torus(cfg, seed, tol, threads))
-    entries.append(_check_extrapolation(cfg, seed, tol, threads))
+    entries.extend(_check_torus(*torus_cfgs, seed, tol, threads))
+    entries.append(_check_extrapolation(ex, schedule, seed, tol, threads))
     passed = all(e["passed"] for e in entries if e["gating"])
     write_json(os.path.join(outdir, "checks.json"),
                {"checks": entries, "passed": bool(passed)})
@@ -716,13 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--out", default=".")
-        p.add_argument("--seed", default=None)
-        p.add_argument("--threads", default=None)
-        p.add_argument("--alpha", default=None)
-        p.add_argument("--delta", default=None)
-        p.add_argument("--lambda", dest="lam", default=None)
-        p.add_argument("--nmax", default=None)
-        p.add_argument("--tol", default=None)
+        for key in _FLAGS:
+            p.add_argument("--" + key)
         p.set_defaults(func=func)
     return parser
 
@@ -735,18 +682,12 @@ def main(argv=None) -> int:
         values = read_config_file(args.config) if args.config else {}
         os.makedirs(args.out, exist_ok=True)
         return args.func(values, args.out, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     # before ValueError: np.linalg.LinAlgError subclasses it
     except (CapacityError, ConvergenceError, NumericalError,
             np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

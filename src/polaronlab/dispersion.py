@@ -275,6 +275,21 @@ def minimum_check(curve: DispersionCurve, margin: float = DEFAULT_MARGIN) -> Min
     )
 
 
+def far_momentum(p_far, cutoff: float) -> np.ndarray:
+    """P_far as a 3-vector, once it meets hvz_edge_check's two rules: |P_far| >= 2
+    so the free dispersion has already flattened, and a cutoff at least |P_far|
+    so the grid can deposit a phonon near P_far."""
+    p_far = np.asarray(p_far, dtype=np.float64).reshape(3)
+    pf_norm = float(np.linalg.norm(p_far))
+    if pf_norm < 2.0:
+        raise ValueError(f"|P_far| = {pf_norm} too small; the edge check needs |P_far| >= 2")
+    if pf_norm > cutoff * (1.0 + 1e-12):
+        raise ValueError(
+            f"cutoff {cutoff} is below |P_far| = {pf_norm}; no mode can absorb P_far"
+        )
+    return p_far
+
+
 def hvz_edge_check(
     alpha: float,
     delta: float,
@@ -289,18 +304,9 @@ def hvz_edge_check(
 
     At large momentum the ground energy must sit just below the edge
     E(0) + 1, so the check passes iff 0 <= d <= edge_tol (with 1e-12 slack on
-    the lower side for solver roundoff).  Requires |P_far| >= 2 so the free
-    dispersion has already flattened, and a cutoff at least |P_far| so the
-    grid can deposit a phonon near P_far.
+    the lower side for solver roundoff).  P_far must pass far_momentum.
     """
-    p_far = np.asarray(p_far, dtype=np.float64).reshape(3)
-    pf_norm = float(np.linalg.norm(p_far))
-    if pf_norm < 2.0:
-        raise ValueError(f"|P_far| = {pf_norm} too small; the edge check needs |P_far| >= 2")
-    if pf_norm > cutoff * (1.0 + 1e-12):
-        raise ValueError(
-            f"cutoff {cutoff} is below |P_far| = {pf_norm}; no mode can absorb P_far"
-        )
+    p_far = far_momentum(p_far, cutoff)
     grid = build_grid(delta, cutoff)
     # assembled at every N_max: bench/test_bench.py traces its N_max = 1 assembly
     basis = enumerate_basis(len(grid), n_max, grid.units, grid.spacing)
@@ -347,8 +353,6 @@ def cutoff_extrapolate(
     feeding a corrupted sequence to the fit.
     """
     lams = schedule.lambdas
-    if len(lams) < 3:
-        raise ValueError("cutoff schedule must contain at least three cutoffs")
     p = np.asarray(p, dtype=np.float64).reshape(3)
     largest = build_grid(schedule.delta, lams[-1])
 

@@ -273,7 +273,7 @@ def riemann_selfenergy_sum(grid: ModeGrid) -> float:
 
 @dataclass(frozen=True)
 class CutoffSchedule:
-    """Strictly increasing cutoff values with shared spacing and truncation."""
+    """Three or more strictly increasing cutoffs with shared spacing and truncation."""
 
     lambdas: tuple
     delta: float
@@ -282,8 +282,8 @@ class CutoffSchedule:
     def __post_init__(self):
         lams = tuple(float(x) for x in self.lambdas)
         object.__setattr__(self, "lambdas", lams)
-        if len(lams) == 0:
-            raise ValueError("schedule must contain at least one cutoff")
+        if len(lams) < 3:
+            raise ValueError("cutoff schedule must contain at least three cutoffs")
         if any(x <= 0 for x in lams):
             raise ValueError("cutoffs must be positive")
         if any(b <= a for a, b in zip(lams, lams[1:])):

@@ -67,8 +67,11 @@ def test_bad_arguments_exit_3(tmp_path, capsys):
     assert main([]) == 3
     assert main(["kernel", "--no-such-flag"]) == 3
     assert main(["dispersion", "--nmax", "1.5", "--out", out]) == 3
-    assert main(["checks", "--seed", "x", "--out", out]) == 3
-    assert main(["checks", "--threads", "0", "--out", out]) == 3
+    for command in ("checks", "kernel"):
+        assert main([command, "--seed", "x", "--out", out]) == 3
+        assert "parameter 'seed': cannot parse 'x'" in capsys.readouterr().err
+        assert main([command, "--threads", "0", "--out", out]) == 3
+        assert "parameter 'threads' must be >= 1" in capsys.readouterr().err
     # non-finite numbers: an infinite tol would certify any residual
     for command, flag, value in (("dispersion", "--tol", "inf"), ("extrapolate", "--tol", "inf"),
                                  ("dispersion", "--alpha", "nan"),
@@ -81,9 +84,13 @@ def test_bad_arguments_exit_3(tmp_path, capsys):
     loose = tmp_path / "loose.cfg"
     for value in ("1e3", "1.1e-6"):
         loose.write_text(f"tol = {value}\n")
-        for command in ("dispersion", "extrapolate", "torus", "checks"):
+        for command in ("dispersion", "extrapolate", "torus", "checks", "kernel"):
             assert main([command, "--config", str(loose), "--out", out]) == 3
             assert "'tol' must be at most 1e-06" in capsys.readouterr().err
+    # kernel solves nothing, yet its tol is checked like every command's
+    loose.write_text("tol = inf\n")
+    assert main(["kernel", "--config", str(loose), "--out", out]) == 3
+    assert "must be finite" in capsys.readouterr().err
     assert main(["dispersion", "--tol", "1e3", "--out", out]) == 3
     cfg = tmp_path / "nonfinite.cfg"
     for line in ("lambda_values = 4,inf,8", "target = nan", "p = 0,0,-inf"):
@@ -93,7 +100,7 @@ def test_bad_arguments_exit_3(tmp_path, capsys):
     assert main(["torus", "--config", str(cfg), "--out", out]) == 3
     # seed must be named, also on the secular route that draws no random numbers
     for argv in (["dispersion", "--nmax", "1"], ["dispersion", "--nmax", "2"],
-                 ["extrapolate"], ["torus"], ["checks"]):
+                 ["extrapolate"], ["torus"], ["checks"], ["kernel"]):
         assert main(argv + ["--seed", "-1", "--out", out]) == 3
         assert "parameter 'seed' must be >= 0" in capsys.readouterr().err
 
@@ -191,7 +198,12 @@ def test_generic_flags_rejected_for_checks_and_kernel(tmp_path, capsys):
     assert main(["checks", "--alpha", "1", "--out", out]) == 3
     err = capsys.readouterr().err
     assert "--alpha" in err and "checks" in err
+    assert "use the per-check config keys instead" in err
+    # kernel has no per-check keys to point to
     assert main(["kernel", "--lambda", "2", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "--lambda does not apply to 'kernel'" in err
+    assert "per-check" not in err
 
 
 def test_extrapolate_rejects_bare_lambda(tmp_path, capsys):
@@ -319,6 +331,36 @@ def test_repeated_fiber_momentum_exits_3(tmp_path, capsys):
     cfg.write_text(quick.replace("torus_q = 0,0,1", "torus_q = 0,0,0"))
     assert main(["checks", "--config", str(cfg), "--out", str(tmp_path / "checks")]) == 3
     assert "repeats momentum (0.0, 0.0, 0.0)" in capsys.readouterr().err
+
+
+def _unsolvable(*args, **kwargs):
+    raise AssertionError("a solve ran before the config was checked")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("torus_q = 0,0,0", "repeats momentum (0.0, 0.0, 0.0)"),
+    ("torus_ell = -1", "parameter 'torus_ell' must be positive"),
+    ("extrap_lambdas = 4,6", "at least three cutoffs"),
+    ("extrap_lambdas = 8,6,4", "cutoffs must be strictly increasing"),
+    ("hvz_pfar = 0,0,1", "the edge check needs |P_far| >= 2"),
+    ("neumann_jmax = 0", "parameter 'neumann_jmax' must be >= 1"),
+])
+def test_checks_config_errors_exit_3_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                      line, message):
+    # the K + T identity is the first check, so it stands for every solve
+    monkeypatch.setattr(polaronlab.cli, "_check_kt_identity", _unsolvable)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["checks", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_dispersion_mass_step_error_exits_3_before_any_solve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(polaronlab.dispersion, "dispersion_curve", _unsolvable)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mass_step = 2\n")
+    assert main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "mass step h must lie in (0, 1)" in capsys.readouterr().err
 
 
 def test_kernel_command(tmp_path):

@@ -28,6 +28,10 @@ GOLDEN = {
     "checks_quick": (["checks", "--config", str(CONFIGS / "quick.cfg")], {
         "checks.json": "8e3b386eea95d154f1ff4a8b9d3044ffddacdae4c2c10f7dbf548e5bfa352fa9",
     }),
+    # the parameter tables' defaults are the values quick.cfg spells out
+    "checks_defaults": (["checks"], {
+        "checks.json": "8e3b386eea95d154f1ff4a8b9d3044ffddacdae4c2c10f7dbf548e5bfa352fa9",
+    }),
     "dispersion_default": (["dispersion"], {
         "dispersion.csv": "c5f094e787372877bfee254ddf1eda450af43c24d52cd0436e778b53c999a019",
         "verdict.json": "702dc9babc3b4940af222d0759dcceb6a6d6fd023a8d8673ed9f5cb2fccfb801",

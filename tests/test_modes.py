@@ -243,12 +243,15 @@ def test_cutoff_schedule_validation():
         CutoffSchedule(lambdas=(4, 4, 8), delta=0.5, n_max=2)
     with pytest.raises(ValueError):
         CutoffSchedule(lambdas=(), delta=0.5, n_max=2)
-    with pytest.raises(ValueError):
-        CutoffSchedule(lambdas=(4, 6), delta=0.0, n_max=2)
-    with pytest.raises(ValueError):
-        CutoffSchedule(lambdas=(4, 6), delta=0.5, n_max=-1)
-    with pytest.raises(ValueError):
-        CutoffSchedule(lambdas=(-1, 6), delta=0.5, n_max=2)
+    # the inverse-cutoff fit has two parameters
+    with pytest.raises(ValueError, match="at least three cutoffs"):
+        CutoffSchedule(lambdas=(4, 6), delta=0.5, n_max=2)
+    with pytest.raises(ValueError, match="delta"):
+        CutoffSchedule(lambdas=(4, 6, 8), delta=0.0, n_max=2)
+    with pytest.raises(ValueError, match="N_max"):
+        CutoffSchedule(lambdas=(4, 6, 8), delta=0.5, n_max=-1)
+    with pytest.raises(ValueError, match="positive"):
+        CutoffSchedule(lambdas=(-1, 6, 8), delta=0.5, n_max=2)
 
 
 def test_axis_map_is_the_signed_permutation_on_every_mode():
