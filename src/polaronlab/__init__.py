@@ -10,16 +10,12 @@ from .errors import CapacityError, ConfigError, ConvergenceError, NumericalError
 from .fock import (
     BasisIndex,
     basis_dimension,
-    block_dimension,
     enumerate_basis,
 )
 from .modes import (
     CutoffSchedule,
     ModeGrid,
     build_grid,
-    form_factor,
-    riemann_selfenergy_sum,
-    tail_integral,
 )
 from .operators import (
     FiberConfig,
@@ -49,11 +45,13 @@ from .dispersion import (
     HvzReport,
     MassReport,
     MinimumVerdict,
+    check_minimum_samples,
     cutoff_extrapolate,
     dispersion_curve,
     effective_mass,
     fit_inverse_cutoff,
     hvz_edge_check,
+    mass_momenta,
     minimum_check,
 )
 from .torus import (
@@ -72,9 +70,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError", "ConfigError", "ConvergenceError", "NumericalError",
-    "BasisIndex", "basis_dimension", "block_dimension", "enumerate_basis",
-    "CutoffSchedule", "ModeGrid", "build_grid", "form_factor",
-    "riemann_selfenergy_sum", "tail_integral",
+    "BasisIndex", "basis_dimension", "enumerate_basis",
+    "CutoffSchedule", "ModeGrid", "build_grid",
     "FiberConfig", "FiberFamily", "SparseOperator", "annihilation_csr",
     "assemble_KT", "assemble_fiber", "kinetic_diagonal",
     "neumann_constant", "neumann_norms", "sign_flip", "weighted_annihilation_norm",
@@ -82,7 +79,8 @@ __all__ = [
     "lowest_eigenpairs", "resolvent_positivity_audit",
     "DispersionCurve", "DispersionSample", "ExtrapolationReport", "HvzReport",
     "MassReport", "MinimumVerdict", "cutoff_extrapolate", "dispersion_curve",
-    "effective_mass", "fit_inverse_cutoff", "hvz_edge_check", "minimum_check",
+    "check_minimum_samples", "effective_mass", "fit_inverse_cutoff",
+    "hvz_edge_check", "mass_momenta", "minimum_check",
     "TorusConfig", "TorusModel", "TorusReport", "assemble_torus",
     "contradiction_check", "degeneracy_analysis", "lattice_fibers",
     "periodized_yukawa", "yukawa_converged",

@@ -14,6 +14,7 @@ failure (solver, capacity, monotonicity), 3 configuration error.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -214,14 +215,14 @@ _DISPERSION = {**_COMMON, **_problem(1.0, 0.75, 3.0, 2),
 
 def cmd_dispersion(values: dict, outdir: str, args) -> int:
     c = read_params(merge_overrides(values, args), _DISPERSION)
-    alpha, delta, lam, n_max = c["alpha"], c["delta"], c["lambda"], c["nmax"]
-    tol, seed = c["tol"], c["seed"]
-    # the mass first, so its step rule raises before any solve
-    mass = _disp.effective_mass(alpha, delta, lam, n_max, h=c["mass_step"], tol=tol, seed=seed)
-    curve = _disp.dispersion_curve(
-        alpha, [(0.0, 0.0, t) for t in c["p_values"]], delta, lam, n_max,
-        tol=tol, seed=seed, threads=c["threads"],
-    )
+    ps = [(0.0, 0.0, t) for t in c["p_values"]]
+    # every sample rule raises before the one solve, which adds the mass momenta
+    extra = [p for p in _disp.mass_momenta(c["mass_step"]) if p not in ps]
+    _disp.check_minimum_samples(ps)
+    solved = _disp.dispersion_curve(c["alpha"], ps + extra, c["delta"], c["lambda"], c["nmax"],
+                                    tol=c["tol"], seed=c["seed"], threads=c["threads"])
+    mass = _disp.effective_mass(solved, c["mass_step"])
+    curve = dataclasses.replace(solved, samples=tuple(s for s in solved.samples if s.p in ps))
     verdict = _disp.minimum_check(curve, margin=c["margin"])
 
     parabola = []

@@ -1,14 +1,17 @@
 """Energy-momentum analysis of the fiber family.
 
-Scans E(P) over momentum samples, extracts the effective mass from a central
-second difference, checks that P = 0 is a strict minimum, compares E at large
-momentum against the essential-spectrum edge E(0) + 1, and extrapolates the
-ground energy in the inverse cutoff.
+Scans E(P) over momentum samples, checks that P = 0 is a strict minimum,
+compares E at large momentum against the essential-spectrum edge E(0) + 1, and
+extrapolates the ground energy in the inverse cutoff.  dispersion_curve is the
+one solve of a scan: effective_mass (a central second difference) and
+minimum_check are read off its samples, and mass_momenta and
+check_minimum_samples state their sample rules so a caller can check them
+before solving.
 
 At N_max = 1 the fiber is an arrowhead matrix (the vacuum coupled to the
-one-phonon states), so dispersion_curve, effective_mass and cutoff_extrapolate
-solve its secular equation (Golub 1973) with a proven bracket instead of
-assembling it; hvz_edge_check, and every N_max >= 2, runs solve's LOBPCG.
+one-phonon states), so dispersion_curve and cutoff_extrapolate solve its
+secular equation (Golub 1973) with a proven bracket instead of assembling it;
+hvz_edge_check, and every N_max >= 2, runs solve's LOBPCG.
 """
 
 import math
@@ -229,25 +232,26 @@ def dispersion_curve(
     )
 
 
-def effective_mass(
-    alpha: float,
-    delta: float,
-    cutoff: float,
-    n_max: int,
-    h: float = DEFAULT_MASS_STEP,
-    tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
-) -> MassReport:
-    """Inverse curvature of E along the z axis from a central second difference.
+def mass_momenta(h: float = DEFAULT_MASS_STEP):
+    """The three momenta of effective_mass's second difference, 0 and +-h e_z,
+    once h meets its rule 0 < h < 1."""
+    if not 0.0 < h < 1.0:
+        raise ValueError("mass step h must lie in (0, 1)")
+    return [(0.0, 0.0, 0.0), (0.0, 0.0, float(h)), (0.0, 0.0, -float(h))]
+
+
+def effective_mass(curve: DispersionCurve, h: float = DEFAULT_MASS_STEP) -> MassReport:
+    """Inverse curvature of E along the z axis from a central second difference
+    over the curve's samples at mass_momenta(h); ValueError if one is missing.
 
     Non-positive curvature marks a flat or inverted dispersion; the mass is
     then reported as infinite with the degenerate flag set.
     """
-    if not 0.0 < h < 1.0:
-        raise ValueError("mass step h must lie in (0, 1)")
-    ps = [(0.0, 0.0, z) for z in (0.0, h, -h)]
-    e0, ep, em = (r.energy for r in
-                  _ground_states(alpha, build_grid(delta, cutoff), n_max, ps, tol, seed))
+    energies = {s.p: s.energy for s in curve.samples}
+    for p in mass_momenta(h):
+        if p not in energies:
+            raise ValueError(f"curve has no sample at P = {p} for the mass step {h}")
+    e0, ep, em = (energies[p] for p in mass_momenta(h))
     curvature = (ep + em - 2.0 * e0) / h**2
     degenerate = not curvature > 0.0
     m_eff = math.inf if degenerate else 1.0 / curvature
@@ -257,13 +261,21 @@ def effective_mass(
     )
 
 
+def check_minimum_samples(p_samples) -> None:
+    """minimum_check's two sample rules, on the momenta alone: a P = 0 sample
+    to compare against, and at least one nonzero sample to compare."""
+    norms = [float(np.linalg.norm(p)) for p in p_samples]
+    if 0.0 not in norms:
+        raise ValueError("curve has no P = 0 sample")
+    if not any(norms):
+        raise ValueError("minimum check needs at least one nonzero sample")
+
+
 def minimum_check(curve: DispersionCurve, margin: float = DEFAULT_MARGIN) -> MinimumVerdict:
     """Is P = 0 a strict minimum of the sampled curve with the given margin?"""
+    check_minimum_samples([s.p for s in curve.samples])
     zero = curve.at_zero()
-    others = [s for s in curve.samples if s.pnorm > 0.0]
-    if not others:
-        raise ValueError("minimum check needs at least one nonzero sample")
-    worst = min(s.energy - zero.energy for s in others)
+    worst = min(s.energy - zero.energy for s in curve.samples if s.pnorm > 0.0)
     e_min = min(s.energy for s in curve.samples)
     argmin = tuple(s.p for s in curve.samples if s.energy <= e_min + ARGMIN_TIE_TOL)
     return MinimumVerdict(

@@ -29,17 +29,11 @@ from .errors import CapacityError
 
 DEFAULT_BASIS_CAPACITY = 5_000_000
 
-def block_dimension(m_modes: int, n: int) -> int:
-    """Number of occupation states with exactly n phonons over m_modes modes."""
-    if m_modes == 0:
-        # empty mode set: only the vacuum exists
-        return 1 if n == 0 else 0
-    return math.comb(m_modes + n - 1, n)
-
-
 def basis_dimension(m_modes: int, n_max: int) -> int:
-    """Stars-and-bars total, sum of block dimensions for n = 0..n_max."""
-    return sum(block_dimension(m_modes, n) for n in range(n_max + 1))
+    """States with at most n_max phonons over m_modes modes: the hockey-stick
+    sum of the stars-and-bars block sizes C(M + n - 1, n), n = 0..n_max, or 1
+    (the vacuum) when there are no modes."""
+    return math.comb(m_modes + n_max, n_max)
 
 
 def _ascending_tuples(m_modes: int, n: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Phonon momentum grids inside a UV ball, coupling amplitudes, cutoff tail.
+"""Phonon momentum grids inside a UV ball and their coupling amplitudes.
 
 Modes live on the unshifted lattice delta*Z^3 with the origin excluded and
 |k| <= Lambda.  The per-mode coupling squared is the exact mass of
@@ -29,25 +29,6 @@ from numpy.polynomial.legendre import leggauss
 from .errors import CapacityError
 
 DEFAULT_GRID_CAPACITY = 1_000_000
-
-
-def form_factor(k) -> float:
-    """Momentum-space amplitude 1/(4 pi |k|); singular at the origin."""
-    norm = float(np.linalg.norm(np.asarray(k, dtype=np.float64)))
-    if norm <= 0.0:
-        raise ValueError("form factor is singular at k = 0")
-    return 1.0 / (4.0 * math.pi * norm)
-
-
-def tail_integral(lam: float) -> float:
-    """Closed form of the cutoff tail: int_{|k|>Lambda} dk / (k^2 (k^2+1)).
-
-    Radial reduction gives 4 pi (pi/2 - arctan Lambda); strictly decreasing,
-    bounded by 4 pi / Lambda for Lambda >= 1.
-    """
-    if lam < 0:
-        raise ValueError("cutoff must be non-negative")
-    return 4.0 * math.pi * (math.pi / 2.0 - math.atan(lam))
 
 
 @lru_cache(maxsize=1)
@@ -144,34 +125,12 @@ class ModeGrid:
     modes: np.ndarray
     couplings: np.ndarray
 
-    def __post_init__(self):
-        if self.spacing <= 0:
-            raise ValueError("spacing delta must be positive")
-        if self.cutoff <= 0:
-            raise ValueError("cutoff Lambda must be positive")
-        if self.units.shape != self.modes.shape or self.units.shape[1:] != (3,):
-            raise ValueError("modes and units must be (M, 3) arrays")
-        if self.couplings.shape != (len(self.units),):
-            raise ValueError("couplings must be one per mode")
-        if len(self.units):
-            n2 = _norm2(self.units)
-            if (n2 == 0).any():
-                raise ValueError("the origin is not a mode")
-            k2 = _norm2(self.modes)
-            if (k2 > self.cutoff**2 * (1.0 + 1e-12)).any():
-                raise ValueError("a mode lies outside the cutoff ball")
-            if (self.couplings <= 0).any():
-                raise ValueError("couplings must be strictly positive")
-
     def __len__(self) -> int:
         return len(self.units)
 
     @property
     def is_empty(self) -> bool:
         return len(self.units) == 0
-
-    def k_squared(self) -> np.ndarray:
-        return _norm2(self.modes)
 
     def within(self, lam: float) -> "ModeGrid":
         """The modes with |k| <= lam, selected by build_grid's integer ball test.
@@ -188,10 +147,24 @@ class ModeGrid:
 
     @classmethod
     def manual(cls, spacing: float, cutoff: float, units, couplings) -> "ModeGrid":
-        """Hand-built grid with explicitly supplied couplings."""
+        """Hand-built grid with explicitly supplied couplings, checked mode by
+        mode: build_grid and within select their modes by the integer ball
+        test and compute positive couplings, so they need no such checks."""
         units = np.asarray(units, dtype=np.int64).reshape(-1, 3)
         couplings = np.asarray(couplings, dtype=np.float64).reshape(-1)
         modes = float(spacing) * units.astype(np.float64)
+        if spacing <= 0:
+            raise ValueError("spacing delta must be positive")
+        if cutoff <= 0:
+            raise ValueError("cutoff Lambda must be positive")
+        if couplings.shape != (len(units),):
+            raise ValueError("couplings must be one per mode")
+        if (_norm2(units) == 0).any():
+            raise ValueError("the origin is not a mode")
+        if (_norm2(modes) > cutoff**2 * (1.0 + 1e-12)).any():
+            raise ValueError("a mode lies outside the cutoff ball")
+        if (couplings <= 0).any():
+            raise ValueError("couplings must be strictly positive")
         return cls(float(spacing), float(cutoff), units, modes, couplings)
 
 
@@ -259,16 +232,6 @@ def _axis_map(units: np.ndarray, perm, signs) -> Optional[np.ndarray]:
     if not np.array_equal(ranked[pos], wanted):
         return None
     return order[pos]
-
-
-def riemann_selfenergy_sum(grid: ModeGrid) -> float:
-    """Discrete self-energy sum over the grid, sum_i g_i^2 / (k_i^2 + 1).
-
-    Converges to (4 pi)^{-2} * 2 pi^2 = 1/8 as delta -> 0, Lambda -> infinity.
-    """
-    if grid.is_empty:
-        raise ValueError("self-energy sum needs a non-empty grid")
-    return float((grid.couplings**2 / (grid.k_squared() + 1.0)).sum())
 
 
 @dataclass(frozen=True)

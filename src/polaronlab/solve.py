@@ -1,7 +1,9 @@
 """Lowest eigenpairs of sparse symmetric operators, plus dense oracles.
 
-The dispersion pipelines send fibers here only at N_max >= 2; at N_max = 1
-dispersion solves the arrowhead's secular equation (SpectralResult.bracket).
+dispersion_curve and cutoff_extrapolate send fibers here only at N_max >= 2;
+at N_max = 1 they solve the arrowhead's secular equation
+(SpectralResult.bracket).  hvz_edge_check assembles its two fibers and sends
+them here at every N_max, N_max = 1 included.
 
 The iterative route is single-vector LOBPCG (Knyazev 2001) preconditioned by
 the inverse shifted diagonal, for a fiber at P = 0 exactly h0^{-1} with

@@ -5,6 +5,7 @@ dictionaries, per-entry Python loops) precisely so it shares no code or
 vectorization tricks with the package.  Tests compare the two routes exactly.
 """
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -204,6 +205,17 @@ def naive_grid_arrays(delta, lam):
     return units, modes, naive_cell_couplings(units, delta), (modes * modes).sum(axis=1)
 
 
+def riemann_selfenergy_sum(grid):
+    """Discrete self-energy sum over the grid, sum_i g_i^2 / (k_i^2 + 1).
+
+    Converges to (4 pi)^{-2} * 2 pi^2 = 1/8 as delta -> 0, Lambda -> infinity.
+    """
+    if grid.is_empty:
+        raise ValueError("self-energy sum needs a non-empty grid")
+    k2 = (grid.modes * grid.modes).sum(axis=1)
+    return float((grid.couplings**2 / (k2 + 1.0)).sum())
+
+
 def naive_within_mask(grid, lam):
     """Modes of grid with |k| <= lam, by the row-wise integer ball test."""
     return (grid.units * grid.units).sum(axis=1) <= int((lam / grid.spacing) ** 2 + 1e-9)
@@ -216,8 +228,10 @@ def naive_pf_units(basis, n):
     return basis.mode_units[basis.block(n).astype(np.int64)].sum(axis=1)
 
 
+@functools.lru_cache(maxsize=None)
 def naive_block_ranks(m_modes, n_max):
-    """Per-block {mode multiset: within-block ordinal} dicts, in naive_states order."""
+    """Per-block {mode multiset: within-block ordinal} dicts, in naive_states
+    order; built once per (m_modes, n_max), so callers must not modify them."""
     ranks = [{} for _ in range(n_max + 1)]
     for s in naive_states(m_modes, n_max):
         block = ranks[len(s)]

@@ -31,6 +31,7 @@ from polaronlab import (
     ground_state,
     hvz_edge_check,
     lowest_eigenpairs,
+    mass_momenta,
     minimum_check,
     neumann_constant,
     neumann_norms,
@@ -237,8 +238,8 @@ def test_c11_determinism(tmp_path):
 
 
 def test_diagnostics_reported_not_gated(desk_curve):
-    mass = effective_mass(DESK["alpha"], DESK["delta"], DESK["cutoff"],
-                          DESK["n_max"])
+    mass = effective_mass(dispersion_curve(DESK["alpha"], mass_momenta(), DESK["delta"],
+                                           DESK["cutoff"], DESK["n_max"]))
     e0 = desk_curve.at_zero().energy
     small = [s for s in desk_curve.samples if 0.0 < s.pnorm <= 0.5]
     held = all(s.energy <= e0 + s.pnorm**2 / (2.0 * mass.m_eff) + 1e-12

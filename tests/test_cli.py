@@ -363,6 +363,59 @@ def test_dispersion_mass_step_error_exits_3_before_any_solve(tmp_path, capsys, m
     assert "mass step h must lie in (0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p_values, message", [
+    ("0.5,1", "curve has no P = 0 sample"),
+    ("0", "minimum check needs at least one nonzero sample"),
+    ("0,-0", "minimum check needs at least one nonzero sample"),
+])
+def test_dispersion_sample_rule_errors_exit_3_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                               p_values, message):
+    monkeypatch.setattr(polaronlab.dispersion, "dispersion_curve", _unsolvable)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"p_values = {p_values}\n")
+    assert main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert message in capsys.readouterr().err
+
+
+def _count_dispersion_work(monkeypatch):
+    """Count the grids, fiber families, eigensolves and secular solves of the
+    dispersion module."""
+    calls = dict.fromkeys(("build_grid", "FiberFamily", "ground_state", "_secular_ground"), 0)
+
+    def counting(name):
+        fn = getattr(polaronlab.dispersion, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(polaronlab.dispersion, name, counting(name))
+    return calls
+
+
+@pytest.mark.parametrize("config, expected, rows", [
+    ("", (1, 1, 7, 0), 5),  # p_values 0, 0.5, 1, 1.5, 2 and the mass momenta 0, +-0.1
+    ("nmax = 1\n", (1, 0, 0, 7), 5),
+    ("nmax = 1\np_values = 1,0.1,0,-0.1\n", (1, 0, 0, 4), 4),  # mass momenta solved once
+])
+def test_dispersion_solves_one_curve(tmp_path, monkeypatch, config, expected, rows):
+    calls = _count_dispersion_work(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert main(["dispersion", "--config", str(cfg), "--out", str(out)]) == 0
+    assert tuple(calls.values()) == expected
+    table = _rows(out / "dispersion.csv")
+    assert len(table) == rows
+    energies = {float(r["Pz"]): float(r["energy"]) for r in table}
+    mass = json.loads((out / "verdict.json").read_text())["mass"]
+    assert mass["e_zero"] == energies[0.0]
+    if 0.1 in energies:  # p_values holds the mass momenta: the mass reads their rows
+        assert (mass["e_plus"], mass["e_minus"]) == (energies[0.1], energies[-0.1])
+
+
 def test_kernel_command(tmp_path):
     out = tmp_path / "kernel"
     assert main(["kernel", "--out", str(out)]) == 0

@@ -1,6 +1,7 @@
 """Dispersion scans, effective mass, minimum/edge checks, cutoff extrapolation."""
 
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -18,6 +19,7 @@ from polaronlab import (
     SpectralResult,
     assemble_fiber,
     build_grid,
+    check_minimum_samples,
     cutoff_extrapolate,
     dense_spectrum,
     dispersion_curve,
@@ -26,6 +28,7 @@ from polaronlab import (
     fit_inverse_cutoff,
     ground_state,
     hvz_edge_check,
+    mass_momenta,
     minimum_check,
 )
 from polaronlab.dispersion import _secular_ground
@@ -48,6 +51,11 @@ def _sample(p, energy):
     return DispersionSample(
         p=p, pnorm=float(np.linalg.norm(p)), energy=energy, residual=0.0, iterations=1
     )
+
+
+def _mass(alpha, delta, cutoff, n_max, h=0.1):
+    """effective_mass over a curve of its three momenta alone."""
+    return effective_mass(dispersion_curve(alpha, mass_momenta(h), delta, cutoff, n_max), h)
 
 
 def test_decoupled_curve_is_exact():
@@ -126,10 +134,16 @@ def test_minimum_check_needs_samples():
         minimum_check(_curve((_sample((0.0, 0.0, 0.5), 1.0),)))  # no P = 0
     with pytest.raises(ValueError):
         minimum_check(_curve((_sample((0.0, 0.0, 0.0), 1.0),)))  # nothing else
+    # the same two rules on the momenta alone, before any solve
+    check_minimum_samples([(0, 0, 0.5), (0, 0, 0), (0.3, 0, 0)])
+    with pytest.raises(ValueError, match="no P = 0 sample"):
+        check_minimum_samples([(0, 0, 0.5), (0, 0, 1)])
+    with pytest.raises(ValueError, match="at least one nonzero sample"):
+        check_minimum_samples([(0, 0, 0), (0, 0, -0.0)])
 
 
 def test_effective_mass_free_theory():
-    rep = effective_mass(0.0, 1.0, 1.0, 1, h=0.1)
+    rep = _mass(0.0, 1.0, 1.0, 1, h=0.1)
     assert rep.m_eff == pytest.approx(0.5, abs=1e-6)
     assert rep.curvature == pytest.approx(2.0, abs=1e-5)
     assert not rep.degenerate
@@ -140,8 +154,8 @@ def test_effective_mass_free_theory():
 
 def test_effective_mass_step_consistency():
     # coupling raises the mass above 1/2; halving h moves it only at O(h^2)
-    m1 = effective_mass(1.0, 1.0, 1.5, 2, h=0.1)
-    m2 = effective_mass(1.0, 1.0, 1.5, 2, h=0.05)
+    m1 = _mass(1.0, 1.0, 1.5, 2, h=0.1)
+    m2 = _mass(1.0, 1.0, 1.5, 2, h=0.05)
     assert m1.m_eff == pytest.approx(MASS_H10, rel=1e-8)
     assert m2.m_eff == pytest.approx(MASS_H05, rel=1e-8)
     assert m1.m_eff > 0.5
@@ -150,10 +164,22 @@ def test_effective_mass_step_consistency():
 
 
 def test_effective_mass_step_validation():
-    with pytest.raises(ValueError):
-        effective_mass(0.0, 1.0, 1.0, 1, h=0.0)
-    with pytest.raises(ValueError):
-        effective_mass(0.0, 1.0, 1.0, 1, h=1.0)
+    curve = _curve((_sample((0.0, 0.0, 0.0), 0.0),))
+    for h in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"mass step h must lie in \(0, 1\)"):
+            mass_momenta(h)
+        with pytest.raises(ValueError, match=r"mass step h must lie in \(0, 1\)"):
+            effective_mass(curve, h=h)
+
+
+def test_effective_mass_names_a_missing_sample():
+    samples = [_sample(p, 0.0) for p in mass_momenta(0.1)]
+    assert effective_mass(_curve(tuple(samples)), 0.1).curvature == 0.0
+    for i, p in enumerate(mass_momenta(0.1)):
+        with pytest.raises(ValueError, match=re.escape(f"no sample at P = {p}")):
+            effective_mass(_curve(tuple(samples[:i] + samples[i + 1:])), 0.1)
+    with pytest.raises(ValueError, match=re.escape("no sample at P = (0.0, 0.0, 0.05)")):
+        effective_mass(_curve(tuple(samples)), 0.05)
 
 
 def test_edge_check_decoupled():
@@ -242,13 +268,13 @@ def _count_families(monkeypatch):
 
 def test_n_max_2_pipelines_build_one_family_per_grid(monkeypatch):
     built = _count_families(monkeypatch)
-    mass = effective_mass(1.0, 1.0, 1.5, 2, h=0.1)
+    curve = dispersion_curve(1.0, [(0, 0, 0), (0, 0, 0.1), (0, 0, -0.1)], 1.0, 1.5, 2)
+    mass = effective_mass(curve, 0.1)
     assert len(built) == 1
     del built[:]
     cutoff_extrapolate(0.5, CutoffSchedule(lambdas=(1.5, 2.0, 2.5), delta=1.0, n_max=2))
     assert sorted(built) == [len(build_grid(1.0, lam)) for lam in (1.5, 2.0, 2.5)]
-    # the three mass points are the curve's energies at the same momenta, bit for bit
-    curve = dispersion_curve(1.0, [(0, 0, 0), (0, 0, 0.1), (0, 0, -0.1)], 1.0, 1.5, 2)
+    # the three mass points are the curve's energies, each at its own momentum
     energies = {s.p[2]: s.energy for s in curve.samples}
     assert (mass.e_zero, mass.e_plus, mass.e_minus) == (
         energies[0.0], energies[0.1], energies[-0.1])
@@ -416,6 +442,6 @@ def test_n_max_1_pipelines_assemble_nothing(monkeypatch):
         monkeypatch.setattr(polaronlab.dispersion, name, forbidden)
     curve = dispersion_curve(0.1, [(0, 0, 0), (0, 0, 0.5)], 1.0, 2.0, 1, threads=2)
     assert curve.samples[0].energy < 0.0 < curve.samples[1].energy
-    assert effective_mass(0.1, 1.0, 2.0, 1).m_eff > 0.5
+    assert _mass(0.1, 1.0, 2.0, 1).m_eff > 0.5
     rep = cutoff_extrapolate(0.1, CutoffSchedule(lambdas=(1.0, 1.5, 2.0), delta=1.0, n_max=1))
     assert rep.energies[-1] == curve.samples[0].energy

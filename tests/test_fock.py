@@ -11,6 +11,7 @@ from polaronlab import (
     basis_dimension,
     build_grid,
     enumerate_basis,
+    fock,
 )
 from naive_ref import (
     naive_block_ranks,
@@ -57,6 +58,14 @@ def test_dimension_examples():
     assert enumerate_basis(2, 2).dimension == 6
     assert enumerate_basis(3, 3).dimension == 20
     assert basis_dimension(3, 3) == 20
+
+
+def test_basis_dimension_is_the_summed_block_counts():
+    for m_modes in range(13):
+        for n_max in range(5):
+            basis = enumerate_basis(m_modes, n_max)
+            assert basis_dimension(m_modes, n_max) == sum(
+                basis.block_count(n) for n in range(n_max + 1)), (m_modes, n_max)
 
 
 def test_vacuum_is_index_zero():
@@ -118,9 +127,16 @@ def test_raise_map_exact_where_binomial_ranks_overflow_int64(m_modes, n_max):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_capacity_guard():
+def test_capacity_guard(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("enumerated a basis above capacity")
+
+    # the closed-form dimension is checked before any block is enumerated
+    monkeypatch.setattr(fock, "_ascending_tuples", forbidden)
     with pytest.raises(CapacityError):
         enumerate_basis(60, 5, capacity=1000)
+    with pytest.raises(CapacityError):
+        enumerate_basis(2_000_000, 3)
 
 
 def test_lower_on_vacuum_absent():

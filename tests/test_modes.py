@@ -1,4 +1,4 @@
-"""Mode grids, cell-integrated couplings, tail integral, self-energy sums."""
+"""Mode grids, cell-integrated couplings, self-energy sums."""
 
 import itertools
 import math
@@ -11,16 +11,14 @@ from polaronlab import (
     CutoffSchedule,
     ModeGrid,
     build_grid,
-    form_factor,
-    riemann_selfenergy_sum,
-    tail_integral,
 )
-from polaronlab.modes import _axis_map, _cell_couplings
+from polaronlab.modes import _axis_map, _cell_couplings, _norm2
 from naive_ref import (
     naive_cell_couplings,
     naive_couplings,
     naive_grid_arrays,
     naive_within_mask,
+    riemann_selfenergy_sum,
 )
 
 # Coupling of the six nearest modes on the (delta=1, Lambda=1) grid, frozen
@@ -30,23 +28,6 @@ NEAREST_COUPLING_11 = 0.12143436769756921
 # Discrete self-energy sums, frozen from the same quadrature route.
 SELF_ENERGY_11 = 0.044238916974325325
 SELF_ENERGY_QUARTER_8 = 0.11390922529976795
-
-
-def test_form_factor_values():
-    assert form_factor([1.0, 0.0, 0.0]) == 1.0 / (4.0 * math.pi)
-    assert form_factor([0.0, 3.0, 4.0]) == 1.0 / (20.0 * math.pi)
-
-
-def test_form_factor_rotation_and_scaling():
-    # permuting components preserves the norm exactly
-    assert form_factor([3.0, 4.0, 0.0]) == form_factor([0.0, 4.0, 3.0])
-    # halving under k -> 2k is exact in floating point
-    assert form_factor([2.0, 0.0, 0.0]) == form_factor([1.0, 0.0, 0.0]) / 2.0
-
-
-def test_form_factor_singular_at_origin():
-    with pytest.raises(ValueError):
-        form_factor([0.0, 0.0, 0.0])
 
 
 def test_unit_ball_grid():
@@ -122,7 +103,7 @@ def test_grid_kernels_match_plain_expressions(delta, lam):
     _assert_same_bits(grid.units, units, "units")
     _assert_same_bits(grid.modes, modes, "modes")
     _assert_same_bits(grid.couplings, couplings, "couplings")
-    _assert_same_bits(grid.k_squared(), k2, "k_squared")
+    _assert_same_bits(_norm2(grid.modes), k2, "_norm2")
     for cut in (0.5 * lam, 0.7 * lam, 0.9 * lam):
         keep = naive_within_mask(grid, cut)
         sub = grid.within(cut)
@@ -159,27 +140,11 @@ def test_boundary_modes_included_exactly():
     assert (3, 4, 0) in units
     n2 = (grid.units * grid.units).sum(axis=1)
     assert int((n2 == 25).sum()) == 30
-    k2max = grid.k_squared().max()
+    k2max = _norm2(grid.modes).max()
     # the float product overshoots Lambda^2, which is why membership is
-    # decided on integers; the constructor's tolerance absorbs the overshoot
+    # decided on integers; ModeGrid.manual's tolerance absorbs the overshoot
     assert k2max > grid.cutoff**2
     assert k2max <= grid.cutoff**2 * (1.0 + 1e-12)
-
-
-def test_tail_integral_closed_forms():
-    assert tail_integral(0.0) == 2.0 * math.pi**2
-    assert tail_integral(1.0) == math.pi**2
-    assert tail_integral(1e8) < 2e-7
-
-
-def test_tail_integral_decreasing_and_bounded():
-    lams = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0]
-    vals = [tail_integral(x) for x in lams]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-    for lam in lams[2:]:
-        assert tail_integral(lam) <= 4.0 * math.pi / lam
-    with pytest.raises(ValueError):
-        tail_integral(-0.5)
 
 
 def test_selfenergy_sum_frozen_values():
@@ -234,6 +199,25 @@ def test_manual_grid_validation():
         ModeGrid.manual(-1.0, 1.0, [[0, 0, 1]], [1.0])
     with pytest.raises(ValueError):
         ModeGrid.manual(1.0, 0.0, [[0, 0, 1]], [1.0])
+
+
+@pytest.mark.parametrize("delta,lam,cuts", [
+    (1.0, 1.5, (1.0,)),
+    (0.4, 2.0, (1.0, 1.6)),  # |k| = Lambda boundary modes, whose k^2 overshoots
+    (0.75, 3.0, (1.5, 2.25)),
+    (0.4, 8.0, (4.0, 6.0)),
+    (0.5, 0.4, ()),  # empty
+])
+def test_manual_accepts_every_built_grid_bitwise(delta, lam, cuts):
+    # build_grid and within skip manual's per-mode checks; their grids pass them
+    built = build_grid(delta, lam)
+    for g in [built] + [built.within(c) for c in cuts]:
+        m = ModeGrid.manual(g.spacing, g.cutoff, g.units, g.couplings)
+        assert (m.spacing, m.cutoff) == (g.spacing, g.cutoff)
+        for name in ("units", "modes", "couplings"):
+            x, y = getattr(m, name), getattr(g, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
 
 
 def test_cutoff_schedule_validation():

@@ -20,14 +20,13 @@ from polaronlab import (
     kinetic_diagonal,
     neumann_constant,
     neumann_norms,
-    riemann_selfenergy_sum,
     sign_flip,
     weighted_annihilation_norm,
 )
 from polaronlab import operators, solve
 from naive_ref import (
-    assemble_free, from_triplets, naive_fiber_dense, upper_diagonal, upper_sign_flip,
-    upper_to_dense,
+    assemble_free, from_triplets, naive_fiber_dense, riemann_selfenergy_sum, upper_diagonal,
+    upper_sign_flip, upper_to_dense,
 )
 from suite_configs import all_operators, all_operators_with_basis, kt_suite, single_mode_grid
 
