@@ -215,10 +215,15 @@ _DISPERSION = {**_COMMON, **_problem(1.0, 0.75, 3.0, 2),
 
 def cmd_dispersion(values: dict, outdir: str, args) -> int:
     c = read_params(merge_overrides(values, args), _DISPERSION)
-    ps = [(0.0, 0.0, t) for t in c["p_values"]]
+    p_values = c["p_values"]
+    ps = [(0.0, 0.0, t) for t in p_values]
     # every sample rule raises before the one solve, which adds the mass momenta
     extra = [p for p in _disp.mass_momenta(c["mass_step"]) if p not in ps]
     _disp.check_minimum_samples(ps)
+    for i, t in enumerate(p_values):
+        first = p_values.index(t)  # == compares, so -0.0 repeats 0.0
+        if first < i:  # a repeat would be solved and written twice
+            raise ConfigError(f"parameter 'p_values' repeats momentum {p_values[first]}")
     solved = _disp.dispersion_curve(c["alpha"], ps + extra, c["delta"], c["lambda"], c["nmax"],
                                     tol=c["tol"], seed=c["seed"], threads=c["threads"])
     mass = _disp.effective_mass(solved, c["mass_step"])
@@ -349,7 +354,7 @@ def cmd_torus(values: dict, outdir: str, args) -> int:
     write_json(os.path.join(outdir, "torus.json"), {
         "ell": tcfg.ell,
         "alpha": tcfg.alpha,
-        "fiber_count": len(model.blocks),
+        "fiber_count": len(model.fibers),
         "fiber_dimension": model.basis.dimension,
         "ground_energy": report.ground_energy,
         "argmin": [list(p) for p in report.argmin],

@@ -23,7 +23,19 @@ per number block: B_n, the |block n| x |block n+1| piece of B, comes straight
 from basis.raise_map(n), and the row-side Gram of each block (and of each
 block product B_n ... B_{n+j-1} for B^j) goes to solve.lowest_eigenpairs, the
 same certified solver that serves the fibers.  No dim x dim matrix is formed.
-Only the dense assemble_KT checks the dimension cap, solve.DENSE_CAP.
+At N_max = 2 no two-phonon state is ranked at all: B_0 is the row
+s w_1 (s = sqrt(alpha) g, w_1 the weight on the one-phonon states), and
+B_1 B_1^T is the M x M pair sum G(R) of pair_gram with R_ik = w_ik^2, the
+squared weight of the two-phonon state {i, k}.  So ||B_1||^2 = ||G(w^2)|| is
+solved on G by the same eigensolver, ||B_0|| is the norm of one vector, and
+the Neumann product ||B_0 B_1|| is sqrt(b0^T G b0).  N_max >= 3 keeps the
+raise-map route.
+The same kernel with R_ik = 1/(D_ik - e), D_ik the kinetic diagonal of {i, k},
+is the coupling term of the Schur complement onto blocks 0 and 1 that
+solve.count_below forms from a fiber's CSR, so pair_count_below counts the
+eigenvalues of an N_max = 2 fiber below e from the grid alone.
+Only the dense assemble_KT checks the dimension cap, solve.DENSE_CAP; G is
+checked against the basis capacity before it is allocated.
 """
 
 import math
@@ -34,9 +46,20 @@ from typing import Callable, Tuple
 import numpy as np
 import scipy.sparse
 
-from .fock import BasisIndex
+from .errors import CapacityError
+from .fock import DEFAULT_BASIS_CAPACITY, BasisIndex, basis_dimension
 from .modes import ModeGrid
-from .solve import DEFAULT_SEED, DEFAULT_TOL, _check_dense_cap, lowest_eigenpairs
+from .solve import (
+    DEFAULT_SEED,
+    DEFAULT_TOL,
+    DENSE_CAP,
+    _certified_count,
+    _check_dense_cap,
+    _one_blas_thread,
+    lowest_eigenpairs,
+)
+
+PAIR_CHUNK = 256  # rows of G(R) built at a time
 
 
 class SparseOperator:
@@ -138,6 +161,86 @@ def kinetic_diagonal(cfg: FiberConfig, basis: BasisIndex) -> np.ndarray:
     """(P - P_f)^2 + N per state.  P_f comes from exact integer mode sums."""
     _check_basis(cfg, basis)
     return _kinetic(cfg.p, *_state_momenta(basis))
+
+
+def pair_diagonal(grid: ModeGrid, p, rows: slice = slice(None)) -> np.ndarray:
+    """D_ik = |P - k_i - k_k|^2 + 2, the kinetic diagonal of the two-phonon
+    state {i, k}, for the modes i in `rows` and every mode k.
+
+    P_f comes from the integer unit sums, as in the fiber, so every entry has
+    the bits of the fiber's diagonal entry of that state.
+    """
+    p = np.asarray(p, dtype=np.float64).reshape(3)
+    u = grid.units
+    pf = [grid.spacing * (u[rows, c, None] + u[None, :, c]).astype(np.float64)
+          for c in range(3)]
+    return _kinetic(p, pf, 2.0)
+
+
+def pair_gram(s: np.ndarray, r_rows: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """The M x M pair sum G(R): G_ik = s_i s_k R_ik, G_ii = (R s^2)_i + s_i^2 R_ii.
+
+    R_ik is a symmetric function of the two-phonon state {i, k}, read in row
+    chunks: r_rows(rows) returns rows `rows` of R.  With s = sqrt(alpha) g,
+    G(R) = B_1 diag(R) B_1^T for B_1 the coupling from the two-phonon block
+    down to the one-phonon block (a double occupancy carries sqrt 2, hence
+    the second diagonal term).  The product s_i s_k is formed first, so G is
+    symmetric bit for bit, and each row sum is a NumPy pairwise sum over its
+    own row, so no bit depends on the chunking.  CapacityError, before any
+    M x M array exists, when the two-phonon basis would exceed
+    DEFAULT_BASIS_CAPACITY (M up to about 3,160, G up to about 80 MB).
+    """
+    m = s.size
+    if basis_dimension(m, 2) > DEFAULT_BASIS_CAPACITY:
+        raise CapacityError(
+            f"pair sum over {m} modes: basis dimension {basis_dimension(m, 2)} "
+            f"exceeds capacity {DEFAULT_BASIS_CAPACITY}"
+        )
+    s2 = s * s
+    gram = np.empty((m, m))
+    for start in range(0, m, PAIR_CHUNK):
+        rows = slice(start, min(start + PAIR_CHUNK, m))
+        r = r_rows(rows)
+        out = gram[rows]
+        np.multiply(s[rows, None], s[None, :], out=out)
+        out *= r
+        i = np.arange(out.shape[0])
+        out[i, start + i] = (r * s2).sum(axis=1) + s2[rows] * r[i, start + i]
+    return gram
+
+
+@_one_blas_thread()
+def pair_count_below(alpha: float, grid: ModeGrid, p, e: float):
+    """solve.count_below of the N_max = 2 fiber at p, from the grid alone.
+
+    The Schur complement onto blocks 0 and 1 (M + 1 rows, the vacuum first,
+    then the one-phonon state j on mode M - 1 - j, as in the fiber) is
+    X - e - [[0, 0], [0, G(R)]] with R_ik = 1/(D_ik - e) (pair_gram,
+    pair_diagonal), and X the fiber's leading block, bit for bit.  The margin,
+    min D_top and the two-shift agreement are those of count_below
+    (solve._certified_count), so the two routes return the same count, or
+    None to fall back.  ValueError on an empty grid (no two-phonon block).
+    """
+    m = len(grid)
+    if m == 0:
+        raise ValueError("an empty grid has no two-phonon block")
+    split = m + 1
+    if split > DENSE_CAP:
+        return None
+    p = np.asarray(p, dtype=np.float64).reshape(3)
+    d_top = pair_diagonal(grid, p)[::-1, ::-1]  # state order of block 1
+    s = float(np.sqrt(alpha)) * grid.couplings[::-1]
+    units = np.concatenate([np.zeros((1, 3), dtype=np.int64), grid.units[::-1]])
+    x = np.diag(_kinetic(p, grid.spacing * units.T.astype(np.float64), np.r_[0.0, np.ones(m)]))
+    x[0, 1:] = x[1:, 0] = s
+
+    def terms(shift):
+        """X - shift and [[0, 0], [0, G(1/(D - shift))]], whose difference is S(shift)."""
+        coupling = np.zeros((split, split))
+        coupling[1:, 1:] = pair_gram(s, lambda rows: 1.0 / (d_top[rows] - shift))
+        return x - shift * np.eye(split), coupling
+
+    return _certified_count(terms, e, split, d_top.min())
 
 
 class FiberFamily:
@@ -283,7 +386,6 @@ def _block_factors(cfg: FiberConfig, basis: BasisIndex, h0_power: float,
     outside its pieces B_n, the |block n| x |block n+1| CSR matrices that
     carry annihilation_csr's entries of that block times w on block n+1.
     """
-    _check_basis(cfg, basis)
     scale = float(np.sqrt(cfg.alpha))
     factors = []
     for n in range(basis.n_max):
@@ -317,18 +419,56 @@ def _power_norm(factors: list, j: int, seed: int) -> float:
                default=0.0)
 
 
+def _pair_factors(cfg: FiberConfig, h0_power: float, number_power: float):
+    """(b0, G) for B = sqrt(alpha) A diag(w) at N_max = 2, in mode order.
+
+    w = h0^h0_power (N + 1)^number_power as in _block_factors: B_0 is the row
+    b0 = s w_1 (s = sqrt(alpha) g, w_1 on the one-phonon states) and
+    B_1 B_1^T = G(w^2), w_ik the weight on the two-phonon state {i, k}.
+    """
+    grid, p = cfg.grid, cfg.p
+    s = float(np.sqrt(cfg.alpha)) * grid.couplings
+    pf = grid.spacing * grid.units.T.astype(np.float64)
+    b0 = s * ((_kinetic(p, pf, 1.0) + 1.0) ** h0_power * 2.0 ** number_power)
+    top = 3.0 ** number_power
+    gram = pair_gram(s, lambda rows: ((pair_diagonal(grid, p, rows) + 1.0) ** h0_power
+                                      * top) ** 2)
+    return b0, gram
+
+
+def _norms(cfg: FiberConfig, basis: BasisIndex, h0_power: float, number_power: float,
+           j_max: int, seed: int) -> list:
+    """[||B||, ..., ||B^j_max||] for B = sqrt(alpha) A h0^h0_power (N + 1)^number_power.
+
+    At N_max = 2 from the pair sum (_pair_factors): ||B|| = max(||b0||,
+    ||B_1||) with ||B_1|| from the eigensolver on G, ||B^2|| = sqrt(b0^T G b0);
+    otherwise from the raise-map blocks (_block_factors, _power_norm).  The
+    chain is nilpotent: ||B^j|| = +0.0 once j exceeds N_max.
+    """
+    _check_basis(cfg, basis)
+    if basis.n_max != 2:
+        factors = _block_factors(cfg, basis, h0_power, number_power)
+        return [_power_norm(factors, j, seed) for j in range(1, j_max + 1)]
+    with _one_blas_thread():
+        b0, gram = _pair_factors(cfg, h0_power, number_power)
+        norms = [max(float(np.linalg.norm(b0)), _operator_norm(gram.dot, b0.size, seed))]
+        if j_max >= 2:
+            norms.append(math.sqrt(max(0.0, float(b0 @ gram.dot(b0)))))
+    return (norms + [0.0] * j_max)[:j_max]
+
+
 def neumann_norms(
     cfg: FiberConfig, basis: BasisIndex, j_max: int, seed: int = DEFAULT_SEED
 ) -> np.ndarray:
     """Operator norms s_j = || (sqrt(alpha) A h0^{-1})^j || for j = 1..j_max.
 
     h0 is the free diagonal at cfg.p.  The truncation makes the chain
-    nilpotent, so s_j vanishes identically once j exceeds N_max.
+    nilpotent, so s_j vanishes identically once j exceeds N_max.  At
+    N_max = 2, s_2 = sqrt(b0^T G b0) in closed form (module docstring).
     """
     if j_max < 1:
         raise ValueError("j_max must be at least 1")
-    factors = _block_factors(cfg, basis, -1.0, 0.0)
-    return np.array([_power_norm(factors, j, seed) for j in range(1, j_max + 1)])
+    return np.array(_norms(cfg, basis, -1.0, 0.0, j_max, seed))
 
 
 def weighted_annihilation_norm(
@@ -337,9 +477,10 @@ def weighted_annihilation_norm(
     """|| sqrt(alpha) A h0^{-1/2} (N + 1)^{-1/4} || at cfg.p, fully sparse.
 
     This is the uniform-in-cutoff bound certificate: the weight combines the
-    inverse square root of the free diagonal with the number damping.
+    inverse square root of the free diagonal with the number damping.  At
+    N_max = 2 it is read off the M x M pair sum (module docstring).
     """
-    return _power_norm(_block_factors(cfg, basis, -0.5, -0.25), 1, seed)
+    return _norms(cfg, basis, -0.5, -0.25, 1, seed)[0]
 
 
 def neumann_constant(cfg: FiberConfig, basis: BasisIndex, seed: int = DEFAULT_SEED) -> float:
@@ -348,4 +489,4 @@ def neumann_constant(cfg: FiberConfig, basis: BasisIndex, seed: int = DEFAULT_SE
     Blockwise, || sqrt(alpha) A h0^{-1} restricted to block n || <= C (n+1)^{-1/4},
     which chains to s_j <= C^j / (j!)^{1/4} on the truncated space.
     """
-    return _power_norm(_block_factors(cfg, basis, -1.0, 0.25), 1, seed)
+    return _norms(cfg, basis, -1.0, 0.25, 1, seed)[0]

@@ -44,7 +44,10 @@ for them, when the operator ends in a diagonal block (a fiber's top phonon
 number block): the count is the inertia of a dense Schur complement of the
 size of the leading blocks, read off an LDL^T factorization, and it is
 returned only when certified against the factorization's rounding.  Its
-blocks are sliced straight from the operator's symmetric CSR, op.csr.
+blocks are sliced straight from the operator's symmetric CSR, op.csr.  At
+N_max = 2, operators.pair_count_below forms the same complement in closed
+form from the grid; both routes share the margin and the two-shift agreement
+of _certified_count.
 
 Threading model: the only parallelism is the pool of _parallel_map (the
 `threads` setting).  BLAS and LAPACK run on one thread inside the public
@@ -412,6 +415,32 @@ def _negative_inertia(s: np.ndarray) -> int:
     return int((diag[single] < 0).sum() + (mid - rad < 0).sum() + (mid + rad < 0).sum())
 
 
+def _certified_count(terms: Callable, e: float, split: int, d_min: float):
+    """Negative inertia of S(e) = X - e - C(e) of size split, or None.
+
+    terms(shift) returns the dense pair (X - shift, C(shift)), whose
+    difference is the Schur complement at shift, and d_min is min D_top.
+    S(e) decreases in e by at least the identity, so counts of
+    S(e -+ delta) + E with ||E|| <= delta bound the count at e from below and
+    above; they are taken at delta = c m u ||S|| (Bunch-Kaufman backward
+    error, Higham ch. 11; ||S|| is bounded by the norms of its two terms so
+    the rounding of forming S is covered too) and accepted only if they
+    agree.  None when e (or e + delta) reaches d_min, when split exceeds
+    DENSE_CAP, or when the two counts differ; NumericalError if S(e) is not
+    finite.
+    """
+    if e >= d_min or split > DENSE_CAP:
+        return None
+    s_norm = sum(np.linalg.norm(t, 1) for t in terms(e))
+    if not math.isfinite(s_norm):
+        raise NumericalError("Schur complement is not finite")
+    delta = SCHUR_MARGIN * split * np.finfo(np.float64).eps * s_norm
+    if e + delta >= d_min:
+        return None
+    lo, hi = (_negative_inertia(np.subtract(*terms(shift))) for shift in (e - delta, e + delta))
+    return lo if lo == hi else None
+
+
 @_one_blas_thread()
 def count_below(op, e: float, split: int):
     """Number of eigenvalues of a SparseOperator below e, or None to fall back.
@@ -421,14 +450,12 @@ def count_below(op, e: float, split: int):
     with e < min D_top, op - e has the inertia of D_top - e (all positive)
     plus that of the Schur complement S(e) = X - e - B (D_top - e)^{-1} B^T
     (Haynsworth), so the count is the number of negative pivots of an LDL^T
-    of the dense split x split matrix S(e).  S(e) decreases in e by at least
-    the identity, so counts of S(e -+ delta) + E with ||E|| <= delta bound the
-    count at e from below and above; they are taken at delta = c m u ||S||
-    (Bunch-Kaufman backward error, Higham ch. 11; ||S|| is bounded by the
-    norms of its two terms so the rounding of forming S is covered too) and
-    accepted only if they agree.  None when e >= min D_top, when split
-    exceeds DENSE_CAP, or when the two counts differ.  ValueError if the
+    of the dense split x split matrix S(e), certified against rounding by
+    _certified_count: None when e >= min D_top, when split exceeds
+    DENSE_CAP, or when the counts at e -+ delta differ.  ValueError if the
     trailing block is not diagonal.  X, B and D_top are sliced from op.csr.
+    At N_max = 2, operators.pair_count_below gives the same count from the
+    grid alone, without a fiber.
     """
     n = op.dimension
     if not 0 <= split < n:
@@ -452,14 +479,7 @@ def count_below(op, e: float, split: int):
         coupling = b @ bt.multiply(1.0 / (d_top - shift)[:, None])
         return x - shift * np.eye(split), coupling.toarray()
 
-    s_norm = sum(np.linalg.norm(t, 1) for t in terms(e))
-    if not math.isfinite(s_norm):
-        raise NumericalError("Schur complement is not finite")
-    delta = SCHUR_MARGIN * split * np.finfo(np.float64).eps * s_norm
-    if e + delta >= d_min:
-        return None
-    lo, hi = (_negative_inertia(np.subtract(*terms(shift))) for shift in (e - delta, e + delta))
-    return lo if lo == hi else None
+    return _certified_count(terms, e, split, d_min)
 
 
 @_one_blas_thread()

@@ -3,15 +3,16 @@
 The torus operator is block diagonal over total momenta P in (2 pi / ell) Z^3
 up to a fiber cutoff; every block is a fiber of one FiberFamily (one phonon
 grid, one basis, one P-independent coupling), so blocks differ only on the
-diagonal.  The degeneracy analysis feeds the either-or argument: a
-translation-invariant ground state forces the global minimum to sit at P = 0
-and be simple, so a non-simple minimum (or one away from 0) certifies
-symmetry breaking.  Only the fibers that reach the global minimum can change
-that verdict, so the analysis solves the ground level of every block first
-and then, on the blocks inside the minimum window only, counts the
-eigenvalues in the window exactly by the inertia of a Schur complement on
-the top phonon block; a block whose count is not certified gets its two
-lowest levels solved instead.
+diagonal, and the model keeps the family rather than the blocks.  The
+degeneracy analysis feeds the either-or argument: a translation-invariant
+ground state forces the global minimum to sit at P = 0 and be simple, so a
+non-simple minimum (or one away from 0) certifies symmetry breaking.  Only
+the fibers that reach the global minimum can change that verdict, so the
+analysis solves the ground level of every block first and then, on the
+blocks inside the minimum window only, counts the eigenvalues in the window
+exactly by the inertia of a Schur complement on the top phonon block (at
+N_max = 2 in closed form from the grid, with no block made); a block whose
+count is not certified gets its two lowest levels solved instead.
 
 The lattice scan is closed under the octahedral group O_h (the 48 signed
 axis permutations R), and so are the grids build_grid makes, couplings
@@ -32,9 +33,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError
-from .fock import enumerate_basis
-from .modes import _axis_map, _norm2, build_grid
-from .operators import FiberFamily, SparseOperator
+from .fock import BasisIndex, enumerate_basis
+from .modes import ModeGrid, _axis_map, _norm2, build_grid
+from .operators import FiberFamily, pair_count_below
 from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, count_below, lowest_eigenpairs
 
 DEFAULT_FIBER_CUTOFF = 3.0
@@ -110,13 +111,18 @@ def lattice_fibers(cfg: TorusConfig) -> np.ndarray:
 
 @dataclass
 class TorusModel:
-    """Assembled block family sharing one grid and basis."""
+    """The block momenta and the fiber family that makes their blocks.
+
+    The blocks share one grid, basis and coupling, so the model keeps the
+    FiberFamily and degeneracy_analysis makes a block, family.fiber(p), only
+    when it solves one or counts on its CSR.
+    """
 
     config: TorusConfig
     fibers: np.ndarray
-    grid: object
-    basis: object
-    blocks: Tuple[SparseOperator, ...]
+    grid: ModeGrid
+    basis: BasisIndex
+    family: FiberFamily
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,11 @@ class TorusReport:
 
 
 def assemble_torus(cfg: TorusConfig, capacity: int = DEFAULT_TORUS_CAPACITY) -> TorusModel:
-    """Build every momentum block as a fiber of one shared FiberFamily."""
+    """The lattice momenta and the one FiberFamily every block is a fiber of.
+
+    CapacityError when the blocks together would exceed `capacity` states,
+    checked before the family is built.
+    """
     grid = build_grid(cfg.delta, cfg.cutoff)
     basis = enumerate_basis(len(grid), cfg.n_max, grid.units, grid.spacing)
     fibers = lattice_fibers(cfg)
@@ -142,8 +152,7 @@ def assemble_torus(cfg: TorusConfig, capacity: int = DEFAULT_TORUS_CAPACITY) -> 
             f"exceeds capacity {capacity}"
         )
     family = FiberFamily(cfg.alpha, grid, basis)
-    blocks = tuple(family.fiber(p) for p in fibers)
-    return TorusModel(config=cfg, fibers=fibers, grid=grid, basis=basis, blocks=blocks)
+    return TorusModel(config=cfg, fibers=fibers, grid=grid, basis=basis, family=family)
 
 
 # the group O_h as (perm, signs): R x = signs * x[perm]
@@ -204,47 +213,58 @@ def degeneracy_analysis(
     within degeneracy_tol + tol of the smallest, `ground` (the extra tol
     covers the spread between two solves of one level), and counts their
     eigenvalues below ground + degeneracy_tol exactly, by the inertia of a
-    Schur complement on the top phonon block (solve.count_below); these
-    blocks keep their phase-1 energy.
+    Schur complement on the top phonon block; these blocks keep their
+    phase-1 energy.  At N_max = 2 the count comes from (alpha, grid, P)
+    alone, operators.pair_count_below, whose complement on blocks 0 and 1 is
+    closed form, so no block is made for it; at other N_max from the block's
+    CSR, solve.count_below.
     A block whose count cannot be certified (the Schur complement above the
     dense cap, or the level within rounding of the window edge) falls back to
     a two-level solve, which replaces its phase-1 energy and contributes the
     levels within degeneracy_tol of the minimum.  Skipped blocks have no
     level in the window.  The multiplicity is the total count, so a simple
     global minimum reads 1 and a degenerate one at least 2.
+    Blocks are made from model.family as they are solved or counted and
+    dropped after; at N_max = 2 that is one per orbit representative and one
+    per fallback.
     """
-    tol_deg = model.config.degeneracy_tol
-    blocks = model.blocks
+    cfg, fibers = model.config, model.fibers
+    tol_deg = cfg.degeneracy_tol
+    basis = model.basis
 
-    def levels(block, k):
+    def levels(i, k):
+        block = model.family.fiber(fibers[i])
         return [r.energy for r in lowest_eigenpairs(block, k=k, tol=tol, seed=seed)]
+
+    def count(i, e):
+        if basis.n_max == 2:
+            return pair_count_below(cfg.alpha, model.grid, fibers[i], e)
+        return count_below(model.family.fiber(fibers[i]), e, basis.block_offset(basis.n_max))
 
     sources = [rep for rep, _ in _orbit_sources(model)]
     solved = sorted(set(sources))
-    ground_levels = dict(zip(
-        solved, _parallel_map(lambda i: levels(blocks[i], 1), solved, threads)))
+    ground_levels = dict(zip(solved, _parallel_map(lambda i: levels(i, 1), solved, threads)))
     per_fiber = [ground_levels[rep] for rep in sources]
-    counts = [None] * len(blocks)
-    if model.basis.dimension > 1:
+    counts = [None] * len(fibers)
+    if basis.dimension > 1:
         ground = min(es[0] for es in per_fiber)
         near = [i for i, es in enumerate(per_fiber) if es[0] <= ground + tol_deg + tol]
-        split = model.basis.block_offset(model.basis.n_max)
         for i in near:
-            counts[i] = count_below(blocks[i], ground + tol_deg, split)
+            counts[i] = count(i, ground + tol_deg)
         fallback = [i for i in near if counts[i] is None]
-        for i, es in zip(fallback, _parallel_map(lambda i: levels(blocks[i], 2), fallback, threads)):
+        for i, es in zip(fallback, _parallel_map(lambda i: levels(i, 2), fallback, threads)):
             per_fiber[i] = es
 
     ground = min(min(es) for es in per_fiber)
     argmin = []
     multiplicity = 0
     fiber_energies = []
-    for p, es, count in zip(model.fibers, per_fiber, counts):
+    for p, es, n_below in zip(fibers, per_fiber, counts):
         pt = tuple(map(float, p))
         fiber_energies.append((pt, float(es[0])))
         if es[0] <= ground + tol_deg:
             argmin.append(pt)
-        multiplicity += sum(1 for e in es if e <= ground + tol_deg) if count is None else count
+        multiplicity += sum(1 for e in es if e <= ground + tol_deg) if n_below is None else n_below
     return TorusReport(
         ground_energy=float(ground),
         argmin=tuple(argmin),

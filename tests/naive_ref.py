@@ -84,6 +84,31 @@ def naive_fiber_dense(alpha, p, k_vectors, couplings, n_max):
     return mat, states
 
 
+def naive_pair_gram(alpha, p, k_vectors, couplings, weight):
+    """Dense B_1 diag(weight(D)) B_1^T from naive states, rows in mode order.
+
+    B_1 is the coupling from the two-phonon states down to the one-phonon
+    states, entry by entry from the ladder rule: mode k raised on {i} gives
+    {i, k} with amplitude sqrt(alpha) g_k sqrt(n_k + 1).  D is each
+    two-phonon state's kinetic diagonal |P - P_f|^2 + 2, and weight maps it
+    to the entry of R on that state.
+    """
+    m_modes = len(k_vectors)
+    pairs = [s for s in naive_states(m_modes, 2) if len(s) == 2]
+    column = {s: j for j, s in enumerate(pairs)}
+    p = np.asarray(p, dtype=np.float64)
+    b1 = np.zeros((m_modes, len(pairs)))
+    r = np.zeros(len(pairs))
+    for i in range(m_modes):
+        for k in range(m_modes):
+            amp = math.sqrt(alpha) * couplings[k] * math.sqrt(2 if k == i else 1)
+            b1[i, column[tuple(sorted((i, k)))]] = amp
+    for j, s in enumerate(pairs):
+        pf = np.asarray(k_vectors[s[0]], dtype=np.float64) + np.asarray(k_vectors[s[1]])
+        r[j] = weight(float(((p - pf) ** 2).sum() + 2))
+    return (b1 * r[None, :]) @ b1.T
+
+
 def naive_couplings(delta, lam):
     """Cell-integrated couplings by brute scipy quadrature, orbit by orbit.
 

@@ -377,6 +377,19 @@ def test_dispersion_sample_rule_errors_exit_3_before_any_solve(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p_values, repeated", [("0,0.5,0.5,1", "0.5"), ("0,1,-0", "0.0")])
+def test_dispersion_repeated_momentum_exits_3_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                               p_values, repeated):
+    # a repeat would be solved twice and written as two rows; -0.0 repeats 0.0
+    monkeypatch.setattr(polaronlab.dispersion, "dispersion_curve", _unsolvable)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"p_values = {p_values}\n")
+    out = tmp_path / "out"
+    assert main(["dispersion", "--config", str(cfg), "--out", str(out)]) == 3
+    assert f"parameter 'p_values' repeats momentum {repeated}" in capsys.readouterr().err
+    assert not (out / "dispersion.csv").exists()
+
+
 def _count_dispersion_work(monkeypatch):
     """Count the grids, fiber families, eigensolves and secular solves of the
     dispersion module."""

@@ -26,11 +26,11 @@ SMALL_EXTRAPOLATION = "alpha = 0.5\ndelta = 1\nnmax = 2\nlambda_values = 1.5,2,2
 # run name -> (argv without --out, {file it writes: SHA-256})
 GOLDEN = {
     "checks_quick": (["checks", "--config", str(CONFIGS / "quick.cfg")], {
-        "checks.json": "8e3b386eea95d154f1ff4a8b9d3044ffddacdae4c2c10f7dbf548e5bfa352fa9",
+        "checks.json": "8eff07bcdbba305d8c95406df581cf8f52ef80d31992e846e95df381cb5b6e93",
     }),
     # the parameter tables' defaults are the values quick.cfg spells out
     "checks_defaults": (["checks"], {
-        "checks.json": "8e3b386eea95d154f1ff4a8b9d3044ffddacdae4c2c10f7dbf548e5bfa352fa9",
+        "checks.json": "8eff07bcdbba305d8c95406df581cf8f52ef80d31992e846e95df381cb5b6e93",
     }),
     "dispersion_default": (["dispersion"], {
         "dispersion.csv": "c5f094e787372877bfee254ddf1eda450af43c24d52cd0436e778b53c999a019",

@@ -25,8 +25,8 @@ from polaronlab import (
 )
 from polaronlab import operators, solve
 from naive_ref import (
-    assemble_free, from_triplets, naive_fiber_dense, riemann_selfenergy_sum, upper_diagonal,
-    upper_sign_flip, upper_to_dense,
+    assemble_free, from_triplets, naive_fiber_dense, naive_pair_gram, riemann_selfenergy_sum,
+    upper_diagonal, upper_sign_flip, upper_to_dense,
 )
 from suite_configs import all_operators, all_operators_with_basis, kt_suite, single_mode_grid
 
@@ -356,6 +356,69 @@ def test_norm_solves_stay_within_number_blocks(monkeypatch):
     bound = max(basis.block_count(n) for n in range(basis.n_max))
     assert bound == 256
     assert sizes and max(sizes) == bound
+
+
+@pytest.mark.parametrize("lam", [1.5, 2.0])
+@pytest.mark.parametrize("p", [(0.0, 0.0, 0.0), (0.0, 0.3, 0.8)])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_pair_gram_matches_naive_reference(monkeypatch, lam, p, alpha):
+    # the Schur coupling R = 1/(D - e) and the squared norm weight R = w^2
+    grid = build_grid(1.0, lam)
+    s = math.sqrt(alpha) * grid.couplings
+    for weight in (lambda d: 1.0 / (d + 0.3), lambda d: 1.0 / (d + 1.0) / math.sqrt(3.0)):
+        def r_rows(rows):
+            return weight(operators.pair_diagonal(grid, p, rows))
+
+        got = operators.pair_gram(s, r_rows)
+        want = naive_pair_gram(alpha, p, grid.modes, grid.couplings, weight)
+        assert np.array_equal(got, got.T)
+        if alpha == 0.0:
+            assert not got.any() and not want.any()
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        with monkeypatch.context() as m:  # rows in chunks of 5, the last one short
+            m.setattr(operators, "PAIR_CHUNK", 5)
+            assert np.array_equal(operators.pair_gram(s, r_rows), got)
+
+
+@pytest.mark.parametrize("delta, lam", [(1.0, 2.0), (0.3, 1.0)])
+def test_pair_diagonal_has_the_fiber_bits(delta, lam):
+    grid = build_grid(delta, lam)
+    basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
+    p = np.array([0.0, 0.3, 0.8])
+    d = kinetic_diagonal(FiberConfig(alpha=1.0, p=p, grid=grid, n_max=2), basis)
+    pairs = basis.block(2)
+    got = operators.pair_diagonal(grid, p)[pairs[:, 0], pairs[:, 1]]
+    assert np.array_equal(got, d[basis.block_offset(2):])
+
+
+def test_pair_gram_capacity_is_checked_before_any_allocation():
+    # C(3163, 2) = 5,000,703 two-phonon-basis states exceed the default capacity
+    def unread(rows):
+        raise AssertionError("R was read before the capacity check")
+
+    with pytest.raises(CapacityError, match="3161 modes"):
+        operators.pair_gram(np.ones(3161), unread)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_pair_norms_match_the_block_route(seed):
+    # N_max = 2 reads the norms off the pair sum; the raise-map blocks are the
+    # route of every other N_max
+    for delta, lam, p in ((1.0, 1.5, (0.0, 0.3, 0.8)), (0.5, 2.0, (0.0, 0.0, 0.0))):
+        grid = build_grid(delta, lam)
+        basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
+        cfg = FiberConfig(alpha=1.0, p=np.array(p), grid=grid, n_max=2)
+
+        def blocks(h0_power, number_power, j_max):
+            factors = operators._block_factors(cfg, basis, h0_power, number_power)
+            return [operators._power_norm(factors, j, seed) for j in range(1, j_max + 1)]
+
+        np.testing.assert_allclose(weighted_annihilation_norm(cfg, basis, seed=seed),
+                                   blocks(-0.5, -0.25, 1)[0], rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(neumann_norms(cfg, basis, 3, seed=seed), blocks(-1.0, 0.0, 3),
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(neumann_constant(cfg, basis, seed=seed),
+                                   blocks(-1.0, 0.25, 1)[0], rtol=1e-14, atol=0.0)
 
 
 def test_norms_at_nonzero_momentum_match_dense():

@@ -24,6 +24,7 @@ from polaronlab import (
     periodized_yukawa,
     yukawa_converged,
 )
+from polaronlab.operators import pair_count_below
 from polaronlab.solve import count_below
 from polaronlab.torus import _orbit_sources
 from naive_ref import conjugate_csr, state_map
@@ -112,7 +113,7 @@ def test_block_spectra_union():
     # the torus operator is the direct sum of its momentum blocks, so its
     # spectrum is the sorted union of the block spectra
     model = assemble_torus(_quick_config(cutoff=1.5, n_max=1))
-    dense_blocks = [b.to_dense() for b in model.blocks]
+    dense_blocks = [model.family.fiber(p).to_dense() for p in model.fibers]
     union = np.sort(np.concatenate([np.linalg.eigvalsh(d) for d in dense_blocks]))
     full = np.linalg.eigvalsh(scipy.linalg.block_diag(*dense_blocks))
     np.testing.assert_allclose(union, full, atol=1e-10)
@@ -172,32 +173,47 @@ def test_degeneracy_analysis_threads_deterministic():
             assert a.multiplicity == b.multiplicity
 
 
+def _record_fibers(monkeypatch, model):
+    """Record every block the model's family makes, as (momentum, block) pairs."""
+    made = []
+    fiber = model.family.fiber
+
+    def recording(p):
+        made.append((tuple(map(float, p)), fiber(p)))
+        return made[-1][1]
+
+    monkeypatch.setattr(model.family, "fiber", recording)
+    return made
+
+
 def _requested_levels(monkeypatch, model, count=None):
     """Run degeneracy_analysis and return its report and the k asked per fiber.
 
-    `count`, when given, replaces the Schur-complement count.
+    `count`, when given, replaces the N_max = 2 Schur-complement count.
     """
     calls = []
+    made = _record_fibers(monkeypatch, model)
 
     def recording(op, k=1, **kw):
-        calls.append((next(i for i, b in enumerate(model.blocks) if b is op), k))
+        calls.append((next(p for p, b in made if b is op), k))
         return lowest_eigenpairs(op, k=k, **kw)
 
     monkeypatch.setattr(polaronlab.torus, "lowest_eigenpairs", recording)
     if count is not None:
-        monkeypatch.setattr(polaronlab.torus, "count_below", count)
+        monkeypatch.setattr(polaronlab.torus, "pair_count_below", count)
     report = degeneracy_analysis(model)
     monkeypatch.undo()
     asked = {}
-    for i, k in calls:
-        asked.setdefault(tuple(map(float, model.fibers[i])), []).append(k)
+    for p, k in calls:
+        asked.setdefault(p, []).append(k)
     return report, asked
 
 
 def _exhaustive_report(model):
     """Two levels on every fiber, counted the way degeneracy_analysis counts."""
     tol_deg = model.config.degeneracy_tol
-    per_fiber = [[r.energy for r in lowest_eigenpairs(b, k=2)] for b in model.blocks]
+    per_fiber = [[r.energy for r in lowest_eigenpairs(model.family.fiber(p), k=2)]
+                 for p in model.fibers]
     ground = min(es[0] for es in per_fiber)
     fibers = [tuple(map(float, p)) for p in model.fibers]
     return TorusReport(
@@ -235,9 +251,8 @@ def _hand_built_model(couplings):
     grid = ModeGrid.manual(1.0, 1.0, units, couplings)
     basis = enumerate_basis(len(grid), cfg.n_max, grid.units, grid.spacing)
     family = FiberFamily(cfg.alpha, grid, basis)
-    fibers = lattice_fibers(cfg)
-    return TorusModel(config=cfg, fibers=fibers, grid=grid, basis=basis,
-                      blocks=tuple(family.fiber(p) for p in fibers))
+    return TorusModel(config=cfg, fibers=lattice_fibers(cfg), grid=grid, basis=basis,
+                      family=family)
 
 
 def test_equal_couplings_on_a_hand_built_grid_reduce_to_orbits(monkeypatch):
@@ -277,7 +292,8 @@ def test_orbit_maps_conjugate_the_desk_fibers_exactly(desk_torus):
             continue
         sigma = state_map(model.basis, modes)
         assert np.array_equal(np.sort(sigma), np.arange(model.basis.dimension))
-        got, want = conjugate_csr(model.blocks[rep].csr, sigma), model.blocks[i].csr
+        fiber = model.family.fiber
+        got, want = conjugate_csr(fiber(model.fibers[rep]).csr, sigma), fiber(model.fibers[i]).csr
         assert want.has_sorted_indices
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
@@ -298,7 +314,7 @@ def test_copied_desk_energies_match_independent_solves(monkeypatch, desk_torus):
     for r, i in last.items():
         assert energies[i] == energies[r]
         if i != r:
-            e = lowest_eigenpairs(model.blocks[i])[0].energy
+            e = lowest_eigenpairs(model.family.fiber(model.fibers[i]))[0].energy
             assert abs(e - energies[i]) <= 1e-12
 
 
@@ -318,9 +334,8 @@ def test_uncertified_count_falls_back_to_second_level(monkeypatch, fibers, expec
     model = assemble_torus(_quick_config(fibers=fibers))
     window = []
 
-    def uncertified(op, e, split):
-        window.append(next(tuple(map(float, p)) for p, b in zip(model.fibers, model.blocks)
-                           if b is op))
+    def uncertified(alpha, grid, p, e):
+        window.append(tuple(map(float, p)))
         return None
 
     rep, asked = _requested_levels(monkeypatch, model, count=uncertified)
@@ -330,17 +345,58 @@ def test_uncertified_count_falls_back_to_second_level(monkeypatch, fibers, expec
     _assert_same_report(rep, _exhaustive_report(model))
 
 
+def test_blocks_made_only_for_representatives_and_fallbacks(monkeypatch):
+    # at N_max = 2 the window is counted from the grid: the quick torus makes
+    # one block per O_h orbit, plus one per fiber whose count falls back
+    for fibers, reps, count, fallbacks in [
+        (None, [(-1.0, 0.0, 0.0), (0.0, 0.0, 0.0)], None, []),
+        (None, [(-1.0, 0.0, 0.0), (0.0, 0.0, 0.0)], lambda *a: None, [(0.0, 0.0, 0.0)]),
+        (((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)), [(0.0, 0.0, -1.0), (0.0, 0.0, 1.0)], None, []),
+    ]:
+        model = assemble_torus(_quick_config(fibers=fibers))
+        made = _record_fibers(monkeypatch, model)
+        if count is not None:
+            monkeypatch.setattr(polaronlab.torus, "pair_count_below", count)
+        degeneracy_analysis(model, threads=2)
+        monkeypatch.undo()
+        # the pool makes the representatives' blocks in either order
+        assert sorted(p for p, _ in made[:len(reps)]) == reps
+        assert [p for p, _ in made[len(reps):]] == fallbacks
+
+
+@pytest.mark.parametrize("delta, cutoff", [(1.0, 2.0), (0.75, 3.0)])
+def test_pair_count_matches_count_below(delta, cutoff):
+    # the quick and desk torus fibers: the closed-form count on blocks 0 and 1
+    # and the count from the CSR agree, None included, across the lowest
+    # levels, midway between them and within 1e-11 of each
+    model = assemble_torus(_quick_config(delta=delta, cutoff=cutoff))
+    split = model.basis.block_offset(2)
+    certified = 0
+    for p in model.fibers:
+        block = model.family.fiber(p)
+        e0, e1 = (r.energy for r in lowest_eigenpairs(block, k=2))
+        probes = [e0 - 1e-3, 0.5 * (e0 + e1), e1 + 1e-3]
+        probes += [e + d for e in (e0, e1) for d in (-1e-11, -1e-12, 1e-12, 1e-11)]
+        for e in probes:
+            want = count_below(block, e, split)
+            assert pair_count_below(1.0, model.grid, p, e) == want, (p, e)
+            certified += want is not None
+    assert certified >= 5 * len(model.fibers)
+
+
 def test_count_certifies_desk_ground_and_doublet():
     # beyond the dense cap: the desk-torus P = 0 fiber has 33,153 states, far
     # above the 2000 of the dense oracles, and a Schur complement of 257
     model = assemble_torus(_quick_config(delta=0.75, cutoff=3.0, fibers=((0.0, 0.0, 0.0),)))
-    block, split = model.blocks[0], model.basis.block_offset(2)
+    block, split = model.family.fiber(model.fibers[0]), model.basis.block_offset(2)
     assert block.dimension == 33153 and split == 257
     e0, lam2 = (r.energy for r in lowest_eigenpairs(block, k=2))
     assert [count_below(block, e, split) for e in (e0 - 1e-8, e0 + 1e-8)] == [0, 1]
     # the count above the second level includes the ground state: 1 -> 3
     # makes lambda_2 an octahedral doublet
     assert [count_below(block, e, split) for e in (lam2 - 1e-8, lam2 + 1e-8)] == [1, 3]
+    assert [pair_count_below(1.0, model.grid, np.zeros(3), e)
+            for e in (e0 - 1e-8, e0 + 1e-8, lam2 - 1e-8, lam2 + 1e-8)] == [0, 1, 1, 3]
 
 
 def test_contradiction_check_flags_inconsistency():
