@@ -368,14 +368,16 @@ def test_blocks_made_only_for_representatives_and_fallbacks(monkeypatch):
 def test_pair_count_matches_count_below(delta, cutoff):
     # the quick and desk torus fibers: the closed-form count on blocks 0 and 1
     # and the count from the CSR agree, None included, across the lowest
-    # levels, midway between them and within 1e-11 of each
+    # levels, midway between them, within 1e-11 of each, and at and above
+    # min D_top, where both must decline
     model = assemble_torus(_quick_config(delta=delta, cutoff=cutoff))
     split = model.basis.block_offset(2)
     certified = 0
     for p in model.fibers:
         block = model.family.fiber(p)
         e0, e1 = (r.energy for r in lowest_eigenpairs(block, k=2))
-        probes = [e0 - 1e-3, 0.5 * (e0 + e1), e1 + 1e-3]
+        top_min = block.diagonal()[split:].min()
+        probes = [e0 - 1e-3, 0.5 * (e0 + e1), e1 + 1e-3, top_min, top_min + 0.5]
         probes += [e + d for e in (e0, e1) for d in (-1e-11, -1e-12, 1e-12, 1e-11)]
         for e in probes:
             want = count_below(block, e, split)
