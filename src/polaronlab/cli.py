@@ -36,7 +36,8 @@ from .operators import (
     sign_flip,
     weighted_annihilation_norm,
 )
-from .solve import _one_blas_thread, dense_spectrum, resolvent_positivity_audit
+from .solve import (DEFAULT_SEED, DEFAULT_TOL, _one_blas_thread, dense_spectrum,
+                    resolvent_positivity_audit)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -114,7 +115,8 @@ def _parse(key, kind, raw):
 
 # A parameter table maps key -> (kind, default, bound); bound is "positive",
 # "nonnegative", an integer minimum or None.
-_COMMON = {"seed": ("int", 42, 0), "threads": ("int", 1, 1), "tol": ("float", 1e-9, "positive")}
+_COMMON = {"seed": ("int", DEFAULT_SEED, 0), "threads": ("int", 1, 1),
+           "tol": ("float", DEFAULT_TOL, "positive")}
 
 
 def _problem(alpha, delta, lam, nmax):
@@ -210,7 +212,8 @@ def write_csv(path: str, header, rows) -> None:
 
 _DISPERSION = {**_COMMON, **_problem(1.0, 0.75, 3.0, 2),
                "p_values": ("floats", (0.0, 0.5, 1.0, 1.5, 2.0), None),
-               "margin": ("float", 1e-4, "positive"), "mass_step": ("float", 0.1, "positive")}
+               "margin": ("float", _disp.DEFAULT_MARGIN, "positive"),
+               "mass_step": ("float", _disp.DEFAULT_MASS_STEP, "positive")}
 
 
 def cmd_dispersion(values: dict, outdir: str, args) -> int:
@@ -325,7 +328,7 @@ def cmd_extrapolate(values: dict, outdir: str, args) -> int:
 
 _TORUS_MODEL = {**_problem(1.0, 1.0, 2.0, 2), "ell": ("float", 2.0 * math.pi, "positive"),
                 "fiber_cutoff": ("float", 1.0, "positive"),
-                "degeneracy_tol": ("float", 1e-7, "positive")}
+                "degeneracy_tol": ("float", _torus.DEFAULT_DEGENERACY_TOL, "positive")}
 _TORUS = {**_COMMON, **_TORUS_MODEL, "fibers": ("fibers", None, None)}
 
 
@@ -436,15 +439,15 @@ def _check_kt_identity() -> dict:
     }
 
 
-def _fiber_problem(c, alpha):
-    """The P = 0 fiber config at `alpha` on the grid and basis of c's problem."""
+def _fiber_problem(c):
+    """The P = 0 fiber config of c's problem, and its grid's basis."""
     grid = build_grid(c["delta"], c["lambda"])
     basis = enumerate_basis(len(grid), c["nmax"], grid.units, grid.spacing)
-    return FiberConfig(alpha=alpha, p=np.zeros(3), grid=grid, n_max=c["nmax"]), basis
+    return FiberConfig(alpha=c["alpha"], p=np.zeros(3), grid=grid, n_max=c["nmax"]), basis
 
 
 def _check_norm_bound(c, seed: int) -> dict:
-    fcfg, basis = _fiber_problem(c, c["alpha"])
+    fcfg, basis = _fiber_problem(c)
     norm = weighted_annihilation_norm(fcfg, basis, seed=seed)
     return {
         "name": "norm_bound",
@@ -459,7 +462,7 @@ def _check_norm_bound(c, seed: int) -> dict:
 def _check_neumann_decay(c, seed: int) -> dict:
     n_max = c["nmax"]
     j_max = n_max + 1 if c["jmax"] is None else c["jmax"]
-    fcfg, basis = _fiber_problem(c, c["alpha"])
+    fcfg, basis = _fiber_problem(c)
     s = neumann_norms(fcfg, basis, j_max, seed=seed)
     c_meas = neumann_constant(fcfg, basis, seed=seed)
     bounds, ok = [], True
@@ -481,54 +484,30 @@ def _check_neumann_decay(c, seed: int) -> dict:
     }
 
 
-def _audit_fiber(c, alpha):
-    fcfg, basis = _fiber_problem(c, alpha)
-    op = assemble_fiber(fcfg, basis)
-    e0 = float(dense_spectrum(op, k=1)[0])
-    flipped = sign_flip(op)
-    report = resolvent_positivity_audit(flipped, 1.0 - e0)
-    return basis, report, e0
-
-
-def _check_positivity(c) -> dict:
-    basis, report, e0 = _audit_fiber(c, c["alpha"])
+def _check_positivity(c) -> list:
+    """The positivity check at c's alpha and its decoupled note at alpha = 0,
+    on one grid and basis."""
+    fcfg, basis = _fiber_problem(c)
+    audits = []
+    for alpha in (c["alpha"], 0.0):
+        op = assemble_fiber(dataclasses.replace(fcfg, alpha=alpha), basis)
+        e0 = float(dense_spectrum(op, k=1)[0])
+        r = resolvent_positivity_audit(sign_flip(op), 1.0 - e0)
+        audits.append((r, {"lam": r.lam, "min_entry": r.min_entry, "e0": e0,
+                           "strictly_positive": r.strictly_positive,
+                           "dimension": basis.dimension}))
+    (report, measured), (_, free) = audits
     faris = max(0.0, -report.ground_vector_min)
+    measured.update(ground_vector_min=report.ground_vector_min, gap=report.gap,
+                    faris_defect=faris)
     passed = (report.strictly_positive and report.ground_vector_min > 0.0
               and report.gap > GAP_TOL and faris <= FARIS_TOL)
-    return {
-        "name": "positivity",
-        "gating": True,
-        "passed": bool(passed),
-        "threshold": {"gap": GAP_TOL, "faris": FARIS_TOL},
-        "measured": {
-            "lam": report.lam,
-            "min_entry": report.min_entry,
-            "strictly_positive": report.strictly_positive,
-            "ground_vector_min": report.ground_vector_min,
-            "gap": report.gap,
-            "faris_defect": faris,
-            "e0": e0,
-            "dimension": basis.dimension,
-        },
-    }
-
-
-def _check_positivity_alpha0(c) -> dict:
-    basis, report, e0 = _audit_fiber(c, 0.0)
-    return {
-        "name": "positivity_alpha0",
-        "gating": False,
-        "passed": None,
-        "note": "not improving (decoupled)",
-        "threshold": None,
-        "measured": {
-            "lam": report.lam,
-            "min_entry": report.min_entry,
-            "strictly_positive": report.strictly_positive,
-            "e0": e0,
-            "dimension": basis.dimension,
-        },
-    }
+    return [
+        {"name": "positivity", "gating": True, "passed": bool(passed),
+         "threshold": {"gap": GAP_TOL, "faris": FARIS_TOL}, "measured": measured},
+        {"name": "positivity_alpha0", "gating": False, "passed": None,
+         "note": "not improving (decoupled)", "threshold": None, "measured": free},
+    ]
 
 
 def _check_hvz(c, seed: int, tol: float) -> dict:
@@ -614,7 +593,7 @@ _CHECKS = {
                 "jmax": ("int", None, 1)},  # None: nmax + 1
     "pos": _problem(1.0, 1.0, 1.5, 2),
     "hvz": {**_problem(1.0, 1.0, 2.5, 2), "pfar": ("vec3", (0.0, 0.0, 2.0), None),
-            "edge_tol": ("float", 0.1, "positive")},
+            "edge_tol": ("float", _disp.DEFAULT_EDGE_TOL, "positive")},
     "torus": {**_TORUS_MODEL, "q": ("vec3", (0.0, 0.0, 1.0), None)},
     "extrap": {**_SCHEDULE, "lambdas": ("floats", (4.0, 6.0, 8.0), None),
                "target": ("float", -0.0125, None), "rtol": ("float", 0.1, "positive")},
@@ -638,8 +617,7 @@ def cmd_checks(values: dict, outdir: str, args) -> int:
         _check_kt_identity(),
         _check_norm_bound(c["norm"], seed),
         _check_neumann_decay(c["neumann"], seed),
-        _check_positivity(c["pos"]),
-        _check_positivity_alpha0(c["pos"]),
+        *_check_positivity(c["pos"]),
         _check_hvz(c["hvz"], seed, tol),
     ]
     entries.extend(_check_torus(*torus_cfgs, seed, tol, threads))

@@ -16,6 +16,9 @@ so raise maps (min/max insertion) and momenta (column sums) are order-free.
 Phonon momenta are tracked as integer lattice vectors (mode momenta are exact
 multiples of the grid spacing) and converted to physical units by a single
 multiplication, so momentum additivity holds exactly at the integer level.
+
+A basis holds at most BASIS_CAPACITY states, read at call time and checked on
+the closed-form dimension before any block is enumerated (CapacityError).
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import numpy as np
 
 from .errors import CapacityError
 
-DEFAULT_BASIS_CAPACITY = 5_000_000
+BASIS_CAPACITY = 5_000_000
+
 
 def basis_dimension(m_modes: int, n_max: int) -> int:
     """States with at most n_max phonons over m_modes modes: the hockey-stick
@@ -73,14 +77,13 @@ class BasisIndex:
         n_max: int,
         mode_units: Optional[np.ndarray] = None,
         spacing: float = 1.0,
-        capacity: int = DEFAULT_BASIS_CAPACITY,
     ):
         if m_modes < 0 or n_max < 0:
             raise ValueError("m_modes and n_max must be non-negative")
         dim = basis_dimension(m_modes, n_max)
-        if dim > capacity:
+        if dim > BASIS_CAPACITY:
             raise CapacityError(
-                f"basis dimension {dim} exceeds capacity {capacity} "
+                f"basis dimension {dim} exceeds capacity {BASIS_CAPACITY} "
                 f"(M={m_modes}, N_max={n_max})"
             )
         self.m_modes = int(m_modes)
@@ -184,13 +187,12 @@ def enumerate_basis(
     n_max: int,
     mode_units: Optional[np.ndarray] = None,
     spacing: float = 1.0,
-    capacity: int = DEFAULT_BASIS_CAPACITY,
 ) -> BasisIndex:
     """Enumerate the complete truncated basis over m_modes modes.
 
     Deterministic ordering across runs and platforms.  Raises CapacityError if
-    the stars-and-bars dimension exceeds `capacity` (checked before any
+    the stars-and-bars dimension exceeds BASIS_CAPACITY (checked before any
     enumeration work).  The optional mode table attaches exact momenta to the
     states; without it all states carry zero momentum.
     """
-    return BasisIndex(m_modes, n_max, mode_units, spacing, capacity)
+    return BasisIndex(m_modes, n_max, mode_units, spacing)

@@ -14,6 +14,11 @@ the equal-coupling symmetry exact in floating point.  Kernels are elementwise:
 _norm2 keeps the bits of (v * v).sum(axis=1) and each cell sums its points by
 a row-wise .sum(axis=1); floating-point addition is not associative, so any
 other summation order moves the last bits of couplings and output bytes.
+
+Every integer lattice (the mode ball, the torus's fiber ball and its cube of
+kernel images) comes from _lattice_cube under one budget, GRID_CAPACITY, read
+at call time: a cube of at most max(8 GRID_CAPACITY, 1000) points, checked
+before it is made, and a ball of at most GRID_CAPACITY points (CapacityError).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import CapacityError
 
-DEFAULT_GRID_CAPACITY = 1_000_000
+GRID_CAPACITY = 1_000_000
 
 
 @lru_cache(maxsize=1)
@@ -173,33 +178,43 @@ def _ball_r2(delta: float, lam: float) -> int:
     return int((lam / delta) ** 2 + 1e-9)
 
 
-def build_grid(
-    delta: float, lam: float, capacity: int = DEFAULT_GRID_CAPACITY
-) -> ModeGrid:
+def _lattice_cube(r: int, what: str) -> np.ndarray:
+    """The integer points of [-r, r]^3 as a ((2r + 1)^3, 3) array, lexicographic,
+    under the lattice budget (module docstring); `what` names the lattice."""
+    if (2 * r + 1) ** 3 > max(8 * GRID_CAPACITY, 1000):
+        raise CapacityError(f"{what} lattice span {2 * r + 1}^3 exceeds capacity {GRID_CAPACITY}")
+    ax = np.arange(-r, r + 1, dtype=np.int64)
+    gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+
+
+def _lattice_ball(r2max: int, what: str, origin: bool) -> np.ndarray:
+    """The points n of _lattice_cube with n^2 <= r2max (and n != 0 unless
+    `origin`), lexicographic; CapacityError above GRID_CAPACITY points."""
+    units = _lattice_cube(math.isqrt(r2max), what)
+    n2 = _norm2(units)
+    keep = n2 <= r2max
+    if not origin:
+        keep &= n2 > 0
+    units = units[keep]
+    if len(units) > GRID_CAPACITY:
+        raise CapacityError(f"{what} count {len(units)} exceeds capacity {GRID_CAPACITY}")
+    return units
+
+
+def build_grid(delta: float, lam: float) -> ModeGrid:
     """Standard grid {k in delta*Z^3 : 0 < |k| <= Lambda}, lexicographic order.
 
     The ball membership test is resolved in exact integer arithmetic
     (n^2 <= floor((Lambda/delta)^2)), so boundary modes at |k| = Lambda are
     included regardless of rounding.  Lambda < delta yields a legal empty grid
-    (the free theory).
+    (the free theory).  At most GRID_CAPACITY modes (module docstring).
     """
     if delta <= 0:
         raise ValueError("spacing delta must be positive")
     if lam <= 0:
         raise ValueError("cutoff Lambda must be positive")
-    r2max = _ball_r2(delta, lam)
-    r = math.isqrt(r2max)
-    if (2 * r + 1) ** 3 > max(8 * capacity, 1000):
-        raise CapacityError(
-            f"mode lattice span {(2 * r + 1)}^3 exceeds capacity {capacity}"
-        )
-    ax = np.arange(-r, r + 1, dtype=np.int64)
-    gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij")
-    units = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    n2 = _norm2(units)
-    units = units[(n2 > 0) & (n2 <= r2max)]  # the ij ravel is lexicographic
-    if len(units) > capacity:
-        raise CapacityError(f"mode count {len(units)} exceeds capacity {capacity}")
+    units = _lattice_ball(_ball_r2(delta, lam), "mode", origin=False)
     couplings = _cell_couplings(units, delta)
     modes = delta * units.astype(np.float64)
     return ModeGrid(float(delta), float(lam), units, modes, couplings)

@@ -35,7 +35,8 @@ is the coupling term of the Schur complement onto blocks 0 and 1 that
 solve.count_below forms from a fiber's CSR, so pair_count_below counts the
 eigenvalues of an N_max = 2 fiber below e from the grid alone.
 Only the dense assemble_KT checks the dimension cap, solve.DENSE_CAP; G is
-checked against the basis capacity before it is allocated.
+checked against the basis capacity, fock.BASIS_CAPACITY, before it is
+allocated.
 """
 
 import math
@@ -47,7 +48,8 @@ import numpy as np
 import scipy.sparse
 
 from .errors import CapacityError
-from .fock import DEFAULT_BASIS_CAPACITY, BasisIndex, basis_dimension
+from . import fock
+from .fock import BasisIndex, basis_dimension
 from .modes import ModeGrid
 from .solve import (
     DEFAULT_SEED,
@@ -188,13 +190,14 @@ def pair_gram(s: np.ndarray, r_rows: Callable[[slice], np.ndarray]) -> np.ndarra
     symmetric bit for bit, and each row sum is a NumPy pairwise sum over its
     own row, so no bit depends on the chunking.  CapacityError, before any
     M x M array exists, when the two-phonon basis would exceed
-    DEFAULT_BASIS_CAPACITY (M up to about 3,160, G up to about 80 MB).
+    fock.BASIS_CAPACITY, read at call time (M up to about 3,160, G up to
+    about 80 MB).
     """
     m = s.size
-    if basis_dimension(m, 2) > DEFAULT_BASIS_CAPACITY:
+    if basis_dimension(m, 2) > fock.BASIS_CAPACITY:
         raise CapacityError(
             f"pair sum over {m} modes: basis dimension {basis_dimension(m, 2)} "
-            f"exceeds capacity {DEFAULT_BASIS_CAPACITY}"
+            f"exceeds capacity {fock.BASIS_CAPACITY}"
         )
     s2 = s * s
     gram = np.empty((m, m))

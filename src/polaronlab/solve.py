@@ -37,7 +37,8 @@ The dense route (LAPACK eigh on the materialized matrix) exists so iterative
 results can always be cross-checked on small instances, and it powers the
 resolvent positivity audit.  Dense routines refuse to run above the
 dimension cap DENSE_CAP, read at call time (_check_dense_cap), instead of
-silently thrashing memory.
+silently thrashing memory.  The iterative route likewise gives up, with a
+ConvergenceError, after MAX_STEPS matvecs per eigenpair, read at call time.
 
 count_below counts the eigenvalues below a level exactly, without solving
 for them, when the operator ends in a diagonal block (a fiber's top phonon
@@ -80,7 +81,7 @@ from .errors import CapacityError, ConvergenceError, NumericalError
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-9
 DENSE_CAP = 2000
-DEFAULT_MAX_STEPS = 20000
+MAX_STEPS = 20000
 REFRESH_STEPS = 20
 SCHUR_MARGIN = 10.0  # c in the count's margin c m u ||S||
 
@@ -218,7 +219,6 @@ def _deflated_lowest(
     est_tol: float,
     cert_tol: float,
     seed: int,
-    max_steps: int,
     locked: np.ndarray,
 ) -> SpectralResult:
     """Lowest eigenpair of a symmetric operator on the complement of `locked`.
@@ -252,7 +252,7 @@ def _deflated_lowest(
 
     while True:
         if stale >= REFRESH_STEPS:
-            if steps >= max_steps:
+            if steps >= MAX_STEPS:
                 break
             x /= math.sqrt(x @ x)
             ax[:] = op.matvec(x)
@@ -273,7 +273,7 @@ def _deflated_lowest(
             res = math.sqrt(tmp @ tmp)
             if res <= cert_tol:
                 return SpectralResult(theta, x.copy(), res, steps)
-        if steps >= max_steps:
+        if steps >= MAX_STEPS:
             break
 
         np.multiply(precond, r, out=t)
@@ -309,7 +309,7 @@ def _deflated_lowest(
         stale += 1
 
     raise ConvergenceError(
-        f"no certified eigenpair after {max_steps} matvecs "
+        f"no certified eigenpair after {MAX_STEPS} matvecs "
         f"(best residual estimate {best_est:.3e}, tol {cert_tol})"
     )
 
@@ -320,7 +320,6 @@ def lowest_eigenpairs(
     k: int = 1,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
-    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> List[SpectralResult]:
     """k smallest eigenpairs of a symmetric operator, counted with multiplicity.
 
@@ -331,7 +330,7 @@ def lowest_eigenpairs(
     residual is recomputed on the full operator.  Exact breakdown injects a
     fresh random direction, so invariant subspaces (diagonal operators
     included) are handled without special cases.  Raises ConvergenceError
-    with the best residual if max_steps matvecs pass without certification.
+    with the best residual if MAX_STEPS matvecs pass without certification.
     """
     n = op.dimension
     if n < 1:
@@ -344,7 +343,7 @@ def lowest_eigenpairs(
     locked = np.zeros((0, n))
     results: List[SpectralResult] = []
     for i in range(k):
-        res = _deflated_lowest(op, est_tol, tol, seed + i, max_steps, locked)
+        res = _deflated_lowest(op, est_tol, tol, seed + i, locked)
         results.append(res)
         locked = np.vstack([locked, res.vector[None, :]])
     results.sort(key=lambda r: r.energy)
@@ -355,10 +354,9 @@ def ground_state(
     op,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
-    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> SpectralResult:
     """Certified lowest eigenpair; thin wrapper over lowest_eigenpairs."""
-    return lowest_eigenpairs(op, k=1, tol=tol, seed=seed, max_steps=max_steps)[0]
+    return lowest_eigenpairs(op, k=1, tol=tol, seed=seed)[0]
 
 
 def _check_dense_cap(n: int) -> None:

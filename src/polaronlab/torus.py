@@ -23,6 +23,11 @@ the others, each copy certified by an exact check on the grid (_orbit_sources).
 
 periodized_yukawa sums the massive kernel over lattice images; its shell
 convergence is the quantitative input for the fixed-point comparison.
+
+The fiber ball and the image cube are integer lattices of modes._lattice_cube
+under its lattice budget (modes.GRID_CAPACITY), checked before the lattice
+is made.  Nothing caps fibers x dimension: the model keeps one family, and
+degeneracy_analysis holds at most `threads` blocks at a time.
 """
 
 import itertools
@@ -34,13 +39,12 @@ import numpy as np
 
 from .errors import CapacityError, ConvergenceError
 from .fock import BasisIndex, enumerate_basis
-from .modes import ModeGrid, _axis_map, _norm2, build_grid
+from .modes import ModeGrid, _axis_map, _lattice_ball, _lattice_cube, _norm2, build_grid
 from .operators import FiberFamily, pair_count_below
 from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, count_below, lowest_eigenpairs
 
-DEFAULT_FIBER_CUTOFF = 3.0
 DEFAULT_DEGENERACY_TOL = 1e-7
-DEFAULT_TORUS_CAPACITY = 5_000_000
+YUKAWA_REL_TOL = 1e-12  # the image sum has settled once a shell adds less, relative
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ class TorusConfig:
     delta: float
     cutoff: float
     n_max: int
-    fiber_cutoff: float = DEFAULT_FIBER_CUTOFF
+    fiber_cutoff: float
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
     fibers: Optional[Tuple[Tuple[float, float, float], ...]] = None
 
@@ -94,19 +98,14 @@ def lattice_fibers(cfg: TorusConfig) -> np.ndarray:
 
     Dual-lattice points (2 pi / ell) n with |n| within the fiber cutoff; the
     membership test is on integers so boundary points never flicker.  With an
-    explicit cfg.fibers the given momenta are returned sorted.
+    explicit cfg.fibers the given momenta are returned sorted.  CapacityError
+    when the lattice exceeds the budget of modes._lattice_ball.
     """
     if cfg.fibers is not None:
-        arr = np.asarray(sorted(cfg.fibers), dtype=np.float64)
-        return arr
+        return np.asarray(sorted(cfg.fibers), dtype=np.float64)
     spacing = 2.0 * math.pi / cfg.ell
     r2max = int((cfg.fiber_cutoff / spacing) ** 2 + 1e-9)
-    r = math.isqrt(r2max)
-    axis = np.arange(-r, r + 1, dtype=np.int64)
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    units = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    keep = _norm2(units) <= r2max  # the ij ravel is lexicographic
-    return spacing * units[keep].astype(np.float64)
+    return spacing * _lattice_ball(r2max, "fiber", origin=True).astype(np.float64)
 
 
 @dataclass
@@ -136,21 +135,16 @@ class TorusReport:
     degeneracy_tol: float
 
 
-def assemble_torus(cfg: TorusConfig, capacity: int = DEFAULT_TORUS_CAPACITY) -> TorusModel:
+def assemble_torus(cfg: TorusConfig) -> TorusModel:
     """The lattice momenta and the one FiberFamily every block is a fiber of.
 
-    CapacityError when the blocks together would exceed `capacity` states,
-    checked before the family is built.
+    The grid, the basis and the fiber lattice are each checked against their
+    own budget (CapacityError); the number of fibers does not multiply the
+    memory, since no block is made here.
     """
     grid = build_grid(cfg.delta, cfg.cutoff)
     basis = enumerate_basis(len(grid), cfg.n_max, grid.units, grid.spacing)
     fibers = lattice_fibers(cfg)
-    total = len(fibers) * basis.dimension
-    if total > capacity:
-        raise CapacityError(
-            f"{len(fibers)} fibers x dimension {basis.dimension} = {total} "
-            f"exceeds capacity {capacity}"
-        )
     family = FiberFamily(cfg.alpha, grid, basis)
     return TorusModel(config=cfg, fibers=fibers, grid=grid, basis=basis, family=family)
 
@@ -293,7 +287,9 @@ def periodized_yukawa(
     """Sum of exp(-mass r)/(4 pi r) over lattice images r = |x - xp - ell n|.
 
     Evaluating at a lattice image of the singularity (r = 0) is an error, not
-    an infinity.  image_cut bounds the image box |n|_inf <= image_cut.
+    an infinity.  image_cut bounds the image box |n|_inf <= image_cut, whose
+    (2 image_cut + 1)^3 images are held under the lattice budget
+    (CapacityError above image_cut = 99 at the default modes.GRID_CAPACITY).
     """
     if ell <= 0:
         raise ValueError("ell must be positive")
@@ -302,9 +298,7 @@ def periodized_yukawa(
     if image_cut < 1:
         raise ValueError("image_cut must be at least 1")
     diff = np.asarray(x, dtype=np.float64).reshape(3) - np.asarray(xp, dtype=np.float64).reshape(3)
-    axis = np.arange(-image_cut, image_cut + 1, dtype=np.float64)
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    images = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    images = _lattice_cube(image_cut, "image")
     pts = diff[None, :] - ell * images
     r = np.sqrt(_norm2(pts))
     if float(r.min()) < 1e-12 * max(1.0, ell):
@@ -317,21 +311,23 @@ def yukawa_converged(
     xp,
     ell: float,
     mass: float = 1.0,
-    rel: float = 1e-12,
     start_cut: int = 1,
-    max_cut: int = 64,
 ) -> Tuple[float, int]:
-    """Grow the image box until the added shell is below rel (relative).
+    """Grow the image box until the added shell is below YUKAWA_REL_TOL (relative).
 
     Returns (value, cut used).  The terms are positive, so the partial sums
-    increase and the first quiet shell certifies convergence.
+    increase and the first quiet shell certifies convergence.  The box grows
+    until the lattice budget refuses the next cut; then ConvergenceError
+    names the last cut summed.
     """
     if start_cut < 1:
         raise ValueError("start_cut must be at least 1")
     prev = periodized_yukawa(x, xp, ell, mass=mass, image_cut=start_cut)
-    for cut in range(start_cut + 1, max_cut + 1):
-        val = periodized_yukawa(x, xp, ell, mass=mass, image_cut=cut)
-        if val - prev <= rel * abs(val):
+    for cut in itertools.count(start_cut + 1):
+        try:
+            val = periodized_yukawa(x, xp, ell, mass=mass, image_cut=cut)
+        except CapacityError:
+            raise ConvergenceError(f"image sum did not settle by image_cut = {cut - 1}") from None
+        if val - prev <= YUKAWA_REL_TOL * abs(val):
             return val, cut
         prev = val
-    raise ConvergenceError(f"image sum did not settle by image_cut = {max_cut}")

@@ -13,6 +13,7 @@ import pytest
 
 import polaronlab.cli
 import polaronlab.dispersion
+import polaronlab.modes
 import polaronlab.operators
 from polaronlab import periodized_yukawa
 from polaronlab.cli import main, read_config_file
@@ -444,6 +445,19 @@ def test_kernel_command(tmp_path):
     cfg2 = tmp_path / "mass.cfg"
     cfg2.write_text("mass = 0.5\n")
     assert main(["kernel", "--config", str(cfg2), "--out", str(out)]) == 3
+
+
+def test_kernel_image_cut_is_bounded_by_the_lattice_budget(tmp_path, capsys, monkeypatch):
+    # the image sum goes past cut 64 and stops, exit 2, where the budget does
+    out = tmp_path / "kernel"
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("image_cut = 64\n")
+    assert main(["kernel", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "kernel.json").read_text())["converged_cut"] == 65
+    monkeypatch.setattr(polaronlab.modes, "GRID_CAPACITY", 1)  # cuts up to 4
+    cfg.write_text("ell = 0.5\nx = 0.2,0,0\n")
+    assert main(["kernel", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "did not settle by image_cut = 4" in capsys.readouterr().err
 
 
 def test_checks_run_and_schema(tmp_path):

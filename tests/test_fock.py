@@ -133,8 +133,10 @@ def test_capacity_guard(monkeypatch):
 
     # the closed-form dimension is checked before any block is enumerated
     monkeypatch.setattr(fock, "_ascending_tuples", forbidden)
-    with pytest.raises(CapacityError):
-        enumerate_basis(60, 5, capacity=1000)
+    with monkeypatch.context() as m:
+        m.setattr(fock, "BASIS_CAPACITY", 1000)
+        with pytest.raises(CapacityError):
+            enumerate_basis(60, 5)
     with pytest.raises(CapacityError):
         enumerate_basis(2_000_000, 3)
 

@@ -22,6 +22,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 RECORDED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 SMALL_EXTRAPOLATION = "alpha = 0.5\ndelta = 1\nnmax = 2\nlambda_values = 1.5,2,2.5\nseed = 7\n"
+SMALL_KERNEL = "image_cut = 3\nell = 2\nmass = 2\n"
 
 # run name -> (argv without --out, {file it writes: SHA-256})
 GOLDEN = {
@@ -48,6 +49,12 @@ GOLDEN = {
         "extrapolation.csv": "31b9806eb07be93d99d6a15f86e3937e0f00c8ef8c8fc68d6cfb48ddd004fd96",
         "extrapolation.json": "f3bfbb3d387fb51c92e1ce3d1ff004fab4932146de28e33e83b90a222150118e",
     }),
+    "kernel_default": (["kernel"], {
+        "kernel.json": "a51bcae86488cebf73cc980a471232babeef00a26c916cfd2337a86e4407e85b",
+    }),
+    "kernel_small": (["kernel", "--config", "{kernel}"], {
+        "kernel.json": "fa01f5cebfbf616fc5fa38cfc0b5c0386dd13d93b7c1233bded57c5aba87ab66",
+    }),
     "torus_default": (["torus"], {
         "torus.csv": "4a9567d90d7a03ffe0cafa50e0c0ddaa19527157f893402aa63bbe267af3388c",
         "torus.json": "192d98fa3c483ff19627b16b76418f91a591a01f26da89424f1cb4a5e509202f",
@@ -70,8 +77,10 @@ def test_cli_outputs_match_recorded_bytes(name, tmp_path):
     argv, hashes = GOLDEN[name]
     small = tmp_path / "small.cfg"
     small.write_text(SMALL_EXTRAPOLATION)
+    kernel = tmp_path / "kernel.cfg"
+    kernel.write_text(SMALL_KERNEL)
     out = tmp_path / "out"
-    argv = [a.replace("{small}", str(small)) for a in argv]
+    argv = [a.replace("{small}", str(small)).replace("{kernel}", str(kernel)) for a in argv]
     assert main(argv + ["--out", str(out)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == hashes

@@ -12,6 +12,7 @@ from polaronlab import (
     ModeGrid,
     build_grid,
 )
+from polaronlab import modes
 from polaronlab.modes import _axis_map, _cell_couplings, _norm2
 from naive_ref import (
     naive_cell_couplings,
@@ -179,11 +180,18 @@ def test_build_grid_validation():
         build_grid(1.0, -2.0)
 
 
-def test_build_grid_capacity():
+def test_build_grid_capacity(monkeypatch):
+    monkeypatch.setattr(modes, "GRID_CAPACITY", 100)
+    with pytest.raises(CapacityError, match="mode lattice span 201"):
+        build_grid(0.01, 1.0)
+    with pytest.raises(CapacityError, match="mode count 122"):
+        build_grid(1.0, 3.0)
+    # the threshold is the mode count exactly, the origin not counted
+    monkeypatch.setattr(modes, "GRID_CAPACITY", 122)
+    assert len(build_grid(1.0, 3.0)) == 122
+    monkeypatch.setattr(modes, "GRID_CAPACITY", 121)
     with pytest.raises(CapacityError):
-        build_grid(0.01, 1.0, capacity=100)
-    with pytest.raises(CapacityError):
-        build_grid(1.0, 3.0, capacity=30)  # 122 modes
+        build_grid(1.0, 3.0)
 
 
 def test_manual_grid_validation():

@@ -14,6 +14,7 @@ from polaronlab import (
     annihilation_csr,
     assemble_KT,
     assemble_fiber,
+    basis_dimension,
     build_grid,
     dense_spectrum,
     enumerate_basis,
@@ -23,7 +24,7 @@ from polaronlab import (
     sign_flip,
     weighted_annihilation_norm,
 )
-from polaronlab import operators, solve
+from polaronlab import fock, operators, solve
 from naive_ref import (
     assemble_free, from_triplets, naive_fiber_dense, naive_pair_gram, riemann_selfenergy_sum,
     upper_diagonal, upper_sign_flip, upper_to_dense,
@@ -398,6 +399,18 @@ def test_pair_gram_capacity_is_checked_before_any_allocation():
 
     with pytest.raises(CapacityError, match="3161 modes"):
         operators.pair_gram(np.ones(3161), unread)
+
+
+def test_pair_gram_reads_the_basis_capacity_at_call_time(monkeypatch):
+    def unread(rows):
+        raise AssertionError("R was read before the capacity check")
+
+    monkeypatch.setattr(fock, "BASIS_CAPACITY", basis_dimension(10, 2) - 1)
+    with pytest.raises(CapacityError, match="10 modes"):
+        operators.pair_gram(np.ones(10), unread)
+    monkeypatch.setattr(fock, "BASIS_CAPACITY", basis_dimension(10, 2))
+    gram = operators.pair_gram(np.ones(10), lambda rows: np.ones((rows.stop - rows.start, 10)))
+    assert gram.shape == (10, 10)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42])

@@ -140,10 +140,11 @@ def test_suite_operators_match_dense():
         assert res.residual <= 1e-9
 
 
-def test_convergence_error_carries_estimate():
+def test_convergence_error_carries_estimate(monkeypatch):
     op = _tridiag_op(400)
-    with pytest.raises(ConvergenceError):
-        lowest_eigenpairs(op, k=1, max_steps=3)
+    monkeypatch.setattr(solve, "MAX_STEPS", 3)
+    with pytest.raises(ConvergenceError, match="after 3 matvecs"):
+        lowest_eigenpairs(op, k=1)
 
 
 def test_deterministic_runs():

@@ -16,11 +16,13 @@ from polaronlab import (
     TorusModel,
     TorusReport,
     assemble_torus,
+    build_grid,
     contradiction_check,
     degeneracy_analysis,
     enumerate_basis,
     lattice_fibers,
     lowest_eigenpairs,
+    modes,
     periodized_yukawa,
     yukawa_converged,
 )
@@ -104,9 +106,51 @@ def test_config_validation():
         _quick_config(degeneracy_tol=0.0)
 
 
-def test_assemble_torus_capacity():
-    with pytest.raises(CapacityError):
-        assemble_torus(_quick_config(), capacity=100)
+def test_lattice_budget_is_checked_before_the_meshgrid(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a lattice above the budget was allocated")
+
+    # a budget of 100 points allows a span of max(8 * 100, 1000) = 1000
+    monkeypatch.setattr(modes, "GRID_CAPACITY", 100)
+    monkeypatch.setattr(np, "meshgrid", forbidden)
+    with pytest.raises(CapacityError, match=r"mode lattice span 11\^3"):
+        build_grid(1.0, 5.0)
+    with pytest.raises(CapacityError, match=r"fiber lattice span 27\^3"):
+        lattice_fibers(_quick_config(fiber_cutoff=13.0))
+    with pytest.raises(CapacityError, match=r"image lattice span 13\^3"):
+        periodized_yukawa((0.3, 0.0, 0.0), (0.0, 0.0, 0.0), ell=2.0, image_cut=6)
+
+
+def test_fiber_count_is_held_to_the_lattice_budget(monkeypatch):
+    cfg = _quick_config(fiber_cutoff=math.sqrt(2.0))  # 19 fibers
+    monkeypatch.setattr(modes, "GRID_CAPACITY", 19)
+    assert lattice_fibers(cfg).shape == (19, 3)
+    monkeypatch.setattr(modes, "GRID_CAPACITY", 18)
+    with pytest.raises(CapacityError, match="fiber count 19"):
+        lattice_fibers(cfg)
+
+
+def test_assemble_torus_has_no_fibers_times_dimension_cap(monkeypatch):
+    # 9,171 fibers x 561 states is about 5.14M states, yet one family of
+    # 561 states is all that is built; no block is solved
+    families = []
+    family = polaronlab.torus.FiberFamily
+
+    def counted(*args):
+        families.append(args)
+        return family(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("assemble_torus solved a block")
+
+    monkeypatch.setattr(polaronlab.torus, "FiberFamily", counted)
+    for name in ("lowest_eigenpairs", "count_below", "pair_count_below"):
+        monkeypatch.setattr(polaronlab.torus, name, forbidden)
+    model = assemble_torus(_quick_config(fiber_cutoff=13.0))
+    assert model.fibers.shape == (9171, 3)
+    assert model.basis.dimension == 561
+    assert len(model.fibers) * model.basis.dimension > 5_000_000
+    assert len(families) == 1
 
 
 def test_block_spectra_union():
@@ -462,5 +506,21 @@ def test_yukawa_converged_certifies_its_cut():
     assert val > periodized_yukawa(x, xp, ell=2.0, image_cut=1)
     with pytest.raises(ValueError):
         yukawa_converged(x, xp, ell=2.0, start_cut=0)
-    with pytest.raises(ConvergenceError):
-        yukawa_converged((0.2, 0.0, 0.0), (0.0, 0.0, 0.0), ell=0.5, max_cut=3)
+
+
+def test_yukawa_converged_stops_at_the_lattice_budget(monkeypatch):
+    # the smallest budget spans 1000 images: cuts up to 4 (9^3 images)
+    monkeypatch.setattr(modes, "GRID_CAPACITY", 1)
+    with pytest.raises(ConvergenceError, match="by image_cut = 4$"):
+        yukawa_converged((0.2, 0.0, 0.0), (0.0, 0.0, 0.0), ell=0.5)
+
+
+def test_yukawa_converged_tries_the_shell_past_64(monkeypatch):
+    # a budget that admits cut 65 (131^3 images) and refuses 66
+    monkeypatch.setattr(modes, "GRID_CAPACITY", 131**3 // 8 + 1)
+    x, xp = (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+    val, cut = yukawa_converged(x, xp, ell=TWO_PI, start_cut=64)
+    assert cut == 65
+    assert val == periodized_yukawa(x, xp, ell=TWO_PI, image_cut=65)
+    with pytest.raises(ConvergenceError, match="by image_cut = 65$"):
+        yukawa_converged((0.1, 0.0, 0.0), xp, ell=0.2, start_cut=64)
