@@ -25,7 +25,7 @@ import numpy as np
 from . import dispersion as _disp
 from . import torus as _torus
 from .errors import CapacityError, ConfigError, ConvergenceError, NumericalError
-from .fock import enumerate_basis
+from .fock import basis_dimension, enumerate_basis
 from .modes import CutoffSchedule, ModeGrid, build_grid
 from .operators import (
     FiberConfig,
@@ -358,7 +358,7 @@ def cmd_torus(values: dict, outdir: str, args) -> int:
         "ell": tcfg.ell,
         "alpha": tcfg.alpha,
         "fiber_count": len(model.fibers),
-        "fiber_dimension": model.basis.dimension,
+        "fiber_dimension": basis_dimension(len(model.grid), tcfg.n_max),
         "ground_energy": report.ground_energy,
         "argmin": [list(p) for p in report.argmin],
         "multiplicity": report.multiplicity,

@@ -11,7 +11,11 @@ before solving.
 At N_max = 1 the fiber is an arrowhead matrix (the vacuum coupled to the
 one-phonon states), so dispersion_curve and cutoff_extrapolate solve its
 secular equation (Golub 1973) with a proven bracket instead of assembling it;
-hvz_edge_check, and every N_max >= 2, runs solve's LOBPCG.
+at N_max = 2 they solve the (M + 1)-row Schur complement onto the vacuum and
+one-phonon blocks by Newton's method, again with a proven bracket
+(operators.pair_ground), and build no basis and no fiber.  LOBPCG runs only
+at N_max >= 3, at an N_max = 2 momentum the pair route declines, and in
+hvz_edge_check, which assembles its two fibers at every N_max.
 """
 
 import math
@@ -23,14 +27,13 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError
 from .fock import enumerate_basis
 from .modes import CutoffSchedule, build_grid
-from .operators import FiberConfig, FiberFamily, _kinetic, assemble_fiber
-from .solve import DEFAULT_SEED, DEFAULT_TOL, SpectralResult, _parallel_map, ground_state
+from .operators import FiberConfig, FiberFamily, _secular_ground, assemble_fiber, pair_ground
+from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, ground_state
 
 DEFAULT_MASS_STEP = 0.1
 DEFAULT_EDGE_TOL = 0.1
 DEFAULT_MARGIN = 1e-4
 ARGMIN_TIE_TOL = 1e-12
-NEWTON_STEPS = 200  # secular Newton steps at most; they settle in far fewer
 
 
 @dataclass(frozen=True)
@@ -107,91 +110,24 @@ def _ground(op, p, tol, seed):
         raise ConvergenceError(f"solver failed at P = {tuple(map(float, p))}: {exc}") from exc
 
 
-def _pairwise_sum(t: np.ndarray) -> float:
-    """Sum of t, zero-padded to a power of two and halved, so that each term
-    meets at most ceil(log2 len(t)) roundings, whatever numpy's sum does."""
-    t = np.concatenate([t, np.zeros((1 << (len(t) - 1).bit_length()) - len(t))])
-    while len(t) > 1:
-        t = t[: len(t) // 2] + t[len(t) // 2 :]
-    return float(t[0])
-
-
-def _secular_ground(alpha, p, grid, tol=DEFAULT_TOL) -> SpectralResult:
-    """Certified N_max = 1 ground state: the root below d_min = min D of
-    f(E) = E - P^2 + alpha sum_k t_k, t_k = g_k^2 / (D_k - E), on the fiber's
-    own diagonal, reached by Newton's method from the right (f is increasing
-    and convex there).  [E - w, E + w] holds the root once each side's sign
-    exceeds the rounding bound c u (|E| + P^2 + alpha sum t_k), c =
-    ceil(log2 M) + 8, or the side is at or above d_min; w doubles from
-    4 u max(1, |E|), and NumericalError once it would pass tol or on
-    non-finite input.  `iterations` counts evaluations of f; `residual` is
-    ||H x - E x|| / ||x||, x_0 = 1, x_k = -sqrt(alpha) g_k / (D_k - E), row by
-    row; `vector` is x / ||x|| in basis order (modes last to first).  With
-    alpha = 0 or no modes the fiber is diagonal: E = min(P^2, d_min) exactly.
-    """
-    p = np.asarray(p, dtype=np.float64).reshape(3)
-    g = grid.couplings
-    if not (math.isfinite(alpha) and np.isfinite(p).all() and np.isfinite(g).all()):
-        raise NumericalError(f"non-finite secular equation at P = {tuple(map(float, p))}")
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    p2 = float(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
-    d = _kinetic(p, grid.spacing * grid.units.T.astype(np.float64), 1.0)
-    if alpha == 0.0 or grid.is_empty:
-        diag = np.concatenate([[p2], d[::-1]])
-        e, x = float(diag.min()), 1.0 * (np.arange(len(diag)) == diag.argmin())
-        return SpectralResult(e, x, 0.0, 0, (e, e))
-
-    g2, j = g * g, int(np.argmin(d))
-    d_min = float(d[j])
-    # f > 0 at P^2 < d_min, and at d_min - s for s = r/2, r the root of
-    # r^2 + (P^2 - d_min) r = alpha g_j^2 (f keeps only its term j), taken stably
-    a, c = p2 - d_min, alpha * float(g2[j])
-    s = c / (math.sqrt(a * a + 4 * c) + a) if a >= 0 else (math.sqrt(a * a + 4 * c) - a) / 4
-    e = min(p2, d_min - s, math.nextafter(d_min, -math.inf))
-    cu = (math.ceil(math.log2(len(d))) + 8) * 2.0**-53
-    evals = 0
-
-    def f(x):
-        """f(x), the bound on its rounding, and the terms t_k."""
-        nonlocal evals
-        evals += 1
-        t = g2 / (d - x)
-        at = alpha * _pairwise_sum(t)
-        return x - p2 + at, cu * (abs(x) + p2 + at), t
-
-    for _ in range(NEWTON_STEPS):  # the bracket below certifies wherever it stops
-        fe, _, t = f(e)
-        nxt = e - fe / (1.0 + alpha * float(np.sum(t / (d - e))))
-        if not nxt < e:
-            break
-        e = nxt
-
-    def proven(x, sign):
-        v, bound, _ = f(x)
-        return sign * v > bound
-
-    w = 4.0 * 2.0**-53 * max(1.0, abs(e))
-    while not (proven(e - w, -1.0) and (e + w >= d_min or proven(e + w, 1.0))):
-        w *= 2.0
-        if not w <= tol:
-            raise NumericalError(f"no secular bracket within {tol} at P = {tuple(map(float, p))}")
-
-    sa = math.sqrt(alpha)
-    x = -sa * g / (d - e)
-    r = np.concatenate([[p2 - e + sa * np.sum(g * x)], sa * g + (d - e) * x])
-    norm = math.sqrt(1.0 + np.sum(x * x))
-    return SpectralResult(e, np.concatenate([[1.0], x[::-1]]) / norm,
-                          math.sqrt(np.sum(r * r)) / norm, evals, (e - w, e + w))
-
-
 def _ground_states(alpha, grid, n_max, ps, tol, seed, threads=1):
     """Ground states at the momenta ps over one grid, mapped over `threads`:
-    the secular equation at N_max = 1, else fibers of one FiberFamily."""
+    the secular equation at N_max = 1, the pair route at N_max = 2, and
+    LOBPCG on fibers of one FiberFamily, built once, at N_max >= 3 and at
+    each momentum the pair route declines."""
     if n_max == 1:
         return _parallel_map(lambda p: _secular_ground(alpha, p, grid, tol), ps, threads)
-    family = FiberFamily(alpha, grid, enumerate_basis(len(grid), n_max, grid.units, grid.spacing))
-    return _parallel_map(lambda p: _ground(family.fiber(p), p, tol, seed), ps, threads)
+    results = (_parallel_map(lambda p: pair_ground(alpha, grid, p, tol), ps, threads)
+               if n_max == 2 else [None] * len(ps))
+    rest = [i for i, r in enumerate(results) if r is None]
+    if rest:
+        family = FiberFamily(alpha, grid,
+                             enumerate_basis(len(grid), n_max, grid.units, grid.spacing))
+        solved = _parallel_map(lambda i: _ground(family.fiber(ps[i]), ps[i], tol, seed),
+                               rest, threads)
+        for i, r in zip(rest, solved):
+            results[i] = r
+    return results
 
 
 def dispersion_curve(

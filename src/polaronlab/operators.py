@@ -21,8 +21,8 @@ annihilation part under a diagonal weight, and of its powers.  B lowers N by
 one, so B B^T is block diagonal in N and ||B||^2 = max_n ||B_n B_n^T||, solved
 per number block: B_n, the |block n| x |block n+1| piece of B, comes straight
 from basis.raise_map(n), and the row-side Gram of each block (and of each
-block product B_n ... B_{n+j-1} for B^j) goes to solve.lowest_eigenpairs, the
-same certified solver that serves the fibers.  No dim x dim matrix is formed.
+block product B_n ... B_{n+j-1} for B^j) goes, as a matvec, to the core of
+solve.lowest_eigenpairs, the same certified solver that serves the fibers.  No dim x dim matrix is formed.
 At N_max = 2 no two-phonon state is ranked at all: B_0 is the row
 s w_1 (s = sqrt(alpha) g, w_1 the weight on the one-phonon states), and
 B_1 B_1^T is the M x M pair sum G(R) of pair_gram with R_ik = w_ik^2, the
@@ -33,35 +33,43 @@ raise-map route.
 The same kernel with R_ik = 1/(D_ik - e), D_ik the kinetic diagonal of {i, k},
 is the coupling term of the Schur complement onto blocks 0 and 1 that
 solve.count_below forms from a fiber's CSR, so pair_count_below counts the
-eigenvalues of an N_max = 2 fiber below e from the grid alone.
-Only the dense assemble_KT checks the dimension cap, solve.DENSE_CAP; G is
+eigenvalues of an N_max = 2 fiber below e from the grid alone, and
+pair_ground solves its ground level, with a proven bracket, by Newton's
+method on the lowest eigenvalue of that (M + 1)-row complement.  Its start
+is the ground level of the N_max = 1 fiber, the arrowhead on the same two
+blocks, from the secular equation of _secular_ground.
+The dense assemble_KT checks the dimension cap, solve.DENSE_CAP, and the
+pair routes decline above it (M + 1 > DENSE_CAP, read at call time); G is
 checked against the basis capacity, fock.BASIS_CAPACITY, before it is
 allocated.
 """
 
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.sparse
 
-from .errors import CapacityError
-from . import fock
+from .errors import CapacityError, NumericalError
+from . import fock, solve
 from .fock import BasisIndex, basis_dimension
 from .modes import ModeGrid
 from .solve import (
     DEFAULT_SEED,
     DEFAULT_TOL,
-    DENSE_CAP,
+    SpectralResult,
     _certified_count,
     _check_dense_cap,
+    _dense_lowest,
+    _eigenpairs,
     _one_blas_thread,
-    lowest_eigenpairs,
+    _positive_definite,
+    _schur_margin,
 )
 
 PAIR_CHUNK = 256  # rows of G(R) built at a time
+NEWTON_STEPS = 200  # Newton steps at most, secular or pair; they settle in far fewer
 
 
 class SparseOperator:
@@ -179,6 +187,84 @@ def pair_diagonal(grid: ModeGrid, p, rows: slice = slice(None)) -> np.ndarray:
     return _kinetic(p, pf, 2.0)
 
 
+def _pairwise_sum(t: np.ndarray) -> float:
+    """Sum of t, zero-padded to a power of two and halved, so that each term
+    meets at most ceil(log2 len(t)) roundings, whatever numpy's sum does."""
+    t = np.concatenate([t, np.zeros((1 << (len(t) - 1).bit_length()) - len(t))])
+    while len(t) > 1:
+        t = t[: len(t) // 2] + t[len(t) // 2 :]
+    return float(t[0])
+
+
+def _secular_ground(alpha, p, grid, tol=DEFAULT_TOL) -> SpectralResult:
+    """Certified N_max = 1 ground state: the root below d_min = min D of
+    f(E) = E - P^2 + alpha sum_k t_k, t_k = g_k^2 / (D_k - E), on the fiber's
+    own diagonal, reached by Newton's method from the right (f is increasing
+    and convex there).  [E - w, E + w] holds the root once each side's sign
+    exceeds the rounding bound c u (|E| + P^2 + alpha sum t_k), c =
+    ceil(log2 M) + 8, or the side is at or above d_min; w doubles from
+    4 u max(1, |E|), and NumericalError once it would pass tol or on
+    non-finite input.  `iterations` counts evaluations of f; `residual` is
+    ||H x - E x|| / ||x||, x_0 = 1, x_k = -sqrt(alpha) g_k / (D_k - E), row by
+    row; `vector` is x / ||x|| in basis order (modes last to first).  With
+    alpha = 0 or no modes the fiber is diagonal: E = min(P^2, d_min) exactly.
+    """
+    p = np.asarray(p, dtype=np.float64).reshape(3)
+    g = grid.couplings
+    if not (math.isfinite(alpha) and np.isfinite(p).all() and np.isfinite(g).all()):
+        raise NumericalError(f"non-finite secular equation at P = {tuple(map(float, p))}")
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    p2 = float(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
+    d = _kinetic(p, grid.spacing * grid.units.T.astype(np.float64), 1.0)
+    if alpha == 0.0 or grid.is_empty:
+        diag = np.concatenate([[p2], d[::-1]])
+        e, x = float(diag.min()), 1.0 * (np.arange(len(diag)) == diag.argmin())
+        return SpectralResult(e, x, 0.0, 0, (e, e))
+
+    g2, j = g * g, int(np.argmin(d))
+    d_min = float(d[j])
+    # f > 0 at P^2 < d_min, and at d_min - s for s = r/2, r the root of
+    # r^2 + (P^2 - d_min) r = alpha g_j^2 (f keeps only its term j), taken stably
+    a, c = p2 - d_min, alpha * float(g2[j])
+    s = c / (math.sqrt(a * a + 4 * c) + a) if a >= 0 else (math.sqrt(a * a + 4 * c) - a) / 4
+    e = min(p2, d_min - s, math.nextafter(d_min, -math.inf))
+    cu = (math.ceil(math.log2(len(d))) + 8) * 2.0**-53
+    evals = 0
+
+    def f(x):
+        """f(x), the bound on its rounding, and the terms t_k."""
+        nonlocal evals
+        evals += 1
+        t = g2 / (d - x)
+        at = alpha * _pairwise_sum(t)
+        return x - p2 + at, cu * (abs(x) + p2 + at), t
+
+    for _ in range(NEWTON_STEPS):  # the bracket below certifies wherever it stops
+        fe, _, t = f(e)
+        nxt = e - fe / (1.0 + alpha * float(np.sum(t / (d - e))))
+        if not nxt < e:
+            break
+        e = nxt
+
+    def proven(x, sign):
+        v, bound, _ = f(x)
+        return sign * v > bound
+
+    w = 4.0 * 2.0**-53 * max(1.0, abs(e))
+    while not (proven(e - w, -1.0) and (e + w >= d_min or proven(e + w, 1.0))):
+        w *= 2.0
+        if not w <= tol:
+            raise NumericalError(f"no secular bracket within {tol} at P = {tuple(map(float, p))}")
+
+    sa = math.sqrt(alpha)
+    x = -sa * g / (d - e)
+    r = np.concatenate([[p2 - e + sa * np.sum(g * x)], sa * g + (d - e) * x])
+    norm = math.sqrt(1.0 + np.sum(x * x))
+    return SpectralResult(e, np.concatenate([[1.0], x[::-1]]) / norm,
+                          math.sqrt(np.sum(r * r)) / norm, evals, (e - w, e + w))
+
+
 def pair_gram(s: np.ndarray, r_rows: Callable[[slice], np.ndarray]) -> np.ndarray:
     """The M x M pair sum G(R): G_ik = s_i s_k R_ik, G_ii = (R s^2)_i + s_i^2 R_ii.
 
@@ -212,38 +298,146 @@ def pair_gram(s: np.ndarray, r_rows: Callable[[slice], np.ndarray]) -> np.ndarra
     return gram
 
 
-@_one_blas_thread()
-def pair_count_below(alpha: float, grid: ModeGrid, p, e: float):
-    """solve.count_below of the N_max = 2 fiber at p, from the grid alone.
+def _pair_blocks(alpha: float, grid: ModeGrid, p: np.ndarray):
+    """(X, s, D_top) of the N_max = 2 fiber at p, for a non-empty grid.
 
-    The Schur complement onto blocks 0 and 1 (M + 1 rows, the vacuum first,
-    then the one-phonon state j on mode M - 1 - j, as in the fiber) is
-    X - e - [[0, 0], [0, G(R)]] with R_ik = 1/(D_ik - e) (pair_gram,
-    pair_diagonal), and X the fiber's leading block, bit for bit.  The margin,
-    min D_top and the two-shift agreement are those of count_below
-    (solve._certified_count), so the two routes return the same count, or
-    None to fall back.  ValueError on an empty grid (no two-phonon block).
+    X is the fiber's leading block on blocks 0 and 1 (M + 1 rows, the vacuum
+    first, then the one-phonon state j on mode M - 1 - j), bit for bit; s =
+    sqrt(alpha) g and D_top = pair_diagonal in that state order.
     """
     m = len(grid)
-    if m == 0:
-        raise ValueError("an empty grid has no two-phonon block")
-    split = m + 1
-    if split > DENSE_CAP:
-        return None
-    p = np.asarray(p, dtype=np.float64).reshape(3)
-    d_top = pair_diagonal(grid, p)[::-1, ::-1]  # state order of block 1
+    d_top = np.ascontiguousarray(pair_diagonal(grid, p)[::-1, ::-1])  # state order of block 1
     s = float(np.sqrt(alpha)) * grid.couplings[::-1]
     units = np.concatenate([np.zeros((1, 3), dtype=np.int64), grid.units[::-1]])
     x = np.diag(_kinetic(p, grid.spacing * units.T.astype(np.float64), np.r_[0.0, np.ones(m)]))
     x[0, 1:] = x[1:, 0] = s
+    return x, s, d_top
 
-    def terms(shift):
-        """X - shift and [[0, 0], [0, G(1/(D - shift))]], whose difference is S(shift)."""
-        coupling = np.zeros((split, split))
-        coupling[1:, 1:] = pair_gram(s, lambda rows: 1.0 / (d_top[rows] - shift))
-        return x - shift * np.eye(split), coupling
 
-    return _certified_count(terms, e, split, d_top.min())
+def _pair_complement(x, s, d_top, level):
+    """S(level) = (X - level) - [[0, 0], [0, G(R)]], the Schur complement onto
+    blocks 0 and 1, its rounding margin (solve._schur_margin, with ||C|| =
+    ||G||) and R = 1/(D_top - level)."""
+    r = 1.0 / (d_top - level)
+    gram = pair_gram(s, lambda rows: r[rows])
+    out = x.copy()
+    out[np.diag_indices(len(x))] -= level
+    delta = _schur_margin((out, gram), len(x))
+    out[1:, 1:] -= gram
+    return out, delta, r
+
+
+@_one_blas_thread()
+def pair_count_below(alpha: float, grid: ModeGrid, p, e: float):
+    """solve.count_below of the N_max = 2 fiber at p, from the grid alone.
+
+    The Schur complement onto blocks 0 and 1 (M + 1 rows, in the fiber's
+    state order) is X - e - [[0, 0], [0, G(R)]] with R_ik = 1/(D_ik - e)
+    (pair_gram, pair_diagonal), and X the fiber's leading block, bit for bit
+    (_pair_blocks).  The margin, min D_top and the two-shift agreement are
+    those of count_below (solve._certified_count), so the two routes return
+    the same count, or None to fall back.  ValueError on an empty grid (no
+    two-phonon block).
+    """
+    m = len(grid)
+    if m == 0:
+        raise ValueError("an empty grid has no two-phonon block")
+    if m + 1 > solve.DENSE_CAP:
+        return None
+    x, s, d_top = _pair_blocks(alpha, grid, np.asarray(p, dtype=np.float64).reshape(3))
+    return _certified_count(lambda shift: _pair_complement(x, s, d_top, shift)[:2],
+                            e, m + 1, d_top.min())
+
+
+@_one_blas_thread()
+def pair_ground(alpha: float, grid: ModeGrid, p, tol: float = DEFAULT_TOL
+                ) -> Optional[SpectralResult]:
+    """Certified ground state of the N_max = 2 fiber at p, from the grid alone,
+    or None when the pair route declines (the caller then runs LOBPCG).
+
+    With S(E) = X - E - [[0, 0], [0, G(1/(D_top - E))]] the Schur complement
+    onto blocks 0 and 1 (_pair_blocks, pair_count_below) and mu(E) its lowest
+    eigenvalue, the ground level E0 is the root of mu below min D_top
+    (Haynsworth).  There S(E) is concave in E with derivative -1 - C'(E),
+    C'(E) = [[0, 0], [0, G(1/(D_top - E)^2)]] >= 0, so mu is concave and
+    falls with slope at most -1, and Newton's method from the right,
+    E <- E + mu(E) / (1 + v^T C'(E) v) with v the unit eigenvector of mu (one
+    eigh of S(E) per step), decreases monotonically to E0.  It starts at the
+    upper end of the N_max = 1 bracket (_secular_ground), the lowest
+    eigenvalue of X, hence at or above E0, and stops when a step no longer
+    decreases E or, taken, falls within the margin delta below (the next step
+    would be of the order of its square).
+    [E - w, E + w] holds E0 once a Cholesky of S(E - w) - delta I succeeds
+    (no level at or below E - w) and v^T S(E + w) v < -delta, or E + w
+    reaches min D_top (a level below E + w); delta is the count's rounding
+    margin c m u ||S|| (solve._schur_margin), and w doubles from 2 delta
+    while the bracket is at most tol wide.
+    The lifted vector y = (v, -(D_top - E)^-1 B^T v) has (H - E) y = (S(E) v,
+    0) and ||y||^2 = 1 + v^T C'(E) v, so `residual` = ||S(E) v|| / ||y|| is
+    the fiber residual of y; `vector` is y / ||y|| on blocks 0 and 1 only, in
+    fiber order, vacuum entry >= 0; `iterations` counts the Newton steps.
+    With alpha = 0 or an empty grid the N_max = 1 result is exact and is
+    returned.  None when that start is not below min D_top, when M + 1
+    exceeds solve.DENSE_CAP (read at call time), or when no bracket within
+    tol is proven.
+    """
+    p = np.asarray(p, dtype=np.float64).reshape(3)
+    start = _secular_ground(alpha, p, grid, tol)
+    m = len(grid)
+    if m == 0:
+        return start
+    if m + 1 > solve.DENSE_CAP:
+        return None
+    x, s, d_top = _pair_blocks(alpha, grid, p)
+    d_min = float(d_top.min())
+    e = start.bracket[1]
+    if not e < d_min:
+        return None
+    if alpha == 0.0:
+        return start
+
+    s2 = s * s
+
+    def pair_form(u, r):
+        """u^T G(R) u = (s u)^T R (s u) + (u^2)^T R s^2 (the s_i^2 R_ii terms
+        of pair_gram cancel)."""
+        su = s * u
+        return float(su @ (r @ su) + (u * u) @ (r @ s2))
+
+    steps = 0
+    while True:
+        s_e, delta, r = _pair_complement(x, s, d_top, e)
+        mu, v = _dense_lowest(s_e)
+        step = mu / (1.0 + pair_form(v[1:], r * r))  # -mu'(e) = 1 + v^T C'(e) v
+        steps += 1
+        if not e + step < e or steps >= NEWTON_STEPS:
+            break
+        e += step
+        if -step <= delta:  # within the margin: the next step would be far below it
+            s_e, delta, r = _pair_complement(x, s, d_top, e)
+            break
+    norm2 = 1.0 + pair_form(v[1:], r * r)  # ||y||^2, v lifted at e
+
+    def none_below(level):
+        """S(level) - delta I is positive definite: no level of the fiber at or below."""
+        s_l, delta_l, _ = _pair_complement(x, s, d_top, level)
+        s_l[np.diag_indices(m + 1)] -= delta_l
+        return _positive_definite(s_l)
+
+    def one_below(level):
+        """v^T S(level) v < -delta, or level >= min D_top: a level of the fiber below."""
+        form = v @ x @ v - level * (v @ v) - pair_form(v[1:], 1.0 / (d_top - level))
+        return level >= d_min or form < -delta
+
+    w = 2.0 * delta
+    while 2.0 * w <= tol:
+        if none_below(e - w) and one_below(e + w):
+            norm = math.sqrt(norm2)
+            y = (v if v[0] >= 0.0 else -v) / norm
+            return SpectralResult(e, y, float(np.linalg.norm(s_e @ v)) / norm, steps,
+                                  (e - w, e + w))
+        w *= 2.0
+    return None
 
 
 class FiberFamily:
@@ -376,8 +570,7 @@ def _operator_norm(gram: Callable[[np.ndarray], np.ndarray], n: int, seed: int) 
     scale = float(np.linalg.norm(gram(x0 / np.linalg.norm(x0))))
     if scale == 0.0:
         return 0.0
-    op = SimpleNamespace(dimension=n, matvec=lambda x: -gram(x), diagonal=lambda: np.zeros(n))
-    theta = lowest_eigenpairs(op, tol=DEFAULT_TOL * scale, seed=seed)[0].energy
+    theta = _eigenpairs(lambda x: -gram(x), np.zeros(n), 1, DEFAULT_TOL * scale, seed)[0].energy
     return math.sqrt(max(0.0, -theta))
 
 
@@ -410,9 +603,11 @@ def _power_norm(factors: list, j: int, seed: int) -> float:
     ||F||, each from its row-side Gram F F^T on block n.
     """
     def chain_norm(chain):
+        transposed = [f.T for f in chain]
+
         def gram(x):
-            for f in chain:
-                x = f.T @ x
+            for ft in transposed:
+                x = ft @ x
             for f in reversed(chain):
                 x = f @ x
             return x

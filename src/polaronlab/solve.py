@@ -1,8 +1,11 @@
 """Lowest eigenpairs of sparse symmetric operators, plus dense oracles.
 
-dispersion_curve and cutoff_extrapolate send fibers here only at N_max >= 2;
-at N_max = 1 they solve the arrowhead's secular equation
-(SpectralResult.bracket).  hvz_edge_check assembles its two fibers and sends
+dispersion_curve, cutoff_extrapolate and the torus degeneracy analysis send
+fibers here only at N_max >= 3: at N_max = 1 they solve the arrowhead's
+secular equation and at N_max = 2 the (M + 1)-row Schur complement onto
+blocks 0 and 1 (operators.pair_ground), both with a proven bracket
+(SpectralResult.bracket), and LOBPCG runs at N_max = 2 only for a momentum
+the pair route declines.  hvz_edge_check assembles its two fibers and sends
 them here at every N_max, N_max = 1 included.
 
 The iterative route is single-vector LOBPCG (Knyazev 2001) preconditioned by
@@ -30,8 +33,9 @@ The same solver serves the norm certificates in operators: B lowers the
 phonon number by one, so ||B||^2 = max_n ||B_n B_n^T||, solved per number
 block, each ||B_n|| being sqrt(-theta) for theta the lowest eigenvalue of
 -B_n B_n^T, passed in as a matvec with a zero diagonal (so the
-preconditioner is the identity).  Any object with `dimension`, `matvec` and
-`diagonal` can be solved.
+preconditioner is the identity).  lowest_eigenpairs solves any object with
+`dimension`, `matvec` and `diagonal`; the norm certificates hand the matvec
+and the diagonal to its core, _eigenpairs, directly.
 
 The dense route (LAPACK eigh on the materialized matrix) exists so iterative
 results can always be cross-checked on small instances, and it powers the
@@ -45,10 +49,12 @@ for them, when the operator ends in a diagonal block (a fiber's top phonon
 number block): the count is the inertia of a dense Schur complement of the
 size of the leading blocks, read off an LDL^T factorization, and it is
 returned only when certified against the factorization's rounding.  Its
-blocks are sliced straight from the operator's symmetric CSR, op.csr.  At
-N_max = 2, operators.pair_count_below forms the same complement in closed
-form from the grid; both routes share the margin and the two-shift agreement
-of _certified_count.
+blocks are sliced straight from the operator's symmetric CSR, op.csr, and
+the LDL^T is LAPACK's dsytrf, called directly.  At N_max = 2,
+operators.pair_count_below forms the same complement in closed form from the
+grid; both routes share the margin and the two-shift agreement of
+_certified_count, and operators.pair_ground brackets its ground level with
+the same margin (_schur_margin).
 
 Threading model: the only parallelism is the pool of _parallel_map (the
 `threads` setting).  BLAS and LAPACK run on one thread inside the public
@@ -90,8 +96,13 @@ SCHUR_MARGIN = 10.0  # c in the count's margin c m u ||S||
 class SpectralResult:
     """One converged eigenpair with its certified residual.
 
-    `iterations` counts the matvecs spent on this pair.  `bracket`, where the
-    route proves one, is an interval (lower, upper) holding the eigenvalue.
+    `iterations` counts the matvecs spent on this pair (on the secular and
+    pair routes of operators, the evaluations of f and the Newton steps).
+    `bracket`, where the route proves one, is an interval (lower, upper)
+    holding the eigenvalue.  `vector` is the unit eigenvector in basis order,
+    except on the N_max = 2 pair route (operators.pair_ground), where it
+    holds only that vector's blocks 0 and 1, the vacuum and the M one-phonon
+    states in fiber order.
     """
 
     energy: float
@@ -215,7 +226,8 @@ def _lowest_ritz(work: np.ndarray, rows: int):
 
 
 def _deflated_lowest(
-    op,
+    matvec: Callable[[np.ndarray], np.ndarray],
+    precond: np.ndarray,
     est_tol: float,
     cert_tol: float,
     seed: int,
@@ -224,19 +236,17 @@ def _deflated_lowest(
     """Lowest eigenpair of a symmetric operator on the complement of `locked`.
 
     Each step moves x to the Rayleigh-Ritz minimizer over span[x, T r, p]
-    (r the residual, p the previous step, T = 1/(d - min d + 1) for the
-    diagonal d).  A x and A p follow the recurrences of x and p, so a step
-    costs one matvec; an explicit product replaces A x every REFRESH_STEPS
+    (r the residual, p the previous step, T = diag(precond)).  A x and A p
+    follow the recurrences of x and p, so a step costs one matvec of
+    `matvec`; an explicit product replaces A x every REFRESH_STEPS
     steps and before certification.  `locked` rows are certified
     eigenvectors that the start vector and every search direction are
     orthogonalized against.  Certification recomputes the residual on the
     full operator and accepts at `cert_tol`, once the deflated residual has
     reached the tighter `est_tol`.
     """
-    n = op.dimension
+    n = precond.size
     rng = np.random.default_rng(seed)
-    d = op.diagonal()
-    precond = 1.0 / (d - d.min() + 1.0)
 
     # rows 0-2: iterate x, search direction w, previous step p; rows 3-5:
     # their images, so work[i::3] pairs a vector with its image
@@ -255,7 +265,7 @@ def _deflated_lowest(
             if steps >= MAX_STEPS:
                 break
             x /= math.sqrt(x @ x)
-            ax[:] = op.matvec(x)
+            ax[:] = matvec(x)
             steps += 1
             stale = 0
         theta = float(x @ ax)
@@ -287,7 +297,7 @@ def _deflated_lowest(
                 w[:] = _fresh_direction(rng, np.vstack([x, locked]), n, tmp)
             else:
                 np.divide(t, nt, out=w)
-            aw[:] = op.matvec(w)
+            aw[:] = matvec(w)
             steps += 1
             coef = _lowest_ritz(work, rows)
             if coef is None:  # singular Gram matrix: drop p, then replace w
@@ -314,7 +324,6 @@ def _deflated_lowest(
     )
 
 
-@_one_blas_thread()
 def lowest_eigenpairs(
     op,
     k: int = 1,
@@ -339,11 +348,20 @@ def lowest_eigenpairs(
         raise ValueError(f"k must lie in [1, {n}]")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    return _eigenpairs(op.matvec, op.diagonal(), k, tol, seed)
+
+
+@_one_blas_thread()
+def _eigenpairs(matvec: Callable[[np.ndarray], np.ndarray], diagonal: np.ndarray,
+                k: int, tol: float, seed: int) -> List[SpectralResult]:
+    """lowest_eigenpairs of the operator x -> matvec(x) with the given diagonal,
+    its arguments already checked; the preconditioner is 1/(d - min d + 1)."""
+    precond = 1.0 / (diagonal - diagonal.min() + 1.0)
     est_tol = tol if k == 1 else tol / (4.0 * k)
-    locked = np.zeros((0, n))
+    locked = np.zeros((0, precond.size))
     results: List[SpectralResult] = []
     for i in range(k):
-        res = _deflated_lowest(op, est_tol, tol, seed + i, locked)
+        res = _deflated_lowest(matvec, precond, est_tol, tol, seed + i, locked)
         results.append(res)
         locked = np.vstack([locked, res.vector[None, :]])
     results.sort(key=lambda r: r.energy)
@@ -396,46 +414,83 @@ def dense_spectrum(op, k: int = 6) -> np.ndarray:
     return np.asarray(vals, dtype=np.float64)
 
 
+# LAPACK's Bunch-Kaufman LDL^T and its workspace query, with the workspace
+# scipy.linalg.ldl asks for, so the factor is the one ldl computes
+_SYTRF, _SYTRF_LWORK = scipy.linalg.get_lapack_funcs(("sytrf", "sytrf_lwork"), dtype=np.float64)
+
+
 def _negative_inertia(s: np.ndarray) -> int:
-    """Number of negative eigenvalues of symmetric s, read off its LDL^T.
+    """Number of negative eigenvalues of symmetric s (lower triangle read),
+    from its LDL^T by dsytrf.
 
     By Sylvester's law s has the inertia of the block-diagonal D, whose
-    pivots are 1x1 or 2x2 (Bunch-Kaufman); a 2x2 pivot sits where D has a
-    nonzero subdiagonal entry.
+    pivots are 1x1 or 2x2 (Bunch-Kaufman).  D sits on the factor's diagonal,
+    and a 2x2 pivot on rows k, k + 1, marked by negative ipiv entries there,
+    has its off-diagonal entry at (k + 1, k); the negative entries come in
+    such consecutive pairs, so every second one starts a pivot.
     """
-    d = scipy.linalg.ldl(s, lower=True, check_finite=False)[1]
-    diag, off = np.diag(d), np.diag(d, -1)
-    pair = np.flatnonzero(off)  # 2x2 pivot on rows i, i + 1
-    single = np.ones(diag.size, dtype=bool)
+    n = s.shape[0]
+    ldu, ipiv, info = _SYTRF(s, lower=1, lwork=int(_SYTRF_LWORK(n, lower=1)[0]))
+    if info < 0:
+        raise ValueError(f"dsytrf rejected argument {-info}")
+    diag = ldu.diagonal()
+    pair = np.flatnonzero(ipiv < 0)[::2]  # 2x2 pivot on rows i, i + 1
+    single = np.ones(n, dtype=bool)
     single[pair] = single[pair + 1] = False
     mid = 0.5 * (diag[pair] + diag[pair + 1])
-    rad = np.hypot(0.5 * (diag[pair] - diag[pair + 1]), off[pair])
+    rad = np.hypot(0.5 * (diag[pair] - diag[pair + 1]), ldu[pair + 1, pair])
     return int((diag[single] < 0).sum() + (mid - rad < 0).sum() + (mid + rad < 0).sum())
 
 
-def _certified_count(terms: Callable, e: float, split: int, d_min: float):
+# LAPACK's Cholesky factorization.  This and _dense_lowest serve
+# operators.pair_ground from here, so operators imports no scipy.linalg:
+# imported there, ahead of scipy.sparse, it made about a third of process
+# start-ups some 40 ms slower with the OpenBLAS threads unpinned.
+_POTRF = scipy.linalg.get_lapack_funcs("potrf", dtype=np.float64)
+
+
+def _positive_definite(s: np.ndarray) -> bool:
+    """Whether the Cholesky factorization of symmetric s (lower triangle read,
+    s overwritten where LAPACK can) runs to the end."""
+    return _POTRF(s, lower=1, overwrite_a=1, clean=0)[1] == 0
+
+
+def _dense_lowest(s: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Lowest eigenvalue of dense symmetric s and a unit eigenvector (LAPACK eigh)."""
+    mu, vec = scipy.linalg.eigh(s, subset_by_index=[0, 0], check_finite=False)
+    return float(mu[0]), vec[:, 0]
+
+
+def _schur_margin(pair, split: int) -> float:
+    """delta = c m u ||S|| for S = X - C of size m = split, given as the pair
+    (X, C); ||S|| is bounded by ||X||_1 + ||C||_1, so the rounding of forming
+    S is covered too.  NumericalError if S is not finite.
+    """
+    s_norm = sum(np.linalg.norm(t, 1) for t in pair)
+    if not math.isfinite(s_norm):
+        raise NumericalError("Schur complement is not finite")
+    return SCHUR_MARGIN * split * np.finfo(np.float64).eps * s_norm
+
+
+def _certified_count(schur: Callable, e: float, split: int, d_min: float):
     """Negative inertia of S(e) = X - e - C(e) of size split, or None.
 
-    terms(shift) returns the dense pair (X - shift, C(shift)), whose
-    difference is the Schur complement at shift, and d_min is min D_top.
+    schur(shift) returns the dense Schur complement S(shift) and its margin
+    (_schur_margin), and d_min is min D_top.
     S(e) decreases in e by at least the identity, so counts of
     S(e -+ delta) + E with ||E|| <= delta bound the count at e from below and
     above; they are taken at delta = c m u ||S|| (Bunch-Kaufman backward
-    error, Higham ch. 11; ||S|| is bounded by the norms of its two terms so
-    the rounding of forming S is covered too) and accepted only if they
+    error, Higham ch. 11; _schur_margin) and accepted only if they
     agree.  None when e (or e + delta) reaches d_min, when split exceeds
     DENSE_CAP, or when the two counts differ; NumericalError if S(e) is not
     finite.
     """
     if e >= d_min or split > DENSE_CAP:
         return None
-    s_norm = sum(np.linalg.norm(t, 1) for t in terms(e))
-    if not math.isfinite(s_norm):
-        raise NumericalError("Schur complement is not finite")
-    delta = SCHUR_MARGIN * split * np.finfo(np.float64).eps * s_norm
+    delta = schur(e)[1]
     if e + delta >= d_min:
         return None
-    lo, hi = (_negative_inertia(np.subtract(*terms(shift))) for shift in (e - delta, e + delta))
+    lo, hi = (_negative_inertia(schur(shift)[0]) for shift in (e - delta, e + delta))
     return lo if lo == hi else None
 
 
@@ -472,12 +527,13 @@ def count_below(op, e: float, split: int):
     bt = csr[split:, :split]
     b = bt.T.tocsr()
 
-    def terms(shift):
-        """X - shift and B (D_top - shift)^{-1} B^T, whose difference is S(shift)."""
-        coupling = b @ bt.multiply(1.0 / (d_top - shift)[:, None])
-        return x - shift * np.eye(split), coupling.toarray()
+    def schur(shift):
+        """S(shift) = (X - shift) - B (D_top - shift)^{-1} B^T and its margin."""
+        pair = (x - shift * np.eye(split),
+                (b @ bt.multiply(1.0 / (d_top - shift)[:, None])).toarray())
+        return np.subtract(*pair), _schur_margin(pair, split)
 
-    return _certified_count(terms, e, split, d_min)
+    return _certified_count(schur, e, split, d_min)
 
 
 @_one_blas_thread()

@@ -3,16 +3,20 @@
 The torus operator is block diagonal over total momenta P in (2 pi / ell) Z^3
 up to a fiber cutoff; every block is a fiber of one FiberFamily (one phonon
 grid, one basis, one P-independent coupling), so blocks differ only on the
-diagonal, and the model keeps the family rather than the blocks.  The
+diagonal, and the model keeps the grid rather than the blocks, building the
+basis and family only when a block must be made.  The
 degeneracy analysis feeds the either-or argument: a translation-invariant
 ground state forces the global minimum to sit at P = 0 and be simple, so a
 non-simple minimum (or one away from 0) certifies symmetry breaking.  Only
 the fibers that reach the global minimum can change that verdict, so the
 analysis solves the ground level of every block first and then, on the
 blocks inside the minimum window only, counts the eigenvalues in the window
-exactly by the inertia of a Schur complement on the top phonon block (at
-N_max = 2 in closed form from the grid, with no block made); a block whose
-count is not certified gets its two lowest levels solved instead.
+exactly by the inertia of a Schur complement on the top phonon block; a
+block whose count is not certified gets its two lowest levels solved
+instead.  At N_max = 2 both the ground level (operators.pair_ground) and the
+count (operators.pair_count_below) come from the (M + 1)-row complement on
+blocks 0 and 1 in closed form from the grid, so no block is made; LOBPCG
+runs only at other N_max and where the pair route declines.
 
 The lattice scan is closed under the octahedral group O_h (the 48 signed
 axis permutations R), and so are the grids build_grid makes, couplings
@@ -26,21 +30,22 @@ convergence is the quantitative input for the fixed-point comparison.
 
 The fiber ball and the image cube are integer lattices of modes._lattice_cube
 under its lattice budget (modes.GRID_CAPACITY), checked before the lattice
-is made.  Nothing caps fibers x dimension: the model keeps one family, and
-degeneracy_analysis holds at most `threads` blocks at a time.
+is made.  Nothing caps fibers x dimension: the model keeps at most one
+family, and degeneracy_analysis holds at most `threads` blocks at a time.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError
-from .fock import BasisIndex, enumerate_basis
+from .fock import BasisIndex, basis_dimension, enumerate_basis
 from .modes import ModeGrid, _axis_map, _lattice_ball, _lattice_cube, _norm2, build_grid
-from .operators import FiberFamily, pair_count_below
+from .operators import FiberFamily, pair_count_below, pair_ground
 from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, count_below, lowest_eigenpairs
 
 DEFAULT_DEGENERACY_TOL = 1e-7
@@ -110,18 +115,26 @@ def lattice_fibers(cfg: TorusConfig) -> np.ndarray:
 
 @dataclass
 class TorusModel:
-    """The block momenta and the fiber family that makes their blocks.
+    """The block momenta and the grid that every block is a fiber over.
 
-    The blocks share one grid, basis and coupling, so the model keeps the
-    FiberFamily and degeneracy_analysis makes a block, family.fiber(p), only
-    when it solves one or counts on its CSR.
+    The blocks share one grid, basis and coupling.  The basis and the
+    FiberFamily that makes the blocks, family.fiber(p), are built on first
+    use and kept: at N_max = 2 degeneracy_analysis solves and counts from the
+    grid alone and needs them only for a block the pair route declines.
     """
 
     config: TorusConfig
     fibers: np.ndarray
     grid: ModeGrid
-    basis: BasisIndex
-    family: FiberFamily
+
+    @cached_property
+    def basis(self) -> BasisIndex:
+        grid = self.grid
+        return enumerate_basis(len(grid), self.config.n_max, grid.units, grid.spacing)
+
+    @cached_property
+    def family(self) -> FiberFamily:
+        return FiberFamily(self.config.alpha, self.grid, self.basis)
 
 
 @dataclass(frozen=True)
@@ -136,17 +149,15 @@ class TorusReport:
 
 
 def assemble_torus(cfg: TorusConfig) -> TorusModel:
-    """The lattice momenta and the one FiberFamily every block is a fiber of.
+    """The lattice momenta and the grid every block is a fiber over.
 
-    The grid, the basis and the fiber lattice are each checked against their
-    own budget (CapacityError); the number of fibers does not multiply the
-    memory, since no block is made here.
+    The grid and the fiber lattice are each checked against their own budget
+    (CapacityError), and the basis against its own when it is first built;
+    the number of fibers does not multiply the memory, since no block is
+    made here.
     """
     grid = build_grid(cfg.delta, cfg.cutoff)
-    basis = enumerate_basis(len(grid), cfg.n_max, grid.units, grid.spacing)
-    fibers = lattice_fibers(cfg)
-    family = FiberFamily(cfg.alpha, grid, basis)
-    return TorusModel(config=cfg, fibers=fibers, grid=grid, basis=basis, family=family)
+    return TorusModel(config=cfg, fibers=lattice_fibers(cfg), grid=grid)
 
 
 # the group O_h as (perm, signs): R x = signs * x[perm]
@@ -203,6 +214,9 @@ def degeneracy_analysis(
     orbit of the lattice scan and copies it to the orbit's other blocks, each
     copy certified by the exact grid check of _orbit_sources (a block that
     fails it, and every block of an explicit fiber list, is solved itself).
+    At N_max = 2 the solve is operators.pair_ground, from (alpha, grid, P)
+    alone and with a proven bracket; a block it declines, and every block at
+    other N_max, gets LOBPCG on family.fiber(p).
     Phase 2 visits only the blocks, copied or not, whose phase-1 energy lies
     within degeneracy_tol + tol of the smallest, `ground` (the extra tol
     covers the spread between two solves of one level), and counts their
@@ -219,34 +233,51 @@ def degeneracy_analysis(
     level in the window.  The multiplicity is the total count, so a simple
     global minimum reads 1 and a degenerate one at least 2.
     Blocks are made from model.family as they are solved or counted and
-    dropped after; at N_max = 2 that is one per orbit representative and one
-    per fallback.
+    dropped after, and the family is built once, before the first pool that
+    needs it: at N_max = 2 only for a block that falls back, so a run where
+    nothing falls back enumerates no basis.
     """
     cfg, fibers = model.config, model.fibers
     tol_deg = cfg.degeneracy_tol
-    basis = model.basis
 
-    def levels(i, k):
-        block = model.family.fiber(fibers[i])
-        return [r.energy for r in lowest_eigenpairs(block, k=k, tol=tol, seed=seed)]
+    def levels(idx, k):
+        """The k lowest levels of each block in idx by LOBPCG, over the pool."""
+        if not idx:
+            return []
+        family = model.family
+
+        def solve(i):
+            block = family.fiber(fibers[i])
+            return [r.energy for r in lowest_eigenpairs(block, k=k, tol=tol, seed=seed)]
+
+        return _parallel_map(solve, idx, threads)
+
+    def pair_level(i):
+        r = pair_ground(cfg.alpha, model.grid, fibers[i], tol)
+        return None if r is None else [r.energy]
 
     def count(i, e):
-        if basis.n_max == 2:
+        if cfg.n_max == 2:
             return pair_count_below(cfg.alpha, model.grid, fibers[i], e)
-        return count_below(model.family.fiber(fibers[i]), e, basis.block_offset(basis.n_max))
+        split = model.basis.block_offset(cfg.n_max)
+        return count_below(model.family.fiber(fibers[i]), e, split)
 
     sources = [rep for rep, _ in _orbit_sources(model)]
     solved = sorted(set(sources))
-    ground_levels = dict(zip(solved, _parallel_map(lambda i: levels(i, 1), solved, threads)))
+    ground_levels = dict.fromkeys(solved)
+    if cfg.n_max == 2:
+        ground_levels.update(zip(solved, _parallel_map(pair_level, solved, threads)))
+    declined = [i for i in solved if ground_levels[i] is None]
+    ground_levels.update(zip(declined, levels(declined, 1)))
     per_fiber = [ground_levels[rep] for rep in sources]
     counts = [None] * len(fibers)
-    if basis.dimension > 1:
+    if basis_dimension(len(model.grid), cfg.n_max) > 1:
         ground = min(es[0] for es in per_fiber)
         near = [i for i, es in enumerate(per_fiber) if es[0] <= ground + tol_deg + tol]
         for i in near:
             counts[i] = count(i, ground + tol_deg)
         fallback = [i for i in near if counts[i] is None]
-        for i, es in zip(fallback, _parallel_map(lambda i: levels(i, 2), fallback, threads)):
+        for i, es in zip(fallback, levels(fallback, 2)):
             per_fiber[i] = es
 
     ground = min(min(es) for es in per_fiber)

@@ -11,6 +11,7 @@ import math
 from collections import Counter
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 
@@ -281,6 +282,20 @@ def naive_raise_map(basis, n):
     counts = (src == col).sum(axis=1).astype(np.int64)
     new_rows = np.sort(np.concatenate([src, col], axis=1), axis=1)
     return counts, naive_rank(naive_block_ranks(m_modes, basis.n_max)[n + 1], new_rows)
+
+
+def ldl_negative_inertia(s):
+    """Negative eigenvalues of symmetric s from the block-diagonal D that
+    scipy.linalg.ldl returns: a 1x1 pivot counts by its sign, a 2x2 pivot
+    (a nonzero subdiagonal entry of D) by the signs of its two eigenvalues."""
+    d = scipy.linalg.ldl(s, lower=True, check_finite=False)[1]
+    diag, off = np.diag(d), np.diag(d, -1)
+    pair = np.flatnonzero(off)  # 2x2 pivot on rows i, i + 1
+    single = np.ones(diag.size, dtype=bool)
+    single[pair] = single[pair + 1] = False
+    mid = 0.5 * (diag[pair] + diag[pair + 1])
+    rad = np.hypot(0.5 * (diag[pair] - diag[pair + 1]), off[pair])
+    return int((diag[single] < 0).sum() + (mid - rad < 0).sum() + (mid + rad < 0).sum())
 
 
 def from_triplets(dim, rows, cols, vals):

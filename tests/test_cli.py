@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import polaronlab.cli
+import polaronlab.torus
 import polaronlab.dispersion
 import polaronlab.modes
 import polaronlab.operators
@@ -296,13 +297,20 @@ def test_extrapolate_ungated_and_gated(tmp_path):
     assert rep2["deviation"] == pytest.approx(1.0, abs=1e-7)
 
 
-def test_torus_command(tmp_path):
+def test_torus_command(tmp_path, monkeypatch):
+    # the default N_max = 2 run enumerates no basis and builds no fiber family
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the default torus run built a basis or a family")
+
+    for name in ("enumerate_basis", "FiberFamily"):
+        monkeypatch.setattr(polaronlab.torus, name, forbidden)
     out = tmp_path / "torus"
     assert main(["torus", "--out", str(out)]) == 0
     rows = _rows(out / "torus.csv")
     assert len(rows) == 7
     rep = json.loads((out / "torus.json").read_text())
     assert rep["fiber_count"] == 7
+    assert rep["fiber_dimension"] == 561
     assert rep["argmin"] == [[0.0, 0.0, 0.0]]
     assert rep["multiplicity"] == 1
     assert rep["mechanism"]["branch"] == "simple-zero-minimum"
@@ -392,9 +400,10 @@ def test_dispersion_repeated_momentum_exits_3_before_any_solve(tmp_path, capsys,
 
 
 def _count_dispersion_work(monkeypatch):
-    """Count the grids, fiber families, eigensolves and secular solves of the
-    dispersion module."""
-    calls = dict.fromkeys(("build_grid", "FiberFamily", "ground_state", "_secular_ground"), 0)
+    """Count the grids, fiber families, eigensolves, secular solves and pair
+    solves of the dispersion module."""
+    calls = dict.fromkeys(("build_grid", "FiberFamily", "ground_state", "_secular_ground",
+                           "pair_ground"), 0)
 
     def counting(name):
         fn = getattr(polaronlab.dispersion, name)
@@ -410,9 +419,9 @@ def _count_dispersion_work(monkeypatch):
 
 
 @pytest.mark.parametrize("config, expected, rows", [
-    ("", (1, 1, 7, 0), 5),  # p_values 0, 0.5, 1, 1.5, 2 and the mass momenta 0, +-0.1
-    ("nmax = 1\n", (1, 0, 0, 7), 5),
-    ("nmax = 1\np_values = 1,0.1,0,-0.1\n", (1, 0, 0, 4), 4),  # mass momenta solved once
+    ("", (1, 0, 0, 0, 7), 5),  # p_values 0, 0.5, 1, 1.5, 2 and the mass momenta 0, +-0.1
+    ("nmax = 1\n", (1, 0, 0, 7, 0), 5),
+    ("nmax = 1\np_values = 1,0.1,0,-0.1\n", (1, 0, 0, 4, 0), 4),  # mass momenta solved once
 ])
 def test_dispersion_solves_one_curve(tmp_path, monkeypatch, config, expected, rows):
     calls = _count_dispersion_work(monkeypatch)

@@ -266,18 +266,58 @@ def _count_families(monkeypatch):
     return built
 
 
-def test_n_max_2_pipelines_build_one_family_per_grid(monkeypatch):
+def test_n_max_3_pipelines_build_one_family_per_grid(monkeypatch):
     built = _count_families(monkeypatch)
-    curve = dispersion_curve(1.0, [(0, 0, 0), (0, 0, 0.1), (0, 0, -0.1)], 1.0, 1.5, 2)
+    curve = dispersion_curve(1.0, [(0, 0, 0), (0, 0, 0.1), (0, 0, -0.1)], 1.0, 1.5, 3)
     mass = effective_mass(curve, 0.1)
     assert len(built) == 1
     del built[:]
-    cutoff_extrapolate(0.5, CutoffSchedule(lambdas=(1.5, 2.0, 2.5), delta=1.0, n_max=2))
-    assert sorted(built) == [len(build_grid(1.0, lam)) for lam in (1.5, 2.0, 2.5)]
+    cutoff_extrapolate(0.5, CutoffSchedule(lambdas=(1.0, 1.5, 2.0), delta=1.0, n_max=3))
+    assert sorted(built) == [len(build_grid(1.0, lam)) for lam in (1.0, 1.5, 2.0)]
     # the three mass points are the curve's energies, each at its own momentum
     energies = {s.p[2]: s.energy for s in curve.samples}
     assert (mass.e_zero, mass.e_plus, mass.e_minus) == (
         energies[0.0], energies[0.1], energies[-0.1])
+
+
+def test_n_max_2_pipelines_assemble_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an N_max = 2 pipeline built a basis, a fiber or a solve")
+
+    for name in ("enumerate_basis", "assemble_fiber", "FiberFamily", "ground_state"):
+        monkeypatch.setattr(polaronlab.dispersion, name, forbidden)
+    curve = dispersion_curve(1.0, [(0, 0, 0), (0, 0, 0.1), (0, 0, -0.1)], 1.0, 1.5, 2,
+                             threads=2)
+    mass = effective_mass(curve, 0.1)
+    energies = {s.p[2]: s.energy for s in curve.samples}
+    assert (mass.e_zero, mass.e_plus, mass.e_minus) == (
+        energies[0.0], energies[0.1], energies[-0.1])
+    rep = cutoff_extrapolate(0.5, CutoffSchedule(lambdas=(1.5, 2.0, 2.5), delta=1.0, n_max=2))
+    assert all(r <= 1e-12 for r in rep.solver_residuals)
+
+
+def test_n_max_2_curve_depends_on_neither_seed_nor_threads():
+    ps = [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.0, 1.0), (0.3, -0.7, 1.1)]
+    ref = dispersion_curve(1.0, ps, 1.0, 2.0, 2)
+    for seed, threads in ((1, 1), (7, 2), (42, 4)):
+        assert dispersion_curve(1.0, ps, 1.0, 2.0, 2, seed=seed, threads=threads) == ref
+
+
+def test_n_max_2_falls_back_to_lobpcg_where_the_pair_route_declines(monkeypatch):
+    # at P = 4 e_z two phonons of momentum 2 e_z cost 2, below the N_max = 1
+    # root near 5, so the pair route declines and that sample alone goes to
+    # LOBPCG, on the one family built for it
+    built = _count_families(monkeypatch)
+    ps = [(0.0, 0.0, 0.0), (0.0, 0.0, 4.0)]
+    curve = dispersion_curve(1.0, ps, 1.0, 2.0, 2)
+    assert built == [len(build_grid(1.0, 2.0))]
+    grid = build_grid(1.0, 2.0)
+    basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
+    for s in curve.samples:
+        op = assemble_fiber(FiberConfig(alpha=1.0, p=np.asarray(s.p), grid=grid, n_max=2), basis)
+        assert s.energy == pytest.approx(dense_spectrum(op, k=1)[0], abs=1e-10)
+    newton, matvecs = (s.iterations for s in curve.samples)
+    assert newton <= 10 < matvecs
 
 
 def test_extrapolation_needs_three_cutoffs():
@@ -317,7 +357,7 @@ def test_extrapolation_rejects_energy_increase_from_the_eigensolver(monkeypatch)
     monkeypatch.setattr("polaronlab.dispersion.ground_state", fake)
     with pytest.raises(NumericalError):
         cutoff_extrapolate(
-            0.0, CutoffSchedule(lambdas=(1.0, 1.5, 2.0), delta=1.0, n_max=2)
+            0.0, CutoffSchedule(lambdas=(1.0, 1.5, 2.0), delta=1.0, n_max=3)
         )
     assert fake.calls == 3
 

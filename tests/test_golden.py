@@ -27,15 +27,15 @@ SMALL_KERNEL = "image_cut = 3\nell = 2\nmass = 2\n"
 # run name -> (argv without --out, {file it writes: SHA-256})
 GOLDEN = {
     "checks_quick": (["checks", "--config", str(CONFIGS / "quick.cfg")], {
-        "checks.json": "8eff07bcdbba305d8c95406df581cf8f52ef80d31992e846e95df381cb5b6e93",
+        "checks.json": "ff8ea8f22b6b2214203cbb9b93f1332956a225ec97275361f0461c5a730adbff",
     }),
     # the parameter tables' defaults are the values quick.cfg spells out
     "checks_defaults": (["checks"], {
-        "checks.json": "8eff07bcdbba305d8c95406df581cf8f52ef80d31992e846e95df381cb5b6e93",
+        "checks.json": "ff8ea8f22b6b2214203cbb9b93f1332956a225ec97275361f0461c5a730adbff",
     }),
     "dispersion_default": (["dispersion"], {
-        "dispersion.csv": "c5f094e787372877bfee254ddf1eda450af43c24d52cd0436e778b53c999a019",
-        "verdict.json": "702dc9babc3b4940af222d0759dcceb6a6d6fd023a8d8673ed9f5cb2fccfb801",
+        "dispersion.csv": "c373c546169a0c8c4787730ca1348483f18756d3f913d9aef7a158457e7e861a",
+        "verdict.json": "fdd7271208122dd7468d50a7e0f6b2f3a425cf72f7d888940b9991e5cc6776fd",
     }),
     "dispersion_free": (["dispersion", "--config", str(CONFIGS / "free.cfg")], {
         "dispersion.csv": "671300f4a93ca0a0ceb6fc0e5b252fe5dc06a84bd86ea542a7334830015e59ba",
@@ -46,8 +46,8 @@ GOLDEN = {
         "extrapolation.json": "c3834c9a990537e0ff5ddaab9f964a3590ce9c1fcd2b3e03c7545415a5f5b196",
     }),
     "extrapolate_nmax2": (["extrapolate", "--config", "{small}"], {
-        "extrapolation.csv": "31b9806eb07be93d99d6a15f86e3937e0f00c8ef8c8fc68d6cfb48ddd004fd96",
-        "extrapolation.json": "f3bfbb3d387fb51c92e1ce3d1ff004fab4932146de28e33e83b90a222150118e",
+        "extrapolation.csv": "3c05e9d2eebf21af33b8628166f60b8af4dc6d328f142d37654fbc605d1cb7d3",
+        "extrapolation.json": "65f352a6e357dc0f8f98c3f5b3642141b294506053891f58cbb7a48d1a6059e0",
     }),
     "kernel_default": (["kernel"], {
         "kernel.json": "a51bcae86488cebf73cc980a471232babeef00a26c916cfd2337a86e4407e85b",
@@ -56,8 +56,8 @@ GOLDEN = {
         "kernel.json": "fa01f5cebfbf616fc5fa38cfc0b5c0386dd13d93b7c1233bded57c5aba87ab66",
     }),
     "torus_default": (["torus"], {
-        "torus.csv": "4a9567d90d7a03ffe0cafa50e0c0ddaa19527157f893402aa63bbe267af3388c",
-        "torus.json": "192d98fa3c483ff19627b16b76418f91a591a01f26da89424f1cb4a5e509202f",
+        "torus.csv": "bfa5093208486f8b01ca67ac3f33e5a5099a140afd03f89511b20d66e76d3d8b",
+        "torus.json": "24d583a3cbac1de986d90bee8f5e908218c5b99a40e53061301b6d7af3886550",
     }),
 }
 

@@ -344,13 +344,13 @@ def test_norm_solves_stay_within_number_blocks(monkeypatch):
     basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
     cfg = FiberConfig(alpha=1.0, p=np.zeros(3), grid=grid, n_max=2)
     sizes = []
-    solve = operators.lowest_eigenpairs
+    solve = operators._eigenpairs
 
-    def recording(op, **kwargs):
-        sizes.append(op.dimension)
-        return solve(op, **kwargs)
+    def recording(matvec, diagonal, *args):
+        sizes.append(diagonal.size)
+        return solve(matvec, diagonal, *args)
 
-    monkeypatch.setattr(operators, "lowest_eigenpairs", recording)
+    monkeypatch.setattr(operators, "_eigenpairs", recording)
     weighted_annihilation_norm(cfg, basis)
     neumann_norms(cfg, basis, 3)
     neumann_constant(cfg, basis)
@@ -432,6 +432,88 @@ def test_pair_norms_match_the_block_route(seed):
                                    rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(neumann_constant(cfg, basis, seed=seed),
                                    blocks(-1.0, 0.25, 1)[0], rtol=1e-14, atol=0.0)
+
+
+PAIR_MOMENTA = [(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 2.0), (0.3, -0.7, 1.1)]
+
+
+@pytest.mark.parametrize("p", PAIR_MOMENTA)
+def test_pair_ground_bracket_holds_the_dense_ground(p):
+    # the quick torus grid: 32 modes, 561 states, in reach of the dense oracle
+    grid = build_grid(1.0, 2.0)
+    basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
+    op = assemble_fiber(FiberConfig(alpha=1.0, p=np.array(p), grid=grid, n_max=2), basis)
+    dense = dense_spectrum(op, k=1)[0]
+    r = operators.pair_ground(1.0, grid, p)
+    lo, hi = r.bracket
+    assert lo <= dense <= hi and lo < r.energy < hi
+    assert hi - lo <= solve.DEFAULT_TOL
+    assert 1 <= r.iterations <= 10
+    # the vector is blocks 0 and 1 of the unit lifted vector y, whose block 2
+    # is -(D_top - E)^-1 B^T (blocks 0 and 1); residual is ||H y - E y||
+    split = basis.block_offset(2)
+    d_top = op.diagonal()[split:]
+    y = np.concatenate([r.vector, -(op.csr[split:, :split] @ r.vector) / (d_top - r.energy)])
+    assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-13)
+    assert r.vector[0] > 0.0
+    true_residual = np.linalg.norm(op.matvec(y) - r.energy * y)
+    assert true_residual <= 1e-13 and r.residual <= 1e-13
+    assert r.residual == pytest.approx(true_residual, abs=1e-14)
+
+
+def test_pair_ground_matches_lobpcg_on_the_desk_grid():
+    # 256 modes, 33,153 states: LOBPCG's energy lies in the pair bracket
+    grid = build_grid(0.75, 3.0)
+    family = FiberFamily(1.0, grid, enumerate_basis(len(grid), 2, grid.units, grid.spacing))
+    for p in PAIR_MOMENTA:
+        r = operators.pair_ground(1.0, grid, p)
+        e = solve.ground_state(family.fiber(p)).energy
+        assert abs(r.energy - e) <= 1e-12
+        assert r.bracket[0] <= e <= r.bracket[1]
+        assert r.bracket[1] - r.bracket[0] <= 1e-10
+
+
+def test_pair_ground_decoupled_and_empty_grid_are_exact():
+    grid = build_grid(1.0, 2.0)
+    basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
+    for p in ((0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.0, 2.5)):
+        cfg = FiberConfig(alpha=0.0, p=np.array(p), grid=grid, n_max=2)
+        e = float(kinetic_diagonal(cfg, basis).min())
+        r = operators.pair_ground(0.0, grid, p)
+        assert (r.energy, r.bracket, r.residual, r.iterations) == (e, (e, e), 0.0, 0)
+        assert r.vector.size == basis.block_offset(2) and r.vector.max() == 1.0
+    # no modes: the vacuum alone, at P^2
+    r = operators.pair_ground(1.0, build_grid(1.0, 0.5), (0.0, 0.0, 0.5))
+    assert r.energy == 0.25 and r.vector.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("error", [1e-6, -1e-6])
+def test_pair_ground_proves_no_bracket_around_a_wrong_root(monkeypatch, error):
+    # an eigensolver off by 1e-6 moves the Newton root off E0 by about as
+    # much, to the right (no Cholesky below) or to the left (no negative
+    # Rayleigh quotient above): no bracket within tol is proven
+    lowest = operators._dense_lowest
+
+    def off(s):
+        mu, v = lowest(s)
+        return mu + error, v
+
+    monkeypatch.setattr(operators, "_dense_lowest", off)
+    assert operators.pair_ground(1.0, build_grid(1.0, 2.0), (0.0, 0.0, 1.0)) is None
+
+
+def test_pair_ground_declines(monkeypatch):
+    grid = build_grid(1.0, 2.0)
+    # at P = 4 e_z the diagonal minimum is the two-phonon state 2 e_z + 2 e_z,
+    # at 2, below the N_max = 1 start near 5: with or without coupling
+    for alpha in (0.0, 1.0):
+        assert operators.pair_ground(alpha, grid, (0.0, 0.0, 4.0)) is None
+    # no bracket within a tol below the rounding margin
+    assert operators.pair_ground(1.0, grid, (0.0, 0.0, 0.0), tol=1e-14) is None
+    r = operators.pair_ground(1.0, grid, (0.0, 0.0, 0.0), tol=1e-11)
+    assert r.bracket[1] - r.bracket[0] <= 1e-11
+    monkeypatch.setattr(solve, "DENSE_CAP", len(grid))
+    assert operators.pair_ground(1.0, grid, (0.0, 0.0, 0.0)) is None
 
 
 def test_norms_at_nonzero_momentum_match_dense():

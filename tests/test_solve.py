@@ -25,12 +25,13 @@ from polaronlab import (
 from polaronlab.errors import NumericalError
 from polaronlab.solve import (
     _lowest_ritz,
+    _negative_inertia,
     _one_blas_thread,
     _openblas_handles,
     _parallel_map,
     count_below,
 )
-from naive_ref import from_triplets
+from naive_ref import from_triplets, ldl_negative_inertia
 from suite_configs import all_operators, kt_suite
 
 
@@ -406,6 +407,25 @@ def test_count_below_matches_dense_spectrum():
                 assert got == want, (name, e)
                 counted += 1
     assert counted >= 90
+
+
+def test_negative_inertia_matches_the_ldl_route():
+    # 200 random symmetric matrices, definite to strongly indefinite, many
+    # with 2x2 pivots; the count is also the eigenvalue count
+    rng = np.random.default_rng(11)
+    pivots = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        s = rng.standard_normal((n, n))
+        s = s + s.T + rng.normal(0.0, 2.0 * math.sqrt(n)) * np.eye(n)
+        want = ldl_negative_inertia(s)
+        assert _negative_inertia(s) == want == int((np.linalg.eigvalsh(s) < 0).sum())
+        pivots += np.count_nonzero(np.diag(scipy.linalg.ldl(s)[1], -1))
+    assert pivots >= 100
+    # two adjacent 2x2 pivots, and nothing else
+    s = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 2.0, 0.0]])
+    assert _negative_inertia(s) == ldl_negative_inertia(s) == 2
 
 
 def test_count_below_fallbacks_and_validation(monkeypatch):

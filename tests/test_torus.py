@@ -19,14 +19,13 @@ from polaronlab import (
     build_grid,
     contradiction_check,
     degeneracy_analysis,
-    enumerate_basis,
     lattice_fibers,
     lowest_eigenpairs,
     modes,
     periodized_yukawa,
     yukawa_converged,
 )
-from polaronlab.operators import pair_count_below
+from polaronlab.operators import pair_count_below, pair_ground
 from polaronlab.solve import count_below
 from polaronlab.torus import _orbit_sources
 from naive_ref import conjugate_csr, state_map
@@ -131,8 +130,8 @@ def test_fiber_count_is_held_to_the_lattice_budget(monkeypatch):
 
 
 def test_assemble_torus_has_no_fibers_times_dimension_cap(monkeypatch):
-    # 9,171 fibers x 561 states is about 5.14M states, yet one family of
-    # 561 states is all that is built; no block is solved
+    # 9,171 fibers x 561 states is about 5.14M states, yet at most one
+    # family of 561 states is ever built, on first use; no block is solved
     families = []
     family = polaronlab.torus.FiberFamily
 
@@ -144,12 +143,14 @@ def test_assemble_torus_has_no_fibers_times_dimension_cap(monkeypatch):
         raise AssertionError("assemble_torus solved a block")
 
     monkeypatch.setattr(polaronlab.torus, "FiberFamily", counted)
-    for name in ("lowest_eigenpairs", "count_below", "pair_count_below"):
+    for name in ("lowest_eigenpairs", "count_below", "pair_count_below", "pair_ground"):
         monkeypatch.setattr(polaronlab.torus, name, forbidden)
     model = assemble_torus(_quick_config(fiber_cutoff=13.0))
     assert model.fibers.shape == (9171, 3)
+    assert families == []
     assert model.basis.dimension == 561
     assert len(model.fibers) * model.basis.dimension > 5_000_000
+    assert model.family is model.family
     assert len(families) == 1
 
 
@@ -217,36 +218,65 @@ def test_degeneracy_analysis_threads_deterministic():
             assert a.multiplicity == b.multiplicity
 
 
-def _record_fibers(monkeypatch, model):
-    """Record every block the model's family makes, as (momentum, block) pairs."""
-    made = []
-    fiber = model.family.fiber
+def test_n_max_2_report_depends_on_neither_seed_nor_threads():
+    # 19 fibers in three O_h orbits, every ground level from the pair route
+    model = assemble_torus(_quick_config(fiber_cutoff=math.sqrt(2.0)))
+    ref = degeneracy_analysis(model, seed=42, threads=1)
+    for seed, threads in ((1, 1), (7, 2), (42, 4), (123, 2)):
+        assert degeneracy_analysis(model, seed=seed, threads=threads) == ref
+    assert "basis" not in vars(model)
 
-    def recording(p):
-        made.append((tuple(map(float, p)), fiber(p)))
+
+def _record_fibers(monkeypatch):
+    """Record every block a FiberFamily makes, as (momentum, block) pairs, and
+    every basis the torus module enumerates, without building either."""
+    made, bases = [], []
+    fiber, enumerate_basis = FiberFamily.fiber, polaronlab.torus.enumerate_basis
+
+    def recording(family, p):
+        made.append((tuple(map(float, p)), fiber(family, p)))
         return made[-1][1]
 
-    monkeypatch.setattr(model.family, "fiber", recording)
-    return made
+    def enumerating(*args):
+        bases.append(args)
+        return enumerate_basis(*args)
+
+    monkeypatch.setattr(FiberFamily, "fiber", recording)
+    monkeypatch.setattr(polaronlab.torus, "enumerate_basis", enumerating)
+    return made, bases
 
 
-def _requested_levels(monkeypatch, model, count=None):
+def _requested_levels(monkeypatch, model, count=None, declined=()):
     """Run degeneracy_analysis and return its report and the k asked per fiber.
 
-    `count`, when given, replaces the N_max = 2 Schur-complement count.
+    A ground level the N_max = 2 pair route solves counts as k = 1, as a
+    LOBPCG solve does.  `count`, when given, replaces the N_max = 2
+    Schur-complement count; the pair route declines the momenta in
+    `declined`.  A run that sends no block to LOBPCG enumerates no basis.
     """
     calls = []
-    made = _record_fibers(monkeypatch, model)
+    made, bases = _record_fibers(monkeypatch)
+    pair_ground = polaronlab.torus.pair_ground
 
     def recording(op, k=1, **kw):
         calls.append((next(p for p, b in made if b is op), k))
         return lowest_eigenpairs(op, k=k, **kw)
 
+    def pair_recording(alpha, grid, p, tol):
+        p = tuple(map(float, p))
+        result = None if p in declined else pair_ground(alpha, grid, p, tol)
+        if result is not None:
+            calls.append((p, 1))
+        return result
+
     monkeypatch.setattr(polaronlab.torus, "lowest_eigenpairs", recording)
+    monkeypatch.setattr(polaronlab.torus, "pair_ground", pair_recording)
     if count is not None:
         monkeypatch.setattr(polaronlab.torus, "pair_count_below", count)
     report = degeneracy_analysis(model)
     monkeypatch.undo()
+    if len(made) == 0:
+        assert bases == []
     asked = {}
     for p, k in calls:
         asked.setdefault(p, []).append(k)
@@ -293,10 +323,7 @@ def _hand_built_model(couplings):
     cfg = _quick_config(cutoff=1.0)
     units = [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
     grid = ModeGrid.manual(1.0, 1.0, units, couplings)
-    basis = enumerate_basis(len(grid), cfg.n_max, grid.units, grid.spacing)
-    family = FiberFamily(cfg.alpha, grid, basis)
-    return TorusModel(config=cfg, fibers=lattice_fibers(cfg), grid=grid, basis=basis,
-                      family=family)
+    return TorusModel(config=cfg, fibers=lattice_fibers(cfg), grid=grid)
 
 
 def test_equal_couplings_on_a_hand_built_grid_reduce_to_orbits(monkeypatch):
@@ -389,23 +416,39 @@ def test_uncertified_count_falls_back_to_second_level(monkeypatch, fibers, expec
     _assert_same_report(rep, _exhaustive_report(model))
 
 
-def test_blocks_made_only_for_representatives_and_fallbacks(monkeypatch):
-    # at N_max = 2 the window is counted from the grid: the quick torus makes
-    # one block per O_h orbit, plus one per fiber whose count falls back
-    for fibers, reps, count, fallbacks in [
-        (None, [(-1.0, 0.0, 0.0), (0.0, 0.0, 0.0)], None, []),
-        (None, [(-1.0, 0.0, 0.0), (0.0, 0.0, 0.0)], lambda *a: None, [(0.0, 0.0, 0.0)]),
-        (((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)), [(0.0, 0.0, -1.0), (0.0, 0.0, 1.0)], None, []),
+def test_blocks_made_only_for_fallbacks(monkeypatch):
+    # at N_max = 2 the ground levels and the window count come from the
+    # grid: the quick torus makes a block, and enumerates the one basis,
+    # only for a fiber whose pair solve or count falls back
+    def declining(alpha, grid, p, tol):
+        return None if tuple(p) == (-1.0, 0.0, 0.0) else pair_ground(alpha, grid, p, tol)
+
+    for fibers, solve, count, fallbacks in [
+        (None, None, None, []),
+        (None, None, lambda *a: None, [(0.0, 0.0, 0.0)]),
+        (None, declining, None, [(-1.0, 0.0, 0.0)]),
+        (((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)), None, None, []),
     ]:
         model = assemble_torus(_quick_config(fibers=fibers))
-        made = _record_fibers(monkeypatch, model)
+        made, bases = _record_fibers(monkeypatch)
+        if solve is not None:
+            monkeypatch.setattr(polaronlab.torus, "pair_ground", solve)
         if count is not None:
             monkeypatch.setattr(polaronlab.torus, "pair_count_below", count)
         degeneracy_analysis(model, threads=2)
         monkeypatch.undo()
-        # the pool makes the representatives' blocks in either order
-        assert sorted(p for p, _ in made[:len(reps)]) == reps
-        assert [p for p, _ in made[len(reps):]] == fallbacks
+        assert [p for p, _ in made] == fallbacks
+        assert len(bases) == len(fallbacks)
+
+
+def test_declined_pair_solve_falls_back_to_lobpcg(monkeypatch):
+    # the orbit of (1, 0, 0) declined: its representative gets one LOBPCG
+    # level, the copies follow it, and the report is the exhaustive one
+    model = assemble_torus(_quick_config())
+    rep, asked = _requested_levels(monkeypatch, model, declined={(-1.0, 0.0, 0.0)})
+    assert asked == {(-1.0, 0.0, 0.0): [1], (0.0, 0.0, 0.0): [1]}
+    assert "basis" in vars(model) and "family" in vars(model)
+    _assert_same_report(rep, _exhaustive_report(model))
 
 
 @pytest.mark.parametrize("delta, cutoff", [(1.0, 2.0), (0.75, 3.0)])
