@@ -380,8 +380,7 @@ def cmd_kernel(values: dict, outdir: str, args) -> int:
     ell, mass, x, xp, image_cut = c["ell"], c["mass"], c["x"], c["xprime"], c["image_cut"]
 
     value = _torus.periodized_yukawa(x, xp, ell, mass=mass, image_cut=image_cut)
-    conv_value, conv_cut = _torus.yukawa_converged(x, xp, ell, mass=mass,
-                                                   start_cut=max(1, image_cut))
+    conv_value, conv_cut = _torus._yukawa_settle(x, xp, ell, mass, image_cut, value)
     passed = value > 0.0
     write_json(os.path.join(outdir, "kernel.json"), {
         **{key: c[key] for key in _KERNEL},

@@ -327,7 +327,6 @@ def _pair_complement(x, s, d_top, level):
     return out, delta, r
 
 
-@_one_blas_thread()
 def pair_count_below(alpha: float, grid: ModeGrid, p, e: float):
     """solve.count_below of the N_max = 2 fiber at p, from the grid alone.
 
@@ -339,17 +338,25 @@ def pair_count_below(alpha: float, grid: ModeGrid, p, e: float):
     the same count, or None to fall back.  ValueError on an empty grid (no
     two-phonon block).
     """
+    return _pair_count(alpha, grid, p, e)
+
+
+@_one_blas_thread()
+def _pair_count(alpha: float, grid: ModeGrid, p, e: float, blocks=None):
+    """pair_count_below, on `blocks`, the (X, s, D_top) of _pair_blocks at p,
+    where given (as _pair_ground returns them)."""
     m = len(grid)
     if m == 0:
         raise ValueError("an empty grid has no two-phonon block")
     if m + 1 > solve.DENSE_CAP:
         return None
-    x, s, d_top = _pair_blocks(alpha, grid, np.asarray(p, dtype=np.float64).reshape(3))
+    if blocks is None:
+        blocks = _pair_blocks(alpha, grid, np.asarray(p, dtype=np.float64).reshape(3))
+    x, s, d_top = blocks
     return _certified_count(lambda shift: _pair_complement(x, s, d_top, shift)[:2],
                             e, m + 1, d_top.min())
 
 
-@_one_blas_thread()
 def pair_ground(alpha: float, grid: ModeGrid, p, tol: float = DEFAULT_TOL
                 ) -> Optional[SpectralResult]:
     """Certified ground state of the N_max = 2 fiber at p, from the grid alone,
@@ -381,20 +388,27 @@ def pair_ground(alpha: float, grid: ModeGrid, p, tol: float = DEFAULT_TOL
     exceeds solve.DENSE_CAP (read at call time), or when no bracket within
     tol is proven.
     """
+    return _pair_ground(alpha, grid, p, tol)[0]
+
+
+@_one_blas_thread()
+def _pair_ground(alpha: float, grid: ModeGrid, p, tol: float):
+    """(pair_ground, the blocks (X, s, D_top) of _pair_blocks it solved on),
+    the blocks None where it made none; _pair_count counts on them."""
     p = np.asarray(p, dtype=np.float64).reshape(3)
     start = _secular_ground(alpha, p, grid, tol)
     m = len(grid)
     if m == 0:
-        return start
+        return start, None
     if m + 1 > solve.DENSE_CAP:
-        return None
-    x, s, d_top = _pair_blocks(alpha, grid, p)
+        return None, None
+    blocks = x, s, d_top = _pair_blocks(alpha, grid, p)
     d_min = float(d_top.min())
     e = start.bracket[1]
     if not e < d_min:
-        return None
+        return None, blocks
     if alpha == 0.0:
-        return start
+        return start, blocks
 
     s2 = s * s
 
@@ -435,9 +449,9 @@ def pair_ground(alpha: float, grid: ModeGrid, p, tol: float = DEFAULT_TOL
             norm = math.sqrt(norm2)
             y = (v if v[0] >= 0.0 else -v) / norm
             return SpectralResult(e, y, float(np.linalg.norm(s_e @ v)) / norm, steps,
-                                  (e - w, e + w))
+                                  (e - w, e + w)), blocks
         w *= 2.0
-    return None
+    return None, blocks
 
 
 class FiberFamily:

@@ -64,7 +64,11 @@ bundled OpenBLAS copies of numpy and scipy to one thread and the last scope
 to exit restores the count it found.  A threaded BLAS splits sums across
 threads, so its thread count would change low-order bits; under the scope
 the outputs do not depend on OPENBLAS_NUM_THREADS.  With another BLAS the
-scope does nothing.
+scope does nothing.  The pool threads run the dense LAPACK of the pair
+route, of count_below and of the Rayleigh-Ritz step (dsyevr, dpotrf,
+dsytrf, dsygvd) at once: those are called through scipy.linalg.cython_lapack
+without the GIL.  dense_spectrum and the resolvent audit stay on
+scipy.linalg.
 """
 
 import ctypes
@@ -80,6 +84,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy
 import scipy.linalg
+import scipy.linalg.cython_lapack
 import scipy.sparse
 
 from .errors import CapacityError, ConvergenceError, NumericalError
@@ -204,25 +209,94 @@ def _fresh_direction(rng, rows: np.ndarray, n: int, tmp: np.ndarray) -> np.ndarr
     raise ConvergenceError("could not generate a direction outside the current subspace")
 
 
-# LAPACK's generalized symmetric-definite solver, the one scipy.linalg.eigh(a, b)
-# runs by default; calling it directly skips eigh's per-call validation.
-_SYGVD = scipy.linalg.get_lapack_funcs("sygvd", dtype=np.float64)
+# LAPACK is called through the C entry points that scipy.linalg.cython_lapack
+# exports as capsules: the routines of the same OpenBLAS that scipy.linalg's
+# f2py wrappers run, so the same arguments give the same bits.  The f2py
+# wrappers hold the GIL for the whole call, so two pool threads running them
+# took as long as one thread running both; a ctypes foreign call releases the
+# GIL, and the factorizations and eigensolves of the pool threads overlap.
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _lapack(name: str):
+    """The cython_lapack routine `name` as a ctypes call that takes one pointer
+    per Fortran argument: scalars by reference, arrays in column-major order."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    signature = _capsule_name(capsule)
+    proto = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (signature.count(b",") + 1))
+    return proto(_capsule_pointer(capsule, signature))
+
+
+_DSYEVR, _DPOTRF, _DSYTRF, _DSYGVD = map(_lapack, ("dsyevr", "dpotrf", "dsytrf", "dsygvd"))
+
+
+def _int(value: int):
+    """A by-reference LAPACK integer argument."""
+    return ctypes.byref(ctypes.c_int(value))
+
+
+def _ptr(a: np.ndarray):
+    """A LAPACK array argument: a pointer to the data of `a`, a writable 1-D or
+    column-major array, that holds a reference to `a` for the call (NULL
+    when `a` is empty)."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a.T)) if a.size else None
+
+
+def _square(s: np.ndarray) -> np.ndarray:
+    """A column-major float64 copy of s for LAPACK to read and overwrite;
+    ValueError unless s is a square matrix, since LAPACK reads n x n."""
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {s.shape}")
+    return np.array(s, dtype=np.float64, order="F")
+
+
+def _info(routine: str, info: ctypes.c_int) -> int:
+    """LAPACK's info; ValueError when the routine rejected an argument."""
+    if info.value < 0:
+        raise ValueError(f"{routine} rejected argument {-info.value}")
+    return info.value
+
+
+_ritz_calls = threading.local()  # per thread: rows -> _ritz_call(rows)
+
+
+def _ritz_call(rows: int):
+    """This thread's column-major stiff and mass buffers of size rows, the
+    info of their dsygvd call and its argument list, with the workspace
+    scipy.linalg.eigh(a, b) gives dsygvd; made once, so a Rayleigh-Ritz
+    step pays for one foreign call and no argument conversion."""
+    calls = vars(_ritz_calls)
+    if rows not in calls:
+        stiff, mass = np.zeros((2, rows, rows)).transpose(0, 2, 1)
+        lwork, liwork = 1 + 6 * rows + 2 * rows * rows, 5 * rows + 3
+        info = ctypes.c_int()
+        calls[rows] = stiff, mass, info, (
+            _int(1), b"V", b"L", _int(rows), _ptr(stiff), _int(rows), _ptr(mass), _int(rows),
+            _ptr(np.empty(rows)), _ptr(np.empty(lwork)), _int(lwork),
+            _ptr(np.empty(liwork, dtype=np.intc)), _int(liwork), ctypes.byref(info))
+    return calls[rows]
 
 
 def _lowest_ritz(work: np.ndarray, rows: int):
     """Lowest Ritz coefficients of the pencil (S A S^T, S S^T), S = work[:rows].
 
-    The images A S sit in work[3 : 3 + rows].  None when S S^T is singular
-    (LAPACK reports a failure); NumericalError on a non-finite Gram matrix.
+    The images A S sit in work[3 : 3 + rows].  The pencil goes to dsygvd
+    (itype 1, lower triangles), the routine scipy.linalg.eigh(a, b) runs by
+    default.  None when S S^T is singular (LAPACK reports a failure);
+    NumericalError on a non-finite Gram matrix.
     """
     gram = work[:rows] @ work.T
-    stiff = gram[:, 3 : 3 + rows]
-    stiff = 0.5 * (stiff + stiff.T)
-    mass = gram[:, :rows]
+    stiff, mass, info, args = _ritz_call(rows)
+    cross = gram[:, 3 : 3 + rows]
+    np.multiply(0.5, cross + cross.T, out=stiff)
+    mass[:] = gram[:, :rows]
     if not (np.isfinite(stiff).all() and np.isfinite(mass).all()):
         raise NumericalError("Rayleigh-Ritz Gram matrix is not finite")
-    _, vecs, info = _SYGVD(stiff, mass, itype=1, jobz="V", uplo="L")
-    return None if info else vecs[:, 0]
+    _DSYGVD(*args)
+    return None if _info("dsygvd", info) else stiff[:, 0].copy()
 
 
 def _deflated_lowest(
@@ -414,14 +488,10 @@ def dense_spectrum(op, k: int = 6) -> np.ndarray:
     return np.asarray(vals, dtype=np.float64)
 
 
-# LAPACK's Bunch-Kaufman LDL^T and its workspace query, with the workspace
-# scipy.linalg.ldl asks for, so the factor is the one ldl computes
-_SYTRF, _SYTRF_LWORK = scipy.linalg.get_lapack_funcs(("sytrf", "sytrf_lwork"), dtype=np.float64)
-
-
 def _negative_inertia(s: np.ndarray) -> int:
     """Number of negative eigenvalues of symmetric s (lower triangle read),
-    from its LDL^T by dsytrf.
+    from its LDL^T by dsytrf, with the workspace of its query, the one
+    scipy.linalg.ldl asks for, so the factor is the one ldl computes.
 
     By Sylvester's law s has the inertia of the block-diagonal D, whose
     pivots are 1x1 or 2x2 (Bunch-Kaufman).  D sits on the factor's diagonal,
@@ -429,10 +499,20 @@ def _negative_inertia(s: np.ndarray) -> int:
     has its off-diagonal entry at (k + 1, k); the negative entries come in
     such consecutive pairs, so every second one starts a pivot.
     """
-    n = s.shape[0]
-    ldu, ipiv, info = _SYTRF(s, lower=1, lwork=int(_SYTRF_LWORK(n, lower=1)[0]))
-    if info < 0:
-        raise ValueError(f"dsytrf rejected argument {-info}")
+    ldu = _square(s)
+    n = len(ldu)
+    ipiv = np.empty(n, dtype=np.intc)
+    info = ctypes.c_int()
+
+    def sytrf(work, lwork):
+        _DSYTRF(b"L", _int(n), _ptr(ldu), _int(max(1, n)), _ptr(ipiv),
+                _ptr(work), _int(lwork), ctypes.byref(info))
+        return _info("dsytrf", info)
+
+    query = np.empty(1)
+    sytrf(query, -1)
+    lwork = int(query[0])
+    sytrf(np.empty(lwork), lwork)
     diag = ldu.diagonal()
     pair = np.flatnonzero(ipiv < 0)[::2]  # 2x2 pivot on rows i, i + 1
     single = np.ones(n, dtype=bool)
@@ -442,23 +522,47 @@ def _negative_inertia(s: np.ndarray) -> int:
     return int((diag[single] < 0).sum() + (mid - rad < 0).sum() + (mid + rad < 0).sum())
 
 
-# LAPACK's Cholesky factorization.  This and _dense_lowest serve
-# operators.pair_ground from here, so operators imports no scipy.linalg:
-# imported there, ahead of scipy.sparse, it made about a third of process
-# start-ups some 40 ms slower with the OpenBLAS threads unpinned.
-_POTRF = scipy.linalg.get_lapack_funcs("potrf", dtype=np.float64)
+# _positive_definite and _dense_lowest serve operators.pair_ground from here,
+# so operators imports no scipy.linalg: imported there, ahead of
+# scipy.sparse, it made about a third of process start-ups some 40 ms slower
+# with the OpenBLAS threads unpinned.  Both run LAPACK through the capsule
+# bindings above, without the GIL, so the pair solves of the pool threads
+# overlap.
 
 
 def _positive_definite(s: np.ndarray) -> bool:
-    """Whether the Cholesky factorization of symmetric s (lower triangle read,
-    s overwritten where LAPACK can) runs to the end."""
-    return _POTRF(s, lower=1, overwrite_a=1, clean=0)[1] == 0
+    """Whether the Cholesky factorization of symmetric s (lower triangle read)
+    by dpotrf runs to the end."""
+    a = _square(s)
+    n = len(a)
+    info = ctypes.c_int()
+    _DPOTRF(b"L", _int(n), _ptr(a), _int(max(1, n)), ctypes.byref(info))
+    return _info("dpotrf", info) == 0
 
 
 def _dense_lowest(s: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Lowest eigenvalue of dense symmetric s and a unit eigenvector (LAPACK eigh)."""
-    mu, vec = scipy.linalg.eigh(s, subset_by_index=[0, 0], check_finite=False)
-    return float(mu[0]), vec[:, 0]
+    """Lowest eigenvalue of dense symmetric s (lower triangle read) and a unit
+    eigenvector: dsyevr as scipy.linalg.eigh(s, subset_by_index=[0, 0]) runs
+    it, with the workspace of its query.  LinAlgError when dsyevr fails."""
+    a = _square(s)
+    n = len(a)
+    w, z, isuppz = np.empty(n), np.empty(n), np.empty(2, dtype=np.intc)
+    zero, found, info = ctypes.c_double(0.0), ctypes.c_int(), ctypes.c_int()
+
+    def syevr(work, lwork, iwork, liwork):
+        _DSYEVR(b"V", b"I", b"L", _int(n), _ptr(a), _int(max(1, n)),
+                ctypes.byref(zero), ctypes.byref(zero), _int(1), _int(1), ctypes.byref(zero),
+                ctypes.byref(found), _ptr(w), _ptr(z), _int(max(1, n)),
+                _ptr(isuppz), _ptr(work), _int(lwork), _ptr(iwork),
+                _int(liwork), ctypes.byref(info))
+        return _info("dsyevr", info)
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+    syevr(work, -1, iwork, -1)
+    lwork, liwork = int(work[0]), int(iwork[0])
+    if syevr(np.empty(lwork), lwork, np.empty(liwork, dtype=np.intc), liwork):
+        raise np.linalg.LinAlgError(f"dsyevr failed with info {info.value}")
+    return float(w[0]), z
 
 
 def _schur_margin(pair, split: int) -> float:

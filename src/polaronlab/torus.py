@@ -31,11 +31,14 @@ convergence is the quantitative input for the fixed-point comparison.
 The fiber ball and the image cube are integer lattices of modes._lattice_cube
 under its lattice budget (modes.GRID_CAPACITY), checked before the lattice
 is made.  Nothing caps fibers x dimension: the model keeps at most one
-family, and degeneracy_analysis holds at most `threads` blocks at a time.
+family, and degeneracy_analysis holds at most `threads` blocks at a time,
+plus, at N_max = 2, the pair blocks of the solved fibers that can still be
+in the minimum window.
 """
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Tuple
@@ -45,7 +48,7 @@ import numpy as np
 from .errors import CapacityError, ConvergenceError
 from .fock import BasisIndex, basis_dimension, enumerate_basis
 from .modes import ModeGrid, _axis_map, _lattice_ball, _lattice_cube, _norm2, build_grid
-from .operators import FiberFamily, pair_count_below, pair_ground
+from .operators import FiberFamily, _pair_count, _pair_ground
 from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, count_below, lowest_eigenpairs
 
 DEFAULT_DEGENERACY_TOL = 1e-7
@@ -221,11 +224,14 @@ def degeneracy_analysis(
     within degeneracy_tol + tol of the smallest, `ground` (the extra tol
     covers the spread between two solves of one level), and counts their
     eigenvalues below ground + degeneracy_tol exactly, by the inertia of a
-    Schur complement on the top phonon block; these blocks keep their
-    phase-1 energy.  At N_max = 2 the count comes from (alpha, grid, P)
-    alone, operators.pair_count_below, whose complement on blocks 0 and 1 is
-    closed form, so no block is made for it; at other N_max from the block's
-    CSR, solve.count_below.
+    Schur complement on the top phonon block, over the pool; these blocks
+    keep their phase-1 energy.  At N_max = 2 the count comes from (alpha,
+    grid, P) alone, as operators.pair_count_below gives it, whose complement
+    on blocks 0 and 1 is closed form, so no block is made for it; a block
+    pair-solved in phase 1 is counted on the pair blocks (X, s, D_top) of
+    its solve, which phase 1 keeps only while the block's energy lies within
+    degeneracy_tol + tol of the lowest so far, so they are built once.  At
+    other N_max the count comes from the block's CSR, solve.count_below.
     A block whose count cannot be certified (the Schur complement above the
     dense cap, or the level within rounding of the window edge) falls back to
     a two-level solve, which replaces its phase-1 energy and contributes the
@@ -252,13 +258,26 @@ def degeneracy_analysis(
 
         return _parallel_map(solve, idx, threads)
 
+    kept = {}  # pair-solved block -> (energy, its pair blocks) while it can be in the window
+    lowest = math.inf  # the lowest pair-solved energy so far, at or above ground
+    lock = threading.Lock()
+
     def pair_level(i):
-        r = pair_ground(cfg.alpha, model.grid, fibers[i], tol)
-        return None if r is None else [r.energy]
+        nonlocal lowest
+        r, blocks = _pair_ground(cfg.alpha, model.grid, fibers[i], tol)
+        if r is None:
+            return None
+        if blocks is not None:
+            with lock:
+                lowest = min(lowest, r.energy)
+                kept[i] = (r.energy, blocks)
+                for j in [j for j, (e, _) in kept.items() if e > lowest + tol_deg + tol]:
+                    del kept[j]
+        return [r.energy]
 
     def count(i, e):
         if cfg.n_max == 2:
-            return pair_count_below(cfg.alpha, model.grid, fibers[i], e)
+            return _pair_count(cfg.alpha, model.grid, fibers[i], e, window.pop(i, None))
         split = model.basis.block_offset(cfg.n_max)
         return count_below(model.family.fiber(fibers[i]), e, split)
 
@@ -274,8 +293,11 @@ def degeneracy_analysis(
     if basis_dimension(len(model.grid), cfg.n_max) > 1:
         ground = min(es[0] for es in per_fiber)
         near = [i for i, es in enumerate(per_fiber) if es[0] <= ground + tol_deg + tol]
-        for i in near:
-            counts[i] = count(i, ground + tol_deg)
+        window = {i: kept[i][1] for i in near if i in kept}
+        kept.clear()
+        for i, n_below in zip(near, _parallel_map(lambda i: count(i, ground + tol_deg),
+                                                  near, threads)):
+            counts[i] = n_below
         fallback = [i for i in near if counts[i] is None]
         for i, es in zip(fallback, levels(fallback, 2)):
             per_fiber[i] = es
@@ -353,7 +375,13 @@ def yukawa_converged(
     """
     if start_cut < 1:
         raise ValueError("start_cut must be at least 1")
-    prev = periodized_yukawa(x, xp, ell, mass=mass, image_cut=start_cut)
+    return _yukawa_settle(x, xp, ell, mass, start_cut,
+                          periodized_yukawa(x, xp, ell, mass=mass, image_cut=start_cut))
+
+
+def _yukawa_settle(x, xp, ell: float, mass: float, start_cut: int, prev: float
+                   ) -> Tuple[float, int]:
+    """yukawa_converged from `prev`, the image sum at image_cut = start_cut."""
     for cut in itertools.count(start_cut + 1):
         try:
             val = periodized_yukawa(x, xp, ell, mass=mass, image_cut=cut)

@@ -456,6 +456,22 @@ def test_kernel_command(tmp_path):
     assert main(["kernel", "--config", str(cfg2), "--out", str(out)]) == 3
 
 
+def test_kernel_sums_each_image_box_once(tmp_path, monkeypatch):
+    # `value` at image_cut is also the start of the convergence loop
+    cuts = []
+    yukawa = polaronlab.torus.periodized_yukawa
+
+    def counted(*args, image_cut, **kwargs):
+        cuts.append(image_cut)
+        return yukawa(*args, image_cut=image_cut, **kwargs)
+
+    monkeypatch.setattr(polaronlab.torus, "periodized_yukawa", counted)
+    assert main(["kernel", "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "kernel.json").read_text())
+    assert cuts == list(range(1, rep["converged_cut"] + 1))
+    assert rep["converged_cut"] >= 2
+
+
 def test_kernel_image_cut_is_bounded_by_the_lattice_budget(tmp_path, capsys, monkeypatch):
     # the image sum goes past cut 64 and stops, exit 2, where the budget does
     out = tmp_path / "kernel"

@@ -1,5 +1,6 @@
 """Iterative eigensolver against dense oracles; resolvent positivity audits."""
 
+import ctypes
 import math
 import sys
 import threading
@@ -24,11 +25,13 @@ from polaronlab import (
 )
 from polaronlab.errors import NumericalError
 from polaronlab.solve import (
+    _dense_lowest,
     _lowest_ritz,
     _negative_inertia,
     _one_blas_thread,
     _openblas_handles,
     _parallel_map,
+    _positive_definite,
     count_below,
 )
 from naive_ref import from_triplets, ldl_negative_inertia
@@ -426,6 +429,82 @@ def test_negative_inertia_matches_the_ldl_route():
     s = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 2.0, 0.0]])
     assert _negative_inertia(s) == ldl_negative_inertia(s) == 2
+
+
+def _symmetric(rng, n, shift=0.0):
+    s = rng.standard_normal((n, n))
+    return s + s.T + shift * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 257, 600])
+def test_dense_lowest_matches_eigh_bit_for_bit(n):
+    s = _symmetric(np.random.default_rng(n), n)
+    mu, vec = _dense_lowest(s)
+    want_mu, want_vec = scipy.linalg.eigh(s, subset_by_index=[0, 0])
+    assert mu == want_mu[0]
+    np.testing.assert_array_equal(vec, want_vec[:, 0])
+
+
+def test_positive_definite_agrees_with_cholesky():
+    rng = np.random.default_rng(3)
+    seen = set()
+    for n in (1, 2, 5, 40, 257):
+        for shift in (-2.0 * math.sqrt(n), 0.0, 3.0 * math.sqrt(n)):
+            s = _symmetric(rng, n, shift)
+            try:
+                scipy.linalg.cholesky(s, lower=True)
+                want = True
+            except scipy.linalg.LinAlgError:
+                want = False
+            assert _positive_definite(s) is want, (n, shift)
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_lapack_bindings_release_the_gil_and_reject_bad_arguments():
+    # CFUNCTYPE, not PYFUNCTYPE: ctypes drops the GIL for the call
+    for routine in (solve._DSYEVR, solve._DPOTRF, solve._DSYTRF, solve._DSYGVD):
+        assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    with pytest.raises(ValueError, match="dsyevr rejected argument 10"):
+        _dense_lowest(np.empty((0, 0)))  # il = iu = 1 > n
+    for helper in (_dense_lowest, _positive_definite, _negative_inertia):
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(3, 2\)"):
+            helper(np.zeros((3, 2)))  # LAPACK would read 9 entries of 6
+    a, work = np.asfortranarray(np.eye(2)), np.empty(4)
+    ipiv, info = np.empty(2, dtype=np.intc), ctypes.c_int()
+    solve._DPOTRF(b"X", solve._int(2), solve._ptr(a), solve._int(2), ctypes.byref(info))
+    with pytest.raises(ValueError, match="dpotrf rejected argument 1"):
+        solve._info("dpotrf", info)
+    solve._DSYTRF(b"L", solve._int(2), solve._ptr(a), solve._int(1), solve._ptr(ipiv),
+                  solve._ptr(work), solve._int(4), ctypes.byref(info))
+    with pytest.raises(ValueError, match="dsytrf rejected argument 4"):
+        solve._info("dsytrf", info)  # lda < n
+
+
+def test_lapack_helpers_are_bit_identical_across_threads():
+    # four threads on two cores, switching often, each helper on its own
+    # matrices: equal to the serial calls (a workspace freed or shared
+    # during a call would show here)
+    rng = np.random.default_rng(5)
+    mats = [_symmetric(rng, n, shift) for n in (60, 257, 120, 200)
+            for shift in (0.0, 40.0)]
+    works = [rng.standard_normal((6, 80)) for _ in range(8)]
+    jobs = {
+        "dense_lowest": (lambda s: np.r_[_dense_lowest(s)], mats),
+        "positive_definite": (_positive_definite, mats),
+        "negative_inertia": (_negative_inertia, mats),
+        "lowest_ritz": (lambda w: _lowest_ritz(w, 3), works),
+    }
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for name, (fn, items) in jobs.items():
+            serial = [fn(x) for x in items]
+            for _ in range(3):
+                for got, want in zip(_parallel_map(fn, items, 4), serial):
+                    np.testing.assert_array_equal(got, want, err_msg=name)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_count_below_fallbacks_and_validation(monkeypatch):

@@ -1,6 +1,9 @@
 """Momentum-block torus model, degeneracy dichotomy, periodized kernel."""
 
+import gc
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from polaronlab import (
     periodized_yukawa,
     yukawa_converged,
 )
-from polaronlab.operators import pair_count_below, pair_ground
+from polaronlab.operators import _pair_ground, pair_count_below
 from polaronlab.solve import count_below
 from polaronlab.torus import _orbit_sources
 from naive_ref import conjugate_csr, state_map
@@ -143,7 +146,7 @@ def test_assemble_torus_has_no_fibers_times_dimension_cap(monkeypatch):
         raise AssertionError("assemble_torus solved a block")
 
     monkeypatch.setattr(polaronlab.torus, "FiberFamily", counted)
-    for name in ("lowest_eigenpairs", "count_below", "pair_count_below", "pair_ground"):
+    for name in ("lowest_eigenpairs", "count_below", "_pair_count", "_pair_ground"):
         monkeypatch.setattr(polaronlab.torus, name, forbidden)
     model = assemble_torus(_quick_config(fiber_cutoff=13.0))
     assert model.fibers.shape == (9171, 3)
@@ -227,6 +230,68 @@ def test_n_max_2_report_depends_on_neither_seed_nor_threads():
     assert "basis" not in vars(model)
 
 
+@pytest.mark.parametrize("config, builds, multiplicity", [
+    # the desk torus: two orbits solved, the window fiber P = 0 counted on
+    # the blocks of its solve
+    (dict(delta=0.75, cutoff=3.0), 2, 1),
+    # a restricted sector whose two fibers are both in the window
+    (dict(fibers=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))), 2, 2),
+    # the unit ball as an explicit list: seven solves share the kept blocks
+    (dict(fibers=tuple(map(tuple, lattice_fibers(_quick_config())))), 7, 1),
+])
+def test_pair_blocks_built_once_per_solved_fiber(monkeypatch, config, builds, multiplicity):
+    model = assemble_torus(_quick_config(**config))
+    ref = degeneracy_analysis(model, threads=1)
+    assert ref.multiplicity == multiplicity
+    pair_blocks = polaronlab.operators._pair_blocks
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # pool threads switch often while updating the kept blocks
+    try:
+        for threads in (1, 2, 4):
+            calls = []
+
+            def counted(alpha, grid, p):
+                calls.append(tuple(map(float, p)))
+                return pair_blocks(alpha, grid, p)
+
+            monkeypatch.setattr(polaronlab.operators, "_pair_blocks", counted)
+            assert degeneracy_analysis(model, threads=threads) == ref
+            monkeypatch.undo()
+            assert len(calls) == len(set(calls)) == builds, threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pair_blocks_outside_the_window_are_dropped(monkeypatch):
+    # desk torus to fiber cutoff 2: five orbits solved from |P| = 2 down to
+    # P = 0, each level below the last, so each solve drops the blocks of
+    # the one before, and only the window fiber P = 0 keeps its own to the
+    # count
+    model = assemble_torus(_quick_config(delta=0.75, cutoff=3.0, fiber_cutoff=2.0))
+    pair_ground, pair_count = polaronlab.torus._pair_ground, polaronlab.torus._pair_count
+    blocks_made, alive = [], []
+
+    def held():
+        gc.collect()
+        return sum(ref() is not None for ref in blocks_made)
+
+    def tracked(alpha, grid, p, tol):
+        alive.append(held())
+        result, blocks = pair_ground(alpha, grid, p, tol)
+        blocks_made.append(weakref.ref(blocks[2]))
+        return result, blocks
+
+    def counting(alpha, grid, p, e, blocks):
+        alive.append(held())
+        return pair_count(alpha, grid, p, e, blocks)
+
+    monkeypatch.setattr(polaronlab.torus, "_pair_ground", tracked)
+    monkeypatch.setattr(polaronlab.torus, "_pair_count", counting)
+    rep = degeneracy_analysis(model, threads=1)
+    assert rep.argmin == ((0.0, 0.0, 0.0),)
+    assert alive == [0, 1, 1, 1, 1, 1]
+
+
 def _record_fibers(monkeypatch):
     """Record every block a FiberFamily makes, as (momentum, block) pairs, and
     every basis the torus module enumerates, without building either."""
@@ -250,13 +315,12 @@ def _requested_levels(monkeypatch, model, count=None, declined=()):
     """Run degeneracy_analysis and return its report and the k asked per fiber.
 
     A ground level the N_max = 2 pair route solves counts as k = 1, as a
-    LOBPCG solve does.  `count`, when given, replaces the N_max = 2
-    Schur-complement count; the pair route declines the momenta in
+    LOBPCG solve does.  `count(alpha, grid, p, e)`, when given, replaces the
+    N_max = 2 Schur-complement count; the pair route declines the momenta in
     `declined`.  A run that sends no block to LOBPCG enumerates no basis.
     """
     calls = []
     made, bases = _record_fibers(monkeypatch)
-    pair_ground = polaronlab.torus.pair_ground
 
     def recording(op, k=1, **kw):
         calls.append((next(p for p, b in made if b is op), k))
@@ -264,15 +328,16 @@ def _requested_levels(monkeypatch, model, count=None, declined=()):
 
     def pair_recording(alpha, grid, p, tol):
         p = tuple(map(float, p))
-        result = None if p in declined else pair_ground(alpha, grid, p, tol)
+        result, blocks = (None, None) if p in declined else _pair_ground(alpha, grid, p, tol)
         if result is not None:
             calls.append((p, 1))
-        return result
+        return result, blocks
 
     monkeypatch.setattr(polaronlab.torus, "lowest_eigenpairs", recording)
-    monkeypatch.setattr(polaronlab.torus, "pair_ground", pair_recording)
+    monkeypatch.setattr(polaronlab.torus, "_pair_ground", pair_recording)
     if count is not None:
-        monkeypatch.setattr(polaronlab.torus, "pair_count_below", count)
+        monkeypatch.setattr(polaronlab.torus, "_pair_count",
+                            lambda alpha, grid, p, e, blocks: count(alpha, grid, p, e))
     report = degeneracy_analysis(model)
     monkeypatch.undo()
     if len(made) == 0:
@@ -421,7 +486,7 @@ def test_blocks_made_only_for_fallbacks(monkeypatch):
     # grid: the quick torus makes a block, and enumerates the one basis,
     # only for a fiber whose pair solve or count falls back
     def declining(alpha, grid, p, tol):
-        return None if tuple(p) == (-1.0, 0.0, 0.0) else pair_ground(alpha, grid, p, tol)
+        return (None, None) if tuple(p) == (-1.0, 0.0, 0.0) else _pair_ground(alpha, grid, p, tol)
 
     for fibers, solve, count, fallbacks in [
         (None, None, None, []),
@@ -432,9 +497,9 @@ def test_blocks_made_only_for_fallbacks(monkeypatch):
         model = assemble_torus(_quick_config(fibers=fibers))
         made, bases = _record_fibers(monkeypatch)
         if solve is not None:
-            monkeypatch.setattr(polaronlab.torus, "pair_ground", solve)
+            monkeypatch.setattr(polaronlab.torus, "_pair_ground", solve)
         if count is not None:
-            monkeypatch.setattr(polaronlab.torus, "pair_count_below", count)
+            monkeypatch.setattr(polaronlab.torus, "_pair_count", count)
         degeneracy_analysis(model, threads=2)
         monkeypatch.undo()
         assert [p for p, _ in made] == fallbacks
