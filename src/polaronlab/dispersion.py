@@ -8,14 +8,11 @@ minimum_check are read off its samples, and mass_momenta and
 check_minimum_samples state their sample rules so a caller can check them
 before solving.
 
-At N_max = 1 the fiber is an arrowhead matrix (the vacuum coupled to the
-one-phonon states), so dispersion_curve and cutoff_extrapolate solve its
-secular equation (Golub 1973) with a proven bracket instead of assembling it;
-at N_max = 2 they solve the (M + 1)-row Schur complement onto the vacuum and
-one-phonon blocks by Newton's method, again with a proven bracket
-(operators.pair_ground), and build no basis and no fiber.  LOBPCG runs only
-at N_max >= 3, at an N_max = 2 momentum the pair route declines, and in
-hvz_edge_check, which assembles its two fibers at every N_max.
+dispersion_curve and cutoff_extrapolate take each ground state from the
+certified route of operators._certified_ground, whose docstring says which
+route runs at which N_max, and run LOBPCG on a fiber of one FiberFamily only
+at a momentum that route leaves; hvz_edge_check assembles its two fibers at
+every N_max.
 """
 
 import math
@@ -27,7 +24,7 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError
 from .fock import enumerate_basis
 from .modes import CutoffSchedule, build_grid
-from .operators import FiberConfig, FiberFamily, _secular_ground, assemble_fiber, pair_ground
+from .operators import FiberConfig, FiberFamily, _certified_ground, assemble_fiber
 from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, ground_state
 
 DEFAULT_MASS_STEP = 0.1
@@ -112,13 +109,10 @@ def _ground(op, p, tol, seed):
 
 def _ground_states(alpha, grid, n_max, ps, tol, seed, threads=1):
     """Ground states at the momenta ps over one grid, mapped over `threads`:
-    the secular equation at N_max = 1, the pair route at N_max = 2, and
-    LOBPCG on fibers of one FiberFamily, built once, at N_max >= 3 and at
-    each momentum the pair route declines."""
-    if n_max == 1:
-        return _parallel_map(lambda p: _secular_ground(alpha, p, grid, tol), ps, threads)
-    results = (_parallel_map(lambda p: pair_ground(alpha, grid, p, tol), ps, threads)
-               if n_max == 2 else [None] * len(ps))
+    operators._certified_ground's where it gives one, and LOBPCG on fibers of
+    one FiberFamily, built once, at each momentum it leaves."""
+    results = _parallel_map(lambda p: _certified_ground(alpha, grid, n_max, p, tol)[0],
+                            ps, threads)
     rest = [i for i, r in enumerate(results) if r is None]
     if rest:
         family = FiberFamily(alpha, grid,

@@ -16,8 +16,8 @@ a row-wise .sum(axis=1); floating-point addition is not associative, so any
 other summation order moves the last bits of couplings and output bytes.
 
 Every integer lattice (the mode ball, the torus's fiber ball and its cube of
-kernel images) comes from _lattice_cube under one budget, GRID_CAPACITY, read
-at call time: a cube of at most max(8 GRID_CAPACITY, 1000) points, checked
+kernel images) is held to one budget, GRID_CAPACITY, read at call time: a
+cube of at most max(8 GRID_CAPACITY, 1000) points, checked by _lattice_axis
 before it is made, and a ball of at most GRID_CAPACITY points (CapacityError).
 """
 
@@ -178,12 +178,18 @@ def _ball_r2(delta: float, lam: float) -> int:
     return int((lam / delta) ** 2 + 1e-9)
 
 
-def _lattice_cube(r: int, what: str) -> np.ndarray:
-    """The integer points of [-r, r]^3 as a ((2r + 1)^3, 3) array, lexicographic,
-    under the lattice budget (module docstring); `what` names the lattice."""
+def _lattice_axis(r: int, what: str) -> np.ndarray:
+    """The integers -r, ..., r, once the cube [-r, r]^3 fits the lattice budget
+    (module docstring); `what` names the lattice."""
     if (2 * r + 1) ** 3 > max(8 * GRID_CAPACITY, 1000):
         raise CapacityError(f"{what} lattice span {2 * r + 1}^3 exceeds capacity {GRID_CAPACITY}")
-    ax = np.arange(-r, r + 1, dtype=np.int64)
+    return np.arange(-r, r + 1, dtype=np.int64)
+
+
+def _lattice_cube(r: int, what: str) -> np.ndarray:
+    """The integer points of [-r, r]^3 as a ((2r + 1)^3, 3) array, lexicographic,
+    under the lattice budget (_lattice_axis)."""
+    ax = _lattice_axis(r, what)
     gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij")
     return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 

@@ -32,12 +32,10 @@ the Neumann product ||B_0 B_1|| is sqrt(b0^T G b0).  N_max >= 3 keeps the
 raise-map route.
 The same kernel with R_ik = 1/(D_ik - e), D_ik the kinetic diagonal of {i, k},
 is the coupling term of the Schur complement onto blocks 0 and 1 that
-solve.count_below forms from a fiber's CSR, so pair_count_below counts the
-eigenvalues of an N_max = 2 fiber below e from the grid alone, and
-pair_ground solves its ground level, with a proven bracket, by Newton's
-method on the lowest eigenvalue of that (M + 1)-row complement.  Its start
-is the ground level of the N_max = 1 fiber, the arrowhead on the same two
-blocks, from the secular equation of _secular_ground.
+solve.count_below forms from a fiber's CSR, so _pair_count counts the
+eigenvalues of an N_max = 2 fiber below e from the grid alone.
+_certified_ground is the one place that says which ground route runs at
+which N_max, and how each is certified.
 The dense assemble_KT checks the dimension cap, solve.DENSE_CAP, and the
 pair routes decline above it (M + 1 > DENSE_CAP, read at call time); G is
 checked against the basis capacity, fock.BASIS_CAPACITY, before it is
@@ -46,7 +44,7 @@ allocated.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 import scipy.sparse
@@ -203,11 +201,12 @@ def _secular_ground(alpha, p, grid, tol=DEFAULT_TOL) -> SpectralResult:
     and convex there).  [E - w, E + w] holds the root once each side's sign
     exceeds the rounding bound c u (|E| + P^2 + alpha sum t_k), c =
     ceil(log2 M) + 8, or the side is at or above d_min; w doubles from
-    4 u max(1, |E|), and NumericalError once it would pass tol or on
-    non-finite input.  `iterations` counts evaluations of f; `residual` is
-    ||H x - E x|| / ||x||, x_0 = 1, x_k = -sqrt(alpha) g_k / (D_k - E), row by
-    row; `vector` is x / ||x|| in basis order (modes last to first).  With
-    alpha = 0 or no modes the fiber is diagonal: E = min(P^2, d_min) exactly.
+    4 u max(1, |E|) while the bracket is at most tol wide, and NumericalError
+    when none is proven within tol, or on non-finite input.  `iterations`
+    counts evaluations of f; `residual` is ||H x - E x|| / ||x||, x_0 = 1,
+    x_k = -sqrt(alpha) g_k / (D_k - E), row by row; `vector` is x / ||x|| in
+    basis order (modes last to first).  With alpha = 0 or no modes the fiber
+    is diagonal: E = min(P^2, d_min) exactly.
     """
     p = np.asarray(p, dtype=np.float64).reshape(3)
     g = grid.couplings
@@ -252,10 +251,10 @@ def _secular_ground(alpha, p, grid, tol=DEFAULT_TOL) -> SpectralResult:
         return sign * v > bound
 
     w = 4.0 * 2.0**-53 * max(1.0, abs(e))
-    while not (proven(e - w, -1.0) and (e + w >= d_min or proven(e + w, 1.0))):
+    while 2.0 * w <= tol and not (proven(e - w, -1.0) and (e + w >= d_min or proven(e + w, 1.0))):
         w *= 2.0
-        if not w <= tol:
-            raise NumericalError(f"no secular bracket within {tol} at P = {tuple(map(float, p))}")
+    if not 2.0 * w <= tol:
+        raise NumericalError(f"no secular bracket within {tol} at P = {tuple(map(float, p))}")
 
     sa = math.sqrt(alpha)
     x = -sa * g / (d - e)
@@ -327,24 +326,17 @@ def _pair_complement(x, s, d_top, level):
     return out, delta, r
 
 
-def pair_count_below(alpha: float, grid: ModeGrid, p, e: float):
-    """solve.count_below of the N_max = 2 fiber at p, from the grid alone.
-
-    The Schur complement onto blocks 0 and 1 (M + 1 rows, in the fiber's
-    state order) is X - e - [[0, 0], [0, G(R)]] with R_ik = 1/(D_ik - e)
-    (pair_gram, pair_diagonal), and X the fiber's leading block, bit for bit
-    (_pair_blocks).  The margin, min D_top and the two-shift agreement are
-    those of count_below (solve._certified_count), so the two routes return
-    the same count, or None to fall back.  ValueError on an empty grid (no
-    two-phonon block).
-    """
-    return _pair_count(alpha, grid, p, e)
-
-
 @_one_blas_thread()
 def _pair_count(alpha: float, grid: ModeGrid, p, e: float, blocks=None):
-    """pair_count_below, on `blocks`, the (X, s, D_top) of _pair_blocks at p,
-    where given (as _pair_ground returns them)."""
+    """solve.count_below of the N_max = 2 fiber at p, from the grid alone, on
+    `blocks`, the (X, s, D_top) of _pair_blocks at p, where given.
+
+    The Schur complement onto blocks 0 and 1 is X - e - [[0, 0], [0, G(R)]]
+    with R_ik = 1/(D_ik - e) (pair_gram, pair_diagonal), X bit for bit the
+    fiber's.  The margin, min D_top and the two-shift agreement are
+    count_below's (solve._certified_count), so the two routes return the
+    same count, or None to fall back.  ValueError on an empty grid.
+    """
     m = len(grid)
     if m == 0:
         raise ValueError("an empty grid has no two-phonon block")
@@ -357,23 +349,28 @@ def _pair_count(alpha: float, grid: ModeGrid, p, e: float, blocks=None):
                             e, m + 1, d_top.min())
 
 
-def pair_ground(alpha: float, grid: ModeGrid, p, tol: float = DEFAULT_TOL
-                ) -> Optional[SpectralResult]:
-    """Certified ground state of the N_max = 2 fiber at p, from the grid alone,
-    or None when the pair route declines (the caller then runs LOBPCG).
+@_one_blas_thread()
+def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = DEFAULT_TOL):
+    """(result, blocks): the certified ground state of the fiber at p under
+    truncation n_max, from the grid alone, or None for LOBPCG on a fiber.
+    The one place that picks a ground route by N_max:
+    - 1: the secular root (_secular_ground), which raises, never declines;
+    - 2: the pair route below, with the (X, s, D_top) of _pair_blocks it
+      solved on for _pair_count, or None where it made none;
+    - any other: (None, None), nothing solved.
 
-    With S(E) = X - E - [[0, 0], [0, G(1/(D_top - E))]] the Schur complement
-    onto blocks 0 and 1 (_pair_blocks, pair_count_below) and mu(E) its lowest
-    eigenvalue, the ground level E0 is the root of mu below min D_top
-    (Haynsworth).  There S(E) is concave in E with derivative -1 - C'(E),
-    C'(E) = [[0, 0], [0, G(1/(D_top - E)^2)]] >= 0, so mu is concave and
-    falls with slope at most -1, and Newton's method from the right,
-    E <- E + mu(E) / (1 + v^T C'(E) v) with v the unit eigenvector of mu (one
-    eigh of S(E) per step), decreases monotonically to E0.  It starts at the
-    upper end of the N_max = 1 bracket (_secular_ground), the lowest
-    eigenvalue of X, hence at or above E0, and stops when a step no longer
-    decreases E or, taken, falls within the margin delta below (the next step
-    would be of the order of its square).
+    The pair route: with S(E) = X - E - [[0, 0], [0, G(1/(D_top - E))]] the
+    Schur complement onto blocks 0 and 1 (_pair_blocks, _pair_count) and
+    mu(E) its lowest eigenvalue, the ground level E0 is the root of mu below
+    min D_top (Haynsworth).  There S(E) is concave in E with derivative
+    -1 - C'(E), C'(E) = [[0, 0], [0, G(1/(D_top - E)^2)]] >= 0, so mu is
+    concave and falls with slope at most -1, and Newton's method from the
+    right, E <- E + mu(E) / (1 + v^T C'(E) v) with v the unit eigenvector of
+    mu (one eigh of S(E) per step), decreases monotonically to E0.  It starts
+    at the upper end of the N_max = 1 bracket, the lowest eigenvalue of X,
+    hence at or above E0, and stops when a step no longer decreases E or,
+    taken, falls within the margin delta below (the next step would be of the
+    order of its square).
     [E - w, E + w] holds E0 once a Cholesky of S(E - w) - delta I succeeds
     (no level at or below E - w) and v^T S(E + w) v < -delta, or E + w
     reaches min D_top (a level below E + w); delta is the count's rounding
@@ -384,17 +381,14 @@ def pair_ground(alpha: float, grid: ModeGrid, p, tol: float = DEFAULT_TOL
     the fiber residual of y; `vector` is y / ||y|| on blocks 0 and 1 only, in
     fiber order, vacuum entry >= 0; `iterations` counts the Newton steps.
     With alpha = 0 or an empty grid the N_max = 1 result is exact and is
-    returned.  None when that start is not below min D_top, when M + 1
-    exceeds solve.DENSE_CAP (read at call time), or when no bracket within
-    tol is proven.
+    returned.  The route declines when that start is not below min D_top,
+    when M + 1 exceeds solve.DENSE_CAP (read at call time), or when no
+    bracket within tol is proven.
     """
-    return _pair_ground(alpha, grid, p, tol)[0]
-
-
-@_one_blas_thread()
-def _pair_ground(alpha: float, grid: ModeGrid, p, tol: float):
-    """(pair_ground, the blocks (X, s, D_top) of _pair_blocks it solved on),
-    the blocks None where it made none; _pair_count counts on them."""
+    if n_max == 1:
+        return _secular_ground(alpha, p, grid, tol), None
+    if n_max != 2:
+        return None, None
     p = np.asarray(p, dtype=np.float64).reshape(3)
     start = _secular_ground(alpha, p, grid, tol)
     m = len(grid)

@@ -1,12 +1,9 @@
 """Lowest eigenpairs of sparse symmetric operators, plus dense oracles.
 
 dispersion_curve, cutoff_extrapolate and the torus degeneracy analysis send
-fibers here only at N_max >= 3: at N_max = 1 they solve the arrowhead's
-secular equation and at N_max = 2 the (M + 1)-row Schur complement onto
-blocks 0 and 1 (operators.pair_ground), both with a proven bracket
-(SpectralResult.bracket), and LOBPCG runs at N_max = 2 only for a momentum
-the pair route declines.  hvz_edge_check assembles its two fibers and sends
-them here at every N_max, N_max = 1 included.
+a fiber here only where operators._certified_ground, which says which
+certified route runs at which N_max, gives no ground state.  hvz_edge_check
+assembles its two fibers and sends them here at every N_max.
 
 The iterative route is single-vector LOBPCG (Knyazev 2001) preconditioned by
 the inverse shifted diagonal, for a fiber at P = 0 exactly h0^{-1} with
@@ -51,10 +48,10 @@ size of the leading blocks, read off an LDL^T factorization, and it is
 returned only when certified against the factorization's rounding.  Its
 blocks are sliced straight from the operator's symmetric CSR, op.csr, and
 the LDL^T is LAPACK's dsytrf, called directly.  At N_max = 2,
-operators.pair_count_below forms the same complement in closed form from the
+operators._pair_count forms the same complement in closed form from the
 grid; both routes share the margin and the two-shift agreement of
-_certified_count, and operators.pair_ground brackets its ground level with
-the same margin (_schur_margin).
+_certified_count, and the pair route of operators._certified_ground
+brackets its ground level with the same margin (_schur_margin).
 
 Threading model: the only parallelism is the pool of _parallel_map (the
 `threads` setting).  BLAS and LAPACK run on one thread inside the public
@@ -105,7 +102,7 @@ class SpectralResult:
     pair routes of operators, the evaluations of f and the Newton steps).
     `bracket`, where the route proves one, is an interval (lower, upper)
     holding the eigenvalue.  `vector` is the unit eigenvector in basis order,
-    except on the N_max = 2 pair route (operators.pair_ground), where it
+    except on the N_max = 2 pair route (operators._certified_ground), where it
     holds only that vector's blocks 0 and 1, the vacuum and the M one-phonon
     states in fiber order.
     """
@@ -522,8 +519,8 @@ def _negative_inertia(s: np.ndarray) -> int:
     return int((diag[single] < 0).sum() + (mid - rad < 0).sum() + (mid + rad < 0).sum())
 
 
-# _positive_definite and _dense_lowest serve operators.pair_ground from here,
-# so operators imports no scipy.linalg: imported there, ahead of
+# _positive_definite and _dense_lowest serve the pair route of operators from
+# here, so operators imports no scipy.linalg: imported there, ahead of
 # scipy.sparse, it made about a third of process start-ups some 40 ms slower
 # with the OpenBLAS threads unpinned.  Both run LAPACK through the capsule
 # bindings above, without the GIL, so the pair solves of the pool threads
@@ -611,8 +608,8 @@ def count_below(op, e: float, split: int):
     _certified_count: None when e >= min D_top, when split exceeds
     DENSE_CAP, or when the counts at e -+ delta differ.  ValueError if the
     trailing block is not diagonal.  X, B and D_top are sliced from op.csr.
-    At N_max = 2, operators.pair_count_below gives the same count from the
-    grid alone, without a fiber.
+    At N_max = 2, operators._pair_count gives the same count from the grid
+    alone, without a fiber.
     """
     n = op.dimension
     if not 0 <= split < n:

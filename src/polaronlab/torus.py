@@ -13,10 +13,10 @@ analysis solves the ground level of every block first and then, on the
 blocks inside the minimum window only, counts the eigenvalues in the window
 exactly by the inertia of a Schur complement on the top phonon block; a
 block whose count is not certified gets its two lowest levels solved
-instead.  At N_max = 2 both the ground level (operators.pair_ground) and the
-count (operators.pair_count_below) come from the (M + 1)-row complement on
-blocks 0 and 1 in closed form from the grid, so no block is made; LOBPCG
-runs only at other N_max and where the pair route declines.
+instead.  The ground levels come from operators._certified_ground, which
+says which route runs at which N_max, and LOBPCG only where it declines; at
+N_max = 2 the count (operators._pair_count) also comes from the grid, so
+no block is made.
 
 The lattice scan is closed under the octahedral group O_h (the 48 signed
 axis permutations R), and so are the grids build_grid makes, couplings
@@ -28,12 +28,11 @@ the others, each copy certified by an exact check on the grid (_orbit_sources).
 periodized_yukawa sums the massive kernel over lattice images; its shell
 convergence is the quantitative input for the fixed-point comparison.
 
-The fiber ball and the image cube are integer lattices of modes._lattice_cube
-under its lattice budget (modes.GRID_CAPACITY), checked before the lattice
-is made.  Nothing caps fibers x dimension: the model keeps at most one
-family, and degeneracy_analysis holds at most `threads` blocks at a time,
-plus, at N_max = 2, the pair blocks of the solved fibers that can still be
-in the minimum window.
+The fiber ball and the image box are held to the lattice budget
+(modes.GRID_CAPACITY) before they are made.  Nothing caps fibers x
+dimension: the model keeps at most one family, and degeneracy_analysis
+holds at most `threads` blocks at a time, plus, at N_max = 2, the pair
+blocks of the solved fibers that can still be in the minimum window.
 """
 
 import itertools
@@ -47,8 +46,8 @@ import numpy as np
 
 from .errors import CapacityError, ConvergenceError
 from .fock import BasisIndex, basis_dimension, enumerate_basis
-from .modes import ModeGrid, _axis_map, _lattice_ball, _lattice_cube, _norm2, build_grid
-from .operators import FiberFamily, _pair_count, _pair_ground
+from .modes import ModeGrid, _axis_map, _lattice_axis, _lattice_ball, build_grid
+from .operators import FiberFamily, _certified_ground, _pair_count
 from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, count_below, lowest_eigenpairs
 
 DEFAULT_DEGENERACY_TOL = 1e-7
@@ -217,17 +216,16 @@ def degeneracy_analysis(
     orbit of the lattice scan and copies it to the orbit's other blocks, each
     copy certified by the exact grid check of _orbit_sources (a block that
     fails it, and every block of an explicit fiber list, is solved itself).
-    At N_max = 2 the solve is operators.pair_ground, from (alpha, grid, P)
-    alone and with a proven bracket; a block it declines, and every block at
-    other N_max, gets LOBPCG on family.fiber(p).
+    The solve is the certified route of operators._certified_ground, from
+    (alpha, grid, P) alone; a block it leaves gets LOBPCG on family.fiber(p).
     Phase 2 visits only the blocks, copied or not, whose phase-1 energy lies
     within degeneracy_tol + tol of the smallest, `ground` (the extra tol
     covers the spread between two solves of one level), and counts their
     eigenvalues below ground + degeneracy_tol exactly, by the inertia of a
     Schur complement on the top phonon block, over the pool; these blocks
     keep their phase-1 energy.  At N_max = 2 the count comes from (alpha,
-    grid, P) alone, as operators.pair_count_below gives it, whose complement
-    on blocks 0 and 1 is closed form, so no block is made for it; a block
+    grid, P) alone, as operators._pair_count gives it, whose complement on
+    blocks 0 and 1 is closed form, so no block is made for it; a block
     pair-solved in phase 1 is counted on the pair blocks (X, s, D_top) of
     its solve, which phase 1 keeps only while the block's energy lies within
     degeneracy_tol + tol of the lowest so far, so they are built once.  At
@@ -239,18 +237,16 @@ def degeneracy_analysis(
     level in the window.  The multiplicity is the total count, so a simple
     global minimum reads 1 and a degenerate one at least 2.
     Blocks are made from model.family as they are solved or counted and
-    dropped after, and the family is built once, before the first pool that
-    needs it: at N_max = 2 only for a block that falls back, so a run where
-    nothing falls back enumerates no basis.
+    dropped after; the family is built once, in the calling thread, before
+    the first pool that needs it: at N_max = 2 only for a block that falls
+    back, so a run where nothing falls back enumerates no basis.
     """
     cfg, fibers = model.config, model.fibers
     tol_deg = cfg.degeneracy_tol
 
     def levels(idx, k):
         """The k lowest levels of each block in idx by LOBPCG, over the pool."""
-        if not idx:
-            return []
-        family = model.family
+        family = model.family if idx else None
 
         def solve(i):
             block = family.fiber(fibers[i])
@@ -262,9 +258,9 @@ def degeneracy_analysis(
     lowest = math.inf  # the lowest pair-solved energy so far, at or above ground
     lock = threading.Lock()
 
-    def pair_level(i):
+    def ground_level(i):
         nonlocal lowest
-        r, blocks = _pair_ground(cfg.alpha, model.grid, fibers[i], tol)
+        r, blocks = _certified_ground(cfg.alpha, model.grid, cfg.n_max, fibers[i], tol)
         if r is None:
             return None
         if blocks is not None:
@@ -275,17 +271,15 @@ def degeneracy_analysis(
                     del kept[j]
         return [r.energy]
 
-    def count(i, e):
+    def count(i):
         if cfg.n_max == 2:
-            return _pair_count(cfg.alpha, model.grid, fibers[i], e, window.pop(i, None))
-        split = model.basis.block_offset(cfg.n_max)
-        return count_below(model.family.fiber(fibers[i]), e, split)
+            return _pair_count(cfg.alpha, model.grid, fibers[i], ground + tol_deg,
+                               window.pop(i, None))
+        return count_below(family.fiber(fibers[i]), ground + tol_deg, split)
 
     sources = [rep for rep, _ in _orbit_sources(model)]
     solved = sorted(set(sources))
-    ground_levels = dict.fromkeys(solved)
-    if cfg.n_max == 2:
-        ground_levels.update(zip(solved, _parallel_map(pair_level, solved, threads)))
+    ground_levels = dict(zip(solved, _parallel_map(ground_level, solved, threads)))
     declined = [i for i in solved if ground_levels[i] is None]
     ground_levels.update(zip(declined, levels(declined, 1)))
     per_fiber = [ground_levels[rep] for rep in sources]
@@ -295,8 +289,9 @@ def degeneracy_analysis(
         near = [i for i, es in enumerate(per_fiber) if es[0] <= ground + tol_deg + tol]
         window = {i: kept[i][1] for i in near if i in kept}
         kept.clear()
-        for i, n_below in zip(near, _parallel_map(lambda i: count(i, ground + tol_deg),
-                                                  near, threads)):
+        if cfg.n_max != 2:  # built here, before the pool, so its threads share one family
+            family, split = model.family, model.basis.block_offset(cfg.n_max)
+        for i, n_below in zip(near, _parallel_map(count, near, threads)):
             counts[i] = n_below
         fallback = [i for i in near if counts[i] is None]
         for i, es in zip(fallback, levels(fallback, 2)):
@@ -343,6 +338,7 @@ def periodized_yukawa(
     an infinity.  image_cut bounds the image box |n|_inf <= image_cut, whose
     (2 image_cut + 1)^3 images are held under the lattice budget
     (CapacityError above image_cut = 99 at the default modes.GRID_CAPACITY).
+    The terms are made one x-slab of images at a time, then summed by one np.sum.
     """
     if ell <= 0:
         raise ValueError("ell must be positive")
@@ -351,12 +347,15 @@ def periodized_yukawa(
     if image_cut < 1:
         raise ValueError("image_cut must be at least 1")
     diff = np.asarray(x, dtype=np.float64).reshape(3) - np.asarray(xp, dtype=np.float64).reshape(3)
-    images = _lattice_cube(image_cut, "image")
-    pts = diff[None, :] - ell * images
-    r = np.sqrt(_norm2(pts))
-    if float(r.min()) < 1e-12 * max(1.0, ell):
+    x2, y2, z2 = np.square(diff[:, None] - ell * _lattice_axis(image_cut, "image"))
+    # rounding is monotone, so this is the smallest r over every image, bitwise
+    if math.sqrt(x2.min() + y2.min() + z2.min()) < 1e-12 * max(1.0, ell):
         raise ValueError("kernel evaluated at (an image of) the singularity x = xp")
-    return float(np.sum(np.exp(-mass * r) / (4.0 * math.pi * r)))
+    terms = np.empty((x2.size, x2.size * x2.size))
+    for x2_slab, out in zip(x2, terms):  # r^2 summed in the order of modes._norm2
+        r = np.sqrt((x2_slab + y2)[:, None] + z2[None, :]).ravel()
+        out[:] = np.exp(-mass * r) / (4.0 * math.pi * r)
+    return float(np.sum(terms.ravel()))
 
 
 def yukawa_converged(

@@ -400,10 +400,9 @@ def test_dispersion_repeated_momentum_exits_3_before_any_solve(tmp_path, capsys,
 
 
 def _count_dispersion_work(monkeypatch):
-    """Count the grids, fiber families, eigensolves, secular solves and pair
-    solves of the dispersion module."""
-    calls = dict.fromkeys(("build_grid", "FiberFamily", "ground_state", "_secular_ground",
-                           "pair_ground"), 0)
+    """Count the grids, fiber families, eigensolves and certified-route solves
+    of the dispersion module."""
+    calls = dict.fromkeys(("build_grid", "FiberFamily", "ground_state", "_certified_ground"), 0)
 
     def counting(name):
         fn = getattr(polaronlab.dispersion, name)
@@ -419,9 +418,9 @@ def _count_dispersion_work(monkeypatch):
 
 
 @pytest.mark.parametrize("config, expected, rows", [
-    ("", (1, 0, 0, 0, 7), 5),  # p_values 0, 0.5, 1, 1.5, 2 and the mass momenta 0, +-0.1
-    ("nmax = 1\n", (1, 0, 0, 7, 0), 5),
-    ("nmax = 1\np_values = 1,0.1,0,-0.1\n", (1, 0, 0, 4, 0), 4),  # mass momenta solved once
+    ("", (1, 0, 0, 7), 5),  # p_values 0, 0.5, 1, 1.5, 2 and the mass momenta 0, +-0.1
+    ("nmax = 1\n", (1, 0, 0, 7), 5),
+    ("nmax = 1\np_values = 1,0.1,0,-0.1\n", (1, 0, 0, 4), 4),  # mass momenta solved once
 ])
 def test_dispersion_solves_one_curve(tmp_path, monkeypatch, config, expected, rows):
     calls = _count_dispersion_work(monkeypatch)

@@ -31,7 +31,7 @@ from polaronlab import (
     mass_momenta,
     minimum_check,
 )
-from polaronlab.dispersion import _secular_ground
+from polaronlab.operators import _secular_ground
 
 # alpha = 0.5, N_max = 1, delta = 0.5 ground energy extrapolated over
 # Lambda in {4,...,16}; frozen from a threaded run of this pipeline.
@@ -344,7 +344,7 @@ def test_extrapolation_rejects_energy_increase(monkeypatch):
     # corrupted solves must abort the fit, not feed it; at N_max = 1 the
     # energies come from the secular equation
     fake = _rising_energies()
-    monkeypatch.setattr("polaronlab.dispersion._secular_ground", fake)
+    monkeypatch.setattr("polaronlab.operators._secular_ground", fake)
     with pytest.raises(NumericalError):
         cutoff_extrapolate(
             0.0, CutoffSchedule(lambdas=(3.0, 4.0, 5.0), delta=1.0, n_max=1)
@@ -472,6 +472,20 @@ def test_secular_rejects_non_finite_input(poison):
         p[1] = np.inf
     with pytest.raises(NumericalError, match="non-finite"):
         _secular_ground(0.5, p, grid)
+
+
+def test_secular_bracket_respects_tol():
+    # the first bracket, 4 u max(1, |E|) either side of E, is already wider
+    # than 1e-17
+    with pytest.raises(NumericalError, match="no secular bracket within 1e-17"):
+        _secular_ground(1.0, np.zeros(3), build_grid(1.0, 2.0), tol=1e-17)
+
+
+def test_n_max_0_curve_is_the_free_vacuum():
+    # one state per fiber, the vacuum at P^2: N_max = 0 goes to LOBPCG, and
+    # no N_max = 1 root stands in for it
+    curve = dispersion_curve(1.0, [(0, 0, 0), (0, 0, 0.5), (0, 0, 1.5)], 1.0, 2.0, 0)
+    assert [s.energy for s in curve.samples] == [0.0, 0.25, 2.25]
 
 
 def test_n_max_1_pipelines_assemble_nothing(monkeypatch):

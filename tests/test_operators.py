@@ -444,7 +444,7 @@ def test_pair_ground_bracket_holds_the_dense_ground(p):
     basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
     op = assemble_fiber(FiberConfig(alpha=1.0, p=np.array(p), grid=grid, n_max=2), basis)
     dense = dense_spectrum(op, k=1)[0]
-    r = operators.pair_ground(1.0, grid, p)
+    r = operators._certified_ground(1.0, grid, 2, p)[0]
     lo, hi = r.bracket
     assert lo <= dense <= hi and lo < r.energy < hi
     assert hi - lo <= solve.DEFAULT_TOL
@@ -466,7 +466,7 @@ def test_pair_ground_matches_lobpcg_on_the_desk_grid():
     grid = build_grid(0.75, 3.0)
     family = FiberFamily(1.0, grid, enumerate_basis(len(grid), 2, grid.units, grid.spacing))
     for p in PAIR_MOMENTA:
-        r = operators.pair_ground(1.0, grid, p)
+        r = operators._certified_ground(1.0, grid, 2, p)[0]
         e = solve.ground_state(family.fiber(p)).energy
         assert abs(r.energy - e) <= 1e-12
         assert r.bracket[0] <= e <= r.bracket[1]
@@ -479,11 +479,11 @@ def test_pair_ground_decoupled_and_empty_grid_are_exact():
     for p in ((0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.0, 2.5)):
         cfg = FiberConfig(alpha=0.0, p=np.array(p), grid=grid, n_max=2)
         e = float(kinetic_diagonal(cfg, basis).min())
-        r = operators.pair_ground(0.0, grid, p)
+        r = operators._certified_ground(0.0, grid, 2, p)[0]
         assert (r.energy, r.bracket, r.residual, r.iterations) == (e, (e, e), 0.0, 0)
         assert r.vector.size == basis.block_offset(2) and r.vector.max() == 1.0
     # no modes: the vacuum alone, at P^2
-    r = operators.pair_ground(1.0, build_grid(1.0, 0.5), (0.0, 0.0, 0.5))
+    r = operators._certified_ground(1.0, build_grid(1.0, 0.5), 2, (0.0, 0.0, 0.5))[0]
     assert r.energy == 0.25 and r.vector.tolist() == [1.0]
 
 
@@ -499,7 +499,7 @@ def test_pair_ground_proves_no_bracket_around_a_wrong_root(monkeypatch, error):
         return mu + error, v
 
     monkeypatch.setattr(operators, "_dense_lowest", off)
-    assert operators.pair_ground(1.0, build_grid(1.0, 2.0), (0.0, 0.0, 1.0)) is None
+    assert operators._certified_ground(1.0, build_grid(1.0, 2.0), 2, (0.0, 0.0, 1.0))[0] is None
 
 
 def test_pair_ground_declines(monkeypatch):
@@ -507,13 +507,35 @@ def test_pair_ground_declines(monkeypatch):
     # at P = 4 e_z the diagonal minimum is the two-phonon state 2 e_z + 2 e_z,
     # at 2, below the N_max = 1 start near 5: with or without coupling
     for alpha in (0.0, 1.0):
-        assert operators.pair_ground(alpha, grid, (0.0, 0.0, 4.0)) is None
+        assert operators._certified_ground(alpha, grid, 2, (0.0, 0.0, 4.0))[0] is None
     # no bracket within a tol below the rounding margin
-    assert operators.pair_ground(1.0, grid, (0.0, 0.0, 0.0), tol=1e-14) is None
-    r = operators.pair_ground(1.0, grid, (0.0, 0.0, 0.0), tol=1e-11)
+    assert operators._certified_ground(1.0, grid, 2, (0.0, 0.0, 0.0), tol=1e-14)[0] is None
+    r = operators._certified_ground(1.0, grid, 2, (0.0, 0.0, 0.0), tol=1e-11)[0]
     assert r.bracket[1] - r.bracket[0] <= 1e-11
     monkeypatch.setattr(solve, "DENSE_CAP", len(grid))
-    assert operators.pair_ground(1.0, grid, (0.0, 0.0, 0.0)) is None
+    assert operators._certified_ground(1.0, grid, 2, (0.0, 0.0, 0.0))[0] is None
+
+
+def test_route_solves_nothing_outside_n_max_1_and_2(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the route solved a secular equation")
+
+    monkeypatch.setattr(operators, "_secular_ground", forbidden)
+    grid = build_grid(1.0, 2.0)
+    for n_max in (0, 3):
+        assert operators._certified_ground(1.0, grid, n_max, (0.0, 0.0, 0.5)) == (None, None)
+
+
+def test_pair_count_declines_above_the_dense_cap_and_rejects_an_empty_grid(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pair blocks built above the dense cap")
+
+    grid = build_grid(1.0, 2.0)
+    monkeypatch.setattr(operators, "_pair_blocks", forbidden)
+    monkeypatch.setattr(solve, "DENSE_CAP", len(grid))
+    assert operators._pair_count(1.0, grid, np.zeros(3), 0.0) is None
+    with pytest.raises(ValueError, match="empty grid"):
+        operators._pair_count(1.0, build_grid(1.0, 0.5), np.zeros(3), 0.0)
 
 
 def test_norms_at_nonzero_momentum_match_dense():

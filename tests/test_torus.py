@@ -3,6 +3,7 @@
 import gc
 import math
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -28,7 +29,7 @@ from polaronlab import (
     periodized_yukawa,
     yukawa_converged,
 )
-from polaronlab.operators import _pair_ground, pair_count_below
+from polaronlab.operators import _certified_ground, _pair_count
 from polaronlab.solve import count_below
 from polaronlab.torus import _orbit_sources
 from naive_ref import conjugate_csr, state_map
@@ -146,7 +147,7 @@ def test_assemble_torus_has_no_fibers_times_dimension_cap(monkeypatch):
         raise AssertionError("assemble_torus solved a block")
 
     monkeypatch.setattr(polaronlab.torus, "FiberFamily", counted)
-    for name in ("lowest_eigenpairs", "count_below", "_pair_count", "_pair_ground"):
+    for name in ("lowest_eigenpairs", "count_below", "_pair_count", "_certified_ground"):
         monkeypatch.setattr(polaronlab.torus, name, forbidden)
     model = assemble_torus(_quick_config(fiber_cutoff=13.0))
     assert model.fibers.shape == (9171, 3)
@@ -230,6 +231,30 @@ def test_n_max_2_report_depends_on_neither_seed_nor_threads():
     assert "basis" not in vars(model)
 
 
+def test_n_max_0_torus_is_the_free_vacuum():
+    fibers = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.0, -0.5), (0.0, 0.0, 1.5),
+              (0.0, 0.0, -1.5))
+    rep = degeneracy_analysis(assemble_torus(_quick_config(n_max=0, fibers=fibers)))
+    assert sorted(e for _, e in rep.fiber_energies) == [0.0, 0.25, 0.25, 2.25, 2.25]
+    assert rep.argmin == ((0.0, 0.0, 0.0),) and rep.multiplicity == 1
+
+
+def test_n_max_1_family_is_built_once_on_the_calling_thread(monkeypatch):
+    # the secular root needs no family, the window count does: the count's
+    # pool threads must find it built
+    built = []
+    family = polaronlab.torus.FiberFamily
+
+    def recording(*args):
+        built.append(threading.current_thread())
+        return family(*args)
+
+    monkeypatch.setattr(polaronlab.torus, "FiberFamily", recording)
+    model = assemble_torus(_quick_config(n_max=1, fibers=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))))
+    assert degeneracy_analysis(model, threads=2).multiplicity == 2
+    assert built == [threading.current_thread()]
+
+
 @pytest.mark.parametrize("config, builds, multiplicity", [
     # the desk torus: two orbits solved, the window fiber P = 0 counted on
     # the blocks of its solve
@@ -268,16 +293,16 @@ def test_pair_blocks_outside_the_window_are_dropped(monkeypatch):
     # the one before, and only the window fiber P = 0 keeps its own to the
     # count
     model = assemble_torus(_quick_config(delta=0.75, cutoff=3.0, fiber_cutoff=2.0))
-    pair_ground, pair_count = polaronlab.torus._pair_ground, polaronlab.torus._pair_count
+    ground, pair_count = polaronlab.torus._certified_ground, polaronlab.torus._pair_count
     blocks_made, alive = [], []
 
     def held():
         gc.collect()
         return sum(ref() is not None for ref in blocks_made)
 
-    def tracked(alpha, grid, p, tol):
+    def tracked(alpha, grid, n_max, p, tol):
         alive.append(held())
-        result, blocks = pair_ground(alpha, grid, p, tol)
+        result, blocks = ground(alpha, grid, n_max, p, tol)
         blocks_made.append(weakref.ref(blocks[2]))
         return result, blocks
 
@@ -285,7 +310,7 @@ def test_pair_blocks_outside_the_window_are_dropped(monkeypatch):
         alive.append(held())
         return pair_count(alpha, grid, p, e, blocks)
 
-    monkeypatch.setattr(polaronlab.torus, "_pair_ground", tracked)
+    monkeypatch.setattr(polaronlab.torus, "_certified_ground", tracked)
     monkeypatch.setattr(polaronlab.torus, "_pair_count", counting)
     rep = degeneracy_analysis(model, threads=1)
     assert rep.argmin == ((0.0, 0.0, 0.0),)
@@ -314,10 +339,11 @@ def _record_fibers(monkeypatch):
 def _requested_levels(monkeypatch, model, count=None, declined=()):
     """Run degeneracy_analysis and return its report and the k asked per fiber.
 
-    A ground level the N_max = 2 pair route solves counts as k = 1, as a
-    LOBPCG solve does.  `count(alpha, grid, p, e)`, when given, replaces the
-    N_max = 2 Schur-complement count; the pair route declines the momenta in
-    `declined`.  A run that sends no block to LOBPCG enumerates no basis.
+    A ground level the certified route (_certified_ground) solves counts as
+    k = 1, as a LOBPCG solve does.  `count(alpha, grid, p, e)`, when given,
+    replaces the N_max = 2 Schur-complement count; the route declines the
+    momenta in `declined`.  A run that sends no block to LOBPCG enumerates
+    no basis.
     """
     calls = []
     made, bases = _record_fibers(monkeypatch)
@@ -326,15 +352,16 @@ def _requested_levels(monkeypatch, model, count=None, declined=()):
         calls.append((next(p for p, b in made if b is op), k))
         return lowest_eigenpairs(op, k=k, **kw)
 
-    def pair_recording(alpha, grid, p, tol):
+    def route_recording(alpha, grid, n_max, p, tol):
         p = tuple(map(float, p))
-        result, blocks = (None, None) if p in declined else _pair_ground(alpha, grid, p, tol)
+        result, blocks = ((None, None) if p in declined
+                          else _certified_ground(alpha, grid, n_max, p, tol))
         if result is not None:
             calls.append((p, 1))
         return result, blocks
 
     monkeypatch.setattr(polaronlab.torus, "lowest_eigenpairs", recording)
-    monkeypatch.setattr(polaronlab.torus, "_pair_ground", pair_recording)
+    monkeypatch.setattr(polaronlab.torus, "_certified_ground", route_recording)
     if count is not None:
         monkeypatch.setattr(polaronlab.torus, "_pair_count",
                             lambda alpha, grid, p, e, blocks: count(alpha, grid, p, e))
@@ -485,8 +512,9 @@ def test_blocks_made_only_for_fallbacks(monkeypatch):
     # at N_max = 2 the ground levels and the window count come from the
     # grid: the quick torus makes a block, and enumerates the one basis,
     # only for a fiber whose pair solve or count falls back
-    def declining(alpha, grid, p, tol):
-        return (None, None) if tuple(p) == (-1.0, 0.0, 0.0) else _pair_ground(alpha, grid, p, tol)
+    def declining(alpha, grid, n_max, p, tol):
+        return ((None, None) if tuple(p) == (-1.0, 0.0, 0.0)
+                else _certified_ground(alpha, grid, n_max, p, tol))
 
     for fibers, solve, count, fallbacks in [
         (None, None, None, []),
@@ -497,7 +525,7 @@ def test_blocks_made_only_for_fallbacks(monkeypatch):
         model = assemble_torus(_quick_config(fibers=fibers))
         made, bases = _record_fibers(monkeypatch)
         if solve is not None:
-            monkeypatch.setattr(polaronlab.torus, "_pair_ground", solve)
+            monkeypatch.setattr(polaronlab.torus, "_certified_ground", solve)
         if count is not None:
             monkeypatch.setattr(polaronlab.torus, "_pair_count", count)
         degeneracy_analysis(model, threads=2)
@@ -533,7 +561,7 @@ def test_pair_count_matches_count_below(delta, cutoff):
         probes += [e + d for e in (e0, e1) for d in (-1e-11, -1e-12, 1e-12, 1e-11)]
         for e in probes:
             want = count_below(block, e, split)
-            assert pair_count_below(1.0, model.grid, p, e) == want, (p, e)
+            assert _pair_count(1.0, model.grid, p, e) == want, (p, e)
             certified += want is not None
     assert certified >= 5 * len(model.fibers)
 
@@ -549,7 +577,7 @@ def test_count_certifies_desk_ground_and_doublet():
     # the count above the second level includes the ground state: 1 -> 3
     # makes lambda_2 an octahedral doublet
     assert [count_below(block, e, split) for e in (lam2 - 1e-8, lam2 + 1e-8)] == [1, 3]
-    assert [pair_count_below(1.0, model.grid, np.zeros(3), e)
+    assert [_pair_count(1.0, model.grid, np.zeros(3), e)
             for e in (e0 - 1e-8, e0 + 1e-8, lam2 - 1e-8, lam2 + 1e-8)] == [0, 1, 1, 3]
 
 
