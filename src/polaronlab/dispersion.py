@@ -222,6 +222,8 @@ def far_momentum(p_far, cutoff: float) -> np.ndarray:
     so the free dispersion has already flattened, and a cutoff at least |P_far|
     so the grid can deposit a phonon near P_far."""
     p_far = np.asarray(p_far, dtype=np.float64).reshape(3)
+    if not np.isfinite(p_far).all():
+        raise ValueError(f"P_far = {tuple(map(float, p_far))} must be finite")
     pf_norm = float(np.linalg.norm(p_far))
     if pf_norm < 2.0:
         raise ValueError(f"|P_far| = {pf_norm} too small; the edge check needs |P_far| >= 2")

@@ -17,8 +17,11 @@ Phonon momenta are tracked as integer lattice vectors (mode momenta are exact
 multiples of the grid spacing) and converted to physical units by a single
 multiplication, so momentum additivity holds exactly at the integer level.
 
-A basis holds at most BASIS_CAPACITY states, read at call time and checked on
-the closed-form dimension before any block is enumerated (CapacityError).
+Block sizes and offsets are closed form (stars and bars), and a block's
+tuples are enumerated only when first read, so a basis that is only sized or
+validated costs nothing.  A basis holds at most BASIS_CAPACITY states, read
+at call time and checked on the closed-form dimension before anything is
+allocated (CapacityError).
 """
 
 from __future__ import annotations
@@ -64,11 +67,16 @@ def _ascending_tuples(m_modes: int, n: int) -> np.ndarray:
 
 
 class BasisIndex:
-    """Complete truncated basis: per-block mode tuples, block offsets, dimension.
+    """Complete truncated basis: block sizes and offsets, per-block mode tuples.
 
-    Immutable after construction; safe for concurrent reads.  Per-block mode
-    tuples are stored as integer arrays in state order; raise_map ranks the
-    raised tuples by the prefix rule of the module docstring.
+    Sizes, offsets and the dimension are closed form.  Each block's tuples
+    (integer arrays in state order), its P_f units and the raise maps are
+    computed on first read and cached; raise_map ranks the raised tuples by
+    the prefix rule of the module docstring.  The caches are filled without
+    a lock: FiberFamily reads every table on the calling thread before any
+    fiber is made from a pool, so they are full before threads read them,
+    and threads racing on an empty cache would only build the same table
+    twice and keep one.
     """
 
     def __init__(
@@ -95,26 +103,34 @@ class BasisIndex:
             if mode_units.shape != (m_modes, 3):
                 raise ValueError("mode_units must have shape (M, 3)")
         self.mode_units = mode_units
-        # block n stored in state order: reverse of lexicographic multiset order
-        self._blocks = [
-            _ascending_tuples(m_modes, n)[::-1].copy() for n in range(n_max + 1)
-        ]
-        offs = np.cumsum([0] + [len(b) for b in self._blocks])
-        self._offsets = offs
+        self._block_cache: dict = {}
         self._pf_cache: dict = {}
         self._raise_cache: dict = {}
 
     # -- block access used by assembly ------------------------------------
 
+    def _check_block(self, n: int, top: int) -> None:
+        if not 0 <= n <= top:
+            raise IndexError(f"block n = {n} outside 0..{top} (N_max = {self.n_max})")
+
     def block(self, n: int) -> np.ndarray:
-        """(count, n) array of ascending mode tuples, rows in state order."""
-        return self._blocks[n]
+        """(count, n) array of ascending mode tuples, rows in state order
+        (the reverse of lexicographic multiset order), enumerated on first read."""
+        self._check_block(n, self.n_max)
+        if n not in self._block_cache:
+            self._block_cache[n] = _ascending_tuples(self.m_modes, n)[::-1].copy()
+        return self._block_cache[n]
 
     def block_offset(self, n: int) -> int:
-        return int(self._offsets[n])
+        """Index of block n's first state, the states with fewer than n phonons;
+        n = N_max + 1 gives the dimension."""
+        self._check_block(n, self.n_max + 1)
+        return basis_dimension(self.m_modes, n - 1) if n else 0
 
     def block_count(self, n: int) -> int:
-        return len(self._blocks[n])
+        """States with exactly n phonons: C(M + n - 1, n)."""
+        self._check_block(n, self.n_max)
+        return math.comb(self.m_modes + n - 1, n) if n else 1
 
     def pf_units(self, n: int) -> np.ndarray:
         """Integer phonon-momentum vectors for block n, shape (count, 3)."""
@@ -122,7 +138,7 @@ class BasisIndex:
             if self.mode_units is None or n == 0:
                 pf = np.zeros((self.block_count(n), 3), dtype=np.int64)
             else:
-                block = self._blocks[n]  # integer sums: exact in any order
+                block = self.block(n)  # integer sums: exact in any order
                 pf = self.mode_units[block[:, 0]]
                 for j in range(1, n):
                     pf += self.mode_units[block[:, j]]
@@ -149,7 +165,7 @@ class BasisIndex:
             raise ValueError(f"no raise block above n = {n} (N_max = {self.n_max})")
         if n in self._raise_cache:
             return self._raise_cache[n]
-        a = self._blocks[n]
+        a = self.block(n)
         c, m_modes = len(a), self.m_modes
         if c == 0 or m_modes == 0:
             empty = np.zeros(0, dtype=np.int64)
@@ -171,7 +187,7 @@ class BasisIndex:
                 else:
                     col = carry
                 if j:  # jump to the start of the run that extends the length-j prefix
-                    runs = m_modes - self._blocks[j][::-1, -1].astype(np.int64)
+                    runs = m_modes - self.block(j)[::-1, -1].astype(np.int64)
                     lex = (np.cumsum(runs) - runs)[lex]
                 lex += col
                 lex -= prev

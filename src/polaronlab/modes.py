@@ -157,19 +157,19 @@ class ModeGrid:
         test and compute positive couplings, so they need no such checks."""
         units = np.asarray(units, dtype=np.int64).reshape(-1, 3)
         couplings = np.asarray(couplings, dtype=np.float64).reshape(-1)
+        if not 0 < spacing < math.inf:
+            raise ValueError("spacing delta must be positive and finite")
+        if not 0 < cutoff < math.inf:
+            raise ValueError("cutoff Lambda must be positive and finite")
         modes = float(spacing) * units.astype(np.float64)
-        if spacing <= 0:
-            raise ValueError("spacing delta must be positive")
-        if cutoff <= 0:
-            raise ValueError("cutoff Lambda must be positive")
         if couplings.shape != (len(units),):
             raise ValueError("couplings must be one per mode")
         if (_norm2(units) == 0).any():
             raise ValueError("the origin is not a mode")
         if (_norm2(modes) > cutoff**2 * (1.0 + 1e-12)).any():
             raise ValueError("a mode lies outside the cutoff ball")
-        if (couplings <= 0).any():
-            raise ValueError("couplings must be strictly positive")
+        if not ((0 < couplings) & (couplings < math.inf)).all():
+            raise ValueError("couplings must be strictly positive and finite")
         return cls(float(spacing), float(cutoff), units, modes, couplings)
 
 
@@ -216,10 +216,10 @@ def build_grid(delta: float, lam: float) -> ModeGrid:
     included regardless of rounding.  Lambda < delta yields a legal empty grid
     (the free theory).  At most GRID_CAPACITY modes (module docstring).
     """
-    if delta <= 0:
-        raise ValueError("spacing delta must be positive")
-    if lam <= 0:
-        raise ValueError("cutoff Lambda must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("spacing delta must be positive and finite")
+    if not 0 < lam < math.inf:
+        raise ValueError("cutoff Lambda must be positive and finite")
     units = _lattice_ball(_ball_r2(delta, lam), "mode", origin=False)
     couplings = _cell_couplings(units, delta)
     modes = delta * units.astype(np.float64)
@@ -268,11 +268,11 @@ class CutoffSchedule:
         object.__setattr__(self, "lambdas", lams)
         if len(lams) < 3:
             raise ValueError("cutoff schedule must contain at least three cutoffs")
-        if any(x <= 0 for x in lams):
-            raise ValueError("cutoffs must be positive")
+        if not all(0 < x < math.inf for x in lams):
+            raise ValueError("cutoffs must be positive and finite")
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise ValueError("cutoffs must be strictly increasing")
-        if self.delta <= 0:
-            raise ValueError("spacing delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("spacing delta must be positive and finite")
         if self.n_max < 0:
             raise ValueError("N_max must be non-negative")

@@ -126,9 +126,11 @@ class FiberConfig:
     n_max: int
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be non-negative and finite")
         p = np.asarray(self.p, dtype=np.float64).reshape(3)
+        if not np.isfinite(p).all():
+            raise ValueError("momentum p must be finite")
         object.__setattr__(self, "p", p)
         if self.n_max < 0:
             raise ValueError("n_max must be non-negative")
@@ -210,12 +212,13 @@ def _secular_ground(alpha, p, grid, tol=DEFAULT_TOL) -> SpectralResult:
     """
     p = np.asarray(p, dtype=np.float64).reshape(3)
     g = grid.couplings
-    if not (math.isfinite(alpha) and np.isfinite(p).all() and np.isfinite(g).all()):
+    d = _kinetic(p, grid.spacing * grid.units.T.astype(np.float64), 1.0)
+    if not (math.isfinite(alpha) and np.isfinite(p).all() and np.isfinite(g).all()
+            and np.isfinite(d).all()):
         raise NumericalError(f"non-finite secular equation at P = {tuple(map(float, p))}")
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     p2 = float(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
-    d = _kinetic(p, grid.spacing * grid.units.T.astype(np.float64), 1.0)
     if alpha == 0.0 or grid.is_empty:
         diag = np.concatenate([[p2], d[::-1]])
         e, x = float(diag.min()), 1.0 * (np.arange(len(diag)) == diag.argmin())

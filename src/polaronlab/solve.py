@@ -417,7 +417,7 @@ def lowest_eigenpairs(
         raise ValueError("operator dimension must be positive")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}]")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     return _eigenpairs(op.matvec, op.diagonal(), k, tol, seed)
 
@@ -540,9 +540,13 @@ def _positive_definite(s: np.ndarray) -> bool:
 def _dense_lowest(s: np.ndarray) -> Tuple[float, np.ndarray]:
     """Lowest eigenvalue of dense symmetric s (lower triangle read) and a unit
     eigenvector: dsyevr as scipy.linalg.eigh(s, subset_by_index=[0, 0]) runs
-    it, with the workspace of its query.  LinAlgError when dsyevr fails."""
+    it, with the workspace of its query.  LinAlgError when dsyevr fails;
+    ValueError on an empty matrix, before dsyevr could print its argument
+    error on the process's stdout."""
     a = _square(s)
     n = len(a)
+    if n == 0:
+        raise ValueError("an empty matrix has no lowest eigenvalue")
     w, z, isuppz = np.empty(n), np.empty(n), np.empty(2, dtype=np.intc)
     zero, found, info = ctypes.c_double(0.0), ctypes.c_int(), ctypes.c_int()
 

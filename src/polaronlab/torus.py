@@ -76,14 +76,11 @@ class TorusConfig:
     fibers: Optional[Tuple[Tuple[float, float, float], ...]] = None
 
     def __post_init__(self):
-        if self.ell <= 0:
-            raise ValueError("ell must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        if self.fiber_cutoff <= 0:
-            raise ValueError("fiber_cutoff must be positive")
-        if self.degeneracy_tol <= 0:
-            raise ValueError("degeneracy_tol must be positive")
+        for name in ("ell", "delta", "cutoff", "fiber_cutoff", "degeneracy_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be non-negative and finite")
         if self.fibers is not None:
             fibers = tuple(tuple(float(x) for x in f) for f in self.fibers)
             if not fibers:
@@ -340,10 +337,10 @@ def periodized_yukawa(
     (CapacityError above image_cut = 99 at the default modes.GRID_CAPACITY).
     The terms are made one x-slab of images at a time, then summed by one np.sum.
     """
-    if ell <= 0:
-        raise ValueError("ell must be positive")
-    if mass < 1.0:
-        raise ValueError("mass must be at least 1 (kernel masses are sqrt(n+1))")
+    if not 0 < ell < math.inf:
+        raise ValueError("ell must be positive and finite")
+    if not 1.0 <= mass < math.inf:
+        raise ValueError("mass must be finite and at least 1 (kernel masses are sqrt(n+1))")
     if image_cut < 1:
         raise ValueError("image_cut must be at least 1")
     diff = np.asarray(x, dtype=np.float64).reshape(3) - np.asarray(xp, dtype=np.float64).reshape(3)

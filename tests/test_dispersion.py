@@ -31,6 +31,7 @@ from polaronlab import (
     mass_momenta,
     minimum_check,
 )
+from polaronlab.dispersion import far_momentum
 from polaronlab.operators import _secular_ground
 
 # alpha = 0.5, N_max = 1, delta = 0.5 ground energy extrapolated over
@@ -190,6 +191,13 @@ def test_edge_check_decoupled():
     assert rep.e_zero == pytest.approx(0.0, abs=1e-9)
     assert rep.e_far == pytest.approx(1.0, abs=1e-8)
     assert rep.p_far == (0.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("p_far", [(0.0, 0.0, math.nan), (math.nan, 0.0, 2.0),
+                                   (0.0, 0.0, math.inf)])
+def test_far_momentum_must_be_finite(p_far):
+    with pytest.raises(ValueError, match="must be finite"):
+        far_momentum(p_far, math.inf)
 
 
 def test_edge_check_preconditions():
@@ -462,14 +470,23 @@ def test_secular_residual_matches_the_matvec(alpha):
         assert r.residual == pytest.approx(recomputed, abs=1e-14)
 
 
-@pytest.mark.parametrize("poison", ["coupling", "momentum"])
-def test_secular_rejects_non_finite_input(poison):
+@pytest.mark.parametrize("poison", ["coupling", "momentum", "kinetic"])
+def test_secular_rejects_non_finite_input(poison, monkeypatch):
     grid = build_grid(1.0, 2.0)
     p = np.zeros(3)
     if poison == "coupling":
         grid.couplings[3] = np.nan
-    else:
+    elif poison == "momentum":
         p[1] = np.inf
+    else:
+        kinetic = polaronlab.operators._kinetic
+
+        def poisoned(*args):
+            d = kinetic(*args)
+            d[-1] = np.nan
+            return d
+
+        monkeypatch.setattr(polaronlab.operators, "_kinetic", poisoned)
     with pytest.raises(NumericalError, match="non-finite"):
         _secular_ground(0.5, p, grid)
 

@@ -1,5 +1,8 @@
 """Occupation-basis enumeration, ranking, raise maps and phonon momenta."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +11,15 @@ from hypothesis import strategies as st
 from polaronlab import (
     BasisIndex,
     CapacityError,
+    FiberConfig,
+    FiberFamily,
     basis_dimension,
     build_grid,
     enumerate_basis,
     fock,
+    neumann_constant,
+    neumann_norms,
+    weighted_annihilation_norm,
 )
 from naive_ref import (
     naive_block_ranks,
@@ -61,11 +69,75 @@ def test_dimension_examples():
 
 
 def test_basis_dimension_is_the_summed_block_counts():
-    for m_modes in range(13):
+    # the closed-form sizes and offsets against the enumerated blocks
+    for m_modes in (*range(13), 32):
         for n_max in range(5):
             basis = enumerate_basis(m_modes, n_max)
-            assert basis_dimension(m_modes, n_max) == sum(
-                basis.block_count(n) for n in range(n_max + 1)), (m_modes, n_max)
+            lengths = [len(basis.block(n)) for n in range(n_max + 1)]
+            assert [basis.block_count(n) for n in range(n_max + 1)] == lengths
+            assert [basis.block_offset(n) for n in range(n_max + 2)] == (
+                np.cumsum([0] + lengths).tolist()), (m_modes, n_max)
+            assert basis_dimension(m_modes, n_max) == sum(lengths), (m_modes, n_max)
+
+
+def test_blocks_are_enumerated_only_when_read(monkeypatch):
+    calls = []
+    enumerate_tuples = fock._ascending_tuples
+
+    def counted(m_modes, n):
+        calls.append(n)
+        return enumerate_tuples(m_modes, n)
+
+    monkeypatch.setattr(fock, "_ascending_tuples", counted)
+    grid = build_grid(0.5, 2.0)
+    basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
+    assert basis.dimension == 33_153
+    # the N_max = 2 norm certificates read the pair sum, not the tuples
+    cfg = FiberConfig(alpha=1.0, p=np.zeros(3), grid=grid, n_max=2)
+    weighted_annihilation_norm(cfg, basis, seed=3)
+    neumann_norms(cfg, basis, 3, seed=3)
+    neumann_constant(cfg, basis, seed=3)
+    assert calls == []
+    FiberFamily(1.0, grid, basis)
+    assert sorted(calls) == [0, 1, 2]
+    FiberFamily(1.0, grid, basis)  # cached
+    assert sorted(calls) == [0, 1, 2]
+
+
+def test_concurrent_first_reads_give_the_serial_tables():
+    want = enumerate_basis(6, 3, mode_units=UNIT_MODES, spacing=0.5)
+    basis = enumerate_basis(6, 3, mode_units=UNIT_MODES, spacing=0.5)
+    got, switch = [], sys.getswitchinterval()
+
+    def read():
+        got.append([basis.block(3), basis.pf_units(2), *basis.raise_map(2)])
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads) and len(got) == 8
+    for tables in got:
+        for x, y in zip(tables, [want.block(3), want.pf_units(2), *want.raise_map(2)]):
+            assert x.tobytes() == y.tobytes()
+
+
+def test_block_index_is_checked():
+    basis = enumerate_basis(3, 2)
+    for bad in (-1, 3):
+        for read in (basis.block, basis.block_count, basis.pf_units):
+            with pytest.raises(IndexError, match=f"block n = {bad}"):
+                read(bad)
+    with pytest.raises(IndexError, match="outside 0..3"):
+        basis.block_offset(-1)
+    with pytest.raises(IndexError, match="outside 0..3"):
+        basis.block_offset(4)
+    assert basis.block_offset(3) == basis.dimension == 10
 
 
 def test_vacuum_is_index_zero():

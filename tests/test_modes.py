@@ -180,6 +180,25 @@ def test_build_grid_validation():
         build_grid(1.0, -2.0)
 
 
+NON_FINITE = [math.nan, math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name", ["delta", "Lambda"])
+def test_build_grid_rejects_non_finite(name, bad):
+    args = {"delta": 1.0, "Lambda": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        build_grid(args["delta"], args["Lambda"])
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name", ["spacing", "cutoff", "coupling"])
+def test_manual_grid_rejects_non_finite(name, bad):
+    args = {"spacing": 1.0, "cutoff": 1.0, "coupling": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"{name}.* must be .*finite"):
+        ModeGrid.manual(args["spacing"], args["cutoff"], [[0, 0, 1]], [args["coupling"]])
+
+
 def test_build_grid_capacity(monkeypatch):
     monkeypatch.setattr(modes, "GRID_CAPACITY", 100)
     with pytest.raises(CapacityError, match="mode lattice span 201"):
@@ -244,6 +263,14 @@ def test_cutoff_schedule_validation():
         CutoffSchedule(lambdas=(4, 6, 8), delta=0.5, n_max=-1)
     with pytest.raises(ValueError, match="positive"):
         CutoffSchedule(lambdas=(-1, 6, 8), delta=0.5, n_max=2)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name", ["delta", "cutoffs"])
+def test_cutoff_schedule_rejects_non_finite(name, bad):
+    lambdas, delta = ((4, bad, 8), 0.5) if name == "cutoffs" else ((4, 6, 8), bad)
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        CutoffSchedule(lambdas=lambdas, delta=delta, n_max=2)
 
 
 def test_axis_map_is_the_signed_permutation_on_every_mode():

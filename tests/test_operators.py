@@ -67,6 +67,15 @@ def _dense_norms(delta, lam, n_max):
             "weighted": np.linalg.norm(a * (d ** -0.5 * (nums + 1.0) ** -0.25)[None, :], 2)}
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["alpha", "p"])
+def test_fiber_config_rejects_non_finite(name, bad):
+    args = {"alpha": 1.0, "p": np.zeros(3)}
+    args[name] = bad if name == "alpha" else np.array([0.0, bad, 0.0])
+    with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+        FiberConfig(grid=build_grid(1.0, 1.0), n_max=1, **args)
+
+
 def test_single_mode_closed_forms():
     name, cfg, basis = kt_suite()[0]
     assert name == "single-mode-2x2"

@@ -188,8 +188,9 @@ def test_solver_argument_validation():
         lowest_eigenpairs(op, k=0)
     with pytest.raises(ValueError):
         lowest_eigenpairs(op, k=3)
-    with pytest.raises(ValueError):
-        lowest_eigenpairs(op, tol=0.0)
+    for tol in (0.0, math.nan):  # a NaN tol would run MAX_STEPS matvecs first
+        with pytest.raises(ValueError, match="tol must be positive"):
+            lowest_eigenpairs(op, tol=tol)
     with pytest.raises(ValueError):
         lowest_eigenpairs(from_triplets(0, [], [], []))
 
@@ -461,12 +462,22 @@ def test_positive_definite_agrees_with_cholesky():
     assert seen == {True, False}
 
 
+def test_lapack_helpers_never_print_on_an_empty_matrix(capfd):
+    # LAPACK's xerbla would print an argument error on the process's stdout
+    empty = np.zeros((0, 0))
+    with pytest.raises(ValueError, match="empty matrix"):
+        _dense_lowest(empty)
+    assert _negative_inertia(empty) == 0
+    assert _positive_definite(empty) is True
+    assert capfd.readouterr() == ("", "")
+
+
 def test_lapack_bindings_release_the_gil_and_reject_bad_arguments():
     # CFUNCTYPE, not PYFUNCTYPE: ctypes drops the GIL for the call
     for routine in (solve._DSYEVR, solve._DPOTRF, solve._DSYTRF, solve._DSYGVD):
         assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI
-    with pytest.raises(ValueError, match="dsyevr rejected argument 10"):
-        _dense_lowest(np.empty((0, 0)))  # il = iu = 1 > n
+    with pytest.raises(ValueError, match="empty matrix"):
+        _dense_lowest(np.empty((0, 0)))  # before dsyevr, which rejects il = iu = 1 > n
     for helper in (_dense_lowest, _positive_definite, _negative_inertia):
         with pytest.raises(ValueError, match=r"square matrix, got shape \(3, 2\)"):
             helper(np.zeros((3, 2)))  # LAPACK would read 9 entries of 6

@@ -109,6 +109,14 @@ def test_config_validation():
         _quick_config(degeneracy_tol=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["ell", "alpha", "delta", "cutoff", "fiber_cutoff",
+                                  "degeneracy_tol"])
+def test_config_rejects_non_finite(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+        _quick_config(**{name: bad})
+
+
 def test_lattice_budget_is_checked_before_the_meshgrid(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a lattice above the budget was allocated")
@@ -632,6 +640,14 @@ def test_yukawa_preconditions():
         periodized_yukawa(x, xp, ell=2.0, mass=0.5)
     with pytest.raises(ValueError):
         periodized_yukawa(x, xp, ell=2.0, image_cut=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["ell", "mass"])
+def test_yukawa_rejects_non_finite(name, bad):
+    args = {"ell": 2.0, "mass": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+        periodized_yukawa((0.3, 0.0, 0.0), (0.0, 0.0, 0.0), **args)
 
 
 def test_yukawa_converged_certifies_its_cut():
