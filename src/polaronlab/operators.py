@@ -31,11 +31,12 @@ solved on G by the same eigensolver, ||B_0|| is the norm of one vector, and
 the Neumann product ||B_0 B_1|| is sqrt(b0^T G b0).  N_max >= 3 keeps the
 raise-map route.
 The same kernel with R_ik = 1/(D_ik - e), D_ik the kinetic diagonal of {i, k},
-is the coupling term of the Schur complement onto blocks 0 and 1 that
+is the coupling term of the Schur complement S(e) onto blocks 0 and 1 that
 solve.count_below forms from a fiber's CSR, so _pair_count counts the
 eigenvalues of an N_max = 2 fiber below e from the grid alone.
 _certified_ground is the one place that says which ground route runs at
-which N_max, and how each is certified.
+which N_max, and how each is certified; a count, and the pair route's
+bracket, each read one computed S(e), at the level e itself.
 The dense assemble_KT checks the dimension cap, solve.DENSE_CAP, and the
 pair routes decline above it (M + 1 > DENSE_CAP, read at call time); G is
 checked against the basis capacity, fock.BASIS_CAPACITY, before it is
@@ -334,12 +335,14 @@ def _pair_count(alpha: float, grid: ModeGrid, p, e: float, blocks=None):
     """solve.count_below of the N_max = 2 fiber at p, from the grid alone, on
     `blocks`, the (X, s, D_top) of _pair_blocks at p, where given.
 
-    The Schur complement onto blocks 0 and 1 is X - e - [[0, 0], [0, G(R)]]
-    with R_ik = 1/(D_ik - e) (pair_gram, pair_diagonal), X bit for bit the
-    fiber's.  The margin, min D_top and the two-shift agreement are
-    count_below's (solve._certified_count), so the two routes return the
-    same count, or None to fall back.  ValueError on an empty grid.
+    S(e) = X - e - [[0, 0], [0, G(R)]], R_ik = 1/(D_ik - e) (pair_gram,
+    pair_diagonal), is the Schur complement onto blocks 0 and 1, X bit for
+    bit the fiber's.  Formed once, it is certified as in count_below
+    (solve._certified_count), so the two routes return the same count, or
+    None to fall back.  ValueError on an empty grid or a non-finite e.
     """
+    if not math.isfinite(e):
+        raise ValueError(f"level e must be finite, got {e}")
     m = len(grid)
     if m == 0:
         raise ValueError("an empty grid has no two-phonon block")
@@ -348,8 +351,9 @@ def _pair_count(alpha: float, grid: ModeGrid, p, e: float, blocks=None):
     if blocks is None:
         blocks = _pair_blocks(alpha, grid, np.asarray(p, dtype=np.float64).reshape(3))
     x, s, d_top = blocks
-    return _certified_count(lambda shift: _pair_complement(x, s, d_top, shift)[:2],
-                            e, m + 1, d_top.min())
+    if e >= d_top.min():
+        return None
+    return _certified_count(*_pair_complement(x, s, d_top, e)[:2])
 
 
 @_one_blas_thread()
@@ -363,22 +367,22 @@ def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = 
     - any other: (None, None), nothing solved.
 
     The pair route: with S(E) = X - E - [[0, 0], [0, G(1/(D_top - E))]] the
-    Schur complement onto blocks 0 and 1 (_pair_blocks, _pair_count) and
-    mu(E) its lowest eigenvalue, the ground level E0 is the root of mu below
-    min D_top (Haynsworth).  There S(E) is concave in E with derivative
-    -1 - C'(E), C'(E) = [[0, 0], [0, G(1/(D_top - E)^2)]] >= 0, so mu is
-    concave and falls with slope at most -1, and Newton's method from the
-    right, E <- E + mu(E) / (1 + v^T C'(E) v) with v the unit eigenvector of
-    mu (one eigh of S(E) per step), decreases monotonically to E0.  It starts
-    at the upper end of the N_max = 1 bracket, the lowest eigenvalue of X,
-    hence at or above E0, and stops when a step no longer decreases E or,
-    taken, falls within the margin delta below (the next step would be of the
-    order of its square).
-    [E - w, E + w] holds E0 once a Cholesky of S(E - w) - delta I succeeds
-    (no level at or below E - w) and v^T S(E + w) v < -delta, or E + w
-    reaches min D_top (a level below E + w); delta is the count's rounding
-    margin c m u ||S|| (solve._schur_margin), and w doubles from 2 delta
-    while the bracket is at most tol wide.
+    Schur complement onto blocks 0 and 1 and mu(E) its lowest eigenvalue,
+    the ground level E0 is the root of mu below min D_top (Haynsworth).
+    There S(E) is concave in E with derivative -1 - C'(E), C'(E) = [[0, 0],
+    [0, G(1/(D_top - E)^2)]] >= 0, so mu is concave and falls with slope at
+    most -1, and Newton's method from the right, E <- E + mu(E) / (1 +
+    v^T C'(E) v) with v the unit eigenvector of mu (one eigh of S(E) per
+    step), decreases monotonically to E0.  It starts at the upper end of the
+    N_max = 1 bracket, the lowest eigenvalue of X, hence at or above E0, and
+    stops when a step no longer decreases E or, taken, falls within the
+    margin delta below (the next step would be of the order of its square).
+    The bracket reads the last step's S(E), formed at the final E, and its
+    margin delta (solve._schur_margin).  As dS/dE <= -I, [E - w, E + w] holds
+    E0 once a Cholesky of S(E) + (w - delta) I <= S(E - w) succeeds (no level
+    at or below E - w) and v^T S(E) v - w < -delta, an upper bound on
+    v^T S(E + w) v, or E + w reaches min D_top (a level below E + w); w
+    doubles from 2 delta while the bracket is at most tol wide.
     The lifted vector y = (v, -(D_top - E)^-1 B^T v) has (H - E) y = (S(E) v,
     0) and ||y||^2 = 1 + v^T C'(E) v, so `residual` = ||S(E) v|| / ||y|| is
     the fiber residual of y; `vector` is y / ||y|| on blocks 0 and 1 only, in
@@ -386,8 +390,10 @@ def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = 
     With alpha = 0 or an empty grid the N_max = 1 result is exact and is
     returned.  The route declines when that start is not below min D_top,
     when M + 1 exceeds solve.DENSE_CAP (read at call time), or when no
-    bracket within tol is proven.
+    bracket within tol is proven.  ValueError unless 0 < tol < inf.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if n_max == 1:
         return _secular_ground(alpha, p, grid, tol), None
     if n_max != 2:
@@ -415,37 +421,26 @@ def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = 
         su = s * u
         return float(su @ (r @ su) + (u * u) @ (r @ s2))
 
-    steps = 0
-    while True:
+    for steps in range(1, NEWTON_STEPS + 1):
         s_e, delta, r = _pair_complement(x, s, d_top, e)
         mu, v = _dense_lowest(s_e)
         step = mu / (1.0 + pair_form(v[1:], r * r))  # -mu'(e) = 1 + v^T C'(e) v
-        steps += 1
-        if not e + step < e or steps >= NEWTON_STEPS:
+        if not e + step < e or steps == NEWTON_STEPS:
             break
         e += step
         if -step <= delta:  # within the margin: the next step would be far below it
             s_e, delta, r = _pair_complement(x, s, d_top, e)
             break
-    norm2 = 1.0 + pair_form(v[1:], r * r)  # ||y||^2, v lifted at e
-
-    def none_below(level):
-        """S(level) - delta I is positive definite: no level of the fiber at or below."""
-        s_l, delta_l, _ = _pair_complement(x, s, d_top, level)
-        s_l[np.diag_indices(m + 1)] -= delta_l
-        return _positive_definite(s_l)
-
-    def one_below(level):
-        """v^T S(level) v < -delta, or level >= min D_top: a level of the fiber below."""
-        form = v @ x @ v - level * (v @ v) - pair_form(v[1:], 1.0 / (d_top - level))
-        return level >= d_min or form < -delta
+    norm = math.sqrt(1.0 + pair_form(v[1:], r * r))  # ||y||, v lifted at e
+    sv = s_e @ v
+    form = float(v @ sv)
 
     w = 2.0 * delta
     while 2.0 * w <= tol:
-        if none_below(e - w) and one_below(e + w):
-            norm = math.sqrt(norm2)
+        if ((e + w >= d_min or form - w < -delta)
+                and _positive_definite(s_e + (w - delta) * np.eye(m + 1))):
             y = (v if v[0] >= 0.0 else -v) / norm
-            return SpectralResult(e, y, float(np.linalg.norm(s_e @ v)) / norm, steps,
+            return SpectralResult(e, y, float(np.linalg.norm(sv)) / norm, steps,
                                   (e - w, e + w)), blocks
         w *= 2.0
     return None, blocks

@@ -43,15 +43,15 @@ ConvergenceError, after MAX_STEPS matvecs per eigenpair, read at call time.
 
 count_below counts the eigenvalues below a level exactly, without solving
 for them, when the operator ends in a diagonal block (a fiber's top phonon
-number block): the count is the inertia of a dense Schur complement of the
-size of the leading blocks, read off an LDL^T factorization, and it is
-returned only when certified against the factorization's rounding.  Its
-blocks are sliced straight from the operator's symmetric CSR, op.csr, and
-the LDL^T is LAPACK's dsytrf, called directly.  At N_max = 2,
-operators._pair_count forms the same complement in closed form from the
-grid; both routes share the margin and the two-shift agreement of
-_certified_count, and the pair route of operators._certified_ground
-brackets its ground level with the same margin (_schur_margin).
+number block): the count is the inertia of a dense Schur complement S(e) of
+the size of the leading blocks, formed once at the level e.  _certified_count
+reads it off LDL^T's of S(e) +- delta I, delta the rounding margin
+(_schur_margin), and returns it only when the two agree.  The blocks are
+sliced straight from the operator's symmetric CSR, op.csr, and the LDL^T is
+LAPACK's dsytrf, called directly.  At N_max = 2, operators._pair_count forms
+the same complement in closed form from the grid and shares the margin and
+the certificate; the pair route of operators._certified_ground brackets its
+ground level from one S(E) with the same margin.
 
 Threading model: the only parallelism is the pool of _parallel_map (the
 `threads` setting).  BLAS and LAPACK run on one thread inside the public
@@ -417,8 +417,8 @@ def lowest_eigenpairs(
         raise ValueError("operator dimension must be positive")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}]")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     return _eigenpairs(op.matvec, op.diagonal(), k, tol, seed)
 
 
@@ -577,25 +577,18 @@ def _schur_margin(pair, split: int) -> float:
     return SCHUR_MARGIN * split * np.finfo(np.float64).eps * s_norm
 
 
-def _certified_count(schur: Callable, e: float, split: int, d_min: float):
-    """Negative inertia of S(e) = X - e - C(e) of size split, or None.
+def _certified_count(s: np.ndarray, delta: float):
+    """Negative inertia of S(e), for s the computed Schur complement S(e) and
+    delta its margin (_schur_margin), or None.
 
-    schur(shift) returns the dense Schur complement S(shift) and its margin
-    (_schur_margin), and d_min is min D_top.
-    S(e) decreases in e by at least the identity, so counts of
-    S(e -+ delta) + E with ||E|| <= delta bound the count at e from below and
-    above; they are taken at delta = c m u ||S|| (Bunch-Kaufman backward
-    error, Higham ch. 11; _schur_margin) and accepted only if they
-    agree.  None when e (or e + delta) reaches d_min, when split exceeds
-    DENSE_CAP, or when the two counts differ; NumericalError if S(e) is not
-    finite.
+    delta bounds the rounding of forming S(e) plus the Bunch-Kaufman backward
+    error of an LDL^T (Higham ch. 11), so the LDL^T of s + delta I is exact
+    for a matrix at or above S(e), and that of s - delta I for one at or
+    below it: their negative inertias bound S(e)'s from below and from
+    above, and it is returned when the two agree.  Only the level e is read.
     """
-    if e >= d_min or split > DENSE_CAP:
-        return None
-    delta = schur(e)[1]
-    if e + delta >= d_min:
-        return None
-    lo, hi = (_negative_inertia(schur(shift)[0]) for shift in (e - delta, e + delta))
+    eye = np.eye(len(s))
+    lo, hi = (_negative_inertia(s + shift * eye) for shift in (delta, -delta))
     return lo if lo == hi else None
 
 
@@ -608,16 +601,19 @@ def count_below(op, e: float, split: int):
     with e < min D_top, op - e has the inertia of D_top - e (all positive)
     plus that of the Schur complement S(e) = X - e - B (D_top - e)^{-1} B^T
     (Haynsworth), so the count is the number of negative pivots of an LDL^T
-    of the dense split x split matrix S(e), certified against rounding by
-    _certified_count: None when e >= min D_top, when split exceeds
-    DENSE_CAP, or when the counts at e -+ delta differ.  ValueError if the
-    trailing block is not diagonal.  X, B and D_top are sliced from op.csr.
-    At N_max = 2, operators._pair_count gives the same count from the grid
-    alone, without a fiber.
+    of the dense split x split matrix S(e), formed once and certified
+    against its rounding by _certified_count: None when e >= min D_top, when
+    split exceeds DENSE_CAP, or when the counts of S(e) +- delta I differ.
+    ValueError if e is not finite or the trailing block is not diagonal.
+    X, B and D_top are sliced from op.csr.  At N_max = 2,
+    operators._pair_count gives the same count from the grid alone, without
+    a fiber.
     """
     n = op.dimension
     if not 0 <= split < n:
         raise ValueError(f"split must lie in [0, {n})")
+    if not math.isfinite(e):
+        raise ValueError(f"level e must be finite, got {e}")
     csr = op.csr
     start = csr.indptr[split]
     rows = np.repeat(np.arange(split, n), np.diff(csr.indptr[split:]))
@@ -625,20 +621,12 @@ def count_below(op, e: float, split: int):
     if ((cols >= split) & (cols != rows) & (csr.data[start:] != 0.0)).any():
         raise ValueError(f"the trailing block from {split} on is not diagonal")
     d_top = csr.diagonal()[split:]
-    d_min = d_top.min()
-    if e >= d_min or split > DENSE_CAP:
+    if e >= d_top.min() or split > DENSE_CAP:
         return None
-    x = csr[:split, :split].toarray()
     bt = csr[split:, :split]
-    b = bt.T.tocsr()
-
-    def schur(shift):
-        """S(shift) = (X - shift) - B (D_top - shift)^{-1} B^T and its margin."""
-        pair = (x - shift * np.eye(split),
-                (b @ bt.multiply(1.0 / (d_top - shift)[:, None])).toarray())
-        return np.subtract(*pair), _schur_margin(pair, split)
-
-    return _certified_count(schur, e, split, d_min)
+    pair = (csr[:split, :split].toarray() - e * np.eye(split),
+            (bt.T.tocsr() @ bt.multiply(1.0 / (d_top - e)[:, None])).toarray())
+    return _certified_count(np.subtract(*pair), _schur_margin(pair, split))
 
 
 @_one_blas_thread()

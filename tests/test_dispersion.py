@@ -72,6 +72,13 @@ def test_decoupled_curve_is_exact():
     assert curve.at_zero().energy == pytest.approx(0.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_dispersion_curve_rejects_a_bad_tol(n_max, tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        dispersion_curve(1.0, [(0, 0, 0), (0, 0, 0.5)], 1.0, 1.0, n_max, tol=tol)
+
+
 def test_sampling_order_ties_keep_input_order():
     curve = dispersion_curve(0.0, [(0, 0.5, 0), (0.5, 0, 0), (0, 0, 0)], 0.5, 1.0, 1)
     assert [s.p for s in curve.samples] == [

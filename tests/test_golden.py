@@ -59,6 +59,24 @@ GOLDEN = {
         "torus.csv": "bfa5093208486f8b01ca67ac3f33e5a5099a140afd03f89511b20d66e76d3d8b",
         "torus.json": "24d583a3cbac1de986d90bee8f5e908218c5b99a40e53061301b6d7af3886550",
     }),
+    # the count routes: solve.count_below at split 1 on 257 states (N_max = 1)
+    # and at split 190 on 1,330 states (N_max = 3), and operators._pair_count
+    # on the 257-row complement of the desk grid through the thread pool
+    "torus_nmax1_desk": (["torus", "--nmax", "1", "--delta", "0.75", "--lambda", "3"], {
+        "torus.csv": "093da471105c328533a02589fe799765b0aa6eb94e5d8ea49824c7ee00f644d6",
+        "torus.json": "0ef3f54ed77e11df3426306c3384e63f62c2c97baf94ae28636cc310c44642a3",
+    }),
+    "torus_nmax3": (["torus", "--nmax", "3", "--lambda", "1.5"], {
+        "torus.csv": "05d37b9858a13ff602709085f94672362158918d1b7aa827526af38890e9ff3d",
+        "torus.json": "65522c5b24f18a42f8de5c245164dbd236deda002bab33d4c9d78cb72189b7cb",
+    }),
+    "torus_desk_threads2": (["torus", "--delta", "0.75", "--lambda", "3", "--threads", "2"], {
+        "torus.csv": "ebabb6158c20a777e02a6d0be748217424bcb2f9391866e3a1e47e8855931f98",
+        "torus.json": "c572bdc7b2f7f6371538415dadedd3ad8eed0726c398a0ba3109790a90e0debe",
+    }),
+    "checks_desk": (["checks", "--config", str(CONFIGS / "desk.cfg")], {
+        "checks.json": "24b56ddcf93558403e10c2c36ffdd99acb72052e3098a07bc1a1a150d6bb366d",
+    }),
 }
 
 

@@ -547,6 +547,52 @@ def test_pair_count_declines_above_the_dense_cap_and_rejects_an_empty_grid(monke
         operators._pair_count(1.0, build_grid(1.0, 0.5), np.zeros(3), 0.0)
 
 
+def test_counts_and_the_pair_bracket_form_one_schur_complement_per_level(monkeypatch):
+    # a count forms S(e) once, and a pair solve once per Newton step, plus
+    # once more when its last step falls within the margin: the bracket reads
+    # the last step's S(E) and forms none of its own
+    formed = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: formed.append(name) or original(*a))
+
+    counting(operators, "_pair_complement")
+    counting(solve, "_schur_margin")
+    grid = build_grid(0.75, 3.0)  # 256 modes
+    for p in ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)):
+        formed.clear()
+        r = operators._certified_ground(1.0, grid, 2, p)[0]
+        assert r.bracket[0] <= r.energy <= r.bracket[1]
+        assert 1 <= len(formed) <= r.iterations + 1 and set(formed) == {"_pair_complement"}
+        formed.clear()
+        assert operators._pair_count(1.0, grid, np.array(p), r.energy + 1e-8) == 1
+        assert formed == ["_pair_complement"]
+    small = build_grid(1.0, 2.0)
+    basis = enumerate_basis(len(small), 2, small.units, small.spacing)
+    op = assemble_fiber(FiberConfig(alpha=1.0, p=np.zeros(3), grid=small, n_max=2), basis)
+    formed.clear()
+    assert solve.count_below(op, 0.0, basis.block_offset(2)) == 1
+    assert formed == ["_schur_margin"]
+
+
+@pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])
+def test_counts_reject_a_non_finite_level_before_building_blocks(monkeypatch, e):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("blocks built for a non-finite level")
+
+    class Unread:
+        """An operator whose blocks must not be read."""
+        dimension = 5
+        csr = property(forbidden)
+
+    monkeypatch.setattr(operators, "_pair_blocks", forbidden)
+    with pytest.raises(ValueError, match="must be finite"):
+        operators._pair_count(1.0, build_grid(1.0, 2.0), np.zeros(3), e)
+    with pytest.raises(ValueError, match="must be finite"):
+        solve.count_below(Unread(), e, 2)
+
+
 def test_norms_at_nonzero_momentum_match_dense():
     # block diagonality of the Grams does not rest on P = 0
     grid = build_grid(1.0, 1.5)

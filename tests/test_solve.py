@@ -188,8 +188,10 @@ def test_solver_argument_validation():
         lowest_eigenpairs(op, k=0)
     with pytest.raises(ValueError):
         lowest_eigenpairs(op, k=3)
-    for tol in (0.0, math.nan):  # a NaN tol would run MAX_STEPS matvecs first
-        with pytest.raises(ValueError, match="tol must be positive"):
+    # a NaN tol would run MAX_STEPS matvecs first, an infinite one certify
+    # the start vector
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
             lowest_eigenpairs(op, tol=tol)
     with pytest.raises(ValueError):
         lowest_eigenpairs(from_triplets(0, [], [], []))
@@ -530,7 +532,7 @@ def test_count_below_fallbacks_and_validation(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(solve, "DENSE_CAP", split - 1)
         assert count_below(op, e0 + 1e-8, split) is None
-    assert count_below(op, e0, split) is None  # counts at e -+ delta disagree
+    assert count_below(op, e0, split) is None  # counts of S(e) +- delta I disagree
     with pytest.raises(ValueError, match="not diagonal"):
         count_below(op, e0, basis.block_offset(1))  # blocks 1 and 2 are coupled
     with pytest.raises(ValueError):

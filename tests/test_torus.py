@@ -552,6 +552,12 @@ def test_declined_pair_solve_falls_back_to_lobpcg(monkeypatch):
     _assert_same_report(rep, _exhaustive_report(model))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_degeneracy_analysis_rejects_a_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        degeneracy_analysis(assemble_torus(_quick_config()), tol=tol)
+
+
 @pytest.mark.parametrize("delta, cutoff", [(1.0, 2.0), (0.75, 3.0)])
 def test_pair_count_matches_count_below(delta, cutoff):
     # the quick and desk torus fibers: the closed-form count on blocks 0 and 1
