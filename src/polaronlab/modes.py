@@ -23,9 +23,10 @@ before it is made, and a ball of at most GRID_CAPACITY points (CapacityError).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -137,6 +138,11 @@ class ModeGrid:
     def is_empty(self) -> bool:
         return len(self.units) == 0
 
+    @cached_property
+    def _lookup(self) -> "_UnitLookup":
+        """The grid's units sorted by code once, for every map made on it."""
+        return _UnitLookup(self.units)
+
     def within(self, lam: float) -> "ModeGrid":
         """The modes with |k| <= lam, selected by build_grid's integer ball test.
 
@@ -226,33 +232,76 @@ def build_grid(delta: float, lam: float) -> ModeGrid:
     return ModeGrid(float(delta), float(lam), units, modes, couplings)
 
 
-def _axis_map(units: np.ndarray, perm, signs) -> Optional[np.ndarray]:
-    """Mode map of the signed axis permutation x -> signs * x[perm].
+# the group O_h as 48 signed axis permutations R, row by row: R x = signs * x[perm]
+_PERMS, _SIGNS = (np.array(rows, dtype=np.int64) for rows in zip(*(
+    (perm, signs) for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1, -1), repeat=3))))
 
-    Returns idx with units[idx[i]] == signs * units[i, perm] for every mode
-    i, found by exact integer lookup, or None when an image is not a mode or
-    the units repeat (then the map would not be one to one).
+
+def _elements_taking(p, q) -> np.ndarray:
+    """Indices of the elements R of O_h (rows of _PERMS, _SIGNS) with R p == q
+    exactly; at q = p, the stabilizer of p."""
+    p, q = (np.asarray(v, dtype=np.float64).reshape(3) for v in (p, q))
+    return np.flatnonzero((_SIGNS * p[_PERMS] == q).all(axis=1))
+
+
+class _UnitLookup:
+    """Exact lookup of integer unit vectors among `units`, by one sort of
+    their codes; a ModeGrid keeps one (ModeGrid._lookup) for every map made
+    on it."""
+
+    def __init__(self, units: np.ndarray):
+        self.units = units
+        self.r = int(np.abs(units).max(initial=0))
+        keys = self._code(units)
+        self.order = np.argsort(keys, kind="stable")
+        self.ranked = keys[self.order]
+        self.distinct = not (np.diff(self.ranked) == 0).any()
+
+    def _code(self, u: np.ndarray) -> np.ndarray:
+        # a signed permutation keeps every |entry|, so one code range serves both
+        r, base = self.r, 2 * self.r + 1
+        return ((u[..., 0] + r) * base + (u[..., 1] + r)) * base + (u[..., 2] + r)
+
+    def maps(self, which):
+        """(idx, ok) for the elements R of O_h in `which`: row e of idx has
+        units[idx[e, i]] == R units[i] for every mode i where ok[e]; ok[e] is
+        False when an image is not a mode or the units repeat (then the map
+        would not be one to one)."""
+        perms, signs = _PERMS[which], _SIGNS[which]
+        wanted = self._code(signs[:, None, :] * self.units[:, perms].transpose(1, 0, 2))
+        pos = np.minimum(np.searchsorted(self.ranked, wanted), max(len(self.ranked) - 1, 0))
+        ok = (self.ranked[pos] == wanted).all(axis=1) & self.distinct
+        return self.order[pos], ok
+
+
+def _symmetry_maps(grid: ModeGrid, which):
+    """(idx, ok) of _UnitLookup.maps on the grid's own lookup, with the exact
+    check completed: ok[e] also needs the couplings to satisfy g[idx[e]] == g
+    bitwise, so where it holds, idx[e] maps the grid onto itself, idx[e, i]
+    the mode at R k_i."""
+    idx, ok = grid._lookup.maps(which)
+    g = grid.couplings
+    return idx, ok & (g[idx] == g).all(axis=1)
+
+
+def _stabilizer_orbits(grid: ModeGrid, p) -> Optional[np.ndarray]:
+    """Per mode, the least mode index of its orbit under the stabilizer of p
+    in O_h, or None when that stabilizer acts trivially on the grid.
+
+    It is taken as trivial when it is the identity alone, when a map of it
+    fails the exact check of _symmetry_maps (the grid is not closed under it,
+    or an orbit has unequal couplings: hand-built grids may break the
+    symmetry), or when every orbit is a single mode.
     """
-    if len(units) == 0:
-        return np.zeros(0, dtype=np.int64)
-    image = np.asarray(signs, dtype=np.int64) * units[:, list(perm)]
-    # the image keeps every |entry|, so one code range serves both
-    r = int(np.abs(units).max())
-    base = 2 * r + 1
-
-    def code(u):
-        return ((u[:, 0] + r) * base + (u[:, 1] + r)) * base + (u[:, 2] + r)
-
-    keys = code(units)
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    if (np.diff(ranked) == 0).any():
+    stabilizer = _elements_taking(p, p)
+    if len(stabilizer) == 1:
         return None
-    wanted = code(image)
-    pos = np.minimum(np.searchsorted(ranked, wanted), len(ranked) - 1)
-    if not np.array_equal(ranked[pos], wanted):
+    idx, ok = _symmetry_maps(grid, stabilizer)
+    if not ok.all():
         return None
-    return order[pos]
+    labels = idx.min(axis=0)  # the orbit of i is {R i}, R in the stabilizer
+    return None if np.array_equal(labels, np.arange(len(grid))) else labels
 
 
 @dataclass(frozen=True)

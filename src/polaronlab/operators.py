@@ -36,7 +36,11 @@ solve.count_below forms from a fiber's CSR, so _pair_count counts the
 eigenvalues of an N_max = 2 fiber below e from the grid alone.
 _certified_ground is the one place that says which ground route runs at
 which N_max, and how each is certified; a count, and the pair route's
-bracket, each read one computed S(e), at the level e itself.
+bracket, each read one computed S(e), at the level e itself.  The pair
+route's Newton steps run on the part of S(E) that lives on the one-phonon
+states fixed by the stabilizer of P in O_h (_pair_sector, read off one
+representative row of G per mode orbit), and only its certificate forms
+the full (M + 1)-row S(E), once, at the final E.
 The dense assemble_KT checks the dimension cap, solve.DENSE_CAP, and the
 pair routes decline above it (M + 1 > DENSE_CAP, read at call time); G is
 checked against the basis capacity, fock.BASIS_CAPACITY, before it is
@@ -53,7 +57,7 @@ import scipy.sparse
 from .errors import CapacityError, NumericalError
 from . import fock, solve
 from .fock import BasisIndex, basis_dimension
-from .modes import ModeGrid
+from .modes import ModeGrid, _lattice_cube, _stabilizer_orbits
 from .solve import (
     DEFAULT_SEED,
     DEFAULT_TOL,
@@ -174,18 +178,35 @@ def kinetic_diagonal(cfg: FiberConfig, basis: BasisIndex) -> np.ndarray:
     return _kinetic(cfg.p, *_state_momenta(basis))
 
 
+def _pair_table(grid: ModeGrid, p: np.ndarray):
+    """(table, codes) with table[codes[i] + codes[k]] = |P - delta (n_i + n_k)|^2
+    + 2 for modes i and k of unit vectors n_i and n_k.
+
+    The table runs over the (4r + 1)^3 cube of integer unit sums, r the
+    largest |unit entry|, and is computed by _kinetic in its x, y, z order,
+    so each entry has the bits of the fiber's diagonal entry of the
+    two-phonon state {i, k}.  codes[i] = ((n_x + r) b + n_y + r) b + n_z + r,
+    b = 4r + 1, so a sum of two codes is the lexicographic index of the sum
+    of the units in the cube.  CapacityError when the cube exceeds the
+    lattice budget (modes._lattice_cube), which no grid within the pair
+    routes' caps reaches.
+    """
+    r = int(np.abs(grid.units).max(initial=0))
+    sums = _lattice_cube(2 * r, "unit sum")
+    table = _kinetic(p, grid.spacing * sums.T.astype(np.float64), 2.0)
+    b, u = 4 * r + 1, grid.units + r
+    return table, (u[:, 0] * b + u[:, 1]) * b + u[:, 2]
+
+
 def pair_diagonal(grid: ModeGrid, p, rows: slice = slice(None)) -> np.ndarray:
     """D_ik = |P - k_i - k_k|^2 + 2, the kinetic diagonal of the two-phonon
     state {i, k}, for the modes i in `rows` and every mode k.
 
     P_f comes from the integer unit sums, as in the fiber, so every entry has
-    the bits of the fiber's diagonal entry of that state.
+    the bits of the fiber's diagonal entry of that state (_pair_table).
     """
-    p = np.asarray(p, dtype=np.float64).reshape(3)
-    u = grid.units
-    pf = [grid.spacing * (u[rows, c, None] + u[None, :, c]).astype(np.float64)
-          for c in range(3)]
-    return _kinetic(p, pf, 2.0)
+    table, codes = _pair_table(grid, np.asarray(p, dtype=np.float64).reshape(3))
+    return table[codes[rows, None] + codes[None, :]]
 
 
 def _pairwise_sum(t: np.ndarray) -> float:
@@ -306,15 +327,31 @@ def _pair_blocks(alpha: float, grid: ModeGrid, p: np.ndarray):
 
     X is the fiber's leading block on blocks 0 and 1 (M + 1 rows, the vacuum
     first, then the one-phonon state j on mode M - 1 - j), bit for bit; s =
-    sqrt(alpha) g and D_top = pair_diagonal in that state order.
+    sqrt(alpha) g and D_top = pair_diagonal in that state order, gathered
+    from _pair_table by codes taken in that order.
     """
     m = len(grid)
-    d_top = np.ascontiguousarray(pair_diagonal(grid, p)[::-1, ::-1])  # state order of block 1
+    table, codes = _pair_table(grid, p)
+    codes = codes[::-1]  # state order of block 1
+    d_top = table[codes[:, None] + codes[None, :]]
     s = float(np.sqrt(alpha)) * grid.couplings[::-1]
     units = np.concatenate([np.zeros((1, 3), dtype=np.int64), grid.units[::-1]])
     x = np.diag(_kinetic(p, grid.spacing * units.T.astype(np.float64), np.r_[0.0, np.ones(m)]))
     x[0, 1:] = x[1:, 0] = s
     return x, s, d_top
+
+
+def _pair_slope(s: np.ndarray, r2: np.ndarray):
+    """u -> u^T G(R2) u = (s u)^T R2 (s u) + (u^2)^T R2 s^2 (the s_i^2 R2_ii
+    terms of pair_gram cancel): with R2 = 1/(D_top - E)^2, v^T C'(E) v for v
+    = (v_0, u) on blocks 0 and 1, so -mu'(E) = 1 + v^T C'(E) v."""
+    s2 = s * s
+
+    def slope(u):
+        su = s * u
+        return float(su @ (r2 @ su) + (u * u) @ (r2 @ s2))
+
+    return slope
 
 
 def _pair_complement(x, s, d_top, level):
@@ -328,6 +365,68 @@ def _pair_complement(x, s, d_top, level):
     delta = _schur_margin((out, gram), len(x))
     out[1:, 1:] -= gram
     return out, delta, r
+
+
+def _pair_sector(x, s, d_top, labels):
+    """(complement, lift) of the Schur complement on the sector of blocks 0
+    and 1 that the stabilizer of P fixes, for `labels` of
+    modes._stabilizer_orbits (per mode, its orbit's least mode).
+
+    The sector is spanned by the vacuum and the orbit sums q_a = n_a^-1/2
+    sum_{i in O_a} e_i of the one-phonon states, k + 1 columns Q for k
+    orbits of sizes n_a.  The stabilizer permutes the modes, keeping their
+    couplings exactly and X and D_top to the rounding of their three squares,
+    so S(E) commutes with it and Q^T S(E) Q reads one representative row i_a
+    per orbit: with W_ab = (n_a / n_b)^1/2 sum_{k in O_b} R_{i_a k},
+    Q^T G(R) Q = (s_a s_b W_ab) + diag((R s^2)_{i_a}), and X's vacuum row
+    becomes n_a^1/2 s_a.  complement(E) returns that (k + 1)-row matrix, its
+    own margin (solve._schur_margin) and u -> u^T Q^T C'(E) Q u as
+    _pair_slope does; lift(v) is Q v / ||Q v||, in fiber order, a unit vector
+    whatever Q, for the bracket's Rayleigh quotient.  Each is O(k M).
+    """
+    m = len(s)
+    ids = labels[::-1]  # state order of block 1
+    cols = np.argsort(ids, kind="stable")  # block-1 states grouped by orbit
+    starts = np.flatnonzero(np.r_[True, ids[cols][1:] != ids[cols][:-1]])
+    reps, sizes = cols[starts], np.diff(np.r_[starts, m])
+    k, root = len(reps), np.sqrt(sizes)
+    weight = root[:, None] / root[None, :]
+    d_rows = d_top[reps][:, cols]
+    s_rep, s2_cols = s[reps], (s * s)[cols]
+    s_out = np.multiply(s_rep[:, None], s_rep[None, :])
+    x_sec = np.diag(np.r_[x[0, 0], x.diagonal()[1:][reps]])
+    x_sec[0, 1:] = x_sec[1:, 0] = root * s_rep
+    diag = np.diag_indices(k)
+
+    def reduce(r):
+        """W: the orbit sums of the representative rows r, weighted."""
+        return np.add.reduceat(r, starts, axis=1) * weight
+
+    def complement(level):
+        r = 1.0 / (d_rows - level)
+        w = reduce(r)
+        gram = s_out * w
+        gram[diag] = (r * s2_cols).sum(axis=1) + s_rep * s_rep * w[diag]
+        out = x_sec.copy()
+        out[np.diag_indices(k + 1)] -= level
+        delta = _schur_margin((out, gram), k + 1)
+        out[1:, 1:] -= gram
+        r2 = r * r
+        w2, r2s2 = reduce(r2), r2 @ s2_cols
+
+        def slope(u):
+            su = s_rep * u
+            return float(su @ (w2 @ su) + (u * u) @ r2s2)
+
+        return out, delta, slope
+
+    def lift(v):
+        y = np.empty(m + 1)
+        y[0] = v[0]
+        y[1 + cols] = np.repeat(v[1:] / root, sizes)
+        return y / np.linalg.norm(y)
+
+    return complement, lift
 
 
 @_one_blas_thread()
@@ -372,17 +471,29 @@ def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = 
     There S(E) is concave in E with derivative -1 - C'(E), C'(E) = [[0, 0],
     [0, G(1/(D_top - E)^2)]] >= 0, so mu is concave and falls with slope at
     most -1, and Newton's method from the right, E <- E + mu(E) / (1 +
-    v^T C'(E) v) with v the unit eigenvector of mu (one eigh of S(E) per
-    step), decreases monotonically to E0.  It starts at the upper end of the
-    N_max = 1 bracket, the lowest eigenvalue of X, hence at or above E0, and
-    stops when a step no longer decreases E or, taken, falls within the
-    margin delta below (the next step would be of the order of its square).
-    The bracket reads the last step's S(E), formed at the final E, and its
-    margin delta (solve._schur_margin).  As dS/dE <= -I, [E - w, E + w] holds
-    E0 once a Cholesky of S(E) + (w - delta) I <= S(E - w) succeeds (no level
-    at or below E - w) and v^T S(E) v - w < -delta, an upper bound on
-    v^T S(E + w) v, or E + w reaches min D_top (a level below E + w); w
-    doubles from 2 delta while the bracket is at most tol wide.
+    v^T C'(E) v) with v the unit eigenvector of mu, decreases monotonically
+    to E0.  The ground state is simple, so the stabilizer of P in O_h fixes
+    it, and the steps run on the sector that stabilizer fixes: mu is the
+    lowest eigenvalue of Q^T S(E) Q (_pair_sector, one eigh of k + 1 rows
+    per step for k mode orbits of modes._stabilizer_orbits), which keeps
+    the concavity and the slope, since Q^T C'(E) Q >= 0.  Where that
+    stabilizer acts trivially on the grid, Q = I and the steps are on the
+    full S(E).  The steps start at the upper end of the N_max = 1 bracket,
+    the lowest eigenvalue of X and of Q^T X Q, hence at or above the
+    sector's root, and stop when a step no longer decreases E or, taken,
+    falls within the margin of the matrix it was taken on (the next step
+    would be of the order of its square).
+    The certificate is in the full space: the bracket reads the full S(E),
+    formed once at the final E (the last step's, where Q = I and the step
+    was not taken), its margin delta (solve._schur_margin) and the unit
+    lift v = Q v / ||Q v|| of the last eigenvector.  As dS/dE <= -I,
+    [E - w, E + w] holds E0 once a Cholesky of S(E) + (w - delta) I <=
+    S(E - w) succeeds (no level at or below E - w) and v^T S(E) v - w <
+    -delta, an upper bound on v^T S(E + w) v, or E + w reaches min D_top (a
+    level below E + w); w doubles from 2 delta while the bracket is at most
+    tol wide.  A ground level below the sector's root fails that Cholesky
+    for every w that leaves it out, so the route declines rather than
+    certify the sector's level.
     The lifted vector y = (v, -(D_top - E)^-1 B^T v) has (H - E) y = (S(E) v,
     0) and ||y||^2 = 1 + v^T C'(E) v, so `residual` = ||S(E) v|| / ||y|| is
     the fiber residual of y; `vector` is y / ||y|| on blocks 0 and 1 only, in
@@ -413,25 +524,27 @@ def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = 
     if alpha == 0.0:
         return start, blocks
 
-    s2 = s * s
+    def full(level):
+        s_e, delta, r = _pair_complement(x, s, d_top, level)
+        return s_e, delta, _pair_slope(s, r * r)
 
-    def pair_form(u, r):
-        """u^T G(R) u = (s u)^T R (s u) + (u^2)^T R s^2 (the s_i^2 R_ii terms
-        of pair_gram cancel)."""
-        su = s * u
-        return float(su @ (r @ su) + (u * u) @ (r @ s2))
-
+    labels = _stabilizer_orbits(grid, p)
+    complement, lift = (full, None) if labels is None else _pair_sector(x, s, d_top, labels)
     for steps in range(1, NEWTON_STEPS + 1):
-        s_e, delta, r = _pair_complement(x, s, d_top, e)
+        s_e, delta, slope = complement(e)
+        formed = e
         mu, v = _dense_lowest(s_e)
-        step = mu / (1.0 + pair_form(v[1:], r * r))  # -mu'(e) = 1 + v^T C'(e) v
+        step = mu / (1.0 + slope(v[1:]))  # -mu'(e) = 1 + v^T C'(e) v
         if not e + step < e or steps == NEWTON_STEPS:
             break
         e += step
         if -step <= delta:  # within the margin: the next step would be far below it
-            s_e, delta, r = _pair_complement(x, s, d_top, e)
             break
-    norm = math.sqrt(1.0 + pair_form(v[1:], r * r))  # ||y||, v lifted at e
+    if lift is not None:
+        v = lift(v)
+    if lift is not None or formed != e:  # the certificate reads the full S(E) at the final E
+        s_e, delta, slope = full(e)
+    norm = math.sqrt(1.0 + slope(v[1:]))  # ||y||, v lifted at e
     sv = s_e @ v
     form = float(v @ sv)
 

@@ -46,7 +46,8 @@ import numpy as np
 
 from .errors import CapacityError, ConvergenceError
 from .fock import BasisIndex, basis_dimension, enumerate_basis
-from .modes import ModeGrid, _axis_map, _lattice_axis, _lattice_ball, build_grid
+from .modes import (ModeGrid, _elements_taking, _lattice_axis, _lattice_ball,
+                    _symmetry_maps, build_grid)
 from .operators import FiberFamily, _certified_ground, _pair_count
 from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, count_below, lowest_eigenpairs
 
@@ -159,24 +160,17 @@ def assemble_torus(cfg: TorusConfig) -> TorusModel:
     return TorusModel(config=cfg, fibers=lattice_fibers(cfg), grid=grid)
 
 
-# the group O_h as (perm, signs): R x = signs * x[perm]
-_SIGNED_PERMUTATIONS = tuple(
-    (perm, signs)
-    for perm in itertools.permutations(range(3))
-    for signs in itertools.product((1, -1), repeat=3)
-)
-
-
 def _orbit_sources(model: TorusModel) -> List[Tuple[int, Optional[np.ndarray]]]:
     """Per block, the block whose ground level it takes, and the mode map.
 
     Blocks of the lattice scan group into O_h orbits by their sorted |P|; the
     first block of an orbit (in model.fibers order) is its representative and
     is solved, entry (i, None).  Another member P' = R P takes the
-    representative's levels, entry (rep, modes), once the exact check holds:
-    modes[i] is the grid mode at R k_i, for every mode, and the couplings
-    satisfy g[modes] == g bitwise.  Over the basis of every multiset up to
-    N_max this makes U_R V U_R^T = V exactly (V the coupling part), and the
+    representative's levels, entry (rep, modes), once the exact check of
+    modes._symmetry_maps holds: modes[i] is the grid mode at R k_i, for
+    every mode, and the couplings satisfy g[modes] == g bitwise.  Over the
+    basis of every multiset up to N_max this makes U_R V U_R^T = V exactly
+    (V the coupling part), and the
     kinetic diagonals D(RP)[sigma s] and D(P)[s] are the same three squares
     summed in another order, so ||H(RP) - U_R H(P) U_R^T|| <= gamma_3 max D,
     a few ulps.  A member that fails the check is solved itself.  Explicit
@@ -188,15 +182,11 @@ def _orbit_sources(model: TorusModel) -> List[Tuple[int, Optional[np.ndarray]]]:
     if model.config.fibers is not None:
         return sources
     reps = {}
-    for i, p in enumerate(fibers):
-        rep = reps.setdefault(tuple(np.sort(np.abs(p))), i)
-        if rep == i:
-            continue
-        perm, signs = next((perm, signs) for perm, signs in _SIGNED_PERMUTATIONS
-                           if np.array_equal(np.multiply(signs, fibers[rep][list(perm)]), p))
-        modes = _axis_map(model.grid.units, perm, signs)
-        if modes is not None and np.array_equal(model.grid.couplings[modes],
-                                                model.grid.couplings):
+    members = [(i, reps.setdefault(tuple(np.sort(np.abs(p))), i)) for i, p in enumerate(fibers)]
+    members = [(i, rep) for i, rep in members if rep != i]
+    which = [_elements_taking(fibers[rep], fibers[i])[0] for i, rep in members]
+    for (i, rep), modes, ok in zip(members, *_symmetry_maps(model.grid, which)):
+        if ok:
             sources[i] = (rep, modes)
     return sources
 

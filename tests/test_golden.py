@@ -27,15 +27,15 @@ SMALL_KERNEL = "image_cut = 3\nell = 2\nmass = 2\n"
 # run name -> (argv without --out, {file it writes: SHA-256})
 GOLDEN = {
     "checks_quick": (["checks", "--config", str(CONFIGS / "quick.cfg")], {
-        "checks.json": "ff8ea8f22b6b2214203cbb9b93f1332956a225ec97275361f0461c5a730adbff",
+        "checks.json": "0ab89a9677f4db2b5cbf243de2315df153f912891edd41e7f9c0f9aa4ed78dbc",
     }),
     # the parameter tables' defaults are the values quick.cfg spells out
     "checks_defaults": (["checks"], {
-        "checks.json": "ff8ea8f22b6b2214203cbb9b93f1332956a225ec97275361f0461c5a730adbff",
+        "checks.json": "0ab89a9677f4db2b5cbf243de2315df153f912891edd41e7f9c0f9aa4ed78dbc",
     }),
     "dispersion_default": (["dispersion"], {
-        "dispersion.csv": "c373c546169a0c8c4787730ca1348483f18756d3f913d9aef7a158457e7e861a",
-        "verdict.json": "fdd7271208122dd7468d50a7e0f6b2f3a425cf72f7d888940b9991e5cc6776fd",
+        "dispersion.csv": "2ac5788d1b18d721295520be314bbb4c64f995df63d6d69accb8b5a1772a8ef3",
+        "verdict.json": "78da875a08ef1a05238f343f146960783caca087ee8d495459ecf77c79909560",
     }),
     "dispersion_free": (["dispersion", "--config", str(CONFIGS / "free.cfg")], {
         "dispersion.csv": "671300f4a93ca0a0ceb6fc0e5b252fe5dc06a84bd86ea542a7334830015e59ba",
@@ -46,8 +46,8 @@ GOLDEN = {
         "extrapolation.json": "c3834c9a990537e0ff5ddaab9f964a3590ce9c1fcd2b3e03c7545415a5f5b196",
     }),
     "extrapolate_nmax2": (["extrapolate", "--config", "{small}"], {
-        "extrapolation.csv": "3c05e9d2eebf21af33b8628166f60b8af4dc6d328f142d37654fbc605d1cb7d3",
-        "extrapolation.json": "65f352a6e357dc0f8f98c3f5b3642141b294506053891f58cbb7a48d1a6059e0",
+        "extrapolation.csv": "628a2c334e80835c141d0793183de983973c36e0a7c4f5227044135471678d1b",
+        "extrapolation.json": "769afe86ca57055b49cad3f08dd4f9ea57db81cb095fcf7f00662b0c11e2d670",
     }),
     "kernel_default": (["kernel"], {
         "kernel.json": "a51bcae86488cebf73cc980a471232babeef00a26c916cfd2337a86e4407e85b",
@@ -56,8 +56,8 @@ GOLDEN = {
         "kernel.json": "fa01f5cebfbf616fc5fa38cfc0b5c0386dd13d93b7c1233bded57c5aba87ab66",
     }),
     "torus_default": (["torus"], {
-        "torus.csv": "bfa5093208486f8b01ca67ac3f33e5a5099a140afd03f89511b20d66e76d3d8b",
-        "torus.json": "24d583a3cbac1de986d90bee8f5e908218c5b99a40e53061301b6d7af3886550",
+        "torus.csv": "918cc964604c02f2c0118c37b385e6b279540b2342311b67e2614170daa5ed98",
+        "torus.json": "7e687f6dae4953a31318f5d4f8e065407adc9c52424cd8100d27f1e6edaabf6f",
     }),
     # the count routes: solve.count_below at split 1 on 257 states (N_max = 1)
     # and at split 190 on 1,330 states (N_max = 3), and operators._pair_count
@@ -71,11 +71,11 @@ GOLDEN = {
         "torus.json": "65522c5b24f18a42f8de5c245164dbd236deda002bab33d4c9d78cb72189b7cb",
     }),
     "torus_desk_threads2": (["torus", "--delta", "0.75", "--lambda", "3", "--threads", "2"], {
-        "torus.csv": "ebabb6158c20a777e02a6d0be748217424bcb2f9391866e3a1e47e8855931f98",
-        "torus.json": "c572bdc7b2f7f6371538415dadedd3ad8eed0726c398a0ba3109790a90e0debe",
+        "torus.csv": "1adacff23ed7e7e768d4975c7e81d1c1af7eaf14df5ef3869287ae486adacb3b",
+        "torus.json": "06f8093ace9a687d52abfc7f62199707ad81c988eacfd33a672fd33c08134d0e",
     }),
     "checks_desk": (["checks", "--config", str(CONFIGS / "desk.cfg")], {
-        "checks.json": "24b56ddcf93558403e10c2c36ffdd99acb72052e3098a07bc1a1a150d6bb366d",
+        "checks.json": "cd93e0f404e3a011564575c5e54683a516d4cdff038ddca1eb4ac5924bb4fab0",
     }),
 }
 

@@ -13,7 +13,7 @@ from polaronlab import (
     build_grid,
 )
 from polaronlab import modes
-from polaronlab.modes import _axis_map, _cell_couplings, _norm2
+from polaronlab.modes import _cell_couplings, _norm2
 from naive_ref import (
     naive_cell_couplings,
     naive_couplings,
@@ -273,6 +273,14 @@ def test_cutoff_schedule_rejects_non_finite(name, bad):
         CutoffSchedule(lambdas=lambdas, delta=delta, n_max=2)
 
 
+def _axis_map(units, perm, signs):
+    """The _UnitLookup map of the one signed axis permutation x -> signs * x[perm], or None."""
+    which = (modes._PERMS == perm).all(axis=1) & (modes._SIGNS == signs).all(axis=1)
+    assert which.sum() == 1
+    idx, ok = modes._UnitLookup(np.asarray(units, dtype=np.int64).reshape(-1, 3)).maps(which)
+    return idx[0] if ok[0] else None
+
+
 def test_axis_map_is_the_signed_permutation_on_every_mode():
     grid = build_grid(1.0, 2.0)
     for perm in itertools.permutations(range(3)):
@@ -285,9 +293,64 @@ def test_axis_map_is_the_signed_permutation_on_every_mode():
 
 def test_axis_map_refuses_missing_images_and_repeated_modes():
     swap_xz = ((2, 1, 0), (1, 1, 1))
-    assert _axis_map(np.array([[0, 0, 1], [0, 1, 0]]), *swap_xz) is None
-    assert _axis_map(np.array([[0, 0, 1], [0, 0, 1], [1, 0, 0]]), *swap_xz) is None
-    assert _axis_map(np.zeros((0, 3), dtype=np.int64), *swap_xz).size == 0
+    assert _axis_map([[0, 0, 1], [0, 1, 0]], *swap_xz) is None
+    assert _axis_map([[0, 0, 1], [0, 0, 1], [1, 0, 0]], *swap_xz) is None
+    assert _axis_map(np.zeros((0, 3)), *swap_xz).size == 0
+
+
+def test_stabilizer_orbits_of_the_wedge_corners_on_the_desk_grid():
+    # C4v, C2v and C3v at the corners e_z, (0,1,1) and (1,1,1), O_h at 0
+    grid = build_grid(0.75, 3.0)
+    for p, order, k in (((0, 0, 0), 48, 15), ((0, 0, 1), 8, 55), ((0, 1, 1), 4, 85),
+                        ((1, 1, 1), 6, 60), ((0, 0, -2.5), 8, 55)):
+        stabilizer = modes._elements_taking(p, p)
+        assert len(stabilizer) == order
+        labels = modes._stabilizer_orbits(grid, p)
+        assert len(np.unique(labels)) == k
+        for label in np.unique(labels):
+            orbit = np.flatnonzero(labels == label)
+            assert orbit[0] == label  # each orbit is named by its least mode
+            assert np.array_equal(grid.couplings[orbit], np.full(len(orbit), grid.couplings[label]))
+            # the orbit is the set of images of its least mode
+            images = {tuple(s * grid.units[label][list(q)])
+                      for q, s in zip(modes._PERMS[stabilizer], modes._SIGNS[stabilizer])}
+            assert images == set(map(tuple, grid.units[orbit]))
+    assert modes._stabilizer_orbits(grid, (0.3, 0.7, 1.1)) is None
+
+
+def test_stabilizer_orbits_need_a_closed_grid_with_equal_couplings():
+    grid = build_grid(1.0, 2.0)
+    assert modes._stabilizer_orbits(grid, (0, 0, 1)) is not None
+    # one mode dropped: the grid is not closed under C4v
+    keep = np.arange(1, len(grid))
+    assert modes._stabilizer_orbits(
+        ModeGrid.manual(1.0, 2.0, grid.units[keep], grid.couplings[keep]), (0, 0, 1)) is None
+    # one coupling an ulp off
+    g = grid.couplings.copy()
+    g[0] = np.nextafter(g[0], 1.0)
+    assert modes._stabilizer_orbits(ModeGrid.manual(1.0, 2.0, grid.units, g), (0, 0, 1)) is None
+    # modes on the z axis only: every orbit is one mode, so the action is trivial
+    axis = ModeGrid.manual(1.0, 2.0, [[0, 0, 1], [0, 0, 2]], [0.1, 0.2])
+    assert modes._stabilizer_orbits(axis, (0, 0, 1)) is None
+    assert modes._stabilizer_orbits(build_grid(1.0, 0.5), (0, 0, 0)) is None  # no modes
+
+
+def test_symmetry_maps_share_one_sorted_code_table(monkeypatch):
+    made = []
+    lookup = modes._UnitLookup
+
+    def counted(units):
+        made.append(len(units))
+        return lookup(units)
+
+    monkeypatch.setattr(modes, "_UnitLookup", counted)
+    grid = build_grid(1.0, 2.0)
+    for p in ((0, 0, 0), (0, 0, 1), (1, 1, 1)):
+        modes._stabilizer_orbits(grid, p)
+    idx, ok = modes._symmetry_maps(grid, np.arange(48))
+    assert made == [len(grid)] and ok.all()
+    for e, row in enumerate(idx):
+        assert np.array_equal(grid.units[row], modes._SIGNS[e] * grid.units[:, modes._PERMS[e]])
 
 
 @pytest.mark.parametrize("delta,lambdas", [

@@ -10,6 +10,7 @@ from polaronlab import (
     CapacityError,
     FiberConfig,
     FiberFamily,
+    ModeGrid,
     SparseOperator,
     annihilation_csr,
     assemble_KT,
@@ -401,6 +402,14 @@ def test_pair_diagonal_has_the_fiber_bits(delta, lam):
     assert np.array_equal(got, d[basis.block_offset(2):])
 
 
+@pytest.mark.parametrize("p", [(0.0, 0.0, 0.0), (0.0, 0.3, 0.8)])
+def test_pair_blocks_diagonal_is_the_pair_diagonal_in_block_order(p):
+    grid = build_grid(0.75, 3.0)
+    d_top = operators._pair_blocks(1.0, grid, np.array(p))[2]
+    assert d_top.flags.c_contiguous
+    assert np.array_equal(d_top, operators.pair_diagonal(grid, p)[::-1, ::-1])
+
+
 def test_pair_gram_capacity_is_checked_before_any_allocation():
     # C(3163, 2) = 5,000,703 two-phonon-basis states exceed the default capacity
     def unread(rows):
@@ -548,9 +557,10 @@ def test_pair_count_declines_above_the_dense_cap_and_rejects_an_empty_grid(monke
 
 
 def test_counts_and_the_pair_bracket_form_one_schur_complement_per_level(monkeypatch):
-    # a count forms S(e) once, and a pair solve once per Newton step, plus
-    # once more when its last step falls within the margin: the bracket reads
-    # the last step's S(E) and forms none of its own
+    # a count forms S(e) once, and a pair solve at most once per Newton step,
+    # plus once more when its last step falls within the margin: the bracket
+    # reads the full S(E) at the final E (on these symmetric momenta the
+    # steps run on the sector and form it once, test below)
     formed = []
 
     def counting(module, name):
@@ -574,6 +584,152 @@ def test_counts_and_the_pair_bracket_form_one_schur_complement_per_level(monkeyp
     formed.clear()
     assert solve.count_below(op, 0.0, basis.block_offset(2)) == 1
     assert formed == ["_schur_margin"]
+
+
+SECTOR_MOMENTA = [(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0),
+                  (0.3, 0.7, 1.1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_basis(lam):
+    grid = build_grid(1.0, lam)
+    return grid, enumerate_basis(len(grid), 2, grid.units, grid.spacing)
+
+
+def _sector_columns(labels):
+    """Q: the vacuum and the orbit sums of the one-phonon states, orbits by
+    their least mode, as columns on blocks 0 and 1 in fiber order (the
+    one-phonon state j on mode M - 1 - j)."""
+    m = len(labels)
+    orbits = np.unique(labels)
+    q = np.zeros((m + 1, len(orbits) + 1))
+    q[0, 0] = 1.0
+    for a, label in enumerate(orbits):
+        members = m - 1 - np.flatnonzero(labels == label)
+        q[1 + members, 1 + a] = 1.0 / math.sqrt(len(members))
+    return q
+
+
+@pytest.mark.parametrize("p", SECTOR_MOMENTA)
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("lam", [1.5, 2.0])
+def test_sector_route_agrees_with_the_full_space(lam, alpha, p):
+    # the Newton steps run on Q^T S(E) Q; the bracket is proven on the full
+    # S(E), so it holds the dense ground level of the assembled fiber
+    grid, basis = _pair_basis(lam)
+    op = assemble_fiber(FiberConfig(alpha=alpha, p=np.array(p), grid=grid, n_max=2), basis)
+    dense = dense_spectrum(op, k=1)[0]
+    r = operators._certified_ground(alpha, grid, 2, p)[0]
+    assert r.bracket[0] <= dense <= r.bracket[1]
+    assert r.bracket[1] - r.bracket[0] <= solve.DEFAULT_TOL
+    assert r.residual <= 1e-13 and r.vector[0] > 0.0
+    labels = operators._stabilizer_orbits(grid, p)
+    if p == (0.3, 0.7, 1.1):
+        assert labels is None  # the stabilizer is the identity: the full block
+        return
+    x, s, d_top = operators._pair_blocks(alpha, grid, np.array(p))
+    complement, lift = operators._pair_sector(x, s, d_top, labels)
+    t, delta, form = complement(r.energy)
+    full, _, rr = operators._pair_complement(x, s, d_top, r.energy)
+    q = _sector_columns(labels)
+    eps = np.finfo(np.float64).eps
+    assert np.abs(t - q.T @ full @ q).max() <= 8.0 * eps * np.linalg.norm(full, 1)
+    assert t.shape[0] < full.shape[0] and delta > 0.0
+    # the slope form and the lift are those of Q
+    u = np.random.default_rng(3).standard_normal(t.shape[0])
+    u /= np.linalg.norm(u)
+    np.testing.assert_allclose(lift(u), q @ u, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(form(u[1:]), operators._pair_slope(s, rr * rr)((q @ u)[1:]),
+                               rtol=1e-13)
+
+
+@pytest.mark.parametrize("corrupt", ["weight", "orbit"])
+def test_a_wrong_sector_never_certifies_a_wrong_level(monkeypatch, corrupt):
+    # a sector matrix that is not Q^T S(E) Q moves the Newton root; the full
+    # certificate then declines, or brackets the dense level all the same
+    grid, basis = _pair_basis(2.0)
+    if corrupt == "weight":  # one orbit's vacuum coupling off by sqrt 2
+        sector = operators._pair_sector
+
+        def wrong(*args):
+            complement, lift = sector(*args)
+
+            def off(level):
+                t, delta, form = complement(level)
+                t[0, 1] *= math.sqrt(2.0)
+                t[1, 0] *= math.sqrt(2.0)
+                return t, delta, form
+
+            return off, lift
+
+        monkeypatch.setattr(operators, "_pair_sector", wrong)
+    else:  # one mode moved into the next orbit
+        orbits = operators._stabilizer_orbits
+
+        def wrong(grid, p):
+            labels = orbits(grid, p)
+            labels[np.flatnonzero(labels == labels[0])[-1]] = np.unique(labels)[1]
+            return labels
+
+        monkeypatch.setattr(operators, "_stabilizer_orbits", wrong)
+    declined = 0
+    for p in SECTOR_MOMENTA[:4]:
+        op = assemble_fiber(FiberConfig(alpha=1.0, p=np.array(p), grid=grid, n_max=2), basis)
+        dense = dense_spectrum(op, k=1)[0]
+        r = operators._certified_ground(1.0, grid, 2, p)[0]
+        if r is None:
+            declined += 1
+        else:
+            assert r.bracket[0] <= dense <= r.bracket[1]
+    assert declined >= 1
+
+
+def test_generic_momenta_and_broken_symmetry_keep_the_full_route_bits():
+    # where the stabilizer acts trivially the sector is the whole block, and
+    # the route returns the bits it returned before the sector existed
+    def pinned(r):
+        return (r.energy.hex(), r.residual.hex(), tuple(b.hex() for b in r.bracket),
+                r.iterations)
+
+    desk = build_grid(0.75, 3.0)
+    assert operators._stabilizer_orbits(desk, (0.3, 0.7, 1.1)) is None
+    assert pinned(operators._certified_ground(1.0, desk, 2, (0.3, 0.7, 1.1))[0]) == (
+        "0x1.1f2b89f644d00p+0", "0x1.afbe56581fbf7p-48",
+        ("0x1.1f2b89f62ecdcp+0", "0x1.1f2b89f65ad24p+0"), 4)
+    # the quick grid with one coupling an ulp off, in the orbit of mode 0
+    grid = build_grid(1.0, 2.0)
+    g = grid.couplings.copy()
+    g[0] = np.nextafter(g[0], 1.0)
+    broken = ModeGrid.manual(1.0, 2.0, grid.units, g)
+    want = {
+        (0.0, 0.0, 1.0): ("0x1.a080373fbb9cfp-1", "0x1.df6c150abfb88p-48",
+                          ("0x1.a080373fb8980p-1", "0x1.a080373fbea1ep-1"), 3),
+        (0.0, 0.0, 0.0): ("-0x1.062d628739c2dp-4", "0x1.8f4012c773025p-53",
+                          ("-0x1.062d628747296p-4", "-0x1.062d62872c5c4p-4"), 3),
+    }
+    for p, bits in want.items():
+        assert operators._stabilizer_orbits(grid, p) is not None
+        assert operators._stabilizer_orbits(broken, p) is None
+        assert pinned(operators._certified_ground(1.0, broken, 2, p)[0]) == bits
+
+
+def test_sector_solve_forms_the_full_complement_once(monkeypatch):
+    # desk grid: 15 orbits at P = 0 and 55 at e_z, so each Newton step
+    # solves k + 1 rows, and the full 257-row S(E) is formed only for the
+    # certificate
+    formed, rows = [], []
+    complement, lowest = operators._pair_complement, operators._dense_lowest
+    monkeypatch.setattr(operators, "_pair_complement",
+                        lambda *a: formed.append(a[3]) or complement(*a))
+    monkeypatch.setattr(operators, "_dense_lowest", lambda s: rows.append(len(s)) or lowest(s))
+    grid = build_grid(0.75, 3.0)
+    for p, k in (((0.0, 0.0, 0.0), 15), ((0.0, 0.0, 1.0), 55)):
+        formed.clear()
+        rows.clear()
+        r = operators._certified_ground(1.0, grid, 2, p)[0]
+        assert len(np.unique(operators._stabilizer_orbits(grid, p))) == k
+        assert formed == [r.energy]
+        assert rows and max(rows) <= k + 1 and len(rows) == r.iterations
 
 
 @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])

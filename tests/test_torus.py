@@ -473,6 +473,19 @@ def test_orbit_maps_conjugate_the_desk_fibers_exactly(desk_torus):
     assert len(checked) == 5 + 11
 
 
+def test_orbit_maps_and_pair_sectors_sort_the_grid_codes_once(monkeypatch):
+    # the quick torus: _orbit_sources maps six fibers onto two, and each
+    # pair solve finds its stabilizer's orbits, all on one code table
+    made = []
+    lookup = modes._UnitLookup
+    monkeypatch.setattr(modes, "_UnitLookup", lambda units: made.append(len(units)) or lookup(units))
+    model = assemble_torus(_quick_config())
+    rep = degeneracy_analysis(model)
+    assert rep.argmin == ((0.0, 0.0, 0.0),) and rep.multiplicity == 1
+    assert [r for r, _ in _orbit_sources(model)] == [0, 0, 0, 3, 0, 0, 0]
+    assert made == [len(model.grid)]
+
+
 def test_copied_desk_energies_match_independent_solves(monkeypatch, desk_torus):
     model = desk_torus
     sources = [rep for rep, _ in _orbit_sources(model)]
