@@ -140,7 +140,7 @@ class ModeGrid:
 
     @cached_property
     def _lookup(self) -> "_UnitLookup":
-        """The grid's units sorted by code once, for every map made on it."""
+        """The grid's code-to-mode table, made once, for every map made on it."""
         return _UnitLookup(self.units)
 
     def within(self, lam: float) -> "ModeGrid":
@@ -246,17 +246,18 @@ def _elements_taking(p, q) -> np.ndarray:
 
 
 class _UnitLookup:
-    """Exact lookup of integer unit vectors among `units`, by one sort of
-    their codes; a ModeGrid keeps one (ModeGrid._lookup) for every map made
-    on it."""
+    """Exact lookup of integer unit vectors among `units` by one table from
+    unit code to mode over [-r, r]^3, r the largest |unit entry|, under the
+    lattice budget; a ModeGrid keeps one (_lookup) for every map made on it."""
 
     def __init__(self, units: np.ndarray):
         self.units = units
         self.r = int(np.abs(units).max(initial=0))
-        keys = self._code(units)
-        self.order = np.argsort(keys, kind="stable")
-        self.ranked = keys[self.order]
-        self.distinct = not (np.diff(self.ranked) == 0).any()
+        _lattice_axis(self.r, "unit")
+        codes, m = self._code(units), np.arange(len(units))
+        self.table = np.full((2 * self.r + 1) ** 3, -1, dtype=np.int64)
+        self.table[codes] = m
+        self.distinct = bool((self.table[codes] == m).all())
 
     def _code(self, u: np.ndarray) -> np.ndarray:
         # a signed permutation keeps every |entry|, so one code range serves both
@@ -266,13 +267,11 @@ class _UnitLookup:
     def maps(self, which):
         """(idx, ok) for the elements R of O_h in `which`: row e of idx has
         units[idx[e, i]] == R units[i] for every mode i where ok[e]; ok[e] is
-        False when an image is not a mode or the units repeat (then the map
-        would not be one to one)."""
+        False when an image is not a mode (idx -1 there) or the units repeat
+        (then the map would not be one to one)."""
         perms, signs = _PERMS[which], _SIGNS[which]
-        wanted = self._code(signs[:, None, :] * self.units[:, perms].transpose(1, 0, 2))
-        pos = np.minimum(np.searchsorted(self.ranked, wanted), max(len(self.ranked) - 1, 0))
-        ok = (self.ranked[pos] == wanted).all(axis=1) & self.distinct
-        return self.order[pos], ok
+        idx = self.table[self._code(signs[:, None, :] * self.units[:, perms].transpose(1, 0, 2))]
+        return idx, (idx >= 0).all(axis=1) & self.distinct
 
 
 def _symmetry_maps(grid: ModeGrid, which):

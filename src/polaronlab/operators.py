@@ -30,17 +30,17 @@ squared weight of the two-phonon state {i, k}.  So ||B_1||^2 = ||G(w^2)|| is
 solved on G by the same eigensolver, ||B_0|| is the norm of one vector, and
 the Neumann product ||B_0 B_1|| is sqrt(b0^T G b0).  N_max >= 3 keeps the
 raise-map route.
-The same kernel with R_ik = 1/(D_ik - e), D_ik the kinetic diagonal of {i, k},
+The same sum with R_ik = 1/(D_ik - e), D_ik the kinetic diagonal of {i, k},
 is the coupling term of the Schur complement S(e) onto blocks 0 and 1 that
 solve.count_below forms from a fiber's CSR, so _pair_count counts the
 eigenvalues of an N_max = 2 fiber below e from the grid alone.
 _certified_ground is the one place that says which ground route runs at
 which N_max, and how each is certified; a count, and the pair route's
-bracket, each read one computed S(e), at the level e itself.  The pair
-route's Newton steps run on the part of S(E) that lives on the one-phonon
-states fixed by the stabilizer of P in O_h (_pair_sector, read off one
-representative row of G per mode orbit), and only its certificate forms
-the full (M + 1)-row S(E), once, at the final E.
+bracket, each read one computed S(e), at the level e itself.  One builder,
+_pair_schur, forms S(e) on the one-phonon sector fixed by a group of mode
+permutations, from one row of G per orbit; with one mode per orbit it is
+the full S(e), which the counts and the certificate read.  The pair route's
+Newton steps run on the sector of the stabilizer of P in O_h.
 The dense assemble_KT checks the dimension cap, solve.DENSE_CAP, and the
 pair routes decline above it (M + 1 > DENSE_CAP, read at call time); G is
 checked against the basis capacity, fock.BASIS_CAPACITY, before it is
@@ -341,90 +341,76 @@ def _pair_blocks(alpha: float, grid: ModeGrid, p: np.ndarray):
     return x, s, d_top
 
 
-def _pair_slope(s: np.ndarray, r2: np.ndarray):
-    """u -> u^T G(R2) u = (s u)^T R2 (s u) + (u^2)^T R2 s^2 (the s_i^2 R2_ii
-    terms of pair_gram cancel): with R2 = 1/(D_top - E)^2, v^T C'(E) v for v
-    = (v_0, u) on blocks 0 and 1, so -mu'(E) = 1 + v^T C'(E) v."""
-    s2 = s * s
-
-    def slope(u):
-        su = s * u
-        return float(su @ (r2 @ su) + (u * u) @ (r2 @ s2))
-
-    return slope
-
-
-def _pair_complement(x, s, d_top, level):
-    """S(level) = (X - level) - [[0, 0], [0, G(R)]], the Schur complement onto
-    blocks 0 and 1, its rounding margin (solve._schur_margin, with ||C|| =
-    ||G||) and R = 1/(D_top - level)."""
-    r = 1.0 / (d_top - level)
-    gram = pair_gram(s, lambda rows: r[rows])
-    out = x.copy()
-    out[np.diag_indices(len(x))] -= level
-    delta = _schur_margin((out, gram), len(x))
-    out[1:, 1:] -= gram
-    return out, delta, r
-
-
-def _pair_sector(x, s, d_top, labels):
-    """(complement, lift) of the Schur complement on the sector of blocks 0
-    and 1 that the stabilizer of P fixes, for `labels` of
-    modes._stabilizer_orbits (per mode, its orbit's least mode).
+def _pair_schur(x, s, d_top, labels=None):
+    """(complement, lift) of the Schur complement onto blocks 0 and 1, on the
+    sector fixed by a group of mode permutations with `labels` its orbits
+    (modes._stabilizer_orbits: per mode, its orbit's least mode), or on the
+    whole of blocks 0 and 1 for labels = None, one mode per orbit.
 
     The sector is spanned by the vacuum and the orbit sums q_a = n_a^-1/2
     sum_{i in O_a} e_i of the one-phonon states, k + 1 columns Q for k
     orbits of sizes n_a.  The stabilizer permutes the modes, keeping their
     couplings exactly and X and D_top to the rounding of their three squares,
     so S(E) commutes with it and Q^T S(E) Q reads one representative row i_a
-    per orbit: with W_ab = (n_a / n_b)^1/2 sum_{k in O_b} R_{i_a k},
-    Q^T G(R) Q = (s_a s_b W_ab) + diag((R s^2)_{i_a}), and X's vacuum row
-    becomes n_a^1/2 s_a.  complement(E) returns that (k + 1)-row matrix, its
-    own margin (solve._schur_margin) and u -> u^T Q^T C'(E) Q u as
-    _pair_slope does; lift(v) is Q v / ||Q v||, in fiber order, a unit vector
-    whatever Q, for the bracket's Rayleigh quotient.  Each is O(k M).
+    per orbit: with R = 1/(D_top - E) and W_ab = (n_a / n_b)^1/2 sum_{k in
+    O_b} R_{i_a k}, Q^T G(R) Q = (s_a s_b W_ab) + diag((R s^2)_{i_a}), and
+    X's vacuum row becomes n_a^1/2 s_a.  complement(E) returns that (k +
+    1)-row matrix, its own margin (solve._schur_margin) and the slope form
+    u -> u^T Q^T C'(E) Q u (the s_i^2 R_ii terms of pair_gram cancel from
+    it), which forms R^2 only when called; lift(v) is Q v / ||Q v||, in fiber
+    order, a unit vector whatever Q, for the bracket's Rayleigh quotient.
+    Each is O(k M).  With labels = None, Q = I and lift is None: W = R with
+    nothing copied or summed, and G has the bits of pair_gram(s, R).
     """
     m = len(s)
-    ids = labels[::-1]  # state order of block 1
-    cols = np.argsort(ids, kind="stable")  # block-1 states grouped by orbit
-    starts = np.flatnonzero(np.r_[True, ids[cols][1:] != ids[cols][:-1]])
-    reps, sizes = cols[starts], np.diff(np.r_[starts, m])
-    k, root = len(reps), np.sqrt(sizes)
-    weight = root[:, None] / root[None, :]
+    if labels is None:
+        reps = cols = slice(None)
+        x_sec, lift = x, None
+
+        def reduce(r):
+            return r
+    else:
+        ids = labels[::-1]  # state order of block 1
+        cols = np.argsort(ids, kind="stable")  # block-1 states grouped by orbit
+        starts = np.flatnonzero(np.r_[True, ids[cols][1:] != ids[cols][:-1]])
+        reps, sizes = cols[starts], np.diff(np.r_[starts, m])
+        root = np.sqrt(sizes)
+        weight = root[:, None] / root[None, :]
+        x_sec = np.diag(np.r_[x[0, 0], x.diagonal()[1:][reps]])
+        x_sec[0, 1:] = x_sec[1:, 0] = root * s[reps]
+
+        def reduce(r):
+            """W: the orbit sums of the representative rows r, weighted."""
+            return np.add.reduceat(r, starts, axis=1) * weight
+
+        def lift(v):
+            y = np.empty(m + 1)
+            y[0] = v[0]
+            y[1 + cols] = np.repeat(v[1:] / root, sizes)
+            return y / np.linalg.norm(y)
+
     d_rows = d_top[reps][:, cols]
     s_rep, s2_cols = s[reps], (s * s)[cols]
-    s_out = np.multiply(s_rep[:, None], s_rep[None, :])
-    x_sec = np.diag(np.r_[x[0, 0], x.diagonal()[1:][reps]])
-    x_sec[0, 1:] = x_sec[1:, 0] = root * s_rep
-    diag = np.diag_indices(k)
-
-    def reduce(r):
-        """W: the orbit sums of the representative rows r, weighted."""
-        return np.add.reduceat(r, starts, axis=1) * weight
+    diag = np.diag_indices(len(x_sec) - 1)
 
     def complement(level):
         r = 1.0 / (d_rows - level)
         w = reduce(r)
-        gram = s_out * w
-        gram[diag] = (r * s2_cols).sum(axis=1) + s_rep * s_rep * w[diag]
+        gram = np.multiply(s_rep[:, None], s_rep[None, :])
+        gram *= w
+        sums = np.concatenate([(r[i:i + PAIR_CHUNK] * s2_cols).sum(axis=1)
+                               for i in range(0, len(r), PAIR_CHUNK)])  # row chunks, as pair_gram
+        gram[diag] = sums + s_rep * s_rep * w[diag]
         out = x_sec.copy()
-        out[np.diag_indices(k + 1)] -= level
-        delta = _schur_margin((out, gram), k + 1)
+        out[np.diag_indices(len(out))] -= level
+        delta = _schur_margin((out, gram), len(out))
         out[1:, 1:] -= gram
-        r2 = r * r
-        w2, r2s2 = reduce(r2), r2 @ s2_cols
 
         def slope(u):
-            su = s_rep * u
-            return float(su @ (w2 @ su) + (u * u) @ r2s2)
+            r2, su = r * r, s_rep * u
+            return float(su @ (reduce(r2) @ su) + (u * u) @ (r2 @ s2_cols))
 
         return out, delta, slope
-
-    def lift(v):
-        y = np.empty(m + 1)
-        y[0] = v[0]
-        y[1 + cols] = np.repeat(v[1:] / root, sizes)
-        return y / np.linalg.norm(y)
 
     return complement, lift
 
@@ -434,9 +420,9 @@ def _pair_count(alpha: float, grid: ModeGrid, p, e: float, blocks=None):
     """solve.count_below of the N_max = 2 fiber at p, from the grid alone, on
     `blocks`, the (X, s, D_top) of _pair_blocks at p, where given.
 
-    S(e) = X - e - [[0, 0], [0, G(R)]], R_ik = 1/(D_ik - e) (pair_gram,
-    pair_diagonal), is the Schur complement onto blocks 0 and 1, X bit for
-    bit the fiber's.  Formed once, it is certified as in count_below
+    S(e) = X - e - [[0, 0], [0, G(R)]], R_ik = 1/(D_ik - e), is the Schur
+    complement onto blocks 0 and 1 (_pair_schur, one mode per orbit), X bit
+    for bit the fiber's.  Formed once, it is certified as in count_below
     (solve._certified_count), so the two routes return the same count, or
     None to fall back.  ValueError on an empty grid or a non-finite e.
     """
@@ -452,7 +438,7 @@ def _pair_count(alpha: float, grid: ModeGrid, p, e: float, blocks=None):
     x, s, d_top = blocks
     if e >= d_top.min():
         return None
-    return _certified_count(*_pair_complement(x, s, d_top, e)[:2])
+    return _certified_count(*_pair_schur(x, s, d_top)[0](e)[:2])
 
 
 @_one_blas_thread()
@@ -474,7 +460,7 @@ def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = 
     v^T C'(E) v) with v the unit eigenvector of mu, decreases monotonically
     to E0.  The ground state is simple, so the stabilizer of P in O_h fixes
     it, and the steps run on the sector that stabilizer fixes: mu is the
-    lowest eigenvalue of Q^T S(E) Q (_pair_sector, one eigh of k + 1 rows
+    lowest eigenvalue of Q^T S(E) Q (_pair_schur, one eigh of k + 1 rows
     per step for k mode orbits of modes._stabilizer_orbits), which keeps
     the concavity and the slope, since Q^T C'(E) Q >= 0.  Where that
     stabilizer acts trivially on the grid, Q = I and the steps are on the
@@ -483,17 +469,17 @@ def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = 
     sector's root, and stop when a step no longer decreases E or, taken,
     falls within the margin of the matrix it was taken on (the next step
     would be of the order of its square).
-    The certificate is in the full space: the bracket reads the full S(E),
-    formed once at the final E (the last step's, where Q = I and the step
-    was not taken), its margin delta (solve._schur_margin) and the unit
-    lift v = Q v / ||Q v|| of the last eigenvector.  As dS/dE <= -I,
-    [E - w, E + w] holds E0 once a Cholesky of S(E) + (w - delta) I <=
-    S(E - w) succeeds (no level at or below E - w) and v^T S(E) v - w <
-    -delta, an upper bound on v^T S(E + w) v, or E + w reaches min D_top (a
-    level below E + w); w doubles from 2 delta while the bracket is at most
-    tol wide.  A ground level below the sector's root fails that Cholesky
-    for every w that leaves it out, so the route declines rather than
-    certify the sector's level.
+    The certificate is in the full space: the bracket reads the full S(E)
+    (_pair_schur with one mode per orbit), formed once at the final E (the
+    last step's, where Q = I and the step was not taken), its margin delta
+    (solve._schur_margin) and the unit lift v = Q v / ||Q v|| of the last
+    eigenvector.  As dS/dE <= -I, [E - w, E + w] holds E0 once a Cholesky
+    of S(E) + (w - delta) I <= S(E - w) succeeds (no level at or below
+    E - w) and v^T S(E) v - w < -delta, an upper bound on v^T S(E + w) v,
+    or E + w reaches min D_top (a level below E + w); w doubles from
+    2 delta while the bracket is at most tol wide.  A ground level below
+    the sector's root fails that Cholesky for every w that leaves it out,
+    so the route declines rather than certify the sector's level.
     The lifted vector y = (v, -(D_top - E)^-1 B^T v) has (H - E) y = (S(E) v,
     0) and ||y||^2 = 1 + v^T C'(E) v, so `residual` = ||S(E) v|| / ||y|| is
     the fiber residual of y; `vector` is y / ||y|| on blocks 0 and 1 only, in
@@ -523,13 +509,7 @@ def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = 
         return None, blocks
     if alpha == 0.0:
         return start, blocks
-
-    def full(level):
-        s_e, delta, r = _pair_complement(x, s, d_top, level)
-        return s_e, delta, _pair_slope(s, r * r)
-
-    labels = _stabilizer_orbits(grid, p)
-    complement, lift = (full, None) if labels is None else _pair_sector(x, s, d_top, labels)
+    complement, lift = _pair_schur(x, s, d_top, _stabilizer_orbits(grid, p))
     for steps in range(1, NEWTON_STEPS + 1):
         s_e, delta, slope = complement(e)
         formed = e
@@ -540,10 +520,10 @@ def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = 
         e += step
         if -step <= delta:  # within the margin: the next step would be far below it
             break
-    if lift is not None:
-        v = lift(v)
-    if lift is not None or formed != e:  # the certificate reads the full S(E) at the final E
-        s_e, delta, slope = full(e)
+    if lift is not None:  # the certificate reads the full S(E) at the final E
+        v, complement = lift(v), _pair_schur(x, s, d_top)[0]
+    if lift is not None or formed != e:
+        s_e, delta, slope = complement(e)
     norm = math.sqrt(1.0 + slope(v[1:]))  # ||y||, v lifted at e
     sv = s_e @ v
     form = float(v @ sv)

@@ -566,15 +566,15 @@ def _dense_lowest(s: np.ndarray) -> Tuple[float, np.ndarray]:
     return float(w[0]), z
 
 
-def _schur_margin(pair, split: int) -> float:
-    """delta = c m u ||S|| for S = X - C of size m = split, given as the pair
-    (X, C); ||S|| is bounded by ||X||_1 + ||C||_1, so the rounding of forming
-    S is covered too.  NumericalError if S is not finite.
-    """
+def _schur_margin(pair, m: int) -> float:
+    """delta = c m u ||S|| for S = X - C given as the pair (X, C), m at least
+    S's order and the terms summed in one entry of C; ||S|| <= ||X||_1 +
+    ||C||_1 covers the rounding of forming S too.  NumericalError if S is
+    not finite."""
     s_norm = sum(np.linalg.norm(t, 1) for t in pair)
     if not math.isfinite(s_norm):
         raise NumericalError("Schur complement is not finite")
-    return SCHUR_MARGIN * split * np.finfo(np.float64).eps * s_norm
+    return SCHUR_MARGIN * m * np.finfo(np.float64).eps * s_norm
 
 
 def _certified_count(s: np.ndarray, delta: float):
@@ -603,7 +603,9 @@ def count_below(op, e: float, split: int):
     (Haynsworth), so the count is the number of negative pivots of an LDL^T
     of the dense split x split matrix S(e), formed once and certified
     against its rounding by _certified_count: None when e >= min D_top, when
-    split exceeds DENSE_CAP, or when the counts of S(e) +- delta I differ.
+    split exceeds DENSE_CAP, or when the counts of S(e) +- delta I differ;
+    delta takes m = max(split, most entries in a row of B), as at N_max = 1
+    the one entry of S(e) sums M terms.
     ValueError if e is not finite or the trailing block is not diagonal.
     X, B and D_top are sliced from op.csr.  At N_max = 2,
     operators._pair_count gives the same count from the grid alone, without
@@ -626,7 +628,8 @@ def count_below(op, e: float, split: int):
     bt = csr[split:, :split]
     pair = (csr[:split, :split].toarray() - e * np.eye(split),
             (bt.T.tocsr() @ bt.multiply(1.0 / (d_top - e)[:, None])).toarray())
-    return _certified_count(np.subtract(*pair), _schur_margin(pair, split))
+    inner = int(bt.getnnz(axis=0).max(initial=0))  # terms in one entry of B D^-1 B^T
+    return _certified_count(np.subtract(*pair), _schur_margin(pair, max(split, inner)))
 
 
 @_one_blas_thread()

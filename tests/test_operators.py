@@ -560,30 +560,32 @@ def test_counts_and_the_pair_bracket_form_one_schur_complement_per_level(monkeyp
     # a count forms S(e) once, and a pair solve at most once per Newton step,
     # plus once more when its last step falls within the margin: the bracket
     # reads the full S(E) at the final E (on these symmetric momenta the
-    # steps run on the sector and form it once, test below)
+    # steps run on the sector and form the full S(E) once, test below).
+    # Each complement of operators._pair_schur takes one margin.
     formed = []
 
-    def counting(module, name):
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a: formed.append(name) or original(*a))
+    def counting(module, tag):
+        original = module._schur_margin
+        monkeypatch.setattr(module, "_schur_margin",
+                            lambda *a: formed.append(tag) or original(*a))
 
-    counting(operators, "_pair_complement")
-    counting(solve, "_schur_margin")
+    counting(operators, "pair")
+    counting(solve, "count_below")
     grid = build_grid(0.75, 3.0)  # 256 modes
     for p in ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)):
         formed.clear()
         r = operators._certified_ground(1.0, grid, 2, p)[0]
         assert r.bracket[0] <= r.energy <= r.bracket[1]
-        assert 1 <= len(formed) <= r.iterations + 1 and set(formed) == {"_pair_complement"}
+        assert 1 <= len(formed) <= r.iterations + 1 and set(formed) == {"pair"}
         formed.clear()
         assert operators._pair_count(1.0, grid, np.array(p), r.energy + 1e-8) == 1
-        assert formed == ["_pair_complement"]
+        assert formed == ["pair"]
     small = build_grid(1.0, 2.0)
     basis = enumerate_basis(len(small), 2, small.units, small.spacing)
     op = assemble_fiber(FiberConfig(alpha=1.0, p=np.zeros(3), grid=small, n_max=2), basis)
     formed.clear()
     assert solve.count_below(op, 0.0, basis.block_offset(2)) == 1
-    assert formed == ["_schur_margin"]
+    assert formed == ["count_below"]
 
 
 SECTOR_MOMENTA = [(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0),
@@ -628,9 +630,9 @@ def test_sector_route_agrees_with_the_full_space(lam, alpha, p):
         assert labels is None  # the stabilizer is the identity: the full block
         return
     x, s, d_top = operators._pair_blocks(alpha, grid, np.array(p))
-    complement, lift = operators._pair_sector(x, s, d_top, labels)
+    complement, lift = operators._pair_schur(x, s, d_top, labels)
     t, delta, form = complement(r.energy)
-    full, _, rr = operators._pair_complement(x, s, d_top, r.energy)
+    full, _, full_form = operators._pair_schur(x, s, d_top)[0](r.energy)
     q = _sector_columns(labels)
     eps = np.finfo(np.float64).eps
     assert np.abs(t - q.T @ full @ q).max() <= 8.0 * eps * np.linalg.norm(full, 1)
@@ -639,8 +641,7 @@ def test_sector_route_agrees_with_the_full_space(lam, alpha, p):
     u = np.random.default_rng(3).standard_normal(t.shape[0])
     u /= np.linalg.norm(u)
     np.testing.assert_allclose(lift(u), q @ u, rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(form(u[1:]), operators._pair_slope(s, rr * rr)((q @ u)[1:]),
-                               rtol=1e-13)
+    np.testing.assert_allclose(form(u[1:]), full_form((q @ u)[1:]), rtol=1e-13)
 
 
 @pytest.mark.parametrize("corrupt", ["weight", "orbit"])
@@ -649,10 +650,12 @@ def test_a_wrong_sector_never_certifies_a_wrong_level(monkeypatch, corrupt):
     # certificate then declines, or brackets the dense level all the same
     grid, basis = _pair_basis(2.0)
     if corrupt == "weight":  # one orbit's vacuum coupling off by sqrt 2
-        sector = operators._pair_sector
+        schur = operators._pair_schur
 
-        def wrong(*args):
-            complement, lift = sector(*args)
+        def wrong(x, s, d_top, labels=None):
+            complement, lift = schur(x, s, d_top, labels)
+            if labels is None:  # the full certificate stays exact
+                return complement, lift
 
             def off(level):
                 t, delta, form = complement(level)
@@ -662,7 +665,7 @@ def test_a_wrong_sector_never_certifies_a_wrong_level(monkeypatch, corrupt):
 
             return off, lift
 
-        monkeypatch.setattr(operators, "_pair_sector", wrong)
+        monkeypatch.setattr(operators, "_pair_schur", wrong)
     else:  # one mode moved into the next orbit
         orbits = operators._stabilizer_orbits
 
@@ -711,6 +714,20 @@ def test_generic_momenta_and_broken_symmetry_keep_the_full_route_bits():
         assert operators._stabilizer_orbits(grid, p) is not None
         assert operators._stabilizer_orbits(broken, p) is None
         assert pinned(operators._certified_ground(1.0, broken, 2, p)[0]) == bits
+    # _pair_count on each side of the ground level: the last level certified
+    # 0 and the first undecided one, then the last undecided and the first
+    # certified 1, so the complement's margin is pinned to an ulp of e
+    counts = [
+        (desk, (0.3, 0.7, 1.1), ("0x1.1f2b89f63a48ep+0", "0x1.1f2b89f63a48fp+0",
+                                 "0x1.1f2b89f64f574p+0", "0x1.1f2b89f64f575p+0")),
+        (broken, (0.0, 0.0, 1.0), ("0x1.a080373fba205p-1", "0x1.a080373fba206p-1",
+                                   "0x1.a080373fbd19bp-1", "0x1.a080373fbd19cp-1")),
+        (broken, (0.0, 0.0, 0.0), ("-0x1.062d628740757p-4", "-0x1.062d628740756p-4",
+                                   "-0x1.062d62873310cp-4", "-0x1.062d62873310bp-4")),
+    ]
+    for g_, p, levels in counts:
+        got = [operators._pair_count(1.0, g_, np.array(p), float.fromhex(e)) for e in levels]
+        assert got == [0, None, None, 1]
 
 
 def test_sector_solve_forms_the_full_complement_once(monkeypatch):
@@ -718,9 +735,15 @@ def test_sector_solve_forms_the_full_complement_once(monkeypatch):
     # solves k + 1 rows, and the full 257-row S(E) is formed only for the
     # certificate
     formed, rows = [], []
-    complement, lowest = operators._pair_complement, operators._dense_lowest
-    monkeypatch.setattr(operators, "_pair_complement",
-                        lambda *a: formed.append(a[3]) or complement(*a))
+    schur, lowest = operators._pair_schur, operators._dense_lowest
+
+    def recording(x, s, d_top, labels=None):
+        complement, lift = schur(x, s, d_top, labels)
+        if labels is not None:
+            return complement, lift
+        return (lambda level: formed.append(level) or complement(level)), lift
+
+    monkeypatch.setattr(operators, "_pair_schur", recording)
     monkeypatch.setattr(operators, "_dense_lowest", lambda s: rows.append(len(s)) or lowest(s))
     grid = build_grid(0.75, 3.0)
     for p, k in (((0.0, 0.0, 0.0), 15), ((0.0, 0.0, 1.0), 55)):

@@ -4,12 +4,15 @@ import ctypes
 import math
 import sys
 import threading
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import polaronlab.solve as solve
+from polaronlab import operators
 from polaronlab import (
     CapacityError,
     ConvergenceError,
@@ -413,6 +416,31 @@ def test_count_below_matches_dense_spectrum():
                 assert got == want, (name, e)
                 counted += 1
     assert counted >= 90
+
+
+def test_count_below_margin_covers_the_m_term_sums_at_n_max_1():
+    # at N_max = 1 the split is 1, but the one entry of B D^-1 B^T sums M =
+    # 4,168 terms: scan levels by ulps around the ground level, and every
+    # certified count must be the sign of S(e), taken in exact arithmetic on
+    # the CSR entries (terms grouped by equal (b, d), which is exact)
+    grid = build_grid(0.4, 4.0)
+    basis = enumerate_basis(len(grid), 1, grid.units, grid.spacing)
+    op = assemble_fiber(FiberConfig(alpha=1.0, p=np.zeros(3), grid=grid, n_max=1), basis)
+    assert op.dimension == 4169
+    csr = op.csr
+    x = Fraction(float(csr[0, 0]))
+    groups = Counter(zip(csr[1:, :1].toarray()[:, 0].tolist(), csr.diagonal()[1:].tolist()))
+    e0 = operators._secular_ground(1.0, np.zeros(3), grid).energy
+    certified = []
+    for k in [*range(-400, 401, 4), -10**7, 10**7]:
+        e = e0 + k * math.ulp(e0)
+        got = count_below(op, e, 1)
+        if got is not None:
+            f = Fraction(e)
+            s = x - f - sum(n * Fraction(b) ** 2 / (Fraction(d) - f) for (b, d), n in groups.items())
+            assert got == int(s < 0), k
+            certified.append(k)
+    assert -10**7 in certified and 10**7 in certified
 
 
 def test_negative_inertia_matches_the_ldl_route():
