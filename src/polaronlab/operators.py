@@ -36,7 +36,9 @@ solve.count_below forms from a fiber's CSR, so _pair_count counts the
 eigenvalues of an N_max = 2 fiber below e from the grid alone.
 _certified_ground is the one place that says which ground route runs at
 which N_max, and how each is certified; a count, and the pair route's
-bracket, each read one computed S(e), at the level e itself.  One builder,
+bracket, each read one computed S(e), at the level e itself.  The bracket
+keeps its S(E) (a PairWindow), and _window_count reads a count at a level
+just above E off it, with one Cholesky and no second complement.  One builder,
 _pair_schur, forms S(e) on the one-phonon sector fixed by a group of mode
 permutations, from one row of G per orbit; with one mode per orbit it is
 the full S(e), which the counts and the certificate read.  The pair route's
@@ -49,7 +51,7 @@ allocated.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 import scipy.sparse
@@ -61,6 +63,7 @@ from .modes import ModeGrid, _lattice_cube, _stabilizer_orbits
 from .solve import (
     DEFAULT_SEED,
     DEFAULT_TOL,
+    SCHUR_MARGIN,
     SpectralResult,
     _certified_count,
     _check_dense_cap,
@@ -415,16 +418,30 @@ def _pair_schur(x, s, d_top, labels=None):
     return complement, lift
 
 
+class PairWindow(NamedTuple):
+    """What the pair bracket of _certified_ground computed at its final E:
+    E, the bracket (E - w, E + w), the full (M + 1)-row S(E), its margin
+    delta, the unit lifted eigenvector v and d_min = min D_top."""
+
+    level: float
+    bracket: Tuple[float, float]
+    complement: np.ndarray
+    margin: float
+    vector: np.ndarray
+    d_min: float
+
+
 @_one_blas_thread()
-def _pair_count(alpha: float, grid: ModeGrid, p, e: float, blocks=None):
-    """solve.count_below of the N_max = 2 fiber at p, from the grid alone, on
-    `blocks`, the (X, s, D_top) of _pair_blocks at p, where given.
+def _pair_count(alpha: float, grid: ModeGrid, p, e: float):
+    """solve.count_below of the N_max = 2 fiber at p, from the grid alone.
 
     S(e) = X - e - [[0, 0], [0, G(R)]], R_ik = 1/(D_ik - e), is the Schur
-    complement onto blocks 0 and 1 (_pair_schur, one mode per orbit), X bit
-    for bit the fiber's.  Formed once, it is certified as in count_below
-    (solve._certified_count), so the two routes return the same count, or
-    None to fall back.  ValueError on an empty grid or a non-finite e.
+    complement onto blocks 0 and 1 (_pair_schur, one mode per orbit, on the
+    (X, s, D_top) of _pair_blocks), X bit for bit the fiber's.  Formed once,
+    it is certified as in count_below (solve._certified_count), so the two
+    routes return the same count, or None to fall back.  Any level e; where
+    a pair solve kept its window, _window_count is cheaper near its level.
+    ValueError on an empty grid or a non-finite e.
     """
     if not math.isfinite(e):
         raise ValueError(f"level e must be finite, got {e}")
@@ -433,9 +450,7 @@ def _pair_count(alpha: float, grid: ModeGrid, p, e: float, blocks=None):
         raise ValueError("an empty grid has no two-phonon block")
     if m + 1 > solve.DENSE_CAP:
         return None
-    if blocks is None:
-        blocks = _pair_blocks(alpha, grid, np.asarray(p, dtype=np.float64).reshape(3))
-    x, s, d_top = blocks
+    x, s, d_top = _pair_blocks(alpha, grid, np.asarray(p, dtype=np.float64).reshape(3))
     if e >= d_top.min():
         return None
     return _certified_count(*_pair_schur(x, s, d_top)[0](e)[:2])
@@ -443,12 +458,13 @@ def _pair_count(alpha: float, grid: ModeGrid, p, e: float, blocks=None):
 
 @_one_blas_thread()
 def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = DEFAULT_TOL):
-    """(result, blocks): the certified ground state of the fiber at p under
+    """(result, window): the certified ground state of the fiber at p under
     truncation n_max, from the grid alone, or None for LOBPCG on a fiber.
     The one place that picks a ground route by N_max:
     - 1: the secular root (_secular_ground), which raises, never declines;
-    - 2: the pair route below, with the (X, s, D_top) of _pair_blocks it
-      solved on for _pair_count, or None where it made none;
+      window None;
+    - 2: the pair route below, with the PairWindow its bracket computed,
+      for _window_count, or None where it proved no bracket on S(E);
     - any other: (None, None), nothing solved.
 
     The pair route: with S(E) = X - E - [[0, 0], [0, G(1/(D_top - E))]] the
@@ -484,10 +500,12 @@ def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = 
     0) and ||y||^2 = 1 + v^T C'(E) v, so `residual` = ||S(E) v|| / ||y|| is
     the fiber residual of y; `vector` is y / ||y|| on blocks 0 and 1 only, in
     fiber order, vacuum entry >= 0; `iterations` counts the Newton steps.
+    The window keeps that S(E), delta, v, the bracket and min D_top, so a
+    count at a level just above E costs one Cholesky (_window_count).
     With alpha = 0 or an empty grid the N_max = 1 result is exact and is
-    returned.  The route declines when that start is not below min D_top,
-    when M + 1 exceeds solve.DENSE_CAP (read at call time), or when no
-    bracket within tol is proven.  ValueError unless 0 < tol < inf.
+    returned, window None.  The route declines when that start is not below
+    min D_top, when M + 1 exceeds solve.DENSE_CAP (read at call time), or
+    when no bracket within tol is proven.  ValueError unless 0 < tol < inf.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -502,13 +520,13 @@ def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = 
         return start, None
     if m + 1 > solve.DENSE_CAP:
         return None, None
-    blocks = x, s, d_top = _pair_blocks(alpha, grid, p)
+    x, s, d_top = _pair_blocks(alpha, grid, p)
     d_min = float(d_top.min())
     e = start.bracket[1]
     if not e < d_min:
-        return None, blocks
+        return None, None
     if alpha == 0.0:
-        return start, blocks
+        return start, None
     complement, lift = _pair_schur(x, s, d_top, _stabilizer_orbits(grid, p))
     for steps in range(1, NEWTON_STEPS + 1):
         s_e, delta, slope = complement(e)
@@ -530,13 +548,59 @@ def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = 
 
     w = 2.0 * delta
     while 2.0 * w <= tol:
-        if ((e + w >= d_min or form - w < -delta)
-                and _positive_definite(s_e + (w - delta) * np.eye(m + 1))):
+        if (e + w >= d_min or form - w < -delta) and _positive_definite(s_e, w - delta):
             y = (v if v[0] >= 0.0 else -v) / norm
-            return SpectralResult(e, y, float(np.linalg.norm(sv)) / norm, steps,
-                                  (e - w, e + w)), blocks
+            bracket = (e - w, e + w)
+            return (SpectralResult(e, y, float(np.linalg.norm(sv)) / norm, steps, bracket),
+                    PairWindow(e, bracket, s_e, delta, v, d_min))
         w *= 2.0
-    return None, blocks
+    return None, None
+
+
+@_one_blas_thread()
+def _window_count(window: PairWindow, e: float):
+    """The number of levels below e of the N_max = 2 fiber whose pair solve
+    kept `window` (_certified_ground), 0 or 1, or None to fall back.
+
+    With E the window's level, [lo, hi] its bracket, S = S(E) its
+    complement, delta its margin, v its vector, n = M + 1 rows and
+    k = SCHUR_MARGIN n u (so delta = k c, c = ||X - E||_1 + ||G||_1, the
+    norm of solve._schur_margin, and c >= ||C(E)|| but for the rounding of
+    G, a relative n u that eps covers):
+    - e <= lo: 0, as the bracket proves no level at or below lo;
+    - hi < e < d_min: 1 once a Cholesky of S + u u^T - (delta + eta + eps) I
+      runs to the end, u = sqrt(c) v, eta = (e - E)(1 + c / (d_min - e)),
+      eps = k (c + delta + eta) / (1 - k);
+    - otherwise None.
+    Proof of the second case.  G(R) = B_1 diag(R) B_1^T is monotone in R,
+    and 0 <= R(e) - R(E) = (e - E) R(E) / (D_top - e) <= (e - E) R(E) /
+    (d_min - e) entrywise, so C(e) - C(E) <= (e - E) ||C(E)|| / (d_min - e)
+    and S(e) = S(E) - (e - E) - (C(e) - C(E)) >= S(E) - eta I.  The computed
+    S is within delta of S(E), covering its rounding and the Cholesky's
+    backward error on its norm, as in the bracket; forming the outer product
+    u u^T (norm c) and adding it and the shift to S round, and the Cholesky's
+    backward error grows with the norm they add, by at most k (c + delta +
+    eta + eps) = eps under the same bound (Higham ch. 10).  So the Cholesky
+    proves S(E) + u u^T - eta I > 0, hence S(e) + u u^T > 0, and by Weyl's
+    interlacing for the rank-one u u^T >= 0, lambda_2(S(e)) >= lambda_1(S(e)
+    + u u^T) > 0: S(e) has at most one negative eigenvalue, so (Haynsworth,
+    e < d_min) the fiber has at most one level below e, and the bracket puts
+    one below hi.  Any u keeps the proof; v, the lowest eigenvector of S(E),
+    makes the Cholesky succeed whenever lambda_2(S(E)) exceeds the shift.
+    """
+    level, (lo, hi), s_e, delta, v, d_min = window
+    if e <= lo:
+        return 0
+    if not hi < e < d_min:
+        return None
+    k = SCHUR_MARGIN * len(s_e) * np.finfo(np.float64).eps
+    c = delta / k
+    eta = (e - level) * (1.0 + c / (d_min - e))
+    eps = k * (c + delta + eta) / (1.0 - k)
+    u = math.sqrt(c) * v
+    a = np.outer(u, u)
+    a += s_e
+    return 1 if _positive_definite(a, -(delta + eta + eps)) else None
 
 
 class FiberFamily:

@@ -51,7 +51,10 @@ sliced straight from the operator's symmetric CSR, op.csr, and the LDL^T is
 LAPACK's dsytrf, called directly.  At N_max = 2, operators._pair_count forms
 the same complement in closed form from the grid and shares the margin and
 the certificate; the pair route of operators._certified_ground brackets its
-ground level from one S(E) with the same margin.
+ground level from one S(E) with the same margin, and operators._window_count
+reads a count just above that level off the same S(E) with one Cholesky.
+The shifted copies go to LAPACK with the shift added to their diagonal in
+place (_shifted), so no identity or shifted sum is formed.
 
 Threading model: the only parallelism is the pool of _parallel_map (the
 `threads` setting).  BLAS and LAPACK run on one thread inside the public
@@ -485,9 +488,19 @@ def dense_spectrum(op, k: int = 6) -> np.ndarray:
     return np.asarray(vals, dtype=np.float64)
 
 
-def _negative_inertia(s: np.ndarray) -> int:
-    """Number of negative eigenvalues of symmetric s (lower triangle read),
-    from its LDL^T by dsytrf, with the workspace of its query, the one
+def _shifted(s: np.ndarray, shift: float) -> np.ndarray:
+    """_square(s) with `shift` added to its diagonal in place: the bits of
+    s + shift I on the diagonal and of s off it (but for the sign of a
+    zero), with no identity or sum formed."""
+    a = _square(s)
+    a[np.diag_indices(len(a))] += shift
+    return a
+
+
+def _negative_inertia(s: np.ndarray, shift: float = 0.0) -> int:
+    """Number of negative eigenvalues of s + shift I, s symmetric (lower
+    triangle read), from its LDL^T by dsytrf on one shifted column-major
+    copy (_shifted), with the workspace of its query, the one
     scipy.linalg.ldl asks for, so the factor is the one ldl computes.
 
     By Sylvester's law s has the inertia of the block-diagonal D, whose
@@ -496,7 +509,7 @@ def _negative_inertia(s: np.ndarray) -> int:
     has its off-diagonal entry at (k + 1, k); the negative entries come in
     such consecutive pairs, so every second one starts a pivot.
     """
-    ldu = _square(s)
+    ldu = _shifted(s, shift)
     n = len(ldu)
     ipiv = np.empty(n, dtype=np.intc)
     info = ctypes.c_int()
@@ -527,10 +540,11 @@ def _negative_inertia(s: np.ndarray) -> int:
 # overlap.
 
 
-def _positive_definite(s: np.ndarray) -> bool:
-    """Whether the Cholesky factorization of symmetric s (lower triangle read)
-    by dpotrf runs to the end."""
-    a = _square(s)
+def _positive_definite(s: np.ndarray, shift: float = 0.0) -> bool:
+    """Whether the Cholesky factorization of s + shift I, s symmetric (lower
+    triangle read), by dpotrf on one shifted column-major copy (_shifted)
+    runs to the end."""
+    a = _shifted(s, shift)
     n = len(a)
     info = ctypes.c_int()
     _DPOTRF(b"L", _int(n), _ptr(a), _int(max(1, n)), ctypes.byref(info))
@@ -587,8 +601,7 @@ def _certified_count(s: np.ndarray, delta: float):
     below it: their negative inertias bound S(e)'s from below and from
     above, and it is returned when the two agree.  Only the level e is read.
     """
-    eye = np.eye(len(s))
-    lo, hi = (_negative_inertia(s + shift * eye) for shift in (delta, -delta))
+    lo, hi = (_negative_inertia(s, shift) for shift in (delta, -delta))
     return lo if lo == hi else None
 
 

@@ -15,8 +15,9 @@ exactly by the inertia of a Schur complement on the top phonon block; a
 block whose count is not certified gets its two lowest levels solved
 instead.  The ground levels come from operators._certified_ground, which
 says which route runs at which N_max, and LOBPCG only where it declines; at
-N_max = 2 the count (operators._pair_count) also comes from the grid, so
-no block is made.
+N_max = 2 the count also comes from the grid, so no block is made: read off
+the Schur complement the pair solve already formed (operators._window_count),
+else formed afresh (operators._pair_count).
 
 The lattice scan is closed under the octahedral group O_h (the 48 signed
 axis permutations R), and so are the grids build_grid makes, couplings
@@ -31,8 +32,9 @@ convergence is the quantitative input for the fixed-point comparison.
 The fiber ball and the image box are held to the lattice budget
 (modes.GRID_CAPACITY) before they are made.  Nothing caps fibers x
 dimension: the model keeps at most one family, and degeneracy_analysis
-holds at most `threads` blocks at a time, plus, at N_max = 2, the pair
-blocks of the solved fibers that can still be in the minimum window.
+holds at most `threads` blocks at a time, plus, at N_max = 2, one (M + 1)-row
+matrix and one vector (operators.PairWindow) per solved fiber that can still
+be in the minimum window.
 """
 
 import itertools
@@ -48,11 +50,17 @@ from .errors import CapacityError, ConvergenceError
 from .fock import BasisIndex, basis_dimension, enumerate_basis
 from .modes import (ModeGrid, _elements_taking, _lattice_axis, _lattice_ball,
                     _symmetry_maps, build_grid)
-from .operators import FiberFamily, _certified_ground, _pair_count
+from .operators import FiberFamily, _certified_ground, _pair_count, _window_count
 from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, count_below, lowest_eigenpairs
 
 DEFAULT_DEGENERACY_TOL = 1e-7
 YUKAWA_REL_TOL = 1e-12  # the image sum has settled once a shell adds less, relative
+
+
+def _check_int(name: str, value, least: int) -> None:
+    """ValueError unless value is an int (a bool is not) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,8 @@ class TorusConfig:
     overrides the lattice scan (for restricted-sector studies); it must be
     closed under P -> -P, the symmetry every analysis below relies on, and
     name each momentum once, since every listed block counts toward the
-    ground-state multiplicity.
+    ground-state multiplicity.  n_max must be a non-negative int (not a
+    bool), checked here, before any grid or basis is built.
     """
 
     ell: float
@@ -82,6 +91,7 @@ class TorusConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0 <= self.alpha < math.inf:
             raise ValueError("alpha must be non-negative and finite")
+        _check_int("n_max", self.n_max, 0)
         if self.fibers is not None:
             fibers = tuple(tuple(float(x) for x in f) for f in self.fibers)
             if not fibers:
@@ -211,12 +221,14 @@ def degeneracy_analysis(
     eigenvalues below ground + degeneracy_tol exactly, by the inertia of a
     Schur complement on the top phonon block, over the pool; these blocks
     keep their phase-1 energy.  At N_max = 2 the count comes from (alpha,
-    grid, P) alone, as operators._pair_count gives it, whose complement on
-    blocks 0 and 1 is closed form, so no block is made for it; a block
-    pair-solved in phase 1 is counted on the pair blocks (X, s, D_top) of
-    its solve, which phase 1 keeps only while the block's energy lies within
-    degeneracy_tol + tol of the lowest so far, so they are built once.  At
-    other N_max the count comes from the block's CSR, solve.count_below.
+    grid, P) alone, so no block is made for it: a block pair-solved in phase
+    1 is counted by operators._window_count on the PairWindow of its solve
+    (its S(E), one Cholesky), which phase 1 keeps only while the block's
+    energy lies within degeneracy_tol + tol of the lowest so far; a block
+    without one, or whose window count is not certified, by
+    operators._pair_count, whose complement on blocks 0 and 1 is closed
+    form.  At other N_max the count comes from the block's CSR,
+    solve.count_below.
     A block whose count cannot be certified (the Schur complement above the
     dense cap, or the level within rounding of the window edge) falls back to
     a two-level solve, which replaces its phase-1 energy and contributes the
@@ -227,7 +239,9 @@ def degeneracy_analysis(
     dropped after; the family is built once, in the calling thread, before
     the first pool that needs it: at N_max = 2 only for a block that falls
     back, so a run where nothing falls back enumerates no basis.
+    ValueError unless threads is an int (a bool is not) of at least 1.
     """
+    _check_int("threads", threads, 1)
     cfg, fibers = model.config, model.fibers
     tol_deg = cfg.degeneracy_tol
 
@@ -241,28 +255,30 @@ def degeneracy_analysis(
 
         return _parallel_map(solve, idx, threads)
 
-    kept = {}  # pair-solved block -> (energy, its pair blocks) while it can be in the window
+    kept = {}  # pair-solved block -> its PairWindow while it can be in the minimum window
     lowest = math.inf  # the lowest pair-solved energy so far, at or above ground
     lock = threading.Lock()
 
     def ground_level(i):
         nonlocal lowest
-        r, blocks = _certified_ground(cfg.alpha, model.grid, cfg.n_max, fibers[i], tol)
+        r, window = _certified_ground(cfg.alpha, model.grid, cfg.n_max, fibers[i], tol)
         if r is None:
             return None
-        if blocks is not None:
+        if window is not None:
             with lock:
                 lowest = min(lowest, r.energy)
-                kept[i] = (r.energy, blocks)
-                for j in [j for j, (e, _) in kept.items() if e > lowest + tol_deg + tol]:
+                kept[i] = window
+                for j in [j for j, w in kept.items() if w.level > lowest + tol_deg + tol]:
                     del kept[j]
         return [r.energy]
 
     def count(i):
-        if cfg.n_max == 2:
-            return _pair_count(cfg.alpha, model.grid, fibers[i], ground + tol_deg,
-                               window.pop(i, None))
-        return count_below(family.fiber(fibers[i]), ground + tol_deg, split)
+        level = ground + tol_deg
+        if cfg.n_max != 2:
+            return count_below(family.fiber(fibers[i]), level, split)
+        window = windows.pop(i, None)
+        n_below = None if window is None else _window_count(window, level)
+        return _pair_count(cfg.alpha, model.grid, fibers[i], level) if n_below is None else n_below
 
     sources = [rep for rep, _ in _orbit_sources(model)]
     solved = sorted(set(sources))
@@ -274,7 +290,7 @@ def degeneracy_analysis(
     if basis_dimension(len(model.grid), cfg.n_max) > 1:
         ground = min(es[0] for es in per_fiber)
         near = [i for i, es in enumerate(per_fiber) if es[0] <= ground + tol_deg + tol]
-        window = {i: kept[i][1] for i in near if i in kept}
+        windows = {i: kept[i] for i in near if i in kept}
         kept.clear()
         if cfg.n_max != 2:  # built here, before the pool, so its threads share one family
             family, split = model.family, model.basis.block_offset(cfg.n_max)

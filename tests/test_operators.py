@@ -755,6 +755,80 @@ def test_sector_solve_forms_the_full_complement_once(monkeypatch):
         assert rows and max(rows) <= k + 1 and len(rows) == r.iterations
 
 
+# the seven desk torus momenta (spacing 2 pi / ell = 1) and two generic ones
+WINDOW_MOMENTA = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                  (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+                  (0.3, 0.7, 1.1), (-0.45, 0.2, 0.65)]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("lam", [1.5, 2.0])
+def test_window_count_is_the_dense_count_or_none(lam, alpha):
+    # on assembled fibers under the dense cap: at the bracket's ends, inside
+    # it, above E and around the second level, the count read off the kept
+    # S(E) is the dense count or None, never another number
+    grid, basis = _pair_basis(lam)
+    certified = []
+    for p in WINDOW_MOMENTA:
+        op = assemble_fiber(FiberConfig(alpha=alpha, p=np.array(p), grid=grid, n_max=2), basis)
+        levels = np.linalg.eigvalsh(op.to_dense())
+        r, window = operators._certified_ground(alpha, grid, 2, p)
+        lo, hi = r.bracket
+        probes = [lo, hi, 0.5 * (lo + r.energy)] + [r.energy + d for d in (1e-7, 1e-3, 0.3)]
+        probes += [levels[1] - 1e-6, levels[1] + 1e-6]
+        got = [operators._window_count(window, e) for e in probes]
+        for e, n in zip(probes, got):
+            assert n in (None, int((levels < e).sum())), (p, e, n)
+        certified.append([got[0], got[3], got[4]])
+    # 0 at the bracket's lower end, 1 at 1e-7 and 1e-3 above E, everywhere
+    assert certified == [[0, 1, 1]] * len(WINDOW_MOMENTA)
+
+
+def test_window_count_declines_two_levels_in_the_window():
+    # one mode e_z at P = e_z: the vacuum and the one-phonon state both sit
+    # at 1, split by 2 sqrt(alpha) = 2e-8, so a window 1e-7 above the ground
+    # level holds two levels; the fresh complement counts them
+    grid = ModeGrid.manual(1.0, 1.0, [[0, 0, 1]], [1.0])
+    basis = enumerate_basis(1, 2, grid.units, grid.spacing)
+    p, alpha = (0.0, 0.0, 1.0), 1e-16
+    op = assemble_fiber(FiberConfig(alpha=alpha, p=np.array(p), grid=grid, n_max=2), basis)
+    levels = np.linalg.eigvalsh(op.to_dense())
+    r, window = operators._certified_ground(alpha, grid, 2, p)
+    for e in (r.energy + 3e-8, r.energy + 1e-7):
+        assert int((levels < e).sum()) == 2
+        assert operators._window_count(window, e) is None
+        assert operators._pair_count(alpha, grid, p, e) == 2
+    # between the two levels the window count certifies the one below
+    assert operators._window_count(window, r.energy + 1e-9) == 1
+
+
+def test_window_count_shift_covers_margin_slope_and_its_own_rounding(monkeypatch):
+    # each Cholesky of the count factors S(E) + u u^T - sigma I, and its
+    # proof needs c = ||u||^2 >= ||C(E)|| and sigma >= delta + eta + k (c +
+    # sigma), eta = (e - E)(1 + c / (d_min - e)), k = SCHUR_MARGIN (M + 1) u
+    calls = []
+    positive_definite = operators._positive_definite
+    monkeypatch.setattr(operators, "_positive_definite", lambda a, shift=0.0: calls.append(
+        (a.copy(), -shift)) or positive_definite(a, shift))
+    grid, _ = _pair_basis(2.0)
+    for alpha in (1.0, 3.0):
+        for p in ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.3, 0.7, 1.1)):
+            x = operators._pair_blocks(alpha, grid, np.array(p))[0]
+            window = operators._certified_ground(alpha, grid, 2, p)[1]
+            level, _, s_e, delta, v, d_min = window
+            n = len(s_e)
+            k = solve.SCHUR_MARGIN * n * np.finfo(np.float64).eps
+            norm_c = np.linalg.norm(x - level * np.eye(n) - s_e, 2)
+            for e in (level + 1e-7, level + 1e-3):
+                calls.clear()
+                assert operators._window_count(window, e) == 1
+                (a, sigma), = calls
+                c = float(v @ (a - s_e) @ v)
+                assert c >= norm_c
+                eta = (e - level) * (1.0 + c / (d_min - e))
+                assert sigma >= (delta + eta + k * (c + sigma)) * (1.0 - 1e-12), (p, e)
+
+
 @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])
 def test_counts_reject_a_non_finite_level_before_building_blocks(monkeypatch, e):
     def forbidden(*args, **kwargs):

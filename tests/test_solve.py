@@ -492,6 +492,22 @@ def test_positive_definite_agrees_with_cholesky():
     assert seen == {True, False}
 
 
+def test_shifted_factorizations_read_s_plus_shift_times_the_identity():
+    # the shift goes onto the diagonal of the helpers' own column-major copy:
+    # the bits of s + shift I, s untouched, and the same answers
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 40, 257):
+        s = _symmetric(rng, n)
+        kept = s.copy()
+        for shift in (-3.0 * math.sqrt(n), -0.5, 0.25, 3.0 * math.sqrt(n)):
+            plain = s + shift * np.eye(n)
+            shifted = solve._shifted(s, shift)
+            assert shifted.flags.f_contiguous and np.array_equal(shifted, plain)
+            assert _positive_definite(s, shift) is _positive_definite(plain)
+            assert _negative_inertia(s, shift) == _negative_inertia(plain)
+        assert np.array_equal(s, kept)
+
+
 def test_lapack_helpers_never_print_on_an_empty_matrix(capfd):
     # LAPACK's xerbla would print an argument error on the process's stdout
     empty = np.zeros((0, 0))

@@ -29,6 +29,7 @@ from polaronlab import (
     periodized_yukawa,
     yukawa_converged,
 )
+from polaronlab import operators, solve
 from polaronlab.operators import _certified_ground, _pair_count
 from polaronlab.solve import count_below
 from polaronlab.torus import _orbit_sources
@@ -155,7 +156,8 @@ def test_assemble_torus_has_no_fibers_times_dimension_cap(monkeypatch):
         raise AssertionError("assemble_torus solved a block")
 
     monkeypatch.setattr(polaronlab.torus, "FiberFamily", counted)
-    for name in ("lowest_eigenpairs", "count_below", "_pair_count", "_certified_ground"):
+    for name in ("lowest_eigenpairs", "count_below", "_pair_count", "_window_count",
+                 "_certified_ground"):
         monkeypatch.setattr(polaronlab.torus, name, forbidden)
     model = assemble_torus(_quick_config(fiber_cutoff=13.0))
     assert model.fibers.shape == (9171, 3)
@@ -265,11 +267,11 @@ def test_n_max_1_family_is_built_once_on_the_calling_thread(monkeypatch):
 
 @pytest.mark.parametrize("config, builds, multiplicity", [
     # the desk torus: two orbits solved, the window fiber P = 0 counted on
-    # the blocks of its solve
+    # the window its solve kept, with no blocks of its own
     (dict(delta=0.75, cutoff=3.0), 2, 1),
     # a restricted sector whose two fibers are both in the window
     (dict(fibers=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))), 2, 2),
-    # the unit ball as an explicit list: seven solves share the kept blocks
+    # the unit ball as an explicit list: seven solves share the kept windows
     (dict(fibers=tuple(map(tuple, lattice_fibers(_quick_config())))), 7, 1),
 ])
 def test_pair_blocks_built_once_per_solved_fiber(monkeypatch, config, builds, multiplicity):
@@ -278,7 +280,7 @@ def test_pair_blocks_built_once_per_solved_fiber(monkeypatch, config, builds, mu
     assert ref.multiplicity == multiplicity
     pair_blocks = polaronlab.operators._pair_blocks
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # pool threads switch often while updating the kept blocks
+    sys.setswitchinterval(1e-6)  # pool threads switch often while updating the kept windows
     try:
         for threads in (1, 2, 4):
             calls = []
@@ -297,32 +299,79 @@ def test_pair_blocks_built_once_per_solved_fiber(monkeypatch, config, builds, mu
 
 def test_pair_blocks_outside_the_window_are_dropped(monkeypatch):
     # desk torus to fiber cutoff 2: five orbits solved from |P| = 2 down to
-    # P = 0, each level below the last, so each solve drops the blocks of
+    # P = 0, each level below the last, so each solve drops the window of
     # the one before, and only the window fiber P = 0 keeps its own to the
     # count
     model = assemble_torus(_quick_config(delta=0.75, cutoff=3.0, fiber_cutoff=2.0))
-    ground, pair_count = polaronlab.torus._certified_ground, polaronlab.torus._pair_count
-    blocks_made, alive = [], []
+    ground, window_count = polaronlab.torus._certified_ground, polaronlab.torus._window_count
+    windows_made, alive = [], []
 
     def held():
         gc.collect()
-        return sum(ref() is not None for ref in blocks_made)
+        return sum(ref() is not None for ref in windows_made)
 
     def tracked(alpha, grid, n_max, p, tol):
         alive.append(held())
-        result, blocks = ground(alpha, grid, n_max, p, tol)
-        blocks_made.append(weakref.ref(blocks[2]))
-        return result, blocks
+        result, window = ground(alpha, grid, n_max, p, tol)
+        windows_made.append(weakref.ref(window.complement))
+        return result, window
 
-    def counting(alpha, grid, p, e, blocks):
+    def counting(window, e):
         alive.append(held())
-        return pair_count(alpha, grid, p, e, blocks)
+        return window_count(window, e)
 
     monkeypatch.setattr(polaronlab.torus, "_certified_ground", tracked)
-    monkeypatch.setattr(polaronlab.torus, "_pair_count", counting)
+    monkeypatch.setattr(polaronlab.torus, "_window_count", counting)
     rep = degeneracy_analysis(model, threads=1)
     assert rep.argmin == ((0.0, 0.0, 0.0),)
     assert alive == [0, 1, 1, 1, 1, 1]
+
+
+def test_desk_torus_window_count_forms_no_second_complement(monkeypatch):
+    # the window fiber P = 0 is counted on the S(E) its solve kept: no LDL^T
+    # runs, and the full (M + 1)-row complement is formed once per solved
+    # fiber, for its bracket (two orbits: P = 0 and the unit momenta)
+    model = assemble_torus(_quick_config(delta=0.75, cutoff=3.0))
+    formed = []
+    schur = operators._pair_schur
+
+    def recording(x, s, d_top, labels=None):
+        complement, lift = schur(x, s, d_top, labels)
+        if labels is not None:
+            return complement, lift
+        return (lambda level: formed.append(level) or complement(level)), lift
+
+    def forbidden(*args):
+        raise AssertionError("dsytrf called")
+
+    monkeypatch.setattr(operators, "_pair_schur", recording)
+    monkeypatch.setattr(solve, "_DSYTRF", forbidden)
+    for threads in (1, 2):
+        formed.clear()
+        rep = degeneracy_analysis(model, threads=threads)
+        assert rep.argmin == ((0.0, 0.0, 0.0),) and rep.multiplicity == 1
+        assert len(formed) == 2
+
+
+@pytest.mark.parametrize("n_max", [2.0, -1, True, "2"])
+def test_torus_config_rejects_a_bad_n_max_before_any_grid(monkeypatch, n_max):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(polaronlab.torus, "build_grid", forbidden)
+    with pytest.raises(ValueError, match="n_max must be an int of at least 0"):
+        assemble_torus(_quick_config(n_max=n_max))
+
+
+@pytest.mark.parametrize("threads", [0, -5, 2.0, True])
+def test_degeneracy_analysis_rejects_bad_threads_before_solving(monkeypatch, threads):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a fiber was solved")
+
+    model = assemble_torus(_quick_config())
+    monkeypatch.setattr(polaronlab.torus, "_certified_ground", forbidden)
+    with pytest.raises(ValueError, match="threads must be an int of at least 1"):
+        degeneracy_analysis(model, threads=threads)
 
 
 def _record_fibers(monkeypatch):
@@ -349,7 +398,8 @@ def _requested_levels(monkeypatch, model, count=None, declined=()):
 
     A ground level the certified route (_certified_ground) solves counts as
     k = 1, as a LOBPCG solve does.  `count(alpha, grid, p, e)`, when given,
-    replaces the N_max = 2 Schur-complement count; the route declines the
+    replaces the N_max = 2 Schur-complement count: the kept-window count
+    declines and `count` stands for _pair_count.  The route declines the
     momenta in `declined`.  A run that sends no block to LOBPCG enumerates
     no basis.
     """
@@ -371,8 +421,8 @@ def _requested_levels(monkeypatch, model, count=None, declined=()):
     monkeypatch.setattr(polaronlab.torus, "lowest_eigenpairs", recording)
     monkeypatch.setattr(polaronlab.torus, "_certified_ground", route_recording)
     if count is not None:
-        monkeypatch.setattr(polaronlab.torus, "_pair_count",
-                            lambda alpha, grid, p, e, blocks: count(alpha, grid, p, e))
+        monkeypatch.setattr(polaronlab.torus, "_window_count", lambda window, e: None)
+        monkeypatch.setattr(polaronlab.torus, "_pair_count", count)
     report = degeneracy_analysis(model)
     monkeypatch.undo()
     if len(made) == 0:
@@ -548,6 +598,7 @@ def test_blocks_made_only_for_fallbacks(monkeypatch):
         if solve is not None:
             monkeypatch.setattr(polaronlab.torus, "_certified_ground", solve)
         if count is not None:
+            monkeypatch.setattr(polaronlab.torus, "_window_count", count)
             monkeypatch.setattr(polaronlab.torus, "_pair_count", count)
         degeneracy_analysis(model, threads=2)
         monkeypatch.undo()
