@@ -47,14 +47,20 @@ The dense assemble_KT checks the dimension cap, solve.DENSE_CAP, and the
 pair routes decline above it (M + 1 > DENSE_CAP, read at call time); G is
 checked against the basis capacity, fock.BASIS_CAPACITY, before it is
 allocated.
+scipy.sparse is imported where a CSR is built or sliced (FiberFamily,
+annihilation_csr, sign_flip, _block_factors and SparseOperator's
+triangle), on first use: the secular and pair routes and the pair-sum
+norms build none, so the pipelines that run only those never pay its
+import of about 0.1 s.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
-import scipy.sparse
 
 from .errors import CapacityError, NumericalError
 from . import fock, solve
@@ -90,6 +96,7 @@ class SparseOperator:
 
     def _upper(self, name: str) -> np.ndarray:
         """One read-only array (row, col or data) of the upper triangle."""
+        import scipy.sparse
         a = getattr(scipy.sparse.triu(self.csr, format="coo"), name)
         a.flags.writeable = False
         return a
@@ -618,6 +625,7 @@ class FiberFamily:
     """
 
     def __init__(self, alpha: float, grid: ModeGrid, basis: BasisIndex):
+        import scipy.sparse
         cfg = FiberConfig(alpha=alpha, p=np.zeros(3), grid=grid, n_max=basis.n_max)
         n = self.dimension = basis.dimension
         a = annihilation_csr(cfg, basis)
@@ -633,6 +641,7 @@ class FiberFamily:
 
     def fiber(self, p) -> SparseOperator:
         """The fiber operator at momentum p."""
+        import scipy.sparse
         d = _kinetic(np.asarray(p, dtype=np.float64).reshape(3), self._pf, self._nums)
         n = self.dimension
         indices, indptr = self._indices, self._indptr
@@ -659,6 +668,7 @@ def annihilation_csr(cfg: FiberConfig, basis: BasisIndex) -> scipy.sparse.csr_ma
     Row s, column t carries sqrt(alpha) g_i sqrt(n_i(s) + 1) whenever t is s
     with one extra phonon in mode i, i.e. the matrix maps block n+1 down to n.
     """
+    import scipy.sparse
     _check_basis(cfg, basis)
     scale = float(np.sqrt(cfg.alpha))
     empty = np.zeros(0, dtype=np.int64)
@@ -710,6 +720,7 @@ def sign_flip(op: SparseOperator) -> SparseOperator:
     Each off-diagonal entry of a fiber joins number blocks N and N +- 1, of
     opposite parity.  The result shares op's index arrays and owns its values.
     """
+    import scipy.sparse
     csr = op.csr
     on_diagonal = csr.indices == np.repeat(np.arange(op.dimension), np.diff(csr.indptr))
     data = np.where(on_diagonal, csr.data, -csr.data)
@@ -745,6 +756,7 @@ def _block_factors(cfg: FiberConfig, basis: BasisIndex, h0_power: float,
     outside its pieces B_n, the |block n| x |block n+1| CSR matrices that
     carry annihilation_csr's entries of that block times w on block n+1.
     """
+    import scipy.sparse
     scale = float(np.sqrt(cfg.alpha))
     factors = []
     for n in range(basis.n_max):

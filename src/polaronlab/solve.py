@@ -66,15 +66,26 @@ threads, so its thread count would change low-order bits; under the scope
 the outputs do not depend on OPENBLAS_NUM_THREADS.  With another BLAS the
 scope does nothing.  The pool threads run the dense LAPACK of the pair
 route, of count_below and of the Rayleigh-Ritz step (dsyevr, dpotrf,
-dsytrf, dsygvd) at once: those are called through scipy.linalg.cython_lapack
-without the GIL.  dense_spectrum and the resolvent audit stay on
-scipy.linalg.
+dsytrf, dsygvd) at once: those are called, without the GIL, through the
+capsules of scipy.linalg.cython_lapack, which this module loads from its
+file at import (_cython_lapack).  That also loads scipy's OpenBLAS, so
+both copies are in the process when _one_blas_thread first looks for them.
+
+Imports: this module loads neither scipy.linalg nor scipy.sparse.
+dense_spectrum and resolvent_positivity_audit import scipy.linalg on their
+first call; count_below runs on the CSR its operator already holds.  Each
+costs about 0.1 s of start-up, which the pipelines that use neither (the
+torus, the dispersion curve, the extrapolation and the kernel at their
+defaults) do not pay.
 """
 
 import ctypes
 import glob
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -83,9 +94,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
-import scipy.linalg
-import scipy.linalg.cython_lapack
-import scipy.sparse
 
 from .errors import CapacityError, ConvergenceError, NumericalError
 
@@ -221,15 +229,38 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
+def _cython_lapack():
+    """The extension module scipy.linalg.cython_lapack, loaded from its file.
+
+    This runs no scipy/linalg/__init__, whose imports (through scipy._lib,
+    numpy.f2py and numpy.testing) cost about 0.1 s of start-up; the module
+    links scipy's OpenBLAS, which loading it brings into the process.
+    Cython keeps one module object per process, so a later import of
+    scipy.linalg gets this same module.  The loader registers it under its
+    full name; unless it was there already, that entry is dropped, so that
+    the later import binds it on scipy.linalg too.
+    """
+    name = "scipy.linalg.cython_lapack"
+    loaded = sys.modules.get(name)
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if loaded is None:
+        sys.modules.pop(name, None)
+    return module
+
+
 def _lapack(name: str):
     """The cython_lapack routine `name` as a ctypes call that takes one pointer
     per Fortran argument: scalars by reference, arrays in column-major order."""
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    capsule = _CAPI[name]
     signature = _capsule_name(capsule)
     proto = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (signature.count(b",") + 1))
     return proto(_capsule_pointer(capsule, signature))
 
 
+_CAPI = _cython_lapack().__pyx_capi__
 _DSYEVR, _DPOTRF, _DSYTRF, _DSYGVD = map(_lapack, ("dsyevr", "dpotrf", "dsytrf", "dsygvd"))
 
 
@@ -476,6 +507,7 @@ def dense_spectrum(op, k: int = 6) -> np.ndarray:
 
     A non-finite operator raises NumericalError.
     """
+    import scipy.linalg
     n = op.dimension
     _check_dense_cap(n)
     k = min(int(k), n)
@@ -533,11 +565,9 @@ def _negative_inertia(s: np.ndarray, shift: float = 0.0) -> int:
 
 
 # _positive_definite and _dense_lowest serve the pair route of operators from
-# here, so operators imports no scipy.linalg: imported there, ahead of
-# scipy.sparse, it made about a third of process start-ups some 40 ms slower
-# with the OpenBLAS threads unpinned.  Both run LAPACK through the capsule
-# bindings above, without the GIL, so the pair solves of the pool threads
-# overlap.
+# here.  Both run LAPACK through the capsule bindings above, without the GIL,
+# so the pair solves of the pool threads overlap, and neither needs
+# scipy.linalg.
 
 
 def _positive_definite(s: np.ndarray, shift: float = 0.0) -> bool:
@@ -655,6 +685,7 @@ def resolvent_positivity_audit(op, lam: float) -> PositivityReport:
     violation, reported as ValueError; a non-finite operator raises
     NumericalError.
     """
+    import scipy.linalg
     n = op.dimension
     _check_dense_cap(n)
     dense = op.to_dense()

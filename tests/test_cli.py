@@ -537,12 +537,49 @@ def test_module_entry_point(tmp_path):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about 0.2 s at import, which every CLI run would pay
+    # scipy.optimize costs about 0.2 s at import, scipy.sparse and scipy.linalg
+    # about 0.1 s each, which every CLI run would pay
     code = ("import sys, polaronlab, polaronlab.cli; "
-            "print('scipy.optimize' in sys.modules)")
+            "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.linalg') "
+            "if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+# the benchmark's desk torus, two dispersion curves and an extrapolation run
+# on the pair and secular routes, which need neither a sparse fiber nor
+# scipy.linalg; a dense spectrum afterwards imports scipy.linalg on first use
+_LEAN_PIPELINES = """
+import math, sys
+import numpy as np
+import polaronlab as pl
+cfg = pl.TorusConfig(ell=2.0 * math.pi, alpha=1.0, delta=0.75, cutoff=3.0, n_max=2,
+                     fiber_cutoff=1.0)
+pl.degeneracy_analysis(pl.assemble_torus(cfg), threads=2)
+for n_max in (1, 2):
+    pl.dispersion_curve(1.0, [(0, 0, 0), (0, 0, 0.5)], 1.0, 1.5, n_max, threads=2)
+pl.cutoff_extrapolate(0.1, pl.CutoffSchedule(lambdas=(3.0, 4.0, 5.0), delta=1.0, n_max=1),
+                      threads=2)
+print([m for m in ("scipy.sparse", "scipy.linalg") if m in sys.modules])
+grid = pl.build_grid(1.0, 1.5)
+basis = pl.enumerate_basis(len(grid), 2, grid.units, grid.spacing)
+op = pl.assemble_fiber(pl.FiberConfig(alpha=1.0, p=np.zeros(3), grid=grid, n_max=2), basis)
+print(pl.dense_spectrum(op, k=3).tobytes().hex())
+"""
+
+
+def test_lean_pipelines_leave_scipy_sparse_and_linalg_unloaded():
+    proc = subprocess.run([sys.executable, "-c", _LEAN_PIPELINES], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, spectrum = proc.stdout.splitlines()
+    assert loaded == "[]"
+    grid = polaronlab.build_grid(1.0, 1.5)
+    basis = polaronlab.enumerate_basis(len(grid), 2, grid.units, grid.spacing)
+    op = polaronlab.assemble_fiber(
+        polaronlab.FiberConfig(alpha=1.0, p=np.zeros(3), grid=grid, n_max=2), basis)
+    assert spectrum == polaronlab.dense_spectrum(op, k=3).tobytes().hex()
 
 
 def test_nan_coupling_reaching_the_secular_route_exits_2(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import ctypes
 import math
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -320,6 +321,34 @@ def test_one_blas_thread_sets_and_restores_openblas():
     finally:
         for (_, put), count in zip(handles, found):
             put(count)
+
+
+# a fresh interpreter: the OpenBLAS handles resolve before scipy.linalg is
+# imported (they are cached at first use, so a copy loaded later would stay
+# unpinned), and a later import of cython_lapack yields the capsules solve calls
+_FRESH_BINDINGS = """
+import ctypes, sys
+import polaronlab
+from polaronlab import solve
+assert "scipy.linalg" not in sys.modules
+print(len(solve._openblas_handles()))
+import scipy.linalg.cython_lapack
+capi = scipy.linalg.cython_lapack.__pyx_capi__
+print(capi is solve._CAPI, all(
+    ctypes.cast(call, ctypes.c_void_p).value
+    == solve._capsule_pointer(capi[name], solve._capsule_name(capi[name]))
+    for name, call in (("dsyevr", solve._DSYEVR), ("dpotrf", solve._DPOTRF),
+                       ("dsytrf", solve._DSYTRF), ("dsygvd", solve._DSYGVD))))
+"""
+
+
+@pytest.mark.skipif(not _openblas_handles(),
+                    reason="no bundled OpenBLAS thread-count calls resolve")
+def test_lapack_bindings_and_openblas_handles_need_no_scipy_linalg():
+    proc = subprocess.run([sys.executable, "-c", _FRESH_BINDINGS], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(len(_openblas_handles())), "True", "True"]
 
 
 def test_one_blas_thread_restores_once_when_nested_or_concurrent(monkeypatch):

@@ -1,10 +1,15 @@
-"""The line-count tool, tools/src_lines.py, on a module with known counts."""
+"""The line-count tool, tools/src_lines.py, on a module with known counts, and
+the CLI wall-time tool, tools/cli_wall.py, on one pair of runs."""
 
 import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "src_lines.py"
+CLI_WALL = ROOT / "tools" / "cli_wall.py"
 
 # code 6, docstring 6, comment 2, blank 8 (the blank docstring lines included)
 MODULE = '''"""Module docstring,
@@ -72,3 +77,21 @@ def test_src_lines_against_a_revision(tmp_path):
     assert tables[2] == {"a.py": [1, 0, -1, -1, -1], "b.py": [6, 6, 2, 8, 22],
                          "total": [7, 6, 1, 7, 21]}
     assert "+6" in out[-2]  # differences carry their sign
+
+
+@pytest.mark.skipif(subprocess.run(["git", "rev-parse", "--verify", "-q", "HEAD"], cwd=ROOT,
+                                   capture_output=True).returncode != 0,
+                    reason="not a git checkout with a commit")
+def test_cli_wall_against_head():
+    out = subprocess.run([sys.executable, str(CLI_WALL), "--against", "HEAD", "--pairs", "1",
+                          "--", "kernel"], capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out[0].split() == ["side", "median", "q1", "q3", "wins"]
+    rows = {line[:16].strip(): [float(n) for n in line[16:].split()] for line in out[1:3]}
+    assert list(rows) == ["HEAD", "working tree"]
+    for median, q1, q3, _ in rows.values():
+        assert 0.0 < q1 == median == q3  # one run a side
+    assert rows["HEAD"][3] + rows["working tree"][3] == 1.0
+    digests = [line.split()[-1] for line in out if line.startswith("sha256 kernel.json ")]
+    assert len(digests) == 3 and digests[0] == digests[1] and len(digests[0]) == 64
+    assert digests[2] == "equal"
