@@ -526,9 +526,7 @@ def _check_torus(full_cfg, restr_cfg, seed: int, tol: float, threads: int) -> li
     q, minus_q = restr_cfg.fibers
     full = _torus.degeneracy_analysis(_torus.assemble_torus(full_cfg),
                                       tol=tol, seed=seed, threads=threads)
-    zero_simple = (len(full.argmin) == 1
-                   and all(x == 0.0 for x in full.argmin[0])
-                   and full.multiplicity == 1)
+    zero_simple = _torus.contradiction_check(full) == ("simple-zero-minimum", True)
 
     restr_model = _torus.assemble_torus(restr_cfg)
     restr = _torus.degeneracy_analysis(restr_model, tol=tol, seed=seed, threads=threads)
@@ -540,7 +538,7 @@ def _check_torus(full_cfg, restr_cfg, seed: int, tol: float, threads: int) -> li
         {
             "name": "torus_degeneracy",
             "gating": True,
-            "passed": bool(zero_simple),
+            "passed": zero_simple,
             "threshold": {"argmin": [[0.0, 0.0, 0.0]], "multiplicity": 1},
             "measured": {
                 "ground_energy": full.ground_energy,

@@ -21,7 +21,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError
+from .errors import ConvergenceError, NumericalError, _check_int
 from .fock import enumerate_basis
 from .modes import CutoffSchedule, build_grid
 from .operators import FiberConfig, FiberFamily, _certified_ground, assemble_fiber
@@ -137,8 +137,10 @@ def dispersion_curve(
     """Ground energy at each momentum sample over one shared grid (and basis).
 
     Samples come back sorted by |P| (ties keep input order).  Solver failures
-    surface as ConvergenceError naming the offending momentum.
+    surface as ConvergenceError naming the offending momentum.  n_max must
+    be a non-negative int (not a bool), checked before the grid is built.
     """
+    _check_int("n_max", n_max, 0)
     ps = [np.asarray(p, dtype=np.float64).reshape(3) for p in p_samples]
     if not ps:
         raise ValueError("p_samples must not be empty")
@@ -248,8 +250,10 @@ def hvz_edge_check(
 
     At large momentum the ground energy must sit just below the edge
     E(0) + 1, so the check passes iff 0 <= d <= edge_tol (with 1e-12 slack on
-    the lower side for solver roundoff).  P_far must pass far_momentum.
+    the lower side for solver roundoff).  P_far must pass far_momentum, and
+    n_max must be a non-negative int (not a bool).
     """
+    _check_int("n_max", n_max, 0)
     p_far = far_momentum(p_far, cutoff)
     grid = build_grid(delta, cutoff)
     # assembled at every N_max: bench/test_bench.py traces its N_max = 1 assembly

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and argument checks."""
 
 
 class CapacityError(RuntimeError):
@@ -15,3 +15,9 @@ class ConvergenceError(NumericalError):
 
 class ConfigError(ValueError):
     """A run configuration is malformed or inconsistent."""
+
+
+def _check_int(name: str, value, least: int) -> None:
+    """ValueError unless value is an int (a bool is not) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import CapacityError
+from .errors import CapacityError, _check_int
 
 GRID_CAPACITY = 1_000_000
 
@@ -322,5 +322,4 @@ class CutoffSchedule:
             raise ValueError("cutoffs must be strictly increasing")
         if not 0 < self.delta < math.inf:
             raise ValueError("spacing delta must be positive and finite")
-        if self.n_max < 0:
-            raise ValueError("N_max must be non-negative")
+        _check_int("N_max", self.n_max, 0)

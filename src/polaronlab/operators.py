@@ -62,7 +62,7 @@ from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import CapacityError, NumericalError
+from .errors import CapacityError, NumericalError, _check_int
 from . import fock, solve
 from .fock import BasisIndex, basis_dimension
 from .modes import ModeGrid, _lattice_cube, _stabilizer_orbits
@@ -73,10 +73,10 @@ from .solve import (
     SpectralResult,
     _certified_count,
     _check_dense_cap,
+    _cholesky,
     _dense_lowest,
     _eigenpairs,
     _one_blas_thread,
-    _positive_definite,
     _schur_margin,
 )
 
@@ -147,8 +147,7 @@ class FiberConfig:
         if not np.isfinite(p).all():
             raise ValueError("momentum p must be finite")
         object.__setattr__(self, "p", p)
-        if self.n_max < 0:
-            raise ValueError("n_max must be non-negative")
+        _check_int("n_max", self.n_max, 0)
 
 
 def _check_basis(cfg: FiberConfig, basis: BasisIndex) -> None:
@@ -538,8 +537,8 @@ def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = 
     for steps in range(1, NEWTON_STEPS + 1):
         s_e, delta, slope = complement(e)
         formed = e
-        mu, v = _dense_lowest(s_e)
-        step = mu / (1.0 + slope(v[1:]))  # -mu'(e) = 1 + v^T C'(e) v
+        (mu,), (v,) = _dense_lowest(s_e)
+        step = float(mu) / (1.0 + slope(v[1:]))  # -mu'(e) = 1 + v^T C'(e) v
         if not e + step < e or steps == NEWTON_STEPS:
             break
         e += step
@@ -555,7 +554,7 @@ def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = 
 
     w = 2.0 * delta
     while 2.0 * w <= tol:
-        if (e + w >= d_min or form - w < -delta) and _positive_definite(s_e, w - delta):
+        if (e + w >= d_min or form - w < -delta) and _cholesky(s_e, w - delta) is not None:
             y = (v if v[0] >= 0.0 else -v) / norm
             bracket = (e - w, e + w)
             return (SpectralResult(e, y, float(np.linalg.norm(sv)) / norm, steps, bracket),
@@ -607,7 +606,7 @@ def _window_count(window: PairWindow, e: float):
     u = math.sqrt(c) * v
     a = np.outer(u, u)
     a += s_e
-    return 1 if _positive_definite(a, -(delta + eta + eps)) else None
+    return 1 if _cholesky(a, -(delta + eta + eps)) is not None else None
 
 
 class FiberFamily:

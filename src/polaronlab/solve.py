@@ -34,9 +34,10 @@ preconditioner is the identity).  lowest_eigenpairs solves any object with
 `dimension`, `matvec` and `diagonal`; the norm certificates hand the matvec
 and the diagonal to its core, _eigenpairs, directly.
 
-The dense route (LAPACK eigh on the materialized matrix) exists so iterative
-results can always be cross-checked on small instances, and it powers the
-resolvent positivity audit.  Dense routines refuse to run above the
+The dense route (dsyevr on the materialized matrix, _dense_lowest) exists
+so iterative results can always be cross-checked on small instances, and it
+powers the resolvent positivity audit, whose inverse is dpotrs on the
+dpotrf factor (_cholesky_inverse).  Dense routines refuse to run above the
 dimension cap DENSE_CAP, read at call time (_check_dense_cap), instead of
 silently thrashing memory.  The iterative route likewise gives up, with a
 ConvergenceError, after MAX_STEPS matvecs per eigenpair, read at call time.
@@ -64,19 +65,18 @@ bundled OpenBLAS copies of numpy and scipy to one thread and the last scope
 to exit restores the count it found.  A threaded BLAS splits sums across
 threads, so its thread count would change low-order bits; under the scope
 the outputs do not depend on OPENBLAS_NUM_THREADS.  With another BLAS the
-scope does nothing.  The pool threads run the dense LAPACK of the pair
-route, of count_below and of the Rayleigh-Ritz step (dsyevr, dpotrf,
-dsytrf, dsygvd) at once: those are called, without the GIL, through the
-capsules of scipy.linalg.cython_lapack, which this module loads from its
-file at import (_cython_lapack).  That also loads scipy's OpenBLAS, so
-both copies are in the process when _one_blas_thread first looks for them.
+scope does nothing.  Every LAPACK call of the package that goes through
+scipy (dsyevr, dpotrf, dpotrs, dsytrf, dsygvd) goes through one table of
+bindings to the capsules of scipy.linalg.cython_lapack, which this module
+loads from its file at import (_cython_lapack).  The bindings release the
+GIL, so the pool threads run the dense LAPACK of the pair route, of
+count_below and of the Rayleigh-Ritz step at once.  Loading the capsules
+also loads scipy's OpenBLAS, so both copies are in the process when
+_one_blas_thread first looks for them.
 
-Imports: this module loads neither scipy.linalg nor scipy.sparse.
-dense_spectrum and resolvent_positivity_audit import scipy.linalg on their
-first call; count_below runs on the CSR its operator already holds.  Each
-costs about 0.1 s of start-up, which the pipelines that use neither (the
-torus, the dispersion curve, the extrapolation and the kernel at their
-defaults) do not pay.
+Imports: no module of the package imports scipy.linalg, whose start-up
+costs about 0.1 s.  This module does not load scipy.sparse either:
+count_below runs on the CSR its operator already holds.
 """
 
 import ctypes
@@ -261,7 +261,8 @@ def _lapack(name: str):
 
 
 _CAPI = _cython_lapack().__pyx_capi__
-_DSYEVR, _DPOTRF, _DSYTRF, _DSYGVD = map(_lapack, ("dsyevr", "dpotrf", "dsytrf", "dsygvd"))
+_DSYEVR, _DPOTRF, _DPOTRS, _DSYTRF, _DSYGVD = map(
+    _lapack, ("dsyevr", "dpotrf", "dpotrs", "dsytrf", "dsygvd"))
 
 
 def _int(value: int):
@@ -501,23 +502,27 @@ def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _finite_dense(op, message: str) -> np.ndarray:
+    """op.to_dense() once its dimension passes the dense cap (CapacityError);
+    NumericalError(message) if it is not finite."""
+    _check_dense_cap(op.dimension)
+    dense = op.to_dense()
+    if not np.isfinite(dense).all():
+        raise NumericalError(message)
+    return dense
+
+
 @_one_blas_thread()
 def dense_spectrum(op, k: int = 6) -> np.ndarray:
     """k smallest eigenvalues by dense LAPACK; the oracle for the iterative route.
 
     A non-finite operator raises NumericalError.
     """
-    import scipy.linalg
-    n = op.dimension
-    _check_dense_cap(n)
-    k = min(int(k), n)
+    k = min(int(k), op.dimension)
     if k < 1:
         raise ValueError("k must be positive")
-    dense = op.to_dense()
-    if not np.isfinite(dense).all():
-        raise NumericalError("operator is not finite; no dense spectrum")
-    vals = scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=[0, k - 1])
-    return np.asarray(vals, dtype=np.float64)
+    return _dense_lowest(_finite_dense(op, "operator is not finite; no dense spectrum"),
+                         k, vectors=False)[0]
 
 
 def _shifted(s: np.ndarray, shift: float) -> np.ndarray:
@@ -564,40 +569,55 @@ def _negative_inertia(s: np.ndarray, shift: float = 0.0) -> int:
     return int((diag[single] < 0).sum() + (mid - rad < 0).sum() + (mid + rad < 0).sum())
 
 
-# _positive_definite and _dense_lowest serve the pair route of operators from
-# here.  Both run LAPACK through the capsule bindings above, without the GIL,
-# so the pair solves of the pool threads overlap, and neither needs
-# scipy.linalg.
-
-
-def _positive_definite(s: np.ndarray, shift: float = 0.0) -> bool:
-    """Whether the Cholesky factorization of s + shift I, s symmetric (lower
-    triangle read), by dpotrf on one shifted column-major copy (_shifted)
-    runs to the end."""
+def _cholesky(s: np.ndarray, shift: float = 0.0, uplo: bytes = b"L") -> Optional[np.ndarray]:
+    """The Cholesky factor of s + shift I, s symmetric, by dpotrf on one
+    shifted column-major copy (_shifted), or None when the factorization
+    fails.  The factor is the `uplo` triangle (b"L" or b"U", the only one
+    read) of the returned copy; its other triangle keeps s + shift I."""
     a = _shifted(s, shift)
     n = len(a)
     info = ctypes.c_int()
-    _DPOTRF(b"L", _int(n), _ptr(a), _int(max(1, n)), ctypes.byref(info))
-    return _info("dpotrf", info) == 0
+    _DPOTRF(uplo, _int(n), _ptr(a), _int(max(1, n)), ctypes.byref(info))
+    return None if _info("dpotrf", info) else a
 
 
-def _dense_lowest(s: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Lowest eigenvalue of dense symmetric s (lower triangle read) and a unit
-    eigenvector: dsyevr as scipy.linalg.eigh(s, subset_by_index=[0, 0]) runs
-    it, with the workspace of its query.  LinAlgError when dsyevr fails;
-    ValueError on an empty matrix, before dsyevr could print its argument
+def _cholesky_inverse(s: np.ndarray, shift: float) -> Optional[np.ndarray]:
+    """(s + shift I)^{-1}, s symmetric (upper triangle read), or None when
+    s + shift I is not positive definite: dpotrs with B = I on the upper
+    factor of _cholesky, as scipy.linalg.cho_solve(cho_factor(s + shift I),
+    I) computes it."""
+    factor = _cholesky(s, shift, b"U")
+    if factor is None:
+        return None
+    n = len(factor)
+    inv, info = np.eye(n, order="F"), ctypes.c_int()
+    _DPOTRS(b"U", _int(n), _int(n), _ptr(factor), _int(max(1, n)), _ptr(inv),
+            _int(max(1, n)), ctypes.byref(info))
+    _info("dpotrs", info)
+    return inv
+
+
+def _dense_lowest(s: np.ndarray, k: int = 1, vectors: bool = True):
+    """The k lowest eigenvalues of dense symmetric s (lower triangle read),
+    ascending, and with `vectors` a k x n array whose rows are their unit
+    eigenvectors (else None): dsyevr as scipy.linalg.eigh(s, eigvals_only=not
+    vectors, subset_by_index=[0, k - 1]) runs it, with the workspace of its
+    query; the rows are eigh's columns.  LinAlgError when dsyevr fails;
+    ValueError unless 1 <= k <= n, before dsyevr could print its argument
     error on the process's stdout."""
     a = _square(s)
     n = len(a)
-    if n == 0:
-        raise ValueError("an empty matrix has no lowest eigenvalue")
-    w, z, isuppz = np.empty(n), np.empty(n), np.empty(2, dtype=np.intc)
+    if not 1 <= k <= n:
+        raise ValueError(f"k = {k} lies outside [1, {n}]" if n else
+                         "an empty matrix has no lowest eigenvalue")
+    w, z = np.empty(n), np.empty((k, n) if vectors else (1, 1))
+    isuppz = np.empty(2 * k, dtype=np.intc)
     zero, found, info = ctypes.c_double(0.0), ctypes.c_int(), ctypes.c_int()
 
     def syevr(work, lwork, iwork, liwork):
-        _DSYEVR(b"V", b"I", b"L", _int(n), _ptr(a), _int(max(1, n)),
-                ctypes.byref(zero), ctypes.byref(zero), _int(1), _int(1), ctypes.byref(zero),
-                ctypes.byref(found), _ptr(w), _ptr(z), _int(max(1, n)),
+        _DSYEVR(b"V" if vectors else b"N", b"I", b"L", _int(n), _ptr(a), _int(n),
+                ctypes.byref(zero), ctypes.byref(zero), _int(1), _int(k), ctypes.byref(zero),
+                ctypes.byref(found), _ptr(w), _ptr(z.T), _int(z.shape[1]),
                 _ptr(isuppz), _ptr(work), _int(lwork), _ptr(iwork),
                 _int(liwork), ctypes.byref(info))
         return _info("dsyevr", info)
@@ -607,7 +627,7 @@ def _dense_lowest(s: np.ndarray) -> Tuple[float, np.ndarray]:
     lwork, liwork = int(work[0]), int(iwork[0])
     if syevr(np.empty(lwork), lwork, np.empty(liwork, dtype=np.intc), liwork):
         raise np.linalg.LinAlgError(f"dsyevr failed with info {info.value}")
-    return float(w[0]), z
+    return w[:k], (z if vectors else None)
 
 
 def _schur_margin(pair, m: int) -> float:
@@ -685,29 +705,21 @@ def resolvent_positivity_audit(op, lam: float) -> PositivityReport:
     violation, reported as ValueError; a non-finite operator raises
     NumericalError.
     """
-    import scipy.linalg
-    n = op.dimension
-    _check_dense_cap(n)
-    dense = op.to_dense()
-    if not np.isfinite(dense).all():
-        raise NumericalError("operator is not finite")
-    shifted = dense + float(lam) * np.eye(n)
-    try:
-        chol = scipy.linalg.cho_factor(shifted, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    dense = _finite_dense(op, "operator is not finite")
+    n = len(dense)
+    inv = _cholesky_inverse(dense, float(lam))
+    if inv is None:
         raise ValueError(
             f"shift lam = {lam} does not make the operator positive definite; "
             "pick lam > -E0"
-        ) from exc
-    inv = scipy.linalg.cho_solve(chol, np.eye(n), check_finite=False)
+        )
     inv = 0.5 * (inv + inv.T)
     min_entry = float(inv.min())
     max_entry = float(inv.max())
     strictly_positive = bool(min_entry > 1e-14 * max(max_entry, 0.0))
 
-    upper = min(1, n - 1)
-    vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, upper])
-    psi = vecs[:, 0]
+    vals, vecs = _dense_lowest(dense, min(2, n))
+    psi = vecs[0]
     i = int(np.argmax(np.abs(psi)))
     if psi[i] < 0:
         psi = -psi

@@ -46,7 +46,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError
+from .errors import CapacityError, ConvergenceError, _check_int
 from .fock import BasisIndex, basis_dimension, enumerate_basis
 from .modes import (ModeGrid, _elements_taking, _lattice_axis, _lattice_ball,
                     _symmetry_maps, build_grid)
@@ -55,12 +55,6 @@ from .solve import DEFAULT_SEED, DEFAULT_TOL, _parallel_map, count_below, lowest
 
 DEFAULT_DEGENERACY_TOL = 1e-7
 YUKAWA_REL_TOL = 1e-12  # the image sum has settled once a shell adds less, relative
-
-
-def _check_int(name: str, value, least: int) -> None:
-    """ValueError unless value is an int (a bool is not) of at least `least`."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -298,6 +298,42 @@ def ldl_negative_inertia(s):
     return int((diag[single] < 0).sum() + (mid - rad < 0).sum() + (mid + rad < 0).sum())
 
 
+def dense_spectrum_ref(op, k=6):
+    """The k smallest eigenvalues of op by scipy.linalg.eigh (dsyevr, no
+    vectors), the route dense_spectrum ran before its LAPACK calls went
+    through cython_lapack."""
+    dense = op.to_dense()
+    k = min(int(k), len(dense))
+    return scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=[0, k - 1])
+
+
+def positivity_audit_ref(op, lam):
+    """The fields of resolvent_positivity_audit by scipy.linalg: the inverse
+    of op + lam from cho_factor (upper) and cho_solve, the two lowest
+    eigenpairs from eigh.  A shift that leaves op + lam indefinite raises
+    the audit's ValueError."""
+    dense = op.to_dense()
+    n = len(dense)
+    try:
+        chol = scipy.linalg.cho_factor(dense + float(lam) * np.eye(n), check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise ValueError(
+            f"shift lam = {lam} does not make the operator positive definite; "
+            "pick lam > -E0"
+        ) from exc
+    inv = scipy.linalg.cho_solve(chol, np.eye(n), check_finite=False)
+    inv = 0.5 * (inv + inv.T)
+    min_entry, max_entry = float(inv.min()), float(inv.max())
+    vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, min(1, n - 1)])
+    psi = vecs[:, 0]
+    if psi[int(np.argmax(np.abs(psi)))] < 0:
+        psi = -psi
+    return {"lam": float(lam), "min_entry": min_entry,
+            "strictly_positive": bool(min_entry > 1e-14 * max(max_entry, 0.0)),
+            "ground_vector_min": float(psi.min()),
+            "gap": float(vals[1] - vals[0]) if n > 1 else math.inf}
+
+
 def from_triplets(dim, rows, cols, vals):
     """SparseOperator from upper-triangle (row <= col) triplets.
 

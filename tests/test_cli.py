@@ -549,7 +549,8 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 # the benchmark's desk torus, two dispersion curves and an extrapolation run
 # on the pair and secular routes, which need neither a sparse fiber nor
-# scipy.linalg; a dense spectrum afterwards imports scipy.linalg on first use
+# scipy.linalg; a dense spectrum and a positivity audit afterwards load
+# scipy.sparse for the fiber, and still not scipy.linalg
 _LEAN_PIPELINES = """
 import math, sys
 import numpy as np
@@ -565,7 +566,10 @@ print([m for m in ("scipy.sparse", "scipy.linalg") if m in sys.modules])
 grid = pl.build_grid(1.0, 1.5)
 basis = pl.enumerate_basis(len(grid), 2, grid.units, grid.spacing)
 op = pl.assemble_fiber(pl.FiberConfig(alpha=1.0, p=np.zeros(3), grid=grid, n_max=2), basis)
-print(pl.dense_spectrum(op, k=3).tobytes().hex())
+spectrum = pl.dense_spectrum(op, k=3)
+audit = pl.resolvent_positivity_audit(pl.sign_flip(op), 1.0 - spectrum[0])
+print([m for m in ("scipy.sparse", "scipy.linalg") if m in sys.modules])
+print(spectrum.tobytes().hex(), audit.min_entry.hex())
 """
 
 
@@ -573,13 +577,32 @@ def test_lean_pipelines_leave_scipy_sparse_and_linalg_unloaded():
     proc = subprocess.run([sys.executable, "-c", _LEAN_PIPELINES], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    loaded, spectrum = proc.stdout.splitlines()
-    assert loaded == "[]"
+    lean, dense, results = proc.stdout.splitlines()
+    assert lean == "[]"
+    assert dense == "['scipy.sparse']"
     grid = polaronlab.build_grid(1.0, 1.5)
     basis = polaronlab.enumerate_basis(len(grid), 2, grid.units, grid.spacing)
     op = polaronlab.assemble_fiber(
         polaronlab.FiberConfig(alpha=1.0, p=np.zeros(3), grid=grid, n_max=2), basis)
-    assert spectrum == polaronlab.dense_spectrum(op, k=3).tobytes().hex()
+    spectrum = polaronlab.dense_spectrum(op, k=3)
+    audit = polaronlab.resolvent_positivity_audit(polaronlab.sign_flip(op), 1.0 - spectrum[0])
+    assert results.split() == [spectrum.tobytes().hex(), audit.min_entry.hex()]
+
+
+def test_subcommands_leave_scipy_linalg_unloaded(tmp_path):
+    # each subcommand at its defaults, then checks on both shipped configs,
+    # in one fresh interpreter: the exit status and whether scipy.linalg is
+    # loaded after each
+    runs = [["torus"], ["dispersion"], ["extrapolate"], ["kernel"],
+            ["checks", "--config", str(CONFIGS / "quick.cfg")],
+            ["checks", "--config", str(CONFIGS / "desk.cfg")]]
+    code = ("import sys\nfrom polaronlab import cli\n"
+            f"for i, args in enumerate({runs!r}):\n"
+            f"    status = cli.main(args + ['--out', {str(tmp_path)!r} + f'/{{i}}'])\n"
+            "    print(status, 'scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 False"] * len(runs)
 
 
 def test_nan_coupling_reaching_the_secular_route_exits_2(tmp_path, capsys, monkeypatch):

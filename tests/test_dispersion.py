@@ -79,6 +79,43 @@ def test_dispersion_curve_rejects_a_bad_tol(n_max, tol):
         dispersion_curve(1.0, [(0, 0, 0), (0, 0, 0.5)], 1.0, 1.0, n_max, tol=tol)
 
 
+BAD_N_MAX = [3.0, 2.5, -1, True, "2"]
+
+
+def _forbid_grids(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(polaronlab.dispersion, "build_grid", forbidden)
+
+
+@pytest.mark.parametrize("n_max", BAD_N_MAX)
+def test_fiber_config_rejects_a_bad_n_max(n_max):
+    with pytest.raises(ValueError, match="n_max must be an int of at least 0"):
+        FiberConfig(alpha=1.0, p=np.zeros(3), grid=build_grid(1.0, 1.0), n_max=n_max)
+
+
+@pytest.mark.parametrize("n_max", BAD_N_MAX)
+def test_cutoff_schedule_rejects_a_bad_n_max(n_max):
+    with pytest.raises(ValueError, match="N_max must be an int of at least 0"):
+        CutoffSchedule(lambdas=(3.0, 4.0, 5.0), delta=1.0, n_max=n_max)
+
+
+@pytest.mark.parametrize("n_max", BAD_N_MAX)
+def test_dispersion_curve_rejects_a_bad_n_max_before_any_grid(monkeypatch, n_max):
+    # n_max = True used to run as N_max = 1, a float to fail in math.comb
+    _forbid_grids(monkeypatch)
+    with pytest.raises(ValueError, match="n_max must be an int of at least 0"):
+        dispersion_curve(1.0, [(0, 0, 0)], 1.0, 1.0, n_max)
+
+
+@pytest.mark.parametrize("n_max", BAD_N_MAX)
+def test_hvz_edge_check_rejects_a_bad_n_max_before_any_grid(monkeypatch, n_max):
+    _forbid_grids(monkeypatch)
+    with pytest.raises(ValueError, match="n_max must be an int of at least 0"):
+        hvz_edge_check(0.0, 1.0, 2.5, n_max, (0.0, 0.0, 2.0))
+
+
 def test_sampling_order_ties_keep_input_order():
     curve = dispersion_curve(0.0, [(0, 0.5, 0), (0.5, 0, 0), (0, 0, 0)], 0.5, 1.0, 1)
     assert [s.p for s in curve.samples] == [

@@ -807,9 +807,9 @@ def test_window_count_shift_covers_margin_slope_and_its_own_rounding(monkeypatch
     # proof needs c = ||u||^2 >= ||C(E)|| and sigma >= delta + eta + k (c +
     # sigma), eta = (e - E)(1 + c / (d_min - e)), k = SCHUR_MARGIN (M + 1) u
     calls = []
-    positive_definite = operators._positive_definite
-    monkeypatch.setattr(operators, "_positive_definite", lambda a, shift=0.0: calls.append(
-        (a.copy(), -shift)) or positive_definite(a, shift))
+    cholesky = operators._cholesky
+    monkeypatch.setattr(operators, "_cholesky", lambda a, shift=0.0: calls.append(
+        (a.copy(), -shift)) or cholesky(a, shift))
     grid, _ = _pair_basis(2.0)
     for alpha in (1.0, 3.0):
         for p in ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.3, 0.7, 1.1)):

@@ -1,6 +1,7 @@
 """Iterative eigensolver against dense oracles; resolvent positivity audits."""
 
 import ctypes
+import dataclasses
 import math
 import subprocess
 import sys
@@ -29,16 +30,18 @@ from polaronlab import (
 )
 from polaronlab.errors import NumericalError
 from polaronlab.solve import (
+    _cholesky,
+    _cholesky_inverse,
     _dense_lowest,
     _lowest_ritz,
     _negative_inertia,
     _one_blas_thread,
     _openblas_handles,
     _parallel_map,
-    _positive_definite,
     count_below,
 )
-from naive_ref import from_triplets, ldl_negative_inertia
+from naive_ref import (dense_spectrum_ref, from_triplets, ldl_negative_inertia,
+                       positivity_audit_ref)
 from suite_configs import all_operators, kt_suite
 
 
@@ -253,6 +256,48 @@ def test_audit_rejects_a_non_finite_operator():
         resolvent_positivity_audit(op, lam=1.0)
 
 
+def _c08_fiber(alpha, cutoff=1.5):
+    # the c08 fiber at P = 0: delta 1, Lambda 1.5, N_max 2, 190 states
+    # (28 states at Lambda 1)
+    grid = build_grid(1.0, cutoff)
+    basis = enumerate_basis(len(grid), 2, grid.units, grid.spacing)
+    return assemble_fiber(FiberConfig(alpha=alpha, p=np.zeros(3), grid=grid, n_max=2), basis)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 3.0])
+def test_dense_spectrum_matches_the_eigh_route_bit_for_bit(alpha):
+    # every k from 1 past n: dense_spectrum clamps k to the dimension
+    op = _c08_fiber(alpha, cutoff=1.0)
+    n = op.dimension
+    for k in range(1, n + 3):
+        got = dense_spectrum(op, k=k)
+        with _one_blas_thread():
+            want = dense_spectrum_ref(op, k=k)
+        assert got.tobytes() == want.tobytes(), k
+        assert got.size == min(k, n)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 3.0])
+def test_audit_matches_the_cho_solve_route_field_for_field(alpha):
+    # repr keeps the sign of a zero: at alpha = 0 the inverse is diagonal;
+    # the oracle runs on one BLAS thread, as the audit does
+    op = _c08_fiber(alpha)
+    e0 = float(dense_spectrum(op, k=1)[0])
+    flipped = sign_flip(op)
+    rep = dataclasses.asdict(resolvent_positivity_audit(flipped, 1.0 - e0))
+    with _one_blas_thread():
+        want = positivity_audit_ref(flipped, 1.0 - e0)
+    assert {k: repr(v) for k, v in rep.items()} == {k: repr(v) for k, v in want.items()}
+    assert rep["strictly_positive"] is (alpha > 0.0)
+    # a shift inside the spectrum: the same ValueError on both routes
+    with pytest.raises(ValueError) as got:
+        resolvent_positivity_audit(flipped, -e0 - 0.5)
+    with pytest.raises(ValueError) as expected:
+        positivity_audit_ref(flipped, -e0 - 0.5)
+    assert str(got.value) == str(expected.value)
+    assert "does not make the operator positive definite" in str(got.value)
+
+
 def test_audit_single_state_gap_is_infinite():
     rep = resolvent_positivity_audit(_diag_op([2.0]), lam=0.0)
     assert rep.gap == math.inf
@@ -338,7 +383,8 @@ print(capi is solve._CAPI, all(
     ctypes.cast(call, ctypes.c_void_p).value
     == solve._capsule_pointer(capi[name], solve._capsule_name(capi[name]))
     for name, call in (("dsyevr", solve._DSYEVR), ("dpotrf", solve._DPOTRF),
-                       ("dsytrf", solve._DSYTRF), ("dsygvd", solve._DSYGVD))))
+                       ("dpotrs", solve._DPOTRS), ("dsytrf", solve._DSYTRF),
+                       ("dsygvd", solve._DSYGVD))))
 """
 
 
@@ -498,26 +544,38 @@ def _symmetric(rng, n, shift=0.0):
 
 @pytest.mark.parametrize("n", [1, 2, 40, 257, 600])
 def test_dense_lowest_matches_eigh_bit_for_bit(n):
+    # the k lowest eigenvalues, with and without vectors, k = 1 up to k = n;
+    # the rows of _dense_lowest are the columns of eigh
     s = _symmetric(np.random.default_rng(n), n)
-    mu, vec = _dense_lowest(s)
-    want_mu, want_vec = scipy.linalg.eigh(s, subset_by_index=[0, 0])
-    assert mu == want_mu[0]
-    np.testing.assert_array_equal(vec, want_vec[:, 0])
+    for k in sorted({1, 2, 6, n} & set(range(1, n + 1))):
+        vals, rows = _dense_lowest(s, k)
+        want_vals, want_vecs = scipy.linalg.eigh(s, subset_by_index=[0, k - 1])
+        assert vals.tobytes() == want_vals.tobytes(), k
+        assert rows.tobytes() == want_vecs.T.tobytes(), k
+        only, none = _dense_lowest(s, k, vectors=False)
+        want = scipy.linalg.eigh(s, eigvals_only=True, subset_by_index=[0, k - 1])
+        assert none is None and only.tobytes() == want.tobytes(), k
 
 
 def test_positive_definite_agrees_with_cholesky():
+    # the factor's lower triangle is scipy's cholesky, and the inverse
+    # scipy's cho_solve(cho_factor(s), I), bit for bit; None where they fail
     rng = np.random.default_rng(3)
     seen = set()
     for n in (1, 2, 5, 40, 257):
         for shift in (-2.0 * math.sqrt(n), 0.0, 3.0 * math.sqrt(n)):
             s = _symmetric(rng, n, shift)
             try:
-                scipy.linalg.cholesky(s, lower=True)
-                want = True
+                want = scipy.linalg.cholesky(s, lower=True)
+                inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(s), np.eye(n))
             except scipy.linalg.LinAlgError:
-                want = False
-            assert _positive_definite(s) is want, (n, shift)
-            seen.add(want)
+                want = inv = None
+            got = _cholesky(s)
+            assert (got is None) is (want is None) is (_cholesky_inverse(s, 0.0) is None)
+            if want is not None:
+                assert np.tril(got).tobytes() == want.tobytes()
+                assert _cholesky_inverse(s, 0.0).tobytes() == inv.tobytes()
+            seen.add(want is None)
     assert seen == {True, False}
 
 
@@ -532,7 +590,7 @@ def test_shifted_factorizations_read_s_plus_shift_times_the_identity():
             plain = s + shift * np.eye(n)
             shifted = solve._shifted(s, shift)
             assert shifted.flags.f_contiguous and np.array_equal(shifted, plain)
-            assert _positive_definite(s, shift) is _positive_definite(plain)
+            np.testing.assert_array_equal(_cholesky(s, shift), _cholesky(plain))
             assert _negative_inertia(s, shift) == _negative_inertia(plain)
         assert np.array_equal(s, kept)
 
@@ -543,17 +601,21 @@ def test_lapack_helpers_never_print_on_an_empty_matrix(capfd):
     with pytest.raises(ValueError, match="empty matrix"):
         _dense_lowest(empty)
     assert _negative_inertia(empty) == 0
-    assert _positive_definite(empty) is True
+    assert _cholesky(empty).shape == (0, 0)
+    assert _cholesky_inverse(empty, 1.0).shape == (0, 0)
     assert capfd.readouterr() == ("", "")
 
 
 def test_lapack_bindings_release_the_gil_and_reject_bad_arguments():
     # CFUNCTYPE, not PYFUNCTYPE: ctypes drops the GIL for the call
-    for routine in (solve._DSYEVR, solve._DPOTRF, solve._DSYTRF, solve._DSYGVD):
+    for routine in (solve._DSYEVR, solve._DPOTRF, solve._DPOTRS, solve._DSYTRF, solve._DSYGVD):
         assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI
     with pytest.raises(ValueError, match="empty matrix"):
         _dense_lowest(np.empty((0, 0)))  # before dsyevr, which rejects il = iu = 1 > n
-    for helper in (_dense_lowest, _positive_definite, _negative_inertia):
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=rf"k = {k} lies outside \[1, 2\]"):
+            _dense_lowest(np.eye(2), k)
+    for helper in (_dense_lowest, _cholesky, _negative_inertia):
         with pytest.raises(ValueError, match=r"square matrix, got shape \(3, 2\)"):
             helper(np.zeros((3, 2)))  # LAPACK would read 9 entries of 6
     a, work = np.asfortranarray(np.eye(2)), np.empty(4)
@@ -576,8 +638,9 @@ def test_lapack_helpers_are_bit_identical_across_threads():
             for shift in (0.0, 40.0)]
     works = [rng.standard_normal((6, 80)) for _ in range(8)]
     jobs = {
-        "dense_lowest": (lambda s: np.r_[_dense_lowest(s)], mats),
-        "positive_definite": (_positive_definite, mats),
+        "dense_lowest": (lambda s: np.concatenate([x.ravel() for x in _dense_lowest(s, 2)]), mats),
+        "cholesky": (_cholesky, mats),
+        "cholesky_inverse": (lambda s: _cholesky_inverse(s, len(s)), mats),
         "negative_inertia": (_negative_inertia, mats),
         "lowest_ritz": (lambda w: _lowest_ritz(w, 3), works),
     }
