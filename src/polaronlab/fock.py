@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, _check_int
 
 BASIS_CAPACITY = 5_000_000
 
@@ -86,8 +86,8 @@ class BasisIndex:
         mode_units: Optional[np.ndarray] = None,
         spacing: float = 1.0,
     ):
-        if m_modes < 0 or n_max < 0:
-            raise ValueError("m_modes and n_max must be non-negative")
+        _check_int("m_modes", m_modes, 0)
+        _check_int("n_max", n_max, 0)
         dim = basis_dimension(m_modes, n_max)
         if dim > BASIS_CAPACITY:
             raise CapacityError(
@@ -208,7 +208,8 @@ def enumerate_basis(
 
     Deterministic ordering across runs and platforms.  Raises CapacityError if
     the stars-and-bars dimension exceeds BASIS_CAPACITY (checked before any
-    enumeration work).  The optional mode table attaches exact momenta to the
-    states; without it all states carry zero momentum.
+    enumeration work), and ValueError before that unless m_modes and n_max
+    are ints (not bools) of at least 0.  The optional mode table attaches
+    exact momenta to the states; without it all states carry zero momentum.
     """
     return BasisIndex(m_modes, n_max, mode_units, spacing)

@@ -11,9 +11,11 @@ at the rate the cutoff tail predicts.
 
 Cell integrals are evaluated once per octahedral orbit and mirrored, making
 the equal-coupling symmetry exact in floating point.  Kernels are elementwise:
-_norm2 keeps the bits of (v * v).sum(axis=1) and each cell sums its points by
-a row-wise .sum(axis=1); floating-point addition is not associative, so any
-other summation order moves the last bits of couplings and output bytes.
+_norm2 keeps the bits of (v * v).sum(axis=1); a cell squares each axis once
+on its nodes, broadcasts |k|^2 = (x^2 + y^2) + z^2 over its points in that
+order, and sums them by a row-wise .sum(axis=1).  Floating-point addition
+is not associative, so any other summation order moves the last bits of
+couplings and output bytes.
 
 Every integer lattice (the mode ball, the torus's fiber ball and its cube of
 kernel images) is held to one budget, GRID_CAPACITY, read at call time: a
@@ -35,6 +37,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import CapacityError, _check_int
 
 GRID_CAPACITY = 1_000_000
+CELL_CHUNK = 8192  # quadrature points held at a time by _cell_integrals
 
 
 @lru_cache(maxsize=1)
@@ -73,18 +76,24 @@ def _norm2(v: np.ndarray) -> np.ndarray:
 def _cell_integrals(centers: np.ndarray, delta: float, order: int) -> np.ndarray:
     """Gauss-Legendre product-rule integrals of 1/|k|^2 over delta-cubes.
 
-    |k|^2 adds the axes left to right, as _norm2; the points must stay summed
-    by .sum(axis=1) of a C-contiguous (R, P) array (its pairwise order).
+    Each axis is squared once per cell, on its `order` nodes, and |k|^2 of
+    the order^3 points is (x^2 + y^2) + z^2 by broadcasting, the order of
+    _norm2; a cell's points are summed by .sum(axis=1) over its whole row
+    of a C-contiguous (R, order^3) array (its pairwise order).  Cells go in
+    chunks of rows, no temporary past about CELL_CHUNK points.
     """
     x, w = _gauss_legendre(order)
     x = x * (delta / 2.0)
     w = w * (delta / 2.0)
-    gx, gy, gz = (g.ravel() for g in np.meshgrid(x, x, x, indexing="ij"))
     weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-    k2 = np.square(centers[:, 0, None] + gx)
-    k2 += np.square(centers[:, 1, None] + gy)
-    k2 += np.square(centers[:, 2, None] + gz)
-    return np.divide(weights, k2, out=k2).sum(axis=1)
+    out = np.empty(len(centers))
+    step = max(1, CELL_CHUNK // weights.size)
+    for start in range(0, len(centers), step):
+        sx, sy, sz = np.square(centers[start:start + step, :, None] + x).transpose(1, 0, 2)
+        k2 = (sx[:, :, None, None] + sy[:, None, :, None]) + sz[:, None, None, :]
+        k2 = k2.reshape(len(sx), -1)
+        out[start:start + step] = np.divide(weights, k2, out=k2).sum(axis=1)
+    return out
 
 
 def _quadrature_order(shells: np.ndarray) -> np.ndarray:

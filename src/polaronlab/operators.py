@@ -332,21 +332,20 @@ def pair_gram(s: np.ndarray, r_rows: Callable[[slice], np.ndarray]) -> np.ndarra
 
 
 def _pair_blocks(alpha: float, grid: ModeGrid, p: np.ndarray):
-    """(X, s, D_top) of the N_max = 2 fiber at p, for a non-empty grid.
+    """(x, s, D_top) of the N_max = 2 fiber at p, for a non-empty grid.
 
-    X is the fiber's leading block on blocks 0 and 1 (M + 1 rows, the vacuum
-    first, then the one-phonon state j on mode M - 1 - j), bit for bit; s =
-    sqrt(alpha) g and D_top = pair_diagonal in that state order, gathered
-    from _pair_table by codes taken in that order.
+    The fiber's leading block X on blocks 0 and 1 (M + 1 rows, the vacuum
+    first, then the one-phonon state j on mode M - 1 - j) is x on its
+    diagonal, bit for bit, and s = sqrt(alpha) g on the vacuum row and
+    column, zero elsewhere; D_top = pair_diagonal in that state order,
+    gathered from _pair_table by codes taken in that order.
     """
-    m = len(grid)
     table, codes = _pair_table(grid, p)
     codes = codes[::-1]  # state order of block 1
     d_top = table[codes[:, None] + codes[None, :]]
     s = float(np.sqrt(alpha)) * grid.couplings[::-1]
     units = np.concatenate([np.zeros((1, 3), dtype=np.int64), grid.units[::-1]])
-    x = np.diag(_kinetic(p, grid.spacing * units.T.astype(np.float64), np.r_[0.0, np.ones(m)]))
-    x[0, 1:] = x[1:, 0] = s
+    x = _kinetic(p, grid.spacing * units.T.astype(np.float64), np.r_[0.0, np.ones(len(grid))])
     return x, s, d_top
 
 
@@ -354,7 +353,8 @@ def _pair_schur(x, s, d_top, labels=None):
     """(complement, lift) of the Schur complement onto blocks 0 and 1, on the
     sector fixed by a group of mode permutations with `labels` its orbits
     (modes._stabilizer_orbits: per mode, its orbit's least mode), or on the
-    whole of blocks 0 and 1 for labels = None, one mode per orbit.
+    whole of blocks 0 and 1 for labels = None, one mode per orbit; x, s and
+    d_top as _pair_blocks returns them.
 
     The sector is spanned by the vacuum and the orbit sums q_a = n_a^-1/2
     sum_{i in O_a} e_i of the one-phonon states, k + 1 columns Q for k
@@ -370,11 +370,19 @@ def _pair_schur(x, s, d_top, labels=None):
     order, a unit vector whatever Q, for the bracket's Rayleigh quotient.
     Each is O(k M).  With labels = None, Q = I and lift is None: W = R with
     nothing copied or summed, and G has the bits of pair_gram(s, R).
+    complement writes its matrix once: G goes straight into the lower-right
+    block and is negated there in place, under the diagonal of X - E.  G is
+    entrywise positive below min D_top, so its column sums are those of |G|;
+    ||X - E||_1 reads the diagonal and the vacuum row, with column 0 summed
+    in order, as NumPy sums a column of the dense matrix.  The sector's
+    margin counts its k + 1 rows, not the M terms in each entry, so it is
+    the stopping rule of the Newton steps, not a rounding bound; the bracket
+    reads the full S(E), whose margin is one.
     """
     m = len(s)
     if labels is None:
         reps = cols = slice(None)
-        x_sec, lift = x, None
+        x_sec, vac, lift = x, s, None
 
         def reduce(r):
             return r
@@ -385,8 +393,7 @@ def _pair_schur(x, s, d_top, labels=None):
         reps, sizes = cols[starts], np.diff(np.r_[starts, m])
         root = np.sqrt(sizes)
         weight = root[:, None] / root[None, :]
-        x_sec = np.diag(np.r_[x[0, 0], x.diagonal()[1:][reps]])
-        x_sec[0, 1:] = x_sec[1:, 0] = root * s[reps]
+        x_sec, vac = np.r_[x[0], x[1:][reps]], root * s[reps]
 
         def reduce(r):
             """W: the orbit sums of the representative rows r, weighted."""
@@ -398,22 +405,33 @@ def _pair_schur(x, s, d_top, labels=None):
             y[1 + cols] = np.repeat(v[1:] / root, sizes)
             return y / np.linalg.norm(y)
 
-    d_rows = d_top[reps][:, cols]
+    d_rows = d_top[reps][:, cols]  # the sector's rows are column-major
     s_rep, s2_cols = s[reps], (s * s)[cols]
-    diag = np.diag_indices(len(x_sec) - 1)
+    n = len(x_sec)
+    diag = np.diag_indices(n - 1)
 
     def complement(level):
-        r = 1.0 / (d_rows - level)
+        r = d_rows - level
+        np.divide(1.0, r, out=r)
         w = reduce(r)
-        gram = np.multiply(s_rep[:, None], s_rep[None, :])
+        out = np.empty((n, n))
+        gram = out[1:, 1:]
+        np.multiply(s_rep[:, None], s_rep[None, :], out=gram)
         gram *= w
-        sums = np.concatenate([(r[i:i + PAIR_CHUNK] * s2_cols).sum(axis=1)
-                               for i in range(0, len(r), PAIR_CHUNK)])  # row chunks, as pair_gram
-        gram[diag] = sums + s_rep * s_rep * w[diag]
-        out = x_sec.copy()
-        out[np.diag_indices(len(out))] -= level
-        delta = _schur_margin((out, gram), len(out))
-        out[1:, 1:] -= gram
+        # (R s^2)_i sums row i of r: pairwise on the full block's C-ordered
+        # rows, in order on the sector's column-major ones
+        g_diag = np.concatenate([(r[i:i + PAIR_CHUNK] * s2_cols).sum(axis=1)
+                                 for i in range(0, len(r), PAIR_CHUNK)])
+        g_diag += s_rep * s_rep * w[diag]
+        gram[diag] = g_diag
+        xe = x_sec - level
+        out[0, 0] = xe[0]
+        out[0, 1:] = out[1:, 0] = vac
+        a = np.abs(out[0])  # row 0 and, by symmetry, column 0 of |X - E|
+        x_norm = np.maximum(np.add.accumulate(a)[-1], (a[1:] + np.abs(xe[1:])).max())
+        delta = _schur_margin((x_norm, gram.sum(axis=0).max()), n)
+        np.subtract(0.0, gram, out=gram)
+        gram[diag] = xe[1:] - g_diag
 
         def slope(u):
             r2, su = r * r, s_rep * u
@@ -443,7 +461,7 @@ def _pair_count(alpha: float, grid: ModeGrid, p, e: float):
 
     S(e) = X - e - [[0, 0], [0, G(R)]], R_ik = 1/(D_ik - e), is the Schur
     complement onto blocks 0 and 1 (_pair_schur, one mode per orbit, on the
-    (X, s, D_top) of _pair_blocks), X bit for bit the fiber's.  Formed once,
+    (x, s, D_top) of _pair_blocks), X bit for bit the fiber's.  Formed once,
     it is certified as in count_below (solve._certified_count), so the two
     routes return the same count, or None to fall back.  Any level e; where
     a pair solve kept its window, _window_count is cheaper near its level.
@@ -605,8 +623,8 @@ def _window_count(window: PairWindow, e: float):
     eps = k * (c + delta + eta) / (1.0 - k)
     u = math.sqrt(c) * v
     a = np.outer(u, u)
-    a += s_e
-    return 1 if _cholesky(a, -(delta + eta + eps)) is not None else None
+    a += s_e  # exactly symmetric, so a.T, column-major, is the same matrix
+    return 1 if _cholesky(a.T, -(delta + eta + eps), overwrite=True) is not None else None
 
 
 class FiberFamily:

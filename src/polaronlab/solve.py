@@ -72,7 +72,11 @@ loads from its file at import (_cython_lapack).  The bindings release the
 GIL, so the pool threads run the dense LAPACK of the pair route, of
 count_below and of the Rayleigh-Ritz step at once.  Loading the capsules
 also loads scipy's OpenBLAS, so both copies are in the process when
-_one_blas_thread first looks for them.
+_one_blas_thread first looks for them.  The rest of a pair solve holds the
+GIL, so two pool threads contend for it: on the 256-mode desk torus a
+pooled pair solve burns 35-50% more thread CPU than alone and waits
+1.2-2 ms off-CPU, and _secular_ground runs at 0.56-0.94x on two threads,
+so threads = 2 is slower there; the pool pays from about M = 900 modes.
 
 Imports: no module of the package imports scipy.linalg, whose start-up
 costs about 0.1 s.  This module does not load scipy.sparse either:
@@ -525,11 +529,12 @@ def dense_spectrum(op, k: int = 6) -> np.ndarray:
                          k, vectors=False)[0]
 
 
-def _shifted(s: np.ndarray, shift: float) -> np.ndarray:
+def _shifted(s: np.ndarray, shift: float, overwrite: bool = False) -> np.ndarray:
     """_square(s) with `shift` added to its diagonal in place: the bits of
     s + shift I on the diagonal and of s off it (but for the sign of a
-    zero), with no identity or sum formed."""
-    a = _square(s)
+    zero), with no identity or sum formed.  With `overwrite`, s itself, a
+    column-major float64 square matrix, takes the shift: no copy."""
+    a = s if overwrite else _square(s)
     a[np.diag_indices(len(a))] += shift
     return a
 
@@ -569,12 +574,14 @@ def _negative_inertia(s: np.ndarray, shift: float = 0.0) -> int:
     return int((diag[single] < 0).sum() + (mid - rad < 0).sum() + (mid + rad < 0).sum())
 
 
-def _cholesky(s: np.ndarray, shift: float = 0.0, uplo: bytes = b"L") -> Optional[np.ndarray]:
+def _cholesky(s: np.ndarray, shift: float = 0.0, uplo: bytes = b"L",
+              overwrite: bool = False) -> Optional[np.ndarray]:
     """The Cholesky factor of s + shift I, s symmetric, by dpotrf on one
-    shifted column-major copy (_shifted), or None when the factorization
-    fails.  The factor is the `uplo` triangle (b"L" or b"U", the only one
-    read) of the returned copy; its other triangle keeps s + shift I."""
-    a = _shifted(s, shift)
+    shifted column-major copy (_shifted), or on s itself with `overwrite`,
+    or None when the factorization fails.  The factor is the `uplo`
+    triangle (b"L" or b"U", the only one read) of the returned array; its
+    other triangle keeps s + shift I."""
+    a = _shifted(s, shift, overwrite)
     n = len(a)
     info = ctypes.c_int()
     _DPOTRF(uplo, _int(n), _ptr(a), _int(max(1, n)), ctypes.byref(info))
@@ -630,12 +637,12 @@ def _dense_lowest(s: np.ndarray, k: int = 1, vectors: bool = True):
     return w[:k], (z if vectors else None)
 
 
-def _schur_margin(pair, m: int) -> float:
-    """delta = c m u ||S|| for S = X - C given as the pair (X, C), m at least
-    S's order and the terms summed in one entry of C; ||S|| <= ||X||_1 +
-    ||C||_1 covers the rounding of forming S too.  NumericalError if S is
-    not finite."""
-    s_norm = sum(np.linalg.norm(t, 1) for t in pair)
+def _schur_margin(norms, m: int) -> float:
+    """delta = c m u ||S|| for S = X - C, from `norms` = (||X||_1, ||C||_1), m
+    at least S's order and the terms summed in one entry of C; ||S|| <=
+    ||X||_1 + ||C||_1 covers the rounding of forming S too.  NumericalError
+    if S is not finite."""
+    s_norm = sum(norms)
     if not math.isfinite(s_norm):
         raise NumericalError("Schur complement is not finite")
     return SCHUR_MARGIN * m * np.finfo(np.float64).eps * s_norm
@@ -692,7 +699,8 @@ def count_below(op, e: float, split: int):
     pair = (csr[:split, :split].toarray() - e * np.eye(split),
             (bt.T.tocsr() @ bt.multiply(1.0 / (d_top - e)[:, None])).toarray())
     inner = int(bt.getnnz(axis=0).max(initial=0))  # terms in one entry of B D^-1 B^T
-    return _certified_count(np.subtract(*pair), _schur_margin(pair, max(split, inner)))
+    return _certified_count(np.subtract(*pair), _schur_margin(
+        [np.linalg.norm(t, 1) for t in pair], max(split, inner)))
 
 
 @_one_blas_thread()

@@ -334,15 +334,15 @@ def periodized_yukawa(
     Evaluating at a lattice image of the singularity (r = 0) is an error, not
     an infinity.  image_cut bounds the image box |n|_inf <= image_cut, whose
     (2 image_cut + 1)^3 images are held under the lattice budget
-    (CapacityError above image_cut = 99 at the default modes.GRID_CAPACITY).
+    (CapacityError above image_cut = 99 at the default modes.GRID_CAPACITY);
+    ValueError unless image_cut is an int (not a bool) of at least 1.
     The terms are made one x-slab of images at a time, then summed by one np.sum.
     """
     if not 0 < ell < math.inf:
         raise ValueError("ell must be positive and finite")
     if not 1.0 <= mass < math.inf:
         raise ValueError("mass must be finite and at least 1 (kernel masses are sqrt(n+1))")
-    if image_cut < 1:
-        raise ValueError("image_cut must be at least 1")
+    _check_int("image_cut", image_cut, 1)
     diff = np.asarray(x, dtype=np.float64).reshape(3) - np.asarray(xp, dtype=np.float64).reshape(3)
     x2, y2, z2 = np.square(diff[:, None] - ell * _lattice_axis(image_cut, "image"))
     # rounding is monotone, so this is the smallest r over every image, bitwise
@@ -367,10 +367,10 @@ def yukawa_converged(
     Returns (value, cut used).  The terms are positive, so the partial sums
     increase and the first quiet shell certifies convergence.  The box grows
     until the lattice budget refuses the next cut; then ConvergenceError
-    names the last cut summed.
+    names the last cut summed.  ValueError unless start_cut is an int (not
+    a bool) of at least 1.
     """
-    if start_cut < 1:
-        raise ValueError("start_cut must be at least 1")
+    _check_int("start_cut", start_cut, 1)
     return _yukawa_settle(x, xp, ell, mass, start_cut,
                           periodized_yukawa(x, xp, ell, mass=mass, image_cut=start_cut))
 

@@ -110,6 +110,77 @@ def naive_pair_gram(alpha, p, k_vectors, couplings, weight):
     return (b1 * r[None, :]) @ b1.T
 
 
+def naive_pair_x(alpha, p, grid):
+    """Dense X, the N_max = 2 fiber's block on the vacuum and the one-phonon
+    states (row 1 + j the state on mode M - 1 - j), entry by entry:
+    |P - P_f|^2 + N on the diagonal, sqrt(alpha) g_i on the vacuum row and
+    column."""
+    m = len(grid.units)
+    p = np.asarray(p, dtype=np.float64)
+    x = np.zeros((m + 1, m + 1))
+    x[0, 0] = float((p * p).sum())
+    for j in range(m):
+        i = m - 1 - j
+        x[1 + j, 1 + j] = float(((p - grid.spacing * grid.units[i].astype(np.float64)) ** 2).sum()
+                                + 1.0)
+        x[0, 1 + j] = x[1 + j, 0] = math.sqrt(alpha) * grid.couplings[i]
+    return x
+
+
+def naive_pair_schur(x, s, d_top, labels=None):
+    """The Schur complement builder of operators._pair_schur as first
+    written: dense X and Q^T X Q, a separate G array summed in row chunks
+    of 256, and the margin from np.linalg.norm(., 1) of X - E and of G.
+    Returns complement(level) -> (S, delta, slope), as the package's."""
+    from polaronlab.solve import SCHUR_MARGIN
+
+    m = len(s)
+    if labels is None:
+        reps = cols = slice(None)
+        x_sec = x
+
+        def reduce(r):
+            return r
+    else:
+        ids = labels[::-1]
+        cols = np.argsort(ids, kind="stable")
+        starts = np.flatnonzero(np.r_[True, ids[cols][1:] != ids[cols][:-1]])
+        reps, sizes = cols[starts], np.diff(np.r_[starts, m])
+        root = np.sqrt(sizes)
+        weight = root[:, None] / root[None, :]
+        x_sec = np.diag(np.r_[x[0, 0], x.diagonal()[1:][reps]])
+        x_sec[0, 1:] = x_sec[1:, 0] = root * s[reps]
+
+        def reduce(r):
+            return np.add.reduceat(r, starts, axis=1) * weight
+
+    d_rows = d_top[reps][:, cols]
+    s_rep, s2_cols = s[reps], (s * s)[cols]
+    diag = np.diag_indices(len(x_sec) - 1)
+
+    def complement(level):
+        r = 1.0 / (d_rows - level)
+        w = reduce(r)
+        gram = np.multiply(s_rep[:, None], s_rep[None, :])
+        gram *= w
+        sums = np.concatenate([(r[i:i + 256] * s2_cols).sum(axis=1)
+                               for i in range(0, len(r), 256)])
+        gram[diag] = sums + s_rep * s_rep * w[diag]
+        out = x_sec.copy()
+        out[np.diag_indices(len(out))] -= level
+        s_norm = sum(np.linalg.norm(t, 1) for t in (out, gram))
+        delta = SCHUR_MARGIN * len(out) * np.finfo(np.float64).eps * s_norm
+        out[1:, 1:] -= gram
+
+        def slope(u):
+            r2, su = r * r, s_rep * u
+            return float(su @ (reduce(r2) @ su) + (u * u) @ (r2 @ s2_cols))
+
+        return out, delta, slope
+
+    return complement
+
+
 def naive_couplings(delta, lam):
     """Cell-integrated couplings by brute scipy quadrature, orbit by orbit.
 

@@ -213,6 +213,17 @@ def test_capacity_guard(monkeypatch):
         enumerate_basis(2_000_000, 3)
 
 
+@pytest.mark.parametrize("m_modes, n_max, name", [
+    (5, True, "n_max"), (True, 2, "m_modes"), (5, 2.0, "n_max"), (5.0, 2, "m_modes"),
+    ("3", 1, "m_modes"), (5, -1, "n_max"), (-1, 2, "m_modes"), (2_000_000.0, 3, "m_modes"),
+])
+def test_basis_sizes_must_be_ints_before_the_capacity_check(m_modes, n_max, name):
+    # True used to run as 1, a float to fail in math.comb, a str at `<`
+    for make in (enumerate_basis, BasisIndex):
+        with pytest.raises(ValueError, match=f"{name} must be an int of at least 0"):
+            make(m_modes, n_max)
+
+
 def test_lower_on_vacuum_absent():
     basis = enumerate_basis(3, 2)
     for mode in range(3):

@@ -27,8 +27,8 @@ from polaronlab import (
 )
 from polaronlab import fock, operators, solve
 from naive_ref import (
-    assemble_free, from_triplets, naive_fiber_dense, naive_pair_gram, riemann_selfenergy_sum,
-    upper_diagonal, upper_sign_flip, upper_to_dense,
+    assemble_free, from_triplets, naive_fiber_dense, naive_pair_gram, naive_pair_schur,
+    naive_pair_x, riemann_selfenergy_sum, upper_diagonal, upper_sign_flip, upper_to_dense,
 )
 from suite_configs import all_operators, all_operators_with_basis, kt_suite, single_mode_grid
 
@@ -808,12 +808,12 @@ def test_window_count_shift_covers_margin_slope_and_its_own_rounding(monkeypatch
     # sigma), eta = (e - E)(1 + c / (d_min - e)), k = SCHUR_MARGIN (M + 1) u
     calls = []
     cholesky = operators._cholesky
-    monkeypatch.setattr(operators, "_cholesky", lambda a, shift=0.0: calls.append(
-        (a.copy(), -shift)) or cholesky(a, shift))
+    monkeypatch.setattr(operators, "_cholesky", lambda a, shift=0.0, **kw: calls.append(
+        (a.copy(), -shift)) or cholesky(a, shift, **kw))
     grid, _ = _pair_basis(2.0)
     for alpha in (1.0, 3.0):
         for p in ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.3, 0.7, 1.1)):
-            x = operators._pair_blocks(alpha, grid, np.array(p))[0]
+            x = naive_pair_x(alpha, p, grid)
             window = operators._certified_ground(alpha, grid, 2, p)[1]
             level, _, s_e, delta, v, d_min = window
             n = len(s_e)
@@ -827,6 +827,67 @@ def test_window_count_shift_covers_margin_slope_and_its_own_rounding(monkeypatch
                 assert c >= norm_c
                 eta = (e - level) * (1.0 + c / (d_min - e))
                 assert sigma >= (delta + eta + k * (c + sigma)) * (1.0 - 1e-12), (p, e)
+
+
+@pytest.mark.parametrize("p", SECTOR_MOMENTA)
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("lam", [2.0, 3.0])
+def test_pair_complement_has_the_bits_of_the_dense_construction(monkeypatch, lam, alpha, p):
+    # at every level a Newton run visits, on its sector and on the full
+    # block, S(E), its margin and its slope form are those of the dense
+    # X, separate G and np.linalg.norm margins, byte for byte (alpha = 0
+    # runs no Newton step, but its G of zeros pins their sign)
+    grid = build_grid(1.0 if lam == 2.0 else 0.75, lam)
+    x, s, d_top = operators._pair_blocks(alpha, grid, np.array(p))
+    dense = naive_pair_x(alpha, p, grid)
+    assert x.tobytes() == dense.diagonal().tobytes() and s.tobytes() == dense[0, 1:].tobytes()
+    visited, schur = [], operators._pair_schur
+
+    def recording(x, s, d_top, labels=None):
+        complement, lift = schur(x, s, d_top, labels)
+        return (lambda level: visited.append((labels, level)) or complement(level)), lift
+
+    monkeypatch.setattr(operators, "_pair_schur", recording)
+    r = operators._certified_ground(alpha, grid, 2, p)[0]
+    monkeypatch.undo()
+    labels = operators._stabilizer_orbits(grid, p)
+    assert any(lab is not None for lab, _ in visited) == (alpha > 0 and labels is not None)
+    visited.append((None, r.energy + 1e-8))  # a count's level, above the ground level
+    visited += [(labels, level) for level in (r.energy, r.bracket[0])]
+    u = np.random.default_rng(5).standard_normal(len(s) + 1)
+    for lab, level in visited:
+        got, delta, slope = schur(x, s, d_top, lab)[0](level)
+        want, want_delta, want_slope = naive_pair_schur(dense, s, d_top, lab)(level)
+        assert got.tobytes() == want.tobytes() and delta.hex() == want_delta.hex()
+        v = u[:len(got)] / np.linalg.norm(u[:len(got)])
+        assert slope(v[1:]).hex() == want_slope(v[1:]).hex()
+
+
+@pytest.mark.parametrize("p", WINDOW_MOMENTA[:2] + WINDOW_MOMENTA[-2:])
+def test_window_count_factors_the_dense_construction(monkeypatch, p):
+    # the matrix the window count factors in place is u u^T + S(E), with
+    # S(E) the dense construction's, byte for byte, and so is its shift
+    grid = build_grid(0.75, 3.0)
+    window = operators._certified_ground(1.0, grid, 2, p)[1]
+    level, _, s_e, delta, v, d_min = window
+    _, s, d_top = operators._pair_blocks(1.0, grid, np.array(p))
+    want, want_delta, _ = naive_pair_schur(naive_pair_x(1.0, p, grid), s, d_top)(level)
+    assert s_e.tobytes() == want.tobytes() and delta == want_delta
+    calls = []
+    cholesky = operators._cholesky
+    monkeypatch.setattr(operators, "_cholesky", lambda a, shift=0.0, **kw: calls.append(
+        (np.ascontiguousarray(a), shift)) or cholesky(a, shift, **kw))
+    e = level + 1e-7
+    assert operators._window_count(window, e) == 1
+    (a, shift), = calls
+    k = solve.SCHUR_MARGIN * len(s_e) * np.finfo(np.float64).eps
+    c = delta / k
+    eta = (e - level) * (1.0 + c / (d_min - e))
+    u = math.sqrt(c) * v
+    dense = np.outer(u, u)
+    dense += want
+    assert a.tobytes() == dense.tobytes()
+    assert shift == -(delta + eta + k * (c + delta + eta) / (1.0 - k))
 
 
 @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])

@@ -86,13 +86,15 @@ def test_cli_wall_against_head():
     out = subprocess.run([sys.executable, str(CLI_WALL), "--against", "HEAD", "--pairs", "1",
                           "--", "kernel"], capture_output=True, text=True,
                          check=True).stdout.splitlines()
-    assert out[0].split() == ["side", "median", "q1", "q3", "wins", "rss_mib"]
+    assert out[0].split() == ["side", "median", "q1", "q3", "wins", "rss_mib", "minflt"]
     rows = {line[:16].strip(): [float(n) for n in line[16:].split()] for line in out[1:3]}
     assert list(rows) == ["HEAD", "working tree"]
-    for median, q1, q3, _, rss in rows.values():
+    for median, q1, q3, _, rss, minflt in rows.values():
         assert 0.0 < q1 == median == q3  # one run a side
-        # one python process with numpy and scipy loaded: tens of MiB
+        # one python process with numpy and scipy loaded: tens of MiB, which
+        # its minor page faults map in
         assert 20.0 < rss < 2048.0
+        assert minflt == int(minflt) and 0 < minflt < 10**7
     assert rows["HEAD"][3] + rows["working tree"][3] == 1.0
     digests = [line.split()[-1] for line in out if line.startswith("sha256 kernel.json ")]
     assert len(digests) == 3 and digests[0] == digests[1] and len(digests[0]) == 64

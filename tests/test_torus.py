@@ -730,6 +730,21 @@ def test_yukawa_converged_certifies_its_cut():
         yukawa_converged(x, xp, ell=2.0, start_cut=0)
 
 
+@pytest.mark.parametrize("cut", [1.5, 2.0, True, "2", 0])
+def test_yukawa_image_cuts_must_be_ints_before_any_lattice(monkeypatch, cut):
+    # a cut of 1.5 used to sum the images offset by half a period, and True
+    # ran as 1
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a lattice was made")
+
+    monkeypatch.setattr(polaronlab.torus, "_lattice_axis", forbidden)
+    x, xp = (0.3, 0.1, -0.2), (0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="image_cut must be an int of at least 1"):
+        periodized_yukawa(x, xp, ell=2.0, image_cut=cut)
+    with pytest.raises(ValueError, match="start_cut must be an int of at least 1"):
+        yukawa_converged(x, xp, ell=2.0, start_cut=cut)
+
+
 def test_yukawa_converged_stops_at_the_lattice_budget(monkeypatch):
     # the smallest budget spans 1000 images: cuts up to 4 (9^3 images)
     monkeypatch.setattr(modes, "GRID_CAPACITY", 1)

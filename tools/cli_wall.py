@@ -10,9 +10,9 @@ side's src/ and its own new --out directory (the tool appends --out, so
 ARGS should not give one); which side runs first alternates from pair to
 pair.  The wall time of a run is that of the whole process, start-up
 included.  Printed per side: the median and the quartiles of the wall
-times, the pairs it won (the faster run of a pair wins) and the median
-peak RSS of its processes in MiB, each read from that process's own
-rusage; then one line per output file and side with the sha256 of that
+times, the pairs it won (the faster run of a pair wins), the median
+peak RSS of its processes in MiB and their median count of minor page
+faults, each read from that process's own rusage; then one line per output file and side with the sha256 of that
 file, and `equal` or `DIFFER` for the two sides.  A file whose hash
 changes between the runs of one side counts as differing.  Exit status 1
 when a run fails.
@@ -46,10 +46,11 @@ def _hashes(out: Path) -> dict:
 
 
 def _run(src: Path, command: list, out: Path) -> tuple:
-    """Wall seconds and peak RSS in MiB of one `python -m polaronlab COMMAND
-    --out OUT` process on the package in src; RuntimeError with its stderr
-    if it fails.  The RSS is the child's own, from os.wait4 on its pid:
-    RUSAGE_CHILDREN keeps only the largest over all children so far."""
+    """Wall seconds, peak RSS in MiB and minor page faults of one `python -m
+    polaronlab COMMAND --out OUT` process on the package in src;
+    RuntimeError with its stderr if it fails.  The RSS and the faults are
+    the child's own, from os.wait4 on its pid: RUSAGE_CHILDREN keeps only
+    the largest RSS over all children so far."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "polaronlab", *command, "--out", str(out)],
@@ -61,7 +62,7 @@ def _run(src: Path, command: list, out: Path) -> tuple:
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         raise RuntimeError(f"exit {proc.returncode} from {src}:\n{stderr}")
-    return wall, usage.ru_maxrss / 1024.0  # Linux reports KiB
+    return wall, usage.ru_maxrss / 1024.0, usage.ru_minflt  # Linux reports KiB
 
 
 def _quartiles(walls: list) -> list:
@@ -87,6 +88,7 @@ def main(argv) -> int:
     sides = (args.against, "working tree")
     walls = {side: [] for side in sides}
     rss = {side: [] for side in sides}
+    minflt = {side: [] for side in sides}
     hashes = {side: {} for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -95,21 +97,22 @@ def main(argv) -> int:
             for j, side in enumerate(sides[::1 if i % 2 == 0 else -1]):
                 out = tmp / "out" / f"{i}-{j}"
                 try:
-                    wall, peak = _run(srcs[side], command, out)
+                    wall, peak, faults = _run(srcs[side], command, out)
                 except RuntimeError as exc:
                     print(exc, file=sys.stderr)
                     return 1
                 walls[side].append(wall)
                 rss[side].append(peak)
+                minflt[side].append(faults)
                 for name, digest in _hashes(out).items():
                     hashes[side].setdefault(name, set()).add(digest)
     wins = {side: sum(a < b for a, b in zip(walls[side], walls[other]))
             for side, other in (sides, sides[::-1])}
-    print(f"{'side':<16}{'median':>9}{'q1':>9}{'q3':>9}{'wins':>6}{'rss_mib':>9}")
+    print(f"{'side':<16}{'median':>9}{'q1':>9}{'q3':>9}{'wins':>6}{'rss_mib':>9}{'minflt':>9}")
     for side in sides:
         q1, median, q3 = _quartiles(walls[side])
         print(f"{side:<16}{median:>9.3f}{q1:>9.3f}{q3:>9.3f}{wins[side]:>6}"
-              f"{statistics.median(rss[side]):>9.1f}")
+              f"{statistics.median(rss[side]):>9.1f}{statistics.median(minflt[side]):>9.0f}")
     for name in sorted(hashes[sides[0]].keys() | hashes[sides[1]].keys()):
         found = [hashes[side].get(name, set()) for side in sides]
         verdict = "equal" if len(found[0]) == 1 and found[0] == found[1] else "DIFFER"
