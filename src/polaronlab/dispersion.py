@@ -138,7 +138,9 @@ def dispersion_curve(
 
     Samples come back sorted by |P| (ties keep input order).  Solver failures
     surface as ConvergenceError naming the offending momentum.  n_max must
-    be a non-negative int (not a bool), checked before the grid is built.
+    be a non-negative int (not a bool), checked before the grid is built;
+    threads an int (not a bool) of at least 1, checked by the pool
+    (solve._parallel_map) before any solve.
     """
     _check_int("n_max", n_max, 0)
     ps = [np.asarray(p, dtype=np.float64).reshape(3) for p in p_samples]
@@ -298,7 +300,8 @@ def cutoff_extrapolate(
     modes with ModeGrid.within, bitwise the grid build_grid would give.
     Energies must be non-increasing in the cutoff (the variational spaces are
     nested); any increase beyond 1e-10 aborts with NumericalError rather than
-    feeding a corrupted sequence to the fit.
+    feeding a corrupted sequence to the fit.  ValueError unless threads is
+    an int (not a bool) of at least 1, from the pool, before any solve.
     """
     lams = schedule.lambdas
     p = np.asarray(p, dtype=np.float64).reshape(3)

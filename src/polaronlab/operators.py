@@ -37,8 +37,10 @@ eigenvalues of an N_max = 2 fiber below e from the grid alone.
 _certified_ground is the one place that says which ground route runs at
 which N_max, and how each is certified; a count, and the pair route's
 bracket, each read one computed S(e), at the level e itself.  The bracket
-keeps its S(E) (a PairWindow), and _window_count reads a count at a level
-just above E off it, with one Cholesky and no second complement.  One builder,
+hands its S(E) on in a PairWindow, and _window_count reads a count at a
+level just above E off it, with one Cholesky and no second complement; the
+torus certifies each window this way inside the solve that made it and
+keeps none.  One builder,
 _pair_schur, forms S(e) on the one-phonon sector fixed by a group of mode
 permutations, from one row of G per orbit; with one mode per orbit it is
 the full S(e), which the counts and the certificate read.  The pair route's
@@ -464,7 +466,7 @@ def _pair_count(alpha: float, grid: ModeGrid, p, e: float):
     (x, s, D_top) of _pair_blocks), X bit for bit the fiber's.  Formed once,
     it is certified as in count_below (solve._certified_count), so the two
     routes return the same count, or None to fall back.  Any level e; where
-    a pair solve kept its window, _window_count is cheaper near its level.
+    a pair solve's window is at hand, _window_count is cheaper near its level.
     ValueError on an empty grid or a non-finite e.
     """
     if not math.isfinite(e):
@@ -584,7 +586,7 @@ def _certified_ground(alpha: float, grid: ModeGrid, n_max: int, p, tol: float = 
 @_one_blas_thread()
 def _window_count(window: PairWindow, e: float):
     """The number of levels below e of the N_max = 2 fiber whose pair solve
-    kept `window` (_certified_ground), 0 or 1, or None to fall back.
+    computed `window` (_certified_ground), 0 or 1, or None to fall back.
 
     With E the window's level, [lo, hi] its bracket, S = S(E) its
     complement, delta its margin, v its vector, n = M + 1 rows and
@@ -855,9 +857,9 @@ def neumann_norms(
     h0 is the free diagonal at cfg.p.  The truncation makes the chain
     nilpotent, so s_j vanishes identically once j exceeds N_max.  At
     N_max = 2, s_2 = sqrt(b0^T G b0) in closed form (module docstring).
+    ValueError unless j_max is an int (a bool is not) of at least 1.
     """
-    if j_max < 1:
-        raise ValueError("j_max must be at least 1")
+    _check_int("j_max", j_max, 1)
     return np.array(_norms(cfg, basis, -1.0, 0.0, j_max, seed))
 
 

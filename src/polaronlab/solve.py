@@ -99,7 +99,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy
 
-from .errors import CapacityError, ConvergenceError, NumericalError
+from .errors import CapacityError, ConvergenceError, NumericalError, _check_int
 
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-9
@@ -449,12 +449,14 @@ def lowest_eigenpairs(
     residual is recomputed on the full operator.  Exact breakdown injects a
     fresh random direction, so invariant subspaces (diagonal operators
     included) are handled without special cases.  Raises ConvergenceError
-    with the best residual if MAX_STEPS matvecs pass without certification.
+    with the best residual if MAX_STEPS matvecs pass without certification;
+    ValueError unless k is an int (a bool is not) in [1, dimension].
     """
     n = op.dimension
     if n < 1:
         raise ValueError("operator dimension must be positive")
-    if not 1 <= k <= n:
+    _check_int("k", k, 1)
+    if k > n:
         raise ValueError(f"k must lie in [1, {n}]")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -496,11 +498,13 @@ def _check_dense_cap(n: int) -> None:
 def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
     """[fn(x) for x in items], spread over a pool of `threads` threads.
 
-    Serial when threads <= 1 or there is at most one item.  Results keep the
-    input order and the first exception raised by fn propagates.
+    Serial when threads is 1 or there is at most one item.  Results keep the
+    input order and the first exception raised by fn propagates.  ValueError
+    unless threads is an int (a bool is not) of at least 1, before any call.
     """
+    _check_int("threads", threads, 1)
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    if threads == 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, items))
@@ -520,13 +524,13 @@ def _finite_dense(op, message: str) -> np.ndarray:
 def dense_spectrum(op, k: int = 6) -> np.ndarray:
     """k smallest eigenvalues by dense LAPACK; the oracle for the iterative route.
 
-    A non-finite operator raises NumericalError.
+    k above the dimension is clamped to it.  A non-finite operator raises
+    NumericalError; ValueError unless k is an int (a bool is not) of at
+    least 1.
     """
-    k = min(int(k), op.dimension)
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_int("k", k, 1)
     return _dense_lowest(_finite_dense(op, "operator is not finite; no dense spectrum"),
-                         k, vectors=False)[0]
+                         min(k, op.dimension), vectors=False)[0]
 
 
 def _shifted(s: np.ndarray, shift: float, overwrite: bool = False) -> np.ndarray:
@@ -580,12 +584,14 @@ def _cholesky(s: np.ndarray, shift: float = 0.0, uplo: bytes = b"L",
     shifted column-major copy (_shifted), or on s itself with `overwrite`,
     or None when the factorization fails.  The factor is the `uplo`
     triangle (b"L" or b"U", the only one read) of the returned array; its
-    other triangle keeps s + shift I."""
+    other triangle keeps s + shift I.  OpenBLAS's dpotrf can pass a NaN or
+    an infinity with info = 0; one in the triangle it reads reaches a later
+    pivot, so a factor whose diagonal is not finite is a failure too."""
     a = _shifted(s, shift, overwrite)
     n = len(a)
     info = ctypes.c_int()
     _DPOTRF(uplo, _int(n), _ptr(a), _int(max(1, n)), ctypes.byref(info))
-    return None if _info("dpotrf", info) else a
+    return None if _info("dpotrf", info) or not np.isfinite(a.diagonal()).all() else a
 
 
 def _cholesky_inverse(s: np.ndarray, shift: float) -> Optional[np.ndarray]:
@@ -676,13 +682,15 @@ def count_below(op, e: float, split: int):
     split exceeds DENSE_CAP, or when the counts of S(e) +- delta I differ;
     delta takes m = max(split, most entries in a row of B), as at N_max = 1
     the one entry of S(e) sums M terms.
-    ValueError if e is not finite or the trailing block is not diagonal.
+    ValueError if e is not finite, split is not an int (a bool is not) in
+    [0, dimension), or the trailing block is not diagonal.
     X, B and D_top are sliced from op.csr.  At N_max = 2,
     operators._pair_count gives the same count from the grid alone, without
     a fiber.
     """
     n = op.dimension
-    if not 0 <= split < n:
+    _check_int("split", split, 0)
+    if split >= n:
         raise ValueError(f"split must lie in [0, {n})")
     if not math.isfinite(e):
         raise ValueError(f"level e must be finite, got {e}")
@@ -710,9 +718,11 @@ def resolvent_positivity_audit(op, lam: float) -> PositivityReport:
     The caller passes the operator in the basis where positivity is expected
     (for fiber operators: after the sign flip).  lam must shift the spectrum
     strictly above zero; a non-positive-definite shift is a precondition
-    violation, reported as ValueError; a non-finite operator raises
-    NumericalError.
+    violation, reported as ValueError, as is a non-finite lam, before any
+    LAPACK call; a non-finite operator raises NumericalError.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"shift lam must be finite, got {lam}")
     dense = _finite_dense(op, "operator is not finite")
     n = len(dense)
     inv = _cholesky_inverse(dense, float(lam))

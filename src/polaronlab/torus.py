@@ -15,9 +15,10 @@ exactly by the inertia of a Schur complement on the top phonon block; a
 block whose count is not certified gets its two lowest levels solved
 instead.  The ground levels come from operators._certified_ground, which
 says which route runs at which N_max, and LOBPCG only where it declines; at
-N_max = 2 the count also comes from the grid, so no block is made: read off
-the Schur complement the pair solve already formed (operators._window_count),
-else formed afresh (operators._pair_count).
+N_max = 2 the count also comes from the grid, so no block is made: each
+pair solve certifies its own window on the Schur complement it already
+formed (operators._window_count) before its task returns, else the
+complement is formed afresh (operators._pair_count).
 
 The lattice scan is closed under the octahedral group O_h (the 48 signed
 axis permutations R), and so are the grids build_grid makes, couplings
@@ -32,14 +33,13 @@ convergence is the quantitative input for the fixed-point comparison.
 The fiber ball and the image box are held to the lattice budget
 (modes.GRID_CAPACITY) before they are made.  Nothing caps fibers x
 dimension: the model keeps at most one family, and degeneracy_analysis
-holds at most `threads` blocks at a time, plus, at N_max = 2, one (M + 1)-row
-matrix and one vector (operators.PairWindow) per solved fiber that can still
-be in the minimum window.
+holds at most `threads` blocks, or at N_max = 2 `threads` (M + 1)-row Schur
+complements, at a time, each inside the pool task that made it; what
+outlives a task is a few scalars per fiber.
 """
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Tuple
@@ -164,17 +164,17 @@ def assemble_torus(cfg: TorusConfig) -> TorusModel:
     return TorusModel(config=cfg, fibers=lattice_fibers(cfg), grid=grid)
 
 
-def _orbit_sources(model: TorusModel) -> List[Tuple[int, Optional[np.ndarray]]]:
-    """Per block, the block whose ground level it takes, and the mode map.
+def _orbit_sources(model: TorusModel) -> List[int]:
+    """Per block, the index of the block whose ground level it takes.
 
     Blocks of the lattice scan group into O_h orbits by their sorted |P|; the
     first block of an orbit (in model.fibers order) is its representative and
-    is solved, entry (i, None).  Another member P' = R P takes the
-    representative's levels, entry (rep, modes), once the exact check of
-    modes._symmetry_maps holds: modes[i] is the grid mode at R k_i, for
-    every mode, and the couplings satisfy g[modes] == g bitwise.  Over the
-    basis of every multiset up to N_max this makes U_R V U_R^T = V exactly
-    (V the coupling part), and the
+    is solved, entry i.  Another member P' = R P takes the representative's
+    levels, entry rep, once the exact check of modes._symmetry_maps holds:
+    its mode map sends grid mode i to the grid mode at R k_i, for every
+    mode, and the couplings satisfy g[map] == g bitwise.  Over the basis of
+    every multiset up to N_max this makes U_R V U_R^T = V exactly (V the
+    coupling part), and the
     kinetic diagonals D(RP)[sigma s] and D(P)[s] are the same three squares
     summed in another order, so ||H(RP) - U_R H(P) U_R^T|| <= gamma_3 max D,
     a few ulps.  A member that fails the check is solved itself.  Explicit
@@ -182,16 +182,16 @@ def _orbit_sources(model: TorusModel) -> List[Tuple[int, Optional[np.ndarray]]]:
     audit of P -> -P and must stay two independent solves.
     """
     fibers = model.fibers
-    sources = [(i, None) for i in range(len(fibers))]
+    sources = list(range(len(fibers)))
     if model.config.fibers is not None:
         return sources
     reps = {}
     members = [(i, reps.setdefault(tuple(np.sort(np.abs(p))), i)) for i, p in enumerate(fibers)]
     members = [(i, rep) for i, rep in members if rep != i]
     which = [_elements_taking(fibers[rep], fibers[i])[0] for i, rep in members]
-    for (i, rep), modes, ok in zip(members, *_symmetry_maps(model.grid, which)):
+    for (i, rep), ok in zip(members, _symmetry_maps(model.grid, which)[1]):
         if ok:
-            sources[i] = (rep, modes)
+            sources[i] = rep
     return sources
 
 
@@ -215,13 +215,17 @@ def degeneracy_analysis(
     eigenvalues below ground + degeneracy_tol exactly, by the inertia of a
     Schur complement on the top phonon block, over the pool; these blocks
     keep their phase-1 energy.  At N_max = 2 the count comes from (alpha,
-    grid, P) alone, so no block is made for it: a block pair-solved in phase
-    1 is counted by operators._window_count on the PairWindow of its solve
-    (its S(E), one Cholesky), which phase 1 keeps only while the block's
-    energy lies within degeneracy_tol + tol of the lowest so far; a block
-    without one, or whose window count is not certified, by
-    operators._pair_count, whose complement on blocks 0 and 1 is closed
-    form.  At other N_max the count comes from the block's CSR,
+    grid, P) alone, so no block is made for it.  A block pair-solved in
+    phase 1 is certified inside its own pool task, while the S(E) of its
+    bracket is at hand: the task keeps the bracket (lo, hi) and whether
+    operators._window_count proves at most one level below E +
+    degeneracy_tol (one Cholesky), and S(E) dies with the task.  Counts are
+    monotone in the level and ground <= E, so phase 2 reads the count below
+    ground + degeneracy_tol off these three scalars: 0 at or below lo, 1
+    above hi once the window count held (at the minimum block E = ground,
+    the same level); any other block, copied or with no certificate, is
+    counted by operators._pair_count, whose complement on blocks 0 and 1 is
+    closed form.  At other N_max the count comes from the block's CSR,
     solve.count_below.
     A block whose count cannot be certified (the Schur complement above the
     dense cap, or the level within rounding of the window edge) falls back to
@@ -232,10 +236,11 @@ def degeneracy_analysis(
     Blocks are made from model.family as they are solved or counted and
     dropped after; the family is built once, in the calling thread, before
     the first pool that needs it: at N_max = 2 only for a block that falls
-    back, so a run where nothing falls back enumerates no basis.
-    ValueError unless threads is an int (a bool is not) of at least 1.
+    back, so a run where nothing falls back enumerates no basis.  At most
+    `threads` blocks or complements are alive at a time, each inside the
+    pool task that made it.  ValueError unless threads is an int (a bool is
+    not) of at least 1, from the first pool, before any solve.
     """
-    _check_int("threads", threads, 1)
     cfg, fibers = model.config, model.fibers
     tol_deg = cfg.degeneracy_tol
 
@@ -249,32 +254,26 @@ def degeneracy_analysis(
 
         return _parallel_map(solve, idx, threads)
 
-    kept = {}  # pair-solved block -> its PairWindow while it can be in the minimum window
-    lowest = math.inf  # the lowest pair-solved energy so far, at or above ground
-    lock = threading.Lock()
+    certs = {}  # pair-solved block -> (lo, hi, one); each task writes its own key
 
     def ground_level(i):
-        nonlocal lowest
         r, window = _certified_ground(cfg.alpha, model.grid, cfg.n_max, fibers[i], tol)
-        if r is None:
-            return None
-        if window is not None:
-            with lock:
-                lowest = min(lowest, r.energy)
-                kept[i] = window
-                for j in [j for j, w in kept.items() if w.level > lowest + tol_deg + tol]:
-                    del kept[j]
-        return [r.energy]
+        if window is not None:  # certified here, so its S(E) dies with this task
+            certs[i] = (*window.bracket, _window_count(window, window.level + tol_deg) == 1)
+        return None if r is None else [r.energy]
 
     def count(i):
         level = ground + tol_deg
         if cfg.n_max != 2:
             return count_below(family.fiber(fibers[i]), level, split)
-        window = windows.pop(i, None)
-        n_below = None if window is None else _window_count(window, level)
-        return _pair_count(cfg.alpha, model.grid, fibers[i], level) if n_below is None else n_below
+        lo, hi, one = certs.get(i, (-math.inf, math.inf, False))
+        if level <= lo:
+            return 0
+        if hi < level and one:
+            return 1
+        return _pair_count(cfg.alpha, model.grid, fibers[i], level)
 
-    sources = [rep for rep, _ in _orbit_sources(model)]
+    sources = _orbit_sources(model)
     solved = sorted(set(sources))
     ground_levels = dict(zip(solved, _parallel_map(ground_level, solved, threads)))
     declined = [i for i in solved if ground_levels[i] is None]
@@ -284,8 +283,6 @@ def degeneracy_analysis(
     if basis_dimension(len(model.grid), cfg.n_max) > 1:
         ground = min(es[0] for es in per_fiber)
         near = [i for i, es in enumerate(per_fiber) if es[0] <= ground + tol_deg + tol]
-        windows = {i: kept[i] for i in near if i in kept}
-        kept.clear()
         if cfg.n_max != 2:  # built here, before the pool, so its threads share one family
             family, split = model.family, model.basis.block_offset(cfg.n_max)
         for i, n_below in zip(near, _parallel_map(count, near, threads)):

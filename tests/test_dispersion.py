@@ -116,6 +116,32 @@ def test_hvz_edge_check_rejects_a_bad_n_max_before_any_grid(monkeypatch, n_max):
         hvz_edge_check(0.0, 1.0, 2.5, n_max, (0.0, 0.0, 2.0))
 
 
+BAD_THREADS = [0, 2.5, True]
+
+
+def _forbid_solves(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a fiber was solved")
+
+    monkeypatch.setattr(polaronlab.dispersion, "_certified_ground", forbidden)
+
+
+@pytest.mark.parametrize("threads", BAD_THREADS)
+def test_dispersion_curve_rejects_bad_threads_before_solving(monkeypatch, threads):
+    # threads = 0 and 2.5 used to run serially, True as one thread
+    _forbid_solves(monkeypatch)
+    with pytest.raises(ValueError, match="threads must be an int of at least 1"):
+        dispersion_curve(1.0, [(0, 0, 0), (0, 0, 0.5)], 1.0, 1.0, 2, threads=threads)
+
+
+@pytest.mark.parametrize("threads", BAD_THREADS)
+def test_cutoff_extrapolate_rejects_bad_threads_before_solving(monkeypatch, threads):
+    _forbid_solves(monkeypatch)
+    with pytest.raises(ValueError, match="threads must be an int of at least 1"):
+        cutoff_extrapolate(1.0, CutoffSchedule(lambdas=(1.0, 1.5, 2.0), delta=1.0, n_max=1),
+                           threads=threads)
+
+
 def test_sampling_order_ties_keep_input_order():
     curve = dispersion_curve(0.0, [(0, 0.5, 0), (0.5, 0, 0), (0, 0, 0)], 0.5, 1.0, 1)
     assert [s.p for s in curve.samples] == [

@@ -60,8 +60,9 @@ GOLDEN = {
         "torus.json": "7e687f6dae4953a31318f5d4f8e065407adc9c52424cd8100d27f1e6edaabf6f",
     }),
     # the count routes: solve.count_below at split 1 on 257 states (N_max = 1)
-    # and at split 190 on 1,330 states (N_max = 3), and operators._pair_count
-    # on the 257-row complement of the desk grid through the thread pool
+    # and at split 190 on 1,330 states (N_max = 3); torus_default and
+    # torus_desk_threads2 count P = 0 with operators._window_count on the
+    # S(E) of its pair solve, and no golden reaches operators._pair_count
     "torus_nmax1_desk": (["torus", "--nmax", "1", "--delta", "0.75", "--lambda", "3"], {
         "torus.csv": "093da471105c328533a02589fe799765b0aa6eb94e5d8ea49824c7ee00f644d6",
         "torus.json": "0ef3f54ed77e11df3426306c3384e63f62c2c97baf94ae28636cc310c44642a3",

@@ -311,6 +311,14 @@ def test_neumann_norms_match_dense():
     assert s[3] == 0.0  # chain longer than N_max is identically zero
 
 
+@pytest.mark.parametrize("j_max", [2.0, True, 0])
+def test_neumann_norms_j_max_must_be_an_int(j_max):
+    # 2.0 used to die in a TypeError, True to return one norm
+    cfg, basis = _neumann_instance()
+    with pytest.raises(ValueError, match="j_max must be an int of at least 1"):
+        neumann_norms(cfg, basis, j_max)
+
+
 def test_neumann_norms_submultiplicative():
     cfg, basis = _neumann_instance()
     s = neumann_norms(cfg, basis, 3)

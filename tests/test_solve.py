@@ -204,6 +204,20 @@ def test_solver_argument_validation():
         lowest_eigenpairs(from_triplets(0, [], [], []))
 
 
+@pytest.mark.parametrize("k", [2.0, True, 0])
+def test_lowest_eigenpairs_k_must_be_an_int(k):
+    # 2.0 used to die in a TypeError inside range, True to run as k = 1
+    with pytest.raises(ValueError, match="k must be an int of at least 1"):
+        lowest_eigenpairs(_diag_op([1.0, 2.0, 3.0]), k=k)
+
+
+@pytest.mark.parametrize("k", [2.5, True, 0])
+def test_dense_spectrum_k_must_be_an_int(k):
+    # 2.5 used to return two values, True one
+    with pytest.raises(ValueError, match="k must be an int of at least 1"):
+        dense_spectrum(_diag_op([3.0, 1.0, 2.0]), k=k)
+
+
 def test_dense_spectrum_oracle(monkeypatch):
     op = _diag_op([3.0, 1.0, 2.0])
     np.testing.assert_allclose(dense_spectrum(op, k=6), [1.0, 2.0, 3.0])
@@ -254,6 +268,19 @@ def test_audit_rejects_a_non_finite_operator():
     op = from_triplets(3, [0, 1, 2], [0, 1, 2], [1.0, np.nan, 2.0])
     with pytest.raises(NumericalError):
         resolvent_positivity_audit(op, lam=1.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_audit_rejects_a_non_finite_shift_before_lapack(monkeypatch, lam):
+    # lam = nan used to report min_entry = nan, and lam = inf min_entry = 0.0
+    def forbidden(*args):
+        raise AssertionError("LAPACK called")
+
+    for name in ("_DPOTRF", "_DPOTRS", "_DSYEVR"):
+        monkeypatch.setattr(solve, name, forbidden)
+    op = from_triplets(2, [0, 0, 1], [0, 1, 1], [2.0, -1.0, 2.0])
+    with pytest.raises(ValueError, match="lam must be finite"):
+        resolvent_positivity_audit(op, lam)
 
 
 def _c08_fiber(alpha, cutoff=1.5):
@@ -606,6 +633,24 @@ def test_lapack_helpers_never_print_on_an_empty_matrix(capfd):
     assert capfd.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("n", [1, 300])
+def test_cholesky_fails_on_non_finite_input(n):
+    # OpenBLAS's dpotrf can return info = 0 with a NaN or an infinity in the
+    # factor; one anywhere in the triangle read reaches a pivot, so each
+    # placement fails, on either triangle, shifted or not
+    eye = np.eye(n)
+    assert _cholesky(eye) is not None
+    for shift in (math.nan, math.inf):
+        assert _cholesky(eye, shift) is None, shift
+    for bad in (math.nan, math.inf, -math.inf):
+        for i, j in {(0, 0), (n - 1, 0), (n // 2, n // 3), (n - 1, n - 1)}:
+            a = eye.copy()
+            a[i, j] = a[j, i] = bad
+            for uplo in (b"L", b"U"):
+                assert _cholesky(a, uplo=uplo) is None, (bad, i, j, uplo)
+            assert _cholesky(a.T, 1.0, overwrite=True) is None, (bad, i, j)  # column-major
+
+
 def test_lapack_bindings_release_the_gil_and_reject_bad_arguments():
     # CFUNCTYPE, not PYFUNCTYPE: ctypes drops the GIL for the call
     for routine in (solve._DSYEVR, solve._DPOTRF, solve._DPOTRS, solve._DSYTRF, solve._DSYGVD):
@@ -654,6 +699,13 @@ def test_lapack_helpers_are_bit_identical_across_threads():
                     np.testing.assert_array_equal(got, want, err_msg=name)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("split", [1.5, True, -1])
+def test_count_below_split_must_be_an_int(split):
+    # 1.5 used to die in an IndexError
+    with pytest.raises(ValueError, match="split must be an int of at least 0"):
+        count_below(_diag_op([3.0, 1.0, 2.0]), 0.5, split)
 
 
 def test_count_below_fallbacks_and_validation(monkeypatch):

@@ -266,12 +266,12 @@ def test_n_max_1_family_is_built_once_on_the_calling_thread(monkeypatch):
 
 
 @pytest.mark.parametrize("config, builds, multiplicity", [
-    # the desk torus: two orbits solved, the window fiber P = 0 counted on
-    # the window its solve kept, with no blocks of its own
+    # the desk torus: two orbits solved, the window fiber P = 0 counted from
+    # the certificate its own solve wrote, with no blocks of its own
     (dict(delta=0.75, cutoff=3.0), 2, 1),
     # a restricted sector whose two fibers are both in the window
     (dict(fibers=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))), 2, 2),
-    # the unit ball as an explicit list: seven solves share the kept windows
+    # the unit ball as an explicit list: seven solves, seven certificates
     (dict(fibers=tuple(map(tuple, lattice_fibers(_quick_config())))), 7, 1),
 ])
 def test_pair_blocks_built_once_per_solved_fiber(monkeypatch, config, builds, multiplicity):
@@ -280,7 +280,7 @@ def test_pair_blocks_built_once_per_solved_fiber(monkeypatch, config, builds, mu
     assert ref.multiplicity == multiplicity
     pair_blocks = polaronlab.operators._pair_blocks
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # pool threads switch often while updating the kept windows
+    sys.setswitchinterval(1e-6)  # pool threads switch often while writing their certificates
     try:
         for threads in (1, 2, 4):
             calls = []
@@ -297,38 +297,55 @@ def test_pair_blocks_built_once_per_solved_fiber(monkeypatch, config, builds, mu
         sys.setswitchinterval(interval)
 
 
-def test_pair_blocks_outside_the_window_are_dropped(monkeypatch):
-    # desk torus to fiber cutoff 2: five orbits solved from |P| = 2 down to
-    # P = 0, each level below the last, so each solve drops the window of
-    # the one before, and only the window fiber P = 0 keeps its own to the
-    # count
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_window_is_certified_and_dropped_inside_its_solve(monkeypatch, threads):
+    # desk torus to fiber cutoff 2: five orbits pair-solved, each window
+    # certified by one _window_count inside the pool task of its solve, so
+    # no S(E) outlives that task: a solve starts beside at most the
+    # threads - 1 tasks still running, and none is alive when a later pool
+    # (phase 2 and the fallbacks) starts
     model = assemble_torus(_quick_config(delta=0.75, cutoff=3.0, fiber_cutoff=2.0))
-    ground, window_count = polaronlab.torus._certified_ground, polaronlab.torus._window_count
-    windows_made, alive = [], []
+    torus = polaronlab.torus
+    ground, window_count, parallel_map = (torus._certified_ground, torus._window_count,
+                                          torus._parallel_map)
+    windows_made, events = [], []
 
     def held():
         gc.collect()
         return sum(ref() is not None for ref in windows_made)
 
     def tracked(alpha, grid, n_max, p, tol):
-        alive.append(held())
+        events.append(("solve", held()))
         result, window = ground(alpha, grid, n_max, p, tol)
         windows_made.append(weakref.ref(window.complement))
         return result, window
 
     def counting(window, e):
-        alive.append(held())
+        events.append(("count", None))
         return window_count(window, e)
 
-    monkeypatch.setattr(polaronlab.torus, "_certified_ground", tracked)
-    monkeypatch.setattr(polaronlab.torus, "_window_count", counting)
-    rep = degeneracy_analysis(model, threads=1)
-    assert rep.argmin == ((0.0, 0.0, 0.0),)
-    assert alive == [0, 1, 1, 1, 1, 1]
+    def pool(fn, items, threads):
+        events.append(("pool", held()))
+        return parallel_map(fn, items, threads)
+
+    monkeypatch.setattr(torus, "_certified_ground", tracked)
+    monkeypatch.setattr(torus, "_window_count", counting)
+    monkeypatch.setattr(torus, "_parallel_map", pool)
+    rep = degeneracy_analysis(model, threads=threads)
+    assert rep.argmin == ((0.0, 0.0, 0.0),) and rep.multiplicity == 1
+    assert len(windows_made) == 5 and held() == 0
+    pools = [i for i, (what, _) in enumerate(events) if what == "pool"]
+    assert len(pools) == 4 and pools[0] == 0  # phase 1, declined, phase 2, fallbacks
+    phase_1 = [what for what, _ in events[:pools[1]]]
+    assert phase_1.count("solve") == phase_1.count("count") == 5
+    assert "count" not in [what for what, _ in events[pools[1]:]]
+    assert all(n == 0 for what, n in events if what == "pool")
+    solves = [n for what, n in events if what == "solve"]
+    assert max(solves) <= threads - 1, solves
 
 
 def test_desk_torus_window_count_forms_no_second_complement(monkeypatch):
-    # the window fiber P = 0 is counted on the S(E) its solve kept: no LDL^T
+    # the window fiber P = 0 is counted on the S(E) its solve formed: no LDL^T
     # runs, and the full (M + 1)-row complement is formed once per solved
     # fiber, for its bracket (two orbits: P = 0 and the unit momenta)
     model = assemble_torus(_quick_config(delta=0.75, cutoff=3.0))
@@ -398,8 +415,8 @@ def _requested_levels(monkeypatch, model, count=None, declined=()):
 
     A ground level the certified route (_certified_ground) solves counts as
     k = 1, as a LOBPCG solve does.  `count(alpha, grid, p, e)`, when given,
-    replaces the N_max = 2 Schur-complement count: the kept-window count
-    declines and `count` stands for _pair_count.  The route declines the
+    replaces the N_max = 2 Schur-complement count: the window certificate
+    of each pair solve declines and `count` stands for _pair_count.  The route declines the
     momenta in `declined`.  A run that sends no block to LOBPCG enumerates
     no basis.
     """
@@ -488,7 +505,7 @@ def test_broken_coupling_symmetry_solves_every_fiber(monkeypatch):
     for _ in range(5):
         g.append(float(np.nextafter(g[-1], 1.0)))
     model = _hand_built_model(g)
-    assert [rep for rep, _ in _orbit_sources(model)] == list(range(7))
+    assert _orbit_sources(model) == list(range(7))
     rep, asked = _requested_levels(monkeypatch, model)
     assert asked == {p: [1] for p in map(tuple, model.fibers.tolist())}
     _assert_same_report(rep, _exhaustive_report(model))
@@ -507,11 +524,14 @@ def test_orbit_maps_conjugate_the_desk_fibers_exactly(desk_torus):
     model = desk_torus
     assert model.basis.dimension == 33153
     checked = set()
-    for i, (rep, modes) in enumerate(_orbit_sources(model)):
+    for i, rep in enumerate(_orbit_sources(model)):
         orbit = tuple(np.sort(np.abs(model.fibers[i])))
-        if modes is None or orbit not in ((0.0, 0.0, 1.0), (0.0, 1.0, 1.0)):
+        if rep == i or orbit not in ((0.0, 0.0, 1.0), (0.0, 1.0, 1.0)):
             continue
-        sigma = state_map(model.basis, modes)
+        which = modes._elements_taking(model.fibers[rep], model.fibers[i])[:1]
+        (mode_map,), (ok,) = modes._symmetry_maps(model.grid, which)
+        assert ok
+        sigma = state_map(model.basis, mode_map)
         assert np.array_equal(np.sort(sigma), np.arange(model.basis.dimension))
         fiber = model.family.fiber
         got, want = conjugate_csr(fiber(model.fibers[rep]).csr, sigma), fiber(model.fibers[i]).csr
@@ -532,13 +552,13 @@ def test_orbit_maps_and_pair_sectors_sort_the_grid_codes_once(monkeypatch):
     model = assemble_torus(_quick_config())
     rep = degeneracy_analysis(model)
     assert rep.argmin == ((0.0, 0.0, 0.0),) and rep.multiplicity == 1
-    assert [r for r, _ in _orbit_sources(model)] == [0, 0, 0, 3, 0, 0, 0]
+    assert _orbit_sources(model) == [0, 0, 0, 3, 0, 0, 0]
     assert made == [len(model.grid)]
 
 
 def test_copied_desk_energies_match_independent_solves(monkeypatch, desk_torus):
     model = desk_torus
-    sources = [rep for rep, _ in _orbit_sources(model)]
+    sources = _orbit_sources(model)
     rep, asked = _requested_levels(monkeypatch, model)
     assert len(asked) == 5 and all(ks == [1] for ks in asked.values())
     assert rep.argmin == ((0.0, 0.0, 0.0),) and rep.multiplicity == 1
