@@ -4,6 +4,8 @@ Commands: dispersion, checks, extrapolate, torus, kernel.  Configuration is a
 flat `key = value` text file plus command-line overrides, read through one
 parameter table per command (read_params): every key is parsed and checked,
 and each config object built, before the first solve.
+A command returns its verdict and its files; main writes the files and maps
+the verdict to the exit code, so every command shares one output path.
 Outputs are CSV (header row, LF, UTF-8, 17 significant digits) and JSON (one
 object per file, sorted keys).  Runs are deterministic: same config + seed
 means byte-identical bytes on disk, for any OPENBLAS_NUM_THREADS, since main
@@ -195,20 +197,10 @@ def _plain(obj):
     return obj
 
 
-def write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_plain(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 # -- commands ----------------------------------------------------------------
+# Each command maps (config values, parsed args) to (passed, outputs): whether
+# its gated checks passed, and {file name: JSON object, or (header, rows) for
+# a .csv}, written by main in that order.
 
 _DISPERSION = {**_COMMON, **_problem(1.0, 0.75, 3.0, 2),
                "p_values": ("floats", (0.0, 0.5, 1.0, 1.5, 2.0), None),
@@ -216,7 +208,7 @@ _DISPERSION = {**_COMMON, **_problem(1.0, 0.75, 3.0, 2),
                "mass_step": ("float", _disp.DEFAULT_MASS_STEP, "positive")}
 
 
-def cmd_dispersion(values: dict, outdir: str, args) -> int:
+def cmd_dispersion(values: dict, args):
     c = read_params(merge_overrides(values, args), _DISPERSION)
     p_values = c["p_values"]
     ps = [(0.0, 0.0, t) for t in p_values]
@@ -250,35 +242,16 @@ def cmd_dispersion(values: dict, outdir: str, args) -> int:
          str(curve.n_max), fmt17(s.energy), fmt17(s.residual), str(s.iterations)]
         for s in curve.samples
     ]
-    write_csv(
-        os.path.join(outdir, "dispersion.csv"),
-        ["alpha", "Px", "Py", "Pz", "Pnorm", "Lambda", "delta", "Nmax",
-         "energy", "residual", "iterations"],
-        rows,
-    )
-    write_json(os.path.join(outdir, "verdict.json"), {
-        "minimum": {
-            "gating": True,
+    return verdict.passed, {
+        "dispersion.csv": (["alpha", "Px", "Py", "Pz", "Pnorm", "Lambda", "delta", "Nmax",
+                            "energy", "residual", "iterations"], rows),
+        "verdict.json": {
+            "minimum": {**dataclasses.asdict(verdict), "gating": True},
+            "mass": {**dataclasses.asdict(mass), "gating": False},
+            "parabola": {"gating": False, "samples": parabola},
             "passed": verdict.passed,
-            "margin": verdict.margin,
-            "worst_margin": verdict.worst_margin,
-            "argmin": [list(p) for p in verdict.argmin],
-            "argmin_unique": verdict.argmin_unique,
         },
-        "mass": {
-            "gating": False,
-            "m_eff": mass.m_eff,
-            "h": mass.h,
-            "e_zero": mass.e_zero,
-            "e_plus": mass.e_plus,
-            "e_minus": mass.e_minus,
-            "curvature": mass.curvature,
-            "degenerate": mass.degenerate,
-        },
-        "parabola": {"gating": False, "samples": parabola},
-        "passed": verdict.passed,
-    })
-    return EXIT_PASS if verdict.passed else EXIT_CHECK_FAILURE
+    }
 
 
 # a cutoff schedule's problem: its cutoffs are a list of their own
@@ -288,42 +261,47 @@ _EXTRAPOLATE = {**_SCHEDULE, "p": ("vec3", (0.0, 0.0, 0.0), None),
                 "target": ("float", math.nan, None), "target_rtol": ("float", 0.1, "positive")}
 
 
-def cmd_extrapolate(values: dict, outdir: str, args) -> int:
-    merged = merge_overrides(values, args)
-    if "lambda" in merged:
-        raise ConfigError("parameter 'lambda' does not apply here; use 'lambda_values'")
-    c = read_params(merged, {**_COMMON, **_EXTRAPOLATE,
-                             "lambda_values": ("floats", (4.0, 6.0, 8.0), None)})
-    target = c["target"]
-    schedule = CutoffSchedule(lambdas=c["lambda_values"], delta=c["delta"], n_max=c["nmax"])
-    report = _disp.cutoff_extrapolate(c["alpha"], schedule, p=c["p"], tol=c["tol"],
-                                      seed=c["seed"], threads=c["threads"])
-    gated = not math.isnan(target)
-    passed = True
-    deviation = None
-    if gated:
-        deviation = abs(report.e_inf - target)
-        passed = bool(deviation <= c["target_rtol"] * abs(target))
+def _extrapolation(alpha, schedule, target, rtol, p, tol, seed, threads):
+    """(report, measured, passed) of cutoff_extrapolate on `schedule` at `p`.
 
-    rows = [
-        [fmt17(lam), fmt17(e), fmt17(r), str(it)]
-        for lam, e, r, it in zip(report.lambdas, report.energies,
-                                 report.solver_residuals, report.solver_iterations)
-    ]
-    write_csv(os.path.join(outdir, "extrapolation.csv"),
-              ["Lambda", "energy", "residual", "iterations"], rows)
-    write_json(os.path.join(outdir, "extrapolation.json"), {
-        **{key: c[key] for key in _EXTRAPOLATE},
+    The gate is |e_inf - target| <= rtol |target|; a NaN target is ungated:
+    it passes, with deviation None.  `measured` holds the fit and the
+    deviation as extrapolation.json and the extrapolation check report them.
+    """
+    report = _disp.cutoff_extrapolate(alpha, schedule, p=p, tol=tol, seed=seed,
+                                      threads=threads)
+    deviation = None if math.isnan(target) else abs(report.e_inf - target)
+    measured = {
         "lambdas": list(report.lambdas),
         "energies": list(report.energies),
         "e_inf": report.e_inf,
         "slope": report.slope,
         "fit_residual": report.fit_residual,
         "deviation": deviation,
-        "gating": gated,
-        "passed": passed,
-    })
-    return EXIT_PASS if passed else EXIT_CHECK_FAILURE
+    }
+    return report, measured, deviation is None or bool(deviation <= rtol * abs(target))
+
+
+def cmd_extrapolate(values: dict, args):
+    merged = merge_overrides(values, args)
+    if "lambda" in merged:
+        raise ConfigError("parameter 'lambda' does not apply here; use 'lambda_values'")
+    c = read_params(merged, {**_COMMON, **_EXTRAPOLATE,
+                             "lambda_values": ("floats", (4.0, 6.0, 8.0), None)})
+    schedule = CutoffSchedule(lambdas=c["lambda_values"], delta=c["delta"], n_max=c["nmax"])
+    report, measured, passed = _extrapolation(c["alpha"], schedule, c["target"],
+                                              c["target_rtol"], c["p"], c["tol"],
+                                              c["seed"], c["threads"])
+    rows = [
+        [fmt17(lam), fmt17(e), fmt17(r), str(it)]
+        for lam, e, r, it in zip(report.lambdas, report.energies,
+                                 report.solver_residuals, report.solver_iterations)
+    ]
+    return passed, {
+        "extrapolation.csv": (["Lambda", "energy", "residual", "iterations"], rows),
+        "extrapolation.json": {**{key: c[key] for key in _EXTRAPOLATE}, **measured,
+                               "gating": measured["deviation"] is not None, "passed": passed},
+    }
 
 
 _TORUS_MODEL = {**_problem(1.0, 1.0, 2.0, 2), "ell": ("float", 2.0 * math.pi, "positive"),
@@ -341,7 +319,7 @@ def _torus_config(c, fibers) -> _torus.TorusConfig:
     )
 
 
-def cmd_torus(values: dict, outdir: str, args) -> int:
+def cmd_torus(values: dict, args):
     c = read_params(merge_overrides(values, args), _TORUS)
     tcfg = _torus_config(c, c["fibers"])
     model = _torus.assemble_torus(tcfg)
@@ -353,20 +331,21 @@ def cmd_torus(values: dict, outdir: str, args) -> int:
         [fmt17(p[0]), fmt17(p[1]), fmt17(p[2]), fmt17(e)]
         for p, e in report.fiber_energies
     ]
-    write_csv(os.path.join(outdir, "torus.csv"), ["Px", "Py", "Pz", "energy"], rows)
-    write_json(os.path.join(outdir, "torus.json"), {
-        "ell": tcfg.ell,
-        "alpha": tcfg.alpha,
-        "fiber_count": len(model.fibers),
-        "fiber_dimension": basis_dimension(len(model.grid), tcfg.n_max),
-        "ground_energy": report.ground_energy,
-        "argmin": [list(p) for p in report.argmin],
-        "multiplicity": report.multiplicity,
-        "degeneracy_tol": report.degeneracy_tol,
-        "mechanism": {"branch": branch, "consistent": consistent, "gating": True},
-        "passed": consistent,
-    })
-    return EXIT_PASS if consistent else EXIT_CHECK_FAILURE
+    return consistent, {
+        "torus.csv": (["Px", "Py", "Pz", "energy"], rows),
+        "torus.json": {
+            "ell": tcfg.ell,
+            "alpha": tcfg.alpha,
+            "fiber_count": len(model.fibers),
+            "fiber_dimension": basis_dimension(len(model.grid), tcfg.n_max),
+            "ground_energy": report.ground_energy,
+            "argmin": [list(p) for p in report.argmin],
+            "multiplicity": report.multiplicity,
+            "degeneracy_tol": report.degeneracy_tol,
+            "mechanism": {"branch": branch, "consistent": consistent, "gating": True},
+            "passed": consistent,
+        },
+    }
 
 
 # the kernel's own keys, echoed in kernel.json
@@ -375,25 +354,30 @@ _KERNEL = {"ell": ("float", 2.0 * math.pi, "positive"), "mass": ("float", 1.0, N
            "image_cut": ("int", 1, 1)}
 
 
-def cmd_kernel(values: dict, outdir: str, args) -> int:
+def cmd_kernel(values: dict, args):
     c = read_params(merge_overrides(values, args, accept_generic=False), {**_COMMON, **_KERNEL})
     ell, mass, x, xp, image_cut = c["ell"], c["mass"], c["x"], c["xprime"], c["image_cut"]
 
     value = _torus.periodized_yukawa(x, xp, ell, mass=mass, image_cut=image_cut)
     conv_value, conv_cut = _torus._yukawa_settle(x, xp, ell, mass, image_cut, value)
-    passed = value > 0.0
-    write_json(os.path.join(outdir, "kernel.json"), {
+    passed = bool(value > 0.0)
+    return passed, {"kernel.json": {
         **{key: c[key] for key in _KERNEL},
         "value": value,
         "converged_value": conv_value,
         "converged_cut": conv_cut,
-        "positive": bool(passed),
-        "passed": bool(passed),
-    })
-    return EXIT_PASS if passed else EXIT_CHECK_FAILURE
+        "positive": passed,
+        "passed": passed,
+    }}
 
 
 # -- the checks command ------------------------------------------------------
+
+def _entry(name, passed, threshold, measured) -> dict:
+    """One gating entry of checks.json."""
+    return {"name": name, "gating": True, "passed": bool(passed), "threshold": threshold,
+            "measured": measured}
+
 
 def _kt_suite_instances():
     """Small instances for the factorization identity, incl. the 2x2 closed form.
@@ -427,15 +411,9 @@ def _check_kt_identity() -> dict:
         worst = max(worst, dev)
         min_eig = min(min_eig, eig)
         count += 1
-    passed = worst <= 1e-10 and min_eig > 0.0
-    return {
-        "name": "kt_identity",
-        "gating": True,
-        "passed": bool(passed),
-        "threshold": {"max_deviation": 1e-10, "k_min_eigenvalue": 0.0},
-        "measured": {"max_deviation": worst, "k_min_eigenvalue": min_eig,
-                     "instances": count},
-    }
+    return _entry("kt_identity", worst <= 1e-10 and min_eig > 0.0,
+                  {"max_deviation": 1e-10, "k_min_eigenvalue": 0.0},
+                  {"max_deviation": worst, "k_min_eigenvalue": min_eig, "instances": count})
 
 
 def _fiber_problem(c):
@@ -448,14 +426,9 @@ def _fiber_problem(c):
 def _check_norm_bound(c, seed: int) -> dict:
     fcfg, basis = _fiber_problem(c)
     norm = weighted_annihilation_norm(fcfg, basis, seed=seed)
-    return {
-        "name": "norm_bound",
-        "gating": True,
-        "passed": bool(norm <= NORM_BOUND_THRESHOLD),
-        "threshold": NORM_BOUND_THRESHOLD,
-        "measured": {"norm": norm, "delta": c["delta"], "lambda": c["lambda"],
-                     "nmax": c["nmax"], "dimension": basis.dimension},
-    }
+    return _entry("norm_bound", norm <= NORM_BOUND_THRESHOLD, NORM_BOUND_THRESHOLD,
+                  {"norm": norm, "delta": c["delta"], "lambda": c["lambda"],
+                   "nmax": c["nmax"], "dimension": basis.dimension})
 
 
 def _check_neumann_decay(c, seed: int) -> dict:
@@ -473,14 +446,8 @@ def _check_neumann_decay(c, seed: int) -> dict:
         else:
             bounds.append(0.0)
             ok = ok and s[j - 1] <= 1e-12
-    return {
-        "name": "neumann_decay",
-        "gating": True,
-        "passed": bool(ok),
-        "threshold": {"bounds": bounds, "nilpotent_above": n_max},
-        "measured": {"s": list(map(float, s)), "c_meas": c_meas,
-                     "dimension": basis.dimension},
-    }
+    return _entry("neumann_decay", ok, {"bounds": bounds, "nilpotent_above": n_max},
+                  {"s": list(map(float, s)), "c_meas": c_meas, "dimension": basis.dimension})
 
 
 def _check_positivity(c) -> list:
@@ -502,8 +469,7 @@ def _check_positivity(c) -> list:
     passed = (report.strictly_positive and report.ground_vector_min > 0.0
               and report.gap > GAP_TOL and faris <= FARIS_TOL)
     return [
-        {"name": "positivity", "gating": True, "passed": bool(passed),
-         "threshold": {"gap": GAP_TOL, "faris": FARIS_TOL}, "measured": measured},
+        _entry("positivity", passed, {"gap": GAP_TOL, "faris": FARIS_TOL}, measured),
         {"name": "positivity_alpha0", "gating": False, "passed": None,
          "note": "not improving (decoupled)", "threshold": None, "measured": free},
     ]
@@ -512,14 +478,9 @@ def _check_positivity(c) -> list:
 def _check_hvz(c, seed: int, tol: float) -> dict:
     report = _disp.hvz_edge_check(c["alpha"], c["delta"], c["lambda"], c["nmax"], c["pfar"],
                                   edge_tol=c["edge_tol"], tol=tol, seed=seed)
-    return {
-        "name": "hvz_edge",
-        "gating": True,
-        "passed": bool(report.passed),
-        "threshold": {"lower": 0.0, "upper": report.edge_tol},
-        "measured": {"d": report.d, "e_zero": report.e_zero, "e_far": report.e_far,
-                     "p_far": list(report.p_far)},
-    }
+    return _entry("hvz_edge", report.passed, {"lower": 0.0, "upper": report.edge_tol},
+                  {"d": report.d, "e_zero": report.e_zero, "e_far": report.e_far,
+                   "p_far": list(report.p_far)})
 
 
 def _check_torus(full_cfg, restr_cfg, seed: int, tol: float, threads: int) -> list:
@@ -535,52 +496,23 @@ def _check_torus(full_cfg, restr_cfg, seed: int, tol: float, threads: int) -> li
     restr_ok = restr.multiplicity == 2 and mismatch <= DEGENERACY_MATCH_TOL
 
     return [
-        {
-            "name": "torus_degeneracy",
-            "gating": True,
-            "passed": zero_simple,
-            "threshold": {"argmin": [[0.0, 0.0, 0.0]], "multiplicity": 1},
-            "measured": {
-                "ground_energy": full.ground_energy,
-                "argmin": [list(p) for p in full.argmin],
-                "multiplicity": full.multiplicity,
-                "fibers": len(full.fiber_energies),
-            },
-        },
-        {
-            "name": "torus_restricted",
-            "gating": True,
-            "passed": bool(restr_ok),
-            "threshold": {"multiplicity": 2, "pair_mismatch": DEGENERACY_MATCH_TOL},
-            "measured": {
-                "ground_energy": restr.ground_energy,
-                "multiplicity": restr.multiplicity,
-                "pair_mismatch": mismatch,
-                "q": list(q),
-            },
-        },
+        _entry("torus_degeneracy", zero_simple,
+               {"argmin": [[0.0, 0.0, 0.0]], "multiplicity": 1},
+               {
+                   "ground_energy": full.ground_energy,
+                   "argmin": [list(p) for p in full.argmin],
+                   "multiplicity": full.multiplicity,
+                   "fibers": len(full.fiber_energies),
+               }),
+        _entry("torus_restricted", restr_ok,
+               {"multiplicity": 2, "pair_mismatch": DEGENERACY_MATCH_TOL},
+               {
+                   "ground_energy": restr.ground_energy,
+                   "multiplicity": restr.multiplicity,
+                   "pair_mismatch": mismatch,
+                   "q": list(q),
+               }),
     ]
-
-
-def _check_extrapolation(c, schedule, seed: int, tol: float, threads: int) -> dict:
-    target, rtol = c["target"], c["rtol"]
-    report = _disp.cutoff_extrapolate(c["alpha"], schedule, tol=tol, seed=seed,
-                                      threads=threads)
-    deviation = abs(report.e_inf - target)
-    return {
-        "name": "extrapolation",
-        "gating": True,
-        "passed": bool(deviation <= rtol * abs(target)),
-        "threshold": {"target": target, "rtol": rtol},
-        "measured": {
-            "lambdas": list(report.lambdas),
-            "energies": list(report.energies),
-            "e_inf": report.e_inf,
-            "slope": report.slope,
-            "fit_residual": report.fit_residual,
-            "deviation": deviation,
-        },
-    }
 
 
 # each check's table; the checks command reads its key `k` as `<check>_k`
@@ -599,7 +531,7 @@ _CHECKS_TABLE = {**_COMMON, **{f"{check}_{key}": spec for check, table in _CHECK
                                for key, spec in table.items()}}
 
 
-def cmd_checks(values: dict, outdir: str, args) -> int:
+def cmd_checks(values: dict, args):
     p = read_params(merge_overrides(values, args, accept_generic=False), _CHECKS_TABLE)
     seed, threads, tol = p["seed"], p["threads"], p["tol"]
     c = {check: {key: p[f"{check}_{key}"] for key in table} for check, table in _CHECKS.items()}
@@ -616,13 +548,14 @@ def cmd_checks(values: dict, outdir: str, args) -> int:
         _check_neumann_decay(c["neumann"], seed),
         *_check_positivity(c["pos"]),
         _check_hvz(c["hvz"], seed, tol),
+        *_check_torus(*torus_cfgs, seed, tol, threads),
     ]
-    entries.extend(_check_torus(*torus_cfgs, seed, tol, threads))
-    entries.append(_check_extrapolation(ex, schedule, seed, tol, threads))
+    _, measured, extrap_ok = _extrapolation(ex["alpha"], schedule, ex["target"], ex["rtol"],
+                                            (0.0, 0.0, 0.0), tol, seed, threads)
+    entries.append(_entry("extrapolation", extrap_ok,
+                          {"target": ex["target"], "rtol": ex["rtol"]}, measured))
     passed = all(e["passed"] for e in entries if e["gating"])
-    write_json(os.path.join(outdir, "checks.json"),
-               {"checks": entries, "passed": bool(passed)})
-    return EXIT_PASS if passed else EXIT_CHECK_FAILURE
+    return passed, {"checks.json": {"checks": entries, "passed": passed}}
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -662,7 +595,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         values = read_config_file(args.config) if args.config else {}
         os.makedirs(args.out, exist_ok=True)
-        return args.func(values, args.out, args)
+        passed, outputs = args.func(values, args)
+        for name, content in outputs.items():
+            with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="\n") as fh:
+                if name.endswith(".csv"):
+                    header, rows = content
+                    fh.writelines(",".join(row) + "\n" for row in [header, *rows])
+                else:
+                    json.dump(_plain(content), fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+        return EXIT_PASS if passed else EXIT_CHECK_FAILURE
     # before ValueError: np.linalg.LinAlgError subclasses it
     except (CapacityError, ConvergenceError, NumericalError,
             np.linalg.LinAlgError, MemoryError) as exc:

@@ -21,7 +21,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError, _check_int
+from .errors import ConvergenceError, NumericalError, _check_fiber, _check_int
 from .fock import enumerate_basis
 from .modes import CutoffSchedule, build_grid
 from .operators import FiberConfig, FiberFamily, _certified_ground, assemble_fiber
@@ -137,15 +137,18 @@ def dispersion_curve(
     """Ground energy at each momentum sample over one shared grid (and basis).
 
     Samples come back sorted by |P| (ties keep input order).  Solver failures
-    surface as ConvergenceError naming the offending momentum.  n_max must
-    be a non-negative int (not a bool), checked before the grid is built;
-    threads an int (not a bool) of at least 1, checked by the pool
-    (solve._parallel_map) before any solve.
+    surface as ConvergenceError naming the offending momentum.  Checked
+    before the grid is built: n_max and seed are non-negative ints (not
+    bools), alpha and every momentum finite, alpha non-negative; threads an
+    int (not a bool) of at least 1, checked by the pool (solve._parallel_map)
+    before any solve.
     """
     _check_int("n_max", n_max, 0)
+    _check_int("seed", seed, 0)
     ps = [np.asarray(p, dtype=np.float64).reshape(3) for p in p_samples]
     if not ps:
         raise ValueError("p_samples must not be empty")
+    _check_fiber(alpha, ps)
     results = _ground_states(alpha, build_grid(delta, cutoff), n_max, ps, tol, seed, threads)
 
     norms = [float(np.linalg.norm(p)) for p in ps]
@@ -253,9 +256,10 @@ def hvz_edge_check(
     At large momentum the ground energy must sit just below the edge
     E(0) + 1, so the check passes iff 0 <= d <= edge_tol (with 1e-12 slack on
     the lower side for solver roundoff).  P_far must pass far_momentum, and
-    n_max must be a non-negative int (not a bool).
+    n_max and seed must be non-negative ints (not bools).
     """
     _check_int("n_max", n_max, 0)
+    _check_int("seed", seed, 0)
     p_far = far_momentum(p_far, cutoff)
     grid = build_grid(delta, cutoff)
     # assembled at every N_max: bench/test_bench.py traces its N_max = 1 assembly
@@ -300,11 +304,15 @@ def cutoff_extrapolate(
     modes with ModeGrid.within, bitwise the grid build_grid would give.
     Energies must be non-increasing in the cutoff (the variational spaces are
     nested); any increase beyond 1e-10 aborts with NumericalError rather than
-    feeding a corrupted sequence to the fit.  ValueError unless threads is
-    an int (not a bool) of at least 1, from the pool, before any solve.
+    feeding a corrupted sequence to the fit.  ValueError before the grid is
+    built unless alpha is non-negative and finite, p finite and seed an int
+    (not a bool) of at least 0; unless threads is an int (not a bool) of at
+    least 1, from the pool, before any solve.
     """
     lams = schedule.lambdas
     p = np.asarray(p, dtype=np.float64).reshape(3)
+    _check_fiber(alpha, [p])
+    _check_int("seed", seed, 0)
     largest = build_grid(schedule.delta, lams[-1])
 
     results = _parallel_map(

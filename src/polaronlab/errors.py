@@ -1,5 +1,7 @@
 """Shared exception types and argument checks."""
 
+import math
+
 
 class CapacityError(RuntimeError):
     """A requested basis, grid, or dense operation exceeds its configured limit."""
@@ -21,3 +23,12 @@ def _check_int(name: str, value, least: int) -> None:
     """ValueError unless value is an int (a bool is not) of at least `least`."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
+
+
+def _check_fiber(alpha, momenta) -> None:
+    """ValueError unless alpha is non-negative and finite and every component
+    of every momentum in `momenta` is finite."""
+    if not 0 <= alpha < math.inf:
+        raise ValueError("alpha must be non-negative and finite")
+    if not all(math.isfinite(x) for p in momenta for x in p):
+        raise ValueError("momentum p must be finite")

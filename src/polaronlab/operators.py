@@ -64,7 +64,7 @@ from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import CapacityError, NumericalError, _check_int
+from .errors import CapacityError, NumericalError, _check_fiber, _check_int
 from . import fock, solve
 from .fock import BasisIndex, basis_dimension
 from .modes import ModeGrid, _lattice_cube, _stabilizer_orbits
@@ -143,11 +143,8 @@ class FiberConfig:
     n_max: int
 
     def __post_init__(self):
-        if not 0 <= self.alpha < math.inf:
-            raise ValueError("alpha must be non-negative and finite")
         p = np.asarray(self.p, dtype=np.float64).reshape(3)
-        if not np.isfinite(p).all():
-            raise ValueError("momentum p must be finite")
+        _check_fiber(self.alpha, [p])
         object.__setattr__(self, "p", p)
         _check_int("n_max", self.n_max, 0)
 
@@ -835,8 +832,10 @@ def _norms(cfg: FiberConfig, basis: BasisIndex, h0_power: float, number_power: f
     At N_max = 2 from the pair sum (_pair_factors): ||B|| = max(||b0||,
     ||B_1||) with ||B_1|| from the eigensolver on G, ||B^2|| = sqrt(b0^T G b0);
     otherwise from the raise-map blocks (_block_factors, _power_norm).  The
-    chain is nilpotent: ||B^j|| = +0.0 once j exceeds N_max.
+    chain is nilpotent: ||B^j|| = +0.0 once j exceeds N_max.  ValueError
+    unless seed is an int (a bool is not) of at least 0.
     """
+    _check_int("seed", seed, 0)
     _check_basis(cfg, basis)
     if basis.n_max != 2:
         factors = _block_factors(cfg, basis, h0_power, number_power)

@@ -450,12 +450,14 @@ def lowest_eigenpairs(
     fresh random direction, so invariant subspaces (diagonal operators
     included) are handled without special cases.  Raises ConvergenceError
     with the best residual if MAX_STEPS matvecs pass without certification;
-    ValueError unless k is an int (a bool is not) in [1, dimension].
+    ValueError unless k is an int (a bool is not) in [1, dimension] and seed
+    an int of at least 0.
     """
     n = op.dimension
     if n < 1:
         raise ValueError("operator dimension must be positive")
     _check_int("k", k, 1)
+    _check_int("seed", seed, 0)
     if k > n:
         raise ValueError(f"k must lie in [1, {n}]")
     if not 0 < tol < math.inf:

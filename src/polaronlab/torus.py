@@ -46,7 +46,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError, _check_int
+from .errors import CapacityError, ConvergenceError, _check_fiber, _check_int
 from .fock import BasisIndex, basis_dimension, enumerate_basis
 from .modes import (ModeGrid, _elements_taking, _lattice_axis, _lattice_ball,
                     _symmetry_maps, build_grid)
@@ -63,11 +63,12 @@ class TorusConfig:
 
     By default the momentum blocks run over the full dual lattice inside
     fiber_cutoff, which always contains P = 0.  An explicit `fibers` tuple
-    overrides the lattice scan (for restricted-sector studies); it must be
-    closed under P -> -P, the symmetry every analysis below relies on, and
-    name each momentum once, since every listed block counts toward the
-    ground-state multiplicity.  n_max must be a non-negative int (not a
-    bool), checked here, before any grid or basis is built.
+    overrides the lattice scan (for restricted-sector studies); its momenta
+    must be finite, and it must be closed under P -> -P, the symmetry every
+    analysis below relies on, and name each momentum once, since every
+    listed block counts toward the ground-state multiplicity.  n_max must be
+    a non-negative int (not a bool), checked here, before any grid or basis
+    is built.
     """
 
     ell: float
@@ -83,8 +84,7 @@ class TorusConfig:
         for name in ("ell", "delta", "cutoff", "fiber_cutoff", "degeneracy_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if not 0 <= self.alpha < math.inf:
-            raise ValueError("alpha must be non-negative and finite")
+        _check_fiber(self.alpha, ())
         _check_int("n_max", self.n_max, 0)
         if self.fibers is not None:
             fibers = tuple(tuple(float(x) for x in f) for f in self.fibers)
@@ -92,6 +92,7 @@ class TorusConfig:
                 raise ValueError("explicit fiber list must not be empty")
             if any(len(f) != 3 for f in fibers):
                 raise ValueError("fibers must be 3-vectors")
+            _check_fiber(self.alpha, fibers)
             have = set(fibers)
             for i, f in enumerate(fibers):
                 first = fibers.index(f)  # == compares, so -0.0 repeats 0.0
@@ -238,9 +239,11 @@ def degeneracy_analysis(
     the first pool that needs it: at N_max = 2 only for a block that falls
     back, so a run where nothing falls back enumerates no basis.  At most
     `threads` blocks or complements are alive at a time, each inside the
-    pool task that made it.  ValueError unless threads is an int (a bool is
-    not) of at least 1, from the first pool, before any solve.
+    pool task that made it.  ValueError unless seed is an int (a bool is
+    not) of at least 0, checked first, and threads one of at least 1, from
+    the first pool, before any solve.
     """
+    _check_int("seed", seed, 0)
     cfg, fibers = model.config, model.fibers
     tol_deg = cfg.degeneracy_tol
 

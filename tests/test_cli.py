@@ -491,13 +491,31 @@ def test_checks_run_and_schema(tmp_path):
     assert rep["passed"] is True
     names = [e["name"] for e in rep["checks"]]
     assert names == CHECK_ORDER
+    keys = {"name", "gating", "passed", "threshold", "measured"}
     for entry in rep["checks"]:
         if entry["gating"]:
+            assert set(entry) == keys
             assert entry["passed"] is True
     alpha0 = rep["checks"][4]
+    assert set(alpha0) == keys | {"note"}
     assert alpha0["gating"] is False
     assert alpha0["passed"] is None
     assert alpha0["note"] == "not improving (decoupled)"
+
+
+@pytest.mark.parametrize("command, config, report", [
+    ("dispersion", "margin = 10\n", "verdict.json"),
+    ("checks", "extrap_target = 1\n", "checks.json"),
+])
+def test_failing_gate_exits_1_and_writes_every_file(tmp_path, command, config, report):
+    # extrapolate's failing gate is covered by test_extrapolate_ungated_and_gated
+    cfg = tmp_path / "fail.cfg"
+    cfg.write_text(config)
+    passing, failing = tmp_path / "pass", tmp_path / "fail"
+    assert main([command, "--out", str(passing)]) == 0
+    assert main([command, "--config", str(cfg), "--out", str(failing)]) == 1
+    assert sorted(os.listdir(failing)) == sorted(os.listdir(passing))
+    assert json.loads((failing / report).read_text())["passed"] is False
 
 
 def test_checks_byte_determinism(tmp_path):

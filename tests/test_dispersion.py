@@ -116,6 +116,48 @@ def test_hvz_edge_check_rejects_a_bad_n_max_before_any_grid(monkeypatch, n_max):
         hvz_edge_check(0.0, 1.0, 2.5, n_max, (0.0, 0.0, 2.0))
 
 
+BAD_SEEDS = [2.5, True, -1, "7"]
+EXTRAP_SCHEDULE = CutoffSchedule(lambdas=(1.0, 1.5, 2.0), delta=1.0, n_max=1)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_dispersion_curve_rejects_a_bad_seed_before_any_grid(monkeypatch, seed):
+    # seed = 2.5 used to return a curve: the certified routes draw no start vector
+    _forbid_grids(monkeypatch)
+    with pytest.raises(ValueError, match="seed must be an int of at least 0"):
+        dispersion_curve(1.0, [(0, 0, 0), (0, 0, 0.5)], 1.0, 1.0, 2, seed=seed)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_cutoff_extrapolate_rejects_a_bad_seed_before_any_grid(monkeypatch, seed):
+    _forbid_grids(monkeypatch)
+    with pytest.raises(ValueError, match="seed must be an int of at least 0"):
+        cutoff_extrapolate(1.0, EXTRAP_SCHEDULE, seed=seed)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_hvz_edge_check_rejects_a_bad_seed_before_any_grid(monkeypatch, seed):
+    _forbid_grids(monkeypatch)
+    with pytest.raises(ValueError, match="seed must be an int of at least 0"):
+        hvz_edge_check(0.0, 1.0, 2.5, 1, (0.0, 0.0, 2.0), seed=seed)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("alpha, p, message", [
+    (1.0, (0.0, 0.0, math.inf), "momentum p must be finite"),
+    (1.0, (math.nan, 0.0, 0.0), "momentum p must be finite"),
+    (math.nan, (0.0, 0.0, 0.5), "alpha must be non-negative and finite"),
+    (math.inf, (0.0, 0.0, 0.5), "alpha must be non-negative and finite"),
+])
+def test_non_finite_input_is_rejected_before_any_grid(monkeypatch, n_max, alpha, p, message):
+    # these used to fail as a NumericalError from the solver, or in a Gram matrix
+    _forbid_grids(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        dispersion_curve(alpha, [(0, 0, 0), p], 1.0, 2.0, n_max)
+    with pytest.raises(ValueError, match=message):
+        cutoff_extrapolate(alpha, EXTRAP_SCHEDULE, p=p)
+
+
 BAD_THREADS = [0, 2.5, True]
 
 

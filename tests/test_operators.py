@@ -319,6 +319,16 @@ def test_neumann_norms_j_max_must_be_an_int(j_max):
         neumann_norms(cfg, basis, j_max)
 
 
+@pytest.mark.parametrize("seed", [2.5, True, -1, "7"])
+@pytest.mark.parametrize("norm", [functools.partial(neumann_norms, j_max=2),
+                                  weighted_annihilation_norm, neumann_constant])
+def test_norms_reject_a_bad_seed(norm, seed):
+    # seed = True used to return norms, as seed 1
+    cfg, basis = _neumann_instance()
+    with pytest.raises(ValueError, match="seed must be an int of at least 0"):
+        norm(cfg, basis, seed=seed)
+
+
 def test_neumann_norms_submultiplicative():
     cfg, basis = _neumann_instance()
     s = neumann_norms(cfg, basis, 3)

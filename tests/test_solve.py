@@ -211,6 +211,13 @@ def test_lowest_eigenpairs_k_must_be_an_int(k):
         lowest_eigenpairs(_diag_op([1.0, 2.0, 3.0]), k=k)
 
 
+@pytest.mark.parametrize("seed", [2.5, True, -1, "7"])
+def test_lowest_eigenpairs_seed_must_be_an_int(seed):
+    # 2.5 used to die in numpy's SeedSequence, True to run as seed 1
+    with pytest.raises(ValueError, match="seed must be an int of at least 0"):
+        lowest_eigenpairs(_diag_op([1.0, 2.0, 3.0]), seed=seed)
+
+
 @pytest.mark.parametrize("k", [2.5, True, 0])
 def test_dense_spectrum_k_must_be_an_int(k):
     # 2.5 used to return two values, True one

@@ -1,5 +1,6 @@
 """The line-count tool, tools/src_lines.py, on a module with known counts, and
-the CLI wall-time tool, tools/cli_wall.py, on one pair of runs."""
+the CLI wall-time tool, tools/cli_wall.py, on a passing and a failing pair of
+runs."""
 
 import subprocess
 import sys
@@ -79,9 +80,13 @@ def test_src_lines_against_a_revision(tmp_path):
     assert "+6" in out[-2]  # differences carry their sign
 
 
-@pytest.mark.skipif(subprocess.run(["git", "rev-parse", "--verify", "-q", "HEAD"], cwd=ROOT,
-                                   capture_output=True).returncode != 0,
-                    reason="not a git checkout with a commit")
+NEEDS_HEAD = pytest.mark.skipif(
+    subprocess.run(["git", "rev-parse", "--verify", "-q", "HEAD"], cwd=ROOT,
+                   capture_output=True).returncode != 0,
+    reason="not a git checkout with a commit")
+
+
+@NEEDS_HEAD
 def test_cli_wall_against_head():
     out = subprocess.run([sys.executable, str(CLI_WALL), "--against", "HEAD", "--pairs", "1",
                           "--", "kernel"], capture_output=True, text=True,
@@ -96,6 +101,23 @@ def test_cli_wall_against_head():
         assert 20.0 < rss < 2048.0
         assert minflt == int(minflt) and 0 < minflt < 10**7
     assert rows["HEAD"][3] + rows["working tree"][3] == 1.0
+    assert out[3:6] == ["exit HEAD: 0", "exit working tree: 0", "exit equal"]
     digests = [line.split()[-1] for line in out if line.startswith("sha256 kernel.json ")]
     assert len(digests) == 3 and digests[0] == digests[1] and len(digests[0]) == 64
     assert digests[2] == "equal"
+
+
+@NEEDS_HEAD
+def test_cli_wall_compares_runs_whose_gate_fails(tmp_path):
+    # a margin no curve clears: both sides exit 1 and still write their files
+    cfg = tmp_path / "fail.cfg"
+    cfg.write_text("alpha = 0\ndelta = 1\nlambda = 1\nnmax = 1\nmargin = 10\n")
+    proc = subprocess.run([sys.executable, str(CLI_WALL), "--against", "HEAD", "--pairs", "1",
+                           "--", "dispersion", "--config", str(cfg)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    assert out[3:6] == ["exit HEAD: 1", "exit working tree: 1", "exit equal"]
+    verdicts = {line.split()[1]: line.split()[-1] for line in out
+                if line.startswith("sha256 ") and ":" not in line}
+    assert verdicts == {"dispersion.csv": "equal", "verdict.json": "equal"}

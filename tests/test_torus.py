@@ -92,6 +92,10 @@ def test_explicit_fibers_sorted_and_validated():
         _quick_config(fibers=())
     with pytest.raises(ValueError):
         _quick_config(fibers=((0.0, 1.0),))
+    # an infinite pair used to be accepted, a NaN fiber called not closed under P -> -P
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="momentum p must be finite"):
+            _quick_config(fibers=((bad, 0.0, 0.0), (-bad, 0.0, 0.0)))
     # a repeated block would count twice toward the multiplicity; -0.0 == 0.0
     for fibers in (((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)),
                    ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 0.0, 1.0))):
@@ -389,6 +393,18 @@ def test_degeneracy_analysis_rejects_bad_threads_before_solving(monkeypatch, thr
     monkeypatch.setattr(polaronlab.torus, "_certified_ground", forbidden)
     with pytest.raises(ValueError, match="threads must be an int of at least 1"):
         degeneracy_analysis(model, threads=threads)
+
+
+@pytest.mark.parametrize("seed", [2.5, True, -1, "7"])
+def test_degeneracy_analysis_rejects_a_bad_seed_before_solving(monkeypatch, seed):
+    # at N_max = 2 no LOBPCG runs, so seed = 2.5 or -1 used to return a report
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a fiber was solved")
+
+    model = assemble_torus(_quick_config())
+    monkeypatch.setattr(polaronlab.torus, "_certified_ground", forbidden)
+    with pytest.raises(ValueError, match="seed must be an int of at least 0"):
+        degeneracy_analysis(model, seed=seed)
 
 
 def _record_fibers(monkeypatch):

@@ -12,10 +12,13 @@ pair.  The wall time of a run is that of the whole process, start-up
 included.  Printed per side: the median and the quartiles of the wall
 times, the pairs it won (the faster run of a pair wins), the median
 peak RSS of its processes in MiB and their median count of minor page
-faults, each read from that process's own rusage; then one line per output file and side with the sha256 of that
-file, and `equal` or `DIFFER` for the two sides.  A file whose hash
-changes between the runs of one side counts as differing.  Exit status 1
-when a run fails.
+faults, each read from that process's own rusage; then one line per side
+with the exit statuses of its runs, and `equal` or `DIFFER`; then one line
+per output file and side with the sha256 of that file, and `equal` or
+`DIFFER` for the two sides.  A status or a hash that changes between the
+runs of one side counts as differing, so a run whose gate fails (exit 1)
+compares like any other.  Exit status 1 when the exit statuses differ, or
+at once, with that run's stderr, when a run dies by a signal.
 """
 
 import argparse
@@ -46,11 +49,11 @@ def _hashes(out: Path) -> dict:
 
 
 def _run(src: Path, command: list, out: Path) -> tuple:
-    """Wall seconds, peak RSS in MiB and minor page faults of one `python -m
-    polaronlab COMMAND --out OUT` process on the package in src;
-    RuntimeError with its stderr if it fails.  The RSS and the faults are
-    the child's own, from os.wait4 on its pid: RUSAGE_CHILDREN keeps only
-    the largest RSS over all children so far."""
+    """Wall seconds, peak RSS in MiB, minor page faults and exit status of
+    one `python -m polaronlab COMMAND --out OUT` process on the package in
+    src; RuntimeError with its stderr if a signal ends it.  The RSS and the
+    faults are the child's own, from os.wait4 on its pid: RUSAGE_CHILDREN
+    keeps only the largest RSS over all children so far."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "polaronlab", *command, "--out", str(out)],
@@ -60,9 +63,9 @@ def _run(src: Path, command: list, out: Path) -> tuple:
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != 0:
-        raise RuntimeError(f"exit {proc.returncode} from {src}:\n{stderr}")
-    return wall, usage.ru_maxrss / 1024.0, usage.ru_minflt  # Linux reports KiB
+    if proc.returncode < 0:
+        raise RuntimeError(f"signal {-proc.returncode} ended a run on {src}:\n{stderr}")
+    return wall, usage.ru_maxrss / 1024.0, usage.ru_minflt, proc.returncode  # RSS in KiB
 
 
 def _quartiles(walls: list) -> list:
@@ -89,6 +92,7 @@ def main(argv) -> int:
     walls = {side: [] for side in sides}
     rss = {side: [] for side in sides}
     minflt = {side: [] for side in sides}
+    statuses = {side: set() for side in sides}
     hashes = {side: {} for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -97,13 +101,14 @@ def main(argv) -> int:
             for j, side in enumerate(sides[::1 if i % 2 == 0 else -1]):
                 out = tmp / "out" / f"{i}-{j}"
                 try:
-                    wall, peak, faults = _run(srcs[side], command, out)
+                    wall, peak, faults, status = _run(srcs[side], command, out)
                 except RuntimeError as exc:
                     print(exc, file=sys.stderr)
                     return 1
                 walls[side].append(wall)
                 rss[side].append(peak)
                 minflt[side].append(faults)
+                statuses[side].add(status)
                 for name, digest in _hashes(out).items():
                     hashes[side].setdefault(name, set()).add(digest)
     wins = {side: sum(a < b for a, b in zip(walls[side], walls[other]))
@@ -113,13 +118,17 @@ def main(argv) -> int:
         q1, median, q3 = _quartiles(walls[side])
         print(f"{side:<16}{median:>9.3f}{q1:>9.3f}{q3:>9.3f}{wins[side]:>6}"
               f"{statistics.median(rss[side]):>9.1f}{statistics.median(minflt[side]):>9.0f}")
+    for side in sides:
+        print(f"exit {side}: {' '.join(map(str, sorted(statuses[side])))}")
+    same_exit = len(statuses[sides[0]]) == 1 and statuses[sides[0]] == statuses[sides[1]]
+    print(f"exit {'equal' if same_exit else 'DIFFER'}")
     for name in sorted(hashes[sides[0]].keys() | hashes[sides[1]].keys()):
         found = [hashes[side].get(name, set()) for side in sides]
         verdict = "equal" if len(found[0]) == 1 and found[0] == found[1] else "DIFFER"
         for side, digests in zip(sides, found):
             print(f"sha256 {name} {side}: {' '.join(sorted(digests)) or 'missing'}")
         print(f"sha256 {name} {verdict}")
-    return 0
+    return 0 if same_exit else 1
 
 
 if __name__ == "__main__":
