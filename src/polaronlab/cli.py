@@ -1,11 +1,13 @@
 """Command-line entry point: parse config, run pipelines, write CSV/JSON.
 
 Commands: dispersion, checks, extrapolate, torus, kernel.  Configuration is a
-flat `key = value` text file plus command-line overrides, read through one
-parameter table per command (read_params): every key is parsed and checked,
-and each config object built, before the first solve.
-A command returns its verdict and its files; main writes the files and maps
-the verdict to the exit code, so every command shares one output path.
+flat `key = value` text file plus `--key` flags that override it.  Each
+command's parameter table (COMMANDS) alone decides which config keys and
+which flags it takes; main reads both through it once (read_params), so
+every key is parsed and checked, and each config object built, before the
+first solve.  A command returns its verdict and its files; main writes the
+files and maps the verdict to the exit code, so every command shares one
+input path and one output path.
 Outputs are CSV (header row, LF, UTF-8, 17 significant digits) and JSON (one
 object per file, sorted keys).  Runs are deterministic: same config + seed
 means byte-identical bytes on disk, for any OPENBLAS_NUM_THREADS, since main
@@ -127,14 +129,30 @@ def _problem(alpha, delta, lam, nmax):
             "lambda": ("float", lam, "positive"), "nmax": ("int", nmax, 0)}
 
 
-def read_params(values: dict, specs: dict) -> dict:
-    """Every key of the table `specs`, read from `values` and checked.
+# each --key flag sets config key `key`, on a command whose table has it
+_FLAGS = ("alpha", "delta", "lambda", "nmax", "tol", "seed", "threads")
 
-    Unknown keys are rejected; every number read from a config file or a flag
-    must be finite and within its bound, and `tol` at most TOL_MAX.  A
-    default is taken as it stands: only a default (extrapolate's NaN target,
-    meaning ungated) may be NaN.
+
+def read_params(values: dict, args, specs: dict) -> dict:
+    """Every key of the table `specs`, read from `values` and the flags in
+    `args`, and checked.
+
+    A flag overrides its config key; a flag or a config key the table lacks
+    is rejected.  Every number read from a config file or a flag must be
+    finite and within its bound, and `tol` at most TOL_MAX.  A default is
+    taken as it stands: only a default (extrapolate's NaN target, meaning
+    ungated) may be NaN.
     """
+    flags = {key: getattr(args, key) for key in _FLAGS if getattr(args, key) is not None}
+    values = {**values, **flags}
+    for key in values:
+        if key not in specs and f"{key}_values" in specs:  # extrapolate's cutoffs
+            raise ConfigError(f"parameter '{key}' does not apply here; use '{key}_values'")
+    for key in flags:
+        if key not in specs:  # checks reads its keys as <check>_<key>
+            hint = ("; use the per-check config keys instead"
+                    if any(k.endswith("_" + key) for k in specs) else "")
+            raise ConfigError(f"--{key} does not apply to '{args.command}'{hint}")
     unknown = sorted(set(values) - set(specs))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
@@ -152,23 +170,6 @@ def read_params(values: dict, specs: dict) -> dict:
             raise ConfigError(f"parameter '{key}' must be >= {bound}, got {val}")
     if out["tol"] > TOL_MAX:
         raise ConfigError(f"parameter 'tol' must be at most {TOL_MAX:g}, got {out['tol']}")
-    return out
-
-
-_GENERIC_FLAGS = ("alpha", "delta", "lambda", "nmax", "tol")
-_FLAGS = _GENERIC_FLAGS + ("seed", "threads")  # each --key overrides the config key
-
-
-def merge_overrides(values: dict, args, accept_generic: bool = True) -> dict:
-    out = dict(values)
-    for key in _FLAGS:
-        flag_val = getattr(args, key)
-        if flag_val is None:
-            continue
-        if key in _GENERIC_FLAGS and not accept_generic:
-            hint = "; use the per-check config keys instead" if args.command == "checks" else ""
-            raise ConfigError(f"--{key} does not apply to '{args.command}'{hint}")
-        out[key] = flag_val
     return out
 
 
@@ -198,9 +199,9 @@ def _plain(obj):
 
 
 # -- commands ----------------------------------------------------------------
-# Each command maps (config values, parsed args) to (passed, outputs): whether
-# its gated checks passed, and {file name: JSON object, or (header, rows) for
-# a .csv}, written by main in that order.
+# Each command maps its parameters, read through its table in COMMANDS, to
+# (passed, outputs): whether its gated checks passed, and {file name: JSON
+# object, or (header, rows) for a .csv}, written by main in that order.
 
 _DISPERSION = {**_COMMON, **_problem(1.0, 0.75, 3.0, 2),
                "p_values": ("floats", (0.0, 0.5, 1.0, 1.5, 2.0), None),
@@ -208,8 +209,7 @@ _DISPERSION = {**_COMMON, **_problem(1.0, 0.75, 3.0, 2),
                "mass_step": ("float", _disp.DEFAULT_MASS_STEP, "positive")}
 
 
-def cmd_dispersion(values: dict, args):
-    c = read_params(merge_overrides(values, args), _DISPERSION)
+def cmd_dispersion(c: dict):
     p_values = c["p_values"]
     ps = [(0.0, 0.0, t) for t in p_values]
     # every sample rule raises before the one solve, which adds the mass momenta
@@ -282,12 +282,7 @@ def _extrapolation(alpha, schedule, target, rtol, p, tol, seed, threads):
     return report, measured, deviation is None or bool(deviation <= rtol * abs(target))
 
 
-def cmd_extrapolate(values: dict, args):
-    merged = merge_overrides(values, args)
-    if "lambda" in merged:
-        raise ConfigError("parameter 'lambda' does not apply here; use 'lambda_values'")
-    c = read_params(merged, {**_COMMON, **_EXTRAPOLATE,
-                             "lambda_values": ("floats", (4.0, 6.0, 8.0), None)})
+def cmd_extrapolate(c: dict):
     schedule = CutoffSchedule(lambdas=c["lambda_values"], delta=c["delta"], n_max=c["nmax"])
     report, measured, passed = _extrapolation(c["alpha"], schedule, c["target"],
                                               c["target_rtol"], c["p"], c["tol"],
@@ -319,8 +314,7 @@ def _torus_config(c, fibers) -> _torus.TorusConfig:
     )
 
 
-def cmd_torus(values: dict, args):
-    c = read_params(merge_overrides(values, args), _TORUS)
+def cmd_torus(c: dict):
     tcfg = _torus_config(c, c["fibers"])
     model = _torus.assemble_torus(tcfg)
     report = _torus.degeneracy_analysis(model, tol=c["tol"], seed=c["seed"],
@@ -354,8 +348,7 @@ _KERNEL = {"ell": ("float", 2.0 * math.pi, "positive"), "mass": ("float", 1.0, N
            "image_cut": ("int", 1, 1)}
 
 
-def cmd_kernel(values: dict, args):
-    c = read_params(merge_overrides(values, args, accept_generic=False), {**_COMMON, **_KERNEL})
+def cmd_kernel(c: dict):
     ell, mass, x, xp, image_cut = c["ell"], c["mass"], c["x"], c["xprime"], c["image_cut"]
 
     value = _torus.periodized_yukawa(x, xp, ell, mass=mass, image_cut=image_cut)
@@ -531,8 +524,7 @@ _CHECKS_TABLE = {**_COMMON, **{f"{check}_{key}": spec for check, table in _CHECK
                                for key, spec in table.items()}}
 
 
-def cmd_checks(values: dict, args):
-    p = read_params(merge_overrides(values, args, accept_generic=False), _CHECKS_TABLE)
+def cmd_checks(p: dict):
     seed, threads, tol = p["seed"], p["threads"], p["tol"]
     c = {check: {key: p[f"{check}_{key}"] for key in table} for check, table in _CHECKS.items()}
     # the later checks' argument-only rules raise here, before the first solve
@@ -558,6 +550,18 @@ def cmd_checks(values: dict, args):
     return passed, {"checks.json": {"checks": entries, "passed": passed}}
 
 
+# command name -> (command, parameter table); the table alone decides which
+# config keys and which --key flags the command takes
+COMMANDS = {
+    "dispersion": (cmd_dispersion, _DISPERSION),
+    "checks": (cmd_checks, _CHECKS_TABLE),
+    "extrapolate": (cmd_extrapolate, {**_COMMON, **_EXTRAPOLATE,
+                                      "lambda_values": ("floats", (4.0, 6.0, 8.0), None)}),
+    "torus": (cmd_torus, _TORUS),
+    "kernel": (cmd_kernel, {**_COMMON, **_KERNEL}),
+}
+
+
 # -- argument parsing ---------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
@@ -571,20 +575,13 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Polaron fiber spectra: dispersion, checks, "
                                  "extrapolation, torus degeneracy, kernels.")
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "dispersion": cmd_dispersion,
-        "checks": cmd_checks,
-        "extrapolate": cmd_extrapolate,
-        "torus": cmd_torus,
-        "kernel": cmd_kernel,
-    }
-    for name, func in handlers.items():
+    for name in COMMANDS:
+        # every command parses every flag, so read_params can say which apply
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--out", default=".")
         for key in _FLAGS:
             p.add_argument("--" + key)
-        p.set_defaults(func=func)
     return parser
 
 
@@ -594,8 +591,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         values = read_config_file(args.config) if args.config else {}
+        cmd, table = COMMANDS[args.command]
         os.makedirs(args.out, exist_ok=True)
-        passed, outputs = args.func(values, args)
+        passed, outputs = cmd(read_params(values, args, table))
         for name, content in outputs.items():
             with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="\n") as fh:
                 if name.endswith(".csv"):

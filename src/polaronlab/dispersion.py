@@ -21,7 +21,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError, _check_fiber, _check_int
+from .errors import (ConvergenceError, NumericalError, _check_fiber, _check_int,
+                     _check_nonnegative)
 from .fock import enumerate_basis
 from .modes import CutoffSchedule, build_grid
 from .operators import FiberConfig, FiberFamily, _certified_ground, assemble_fiber
@@ -209,7 +210,10 @@ def check_minimum_samples(p_samples) -> None:
 
 
 def minimum_check(curve: DispersionCurve, margin: float = DEFAULT_MARGIN) -> MinimumVerdict:
-    """Is P = 0 a strict minimum of the sampled curve with the given margin?"""
+    """Is P = 0 a strict minimum of the sampled curve with the given margin?
+    The margin must be non-negative and finite: a negative one would pass a
+    curve that dips below E(0)."""
+    _check_nonnegative("margin", margin)
     check_minimum_samples([s.p for s in curve.samples])
     zero = curve.at_zero()
     worst = min(s.energy - zero.energy for s in curve.samples if s.pnorm > 0.0)
@@ -255,11 +259,14 @@ def hvz_edge_check(
 
     At large momentum the ground energy must sit just below the edge
     E(0) + 1, so the check passes iff 0 <= d <= edge_tol (with 1e-12 slack on
-    the lower side for solver roundoff).  P_far must pass far_momentum, and
-    n_max and seed must be non-negative ints (not bools).
+    the lower side for solver roundoff).  P_far must pass far_momentum, alpha
+    and edge_tol must be non-negative and finite, and n_max and seed
+    non-negative ints (not bools).
     """
     _check_int("n_max", n_max, 0)
     _check_int("seed", seed, 0)
+    _check_fiber(alpha, [p_far])
+    _check_nonnegative("edge_tol", edge_tol)
     p_far = far_momentum(p_far, cutoff)
     grid = build_grid(delta, cutoff)
     # assembled at every N_max: bench/test_bench.py traces its N_max = 1 assembly

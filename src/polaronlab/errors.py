@@ -25,10 +25,15 @@ def _check_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
 
 
+def _check_nonnegative(name: str, value) -> None:
+    """ValueError unless value is non-negative and finite."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+
+
 def _check_fiber(alpha, momenta) -> None:
     """ValueError unless alpha is non-negative and finite and every component
     of every momentum in `momenta` is finite."""
-    if not 0 <= alpha < math.inf:
-        raise ValueError("alpha must be non-negative and finite")
+    _check_nonnegative("alpha", alpha)
     if not all(math.isfinite(x) for p in momenta for x in p):
         raise ValueError("momentum p must be finite")

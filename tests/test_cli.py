@@ -82,13 +82,13 @@ def test_bad_arguments_exit_3(tmp_path, capsys):
         assert main([command, flag, value, "--out", out]) == 3
         assert "must be finite" in capsys.readouterr().err
     # a finite tol above 1e-6 would certify the solver's start vector
-    # (checks takes tol from its config only)
     loose = tmp_path / "loose.cfg"
     for value in ("1e3", "1.1e-6"):
         loose.write_text(f"tol = {value}\n")
         for command in ("dispersion", "extrapolate", "torus", "checks", "kernel"):
-            assert main([command, "--config", str(loose), "--out", out]) == 3
-            assert "'tol' must be at most 1e-06" in capsys.readouterr().err
+            for given in (["--config", str(loose)], ["--tol", value]):
+                assert main([command, *given, "--out", out]) == 3
+                assert "'tol' must be at most 1e-06" in capsys.readouterr().err
     # kernel solves nothing, yet its tol is checked like every command's
     loose.write_text("tol = inf\n")
     assert main(["kernel", "--config", str(loose), "--out", out]) == 3
@@ -211,8 +211,52 @@ def test_generic_flags_rejected_for_checks_and_kernel(tmp_path, capsys):
 def test_extrapolate_rejects_bare_lambda(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("lambda = 4\n")
-    assert main(["extrapolate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-    assert "lambda_values" in capsys.readouterr().err
+    for given in (["--config", str(cfg)], ["--lambda", "4"]):
+        assert main(["extrapolate", *given, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "parameter 'lambda' does not apply here; use 'lambda_values'" in err
+
+
+# the flags each command takes: exactly the keys of its parameter table
+TAKES = {
+    "dispersion": {"alpha", "delta", "lambda", "nmax", "tol", "seed", "threads"},
+    "extrapolate": {"alpha", "delta", "nmax", "tol", "seed", "threads"},
+    "torus": {"alpha", "delta", "lambda", "nmax", "tol", "seed", "threads"},
+    "checks": {"tol", "seed", "threads"},
+    "kernel": {"tol", "seed", "threads"},
+}
+# a value out of each flag's bound, so that no accepted flag reaches a solve
+OUT_OF_BOUND = {"alpha": ("-1", "must be non-negative"), "delta": ("-1", "must be positive"),
+                "lambda": ("-1", "must be positive"), "nmax": ("-1", "must be >= 0"),
+                "tol": ("-1", "must be positive"), "seed": ("-1", "must be >= 0"),
+                "threads": ("0", "must be >= 1")}
+
+
+@pytest.mark.parametrize("key", sorted(OUT_OF_BOUND))
+@pytest.mark.parametrize("command", sorted(TAKES))
+def test_a_flag_applies_exactly_when_its_key_is_in_the_table(tmp_path, capsys, command, key):
+    _, table = polaronlab.cli.COMMANDS[command]
+    assert (key in table) == (key in TAKES[command])
+    value, bound = OUT_OF_BOUND[key]
+    assert main([command, f"--{key}", value, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    if key in TAKES[command]:
+        assert f"parameter '{key}' {bound}, got" in err
+    else:
+        assert "does not apply" in err
+
+
+def test_checks_tol_flag_writes_the_bytes_of_its_config_key(tmp_path):
+    quick = (CONFIGS / "quick.cfg").read_text()
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text(quick + "tol = 1e-10\n")
+    runs = {"flag": ["--config", str(CONFIGS / "quick.cfg"), "--tol", "1e-10"],
+            "config": ["--config", str(cfg)], "default": ["--config", str(CONFIGS / "quick.cfg")]}
+    for name, given in runs.items():
+        assert main(["checks", *given, "--out", str(tmp_path / name)]) == 0
+    flag, config, default = (_read(tmp_path / name / "checks.json") for name in runs)
+    assert flag == config
+    assert flag != default  # the flag reached the solves
 
 
 def test_dispersion_decoupled_run(tmp_path):

@@ -148,14 +148,18 @@ def test_hvz_edge_check_rejects_a_bad_seed_before_any_grid(monkeypatch, seed):
     (1.0, (math.nan, 0.0, 0.0), "momentum p must be finite"),
     (math.nan, (0.0, 0.0, 0.5), "alpha must be non-negative and finite"),
     (math.inf, (0.0, 0.0, 0.5), "alpha must be non-negative and finite"),
+    (-1.0, (0.0, 0.0, 0.5), "alpha must be non-negative and finite"),
 ])
 def test_non_finite_input_is_rejected_before_any_grid(monkeypatch, n_max, alpha, p, message):
-    # these used to fail as a NumericalError from the solver, or in a Gram matrix
+    # these used to fail as a NumericalError from the solver, or in a Gram
+    # matrix; hvz_edge_check used to build its grid and basis first
     _forbid_grids(monkeypatch)
     with pytest.raises(ValueError, match=message):
         dispersion_curve(alpha, [(0, 0, 0), p], 1.0, 2.0, n_max)
     with pytest.raises(ValueError, match=message):
         cutoff_extrapolate(alpha, EXTRAP_SCHEDULE, p=p)
+    with pytest.raises(ValueError, match=message):
+        hvz_edge_check(alpha, 1.0, 2.5, n_max, p)
 
 
 BAD_THREADS = [0, 2.5, True]
@@ -242,6 +246,17 @@ def test_minimum_check_fails_inside_margin():
     assert not minimum_check(curve, margin=1e-4).passed
 
 
+@pytest.mark.parametrize("margin", [math.nan, -1e-4, math.inf])
+def test_minimum_check_rejects_a_margin_that_voids_it(margin):
+    # margin = -1e-4 used to pass this curve, whose E(P) dips below E(0)
+    curve = _curve((
+        _sample((0.0, 0.0, 0.0), 0.0),
+        _sample((0.0, 0.0, 0.5), -5e-5),
+    ))
+    with pytest.raises(ValueError, match="margin must be non-negative and finite"):
+        minimum_check(curve, margin=margin)
+
+
 def test_minimum_check_needs_samples():
     with pytest.raises(ValueError):
         minimum_check(_curve((_sample((0.0, 0.0, 0.5), 1.0),)))  # no P = 0
@@ -317,6 +332,14 @@ def test_edge_check_preconditions():
         hvz_edge_check(0.0, 1.0, 2.5, 1, (0.0, 0.0, 1.0))  # |P_far| < 2
     with pytest.raises(ValueError):
         hvz_edge_check(0.0, 1.0, 1.5, 1, (0.0, 0.0, 2.0))  # cutoff below |P_far|
+
+
+@pytest.mark.parametrize("edge_tol", [math.nan, -0.1, math.inf])
+def test_hvz_edge_check_rejects_an_edge_tol_that_voids_it(monkeypatch, edge_tol):
+    # edge_tol = nan used to fail every curve, and inf to pass any d >= 0
+    _forbid_grids(monkeypatch)
+    with pytest.raises(ValueError, match="edge_tol must be non-negative and finite"):
+        hvz_edge_check(0.0, 1.0, 2.5, 1, (0.0, 0.0, 2.0), edge_tol=edge_tol)
 
 
 def test_fit_inverse_cutoff_recovers_exact_model():
